@@ -12,11 +12,10 @@ equivalence (within the bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .fincat import (Category, CategoryError, ComputableCategory, Decision,
+from .fincat import (Category, CategoryError, ComputableCategory,
                      EquivalenceReport, Functor, NatIso, NatTrans,
-                     all_isomorphisms, find_isomorphism, is_equivalence)
+                     all_isomorphisms, is_equivalence)
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,6 @@ class WedgeMor:
 
 class CommaCategory(ComputableCategory):
     """Comma construction F ↓ G; the filler cell need not be invertible."""
-
-    invertible_fillers = False
 
     def __init__(self, f: Functor, g: Functor, bound: int = 3):
         if f.dst is not g.dst and f.dst != g.dst:
@@ -117,8 +114,6 @@ class CommaCategory(ComputableCategory):
 
 class PseudoPullbackCategory(CommaCategory):
     """The pseudopullback: comma objects whose connector is invertible."""
-
-    invertible_fillers = True
 
     def _connectors(self, fc, gd):
         return [f for (f, _) in all_isomorphisms(self.f.dst, fc, gd)]

@@ -26,9 +26,8 @@ from typing import Optional
 
 from .finset import FinFunction, FinSetObj, mediating_map, pullback
 from .fincat import Category, Functor, NatIso
-from .slices import (CartFunctor, ChangeOfBase, IdentityCartFunctor,
-                     SliceCategory, comparison_iso)
-from ._parallel import pmap
+from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
+                     comparison_iso)
 
 
 @dataclass
@@ -138,20 +137,13 @@ def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -
                 report.add(f"{name}: not invertible", x)
         # naturality over every enumerated morphism
         objs = index_cat.objects(bound)
-
-        def naturality_at(pair, cell=cell, name=name, src_f=src_f, dst_f=dst_f,
-                          target_cat=target_cat, index_cat=index_cat):
-            x, y = pair
-            bad = []
-            for m in index_cat.hom(x, y):
-                lhs = target_cat.compose(cell.at(y), src_f.mor(m))
-                rhs = target_cat.compose(dst_f.mor(m), cell.at(x))
-                if lhs != rhs:
-                    bad.append(CoherenceFailure(f"{name}: naturality", m))
-            return bad
-
-        for chunk in pmap(naturality_at, [(x, y) for x in objs for y in objs]):
-            report.failures.extend(chunk)
+        for x in objs:
+            for y in objs:
+                for m in index_cat.hom(x, y):
+                    lhs = target_cat.compose(cell.at(y), src_f.mor(m))
+                    rhs = target_cat.compose(dst_f.mor(m), cell.at(x))
+                    if lhs != rhs:
+                        report.add(f"{name}: naturality", m)
 
     if report.failures:
         return report
@@ -159,9 +151,7 @@ def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -
     if diagram.augmented:
         c3 = diagram.c3
         c1 = diagram.c1
-
-        def presentation_at(b0):
-            bad = []
+        for b0 in diagram.c0.objects(bound):
             w = diagram.d.obj(b0)
             th = diagram.theta.at(b0)
             # associativity: sigma01_W ∘ del1(theta) ∘ sigma12_W
@@ -171,16 +161,12 @@ def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -
             rhs = c3.compose(diagram.del0.mor(th),
                              c3.compose(diagram.sigma02.at(w), diagram.del2.mor(th)))
             if lhs != rhs:
-                bad.append(CoherenceFailure("presentation associativity", b0, lhs, rhs))
+                report.add("presentation associativity", b0, lhs, rhs)
             # identity: n0_W ∘ s0(theta) = n1_W
             lhs2 = c1.compose(diagram.n0.at(w), diagram.s0.mor(th))
             rhs2 = diagram.n1.at(w)
             if lhs2 != rhs2:
-                bad.append(CoherenceFailure("presentation identity", b0, lhs2, rhs2))
-            return bad
-
-        for chunk in pmap(presentation_at, diagram.c0.objects(bound)):
-            report.failures.extend(chunk)
+                report.add("presentation identity", b0, lhs2, rhs2)
 
     return report
 
@@ -200,20 +186,11 @@ class BasicFibration(AugCosimplicial3):
     tproj_omit2: FinFunction = None
 
 
-_fibration_cache: dict = {}
-
-
 def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
     """Build the slice diagram of p with its canonical constraint cells.
 
-    The result is cached per (p, bound): chosen pullbacks make every
-    construction deterministic, so reuse is sound and keeps repeated
-    classifications cheap.
+    Each call builds a fresh diagram; nothing is kept across calls.
     """
-    ck = (p.key, bound)
-    if ck in _fibration_cache:
-        return _fibration_cache[ck]
-
     e, b = p.dom, p.cod
     pb2 = pullback(p, p)
     e2 = pb2.obj
@@ -239,7 +216,7 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
     del1 = ChangeOfBase(r1, c2, c3)
     del2 = ChangeOfBase(r2, c2, c3)
 
-    fib = BasicFibration(
+    return BasicFibration(
         c1=c1, c2=c2, c3=c3,
         d0=d0, d1=d1, s0=s0, del0=del0, del1=del1, del2=del2,
         sigma01=comparison_iso(d0.then(del1), d0.then(del0), "sigma01"),
@@ -252,5 +229,3 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
         p=p, e2=e2, e3=e3,
         proj_omit0=q0, proj_omit1=q1, diagonal=diag,
         tproj_omit0=r0, tproj_omit1=r1, tproj_omit2=r2)
-    _fibration_cache[ck] = fib
-    return fib

@@ -20,19 +20,17 @@ never by blind search over C/B.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import TheoremViolation
 from .fincat import (Category, ComputableCategory, Decision,
                      EquivalenceReport, Functor, all_isomorphisms,
                      is_equivalence)
-from .finset import FinFunction, FinSetObj, pair_label, quotient
+from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (AugCosimplicial3, BasicFibration, basic_fibration,
                            validate_coherence)
 from .slices import SliceCategory, SliceMor, SliceObj, slice_isos
-from ._parallel import pmap
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,11 @@ class DescMor:
         return f"{self.m.fn!r}"
 
 
-def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj, rho,
-                     skip_cocycle: bool = False,
-                     skip_unit: bool = False) -> tuple[bool, Optional[str]]:
+def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj,
+                     rho) -> tuple[bool, Optional[str]]:
     """Evaluate the two datum equations as concrete morphism equalities.
 
-    The skip flags exist solely for mutation testing.
+    The identity equation is checked first; the failing one is named.
     """
     c1, c2, c3 = diagram.c1, diagram.c2, diagram.c3
     d0w = diagram.d0.obj(w)
@@ -77,36 +74,25 @@ def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj, rho,
     if c2.obj_key(rho.src) != c2.obj_key(d1w) or c2.obj_key(rho.dst) != c2.obj_key(d0w):
         raise ValueError(f"rho has wrong type: {rho.src} -> {rho.dst}")
 
-    if not skip_unit:
-        lhs = c1.compose(diagram.n0.at(w), diagram.s0.mor(rho))
-        rhs = diagram.n1.at(w)
-        if lhs != rhs:
-            return False, "identity"
-    if not skip_cocycle:
-        lhs = c3.compose(
-            diagram.del0.mor(rho),
-            c3.compose(diagram.sigma02.at(w),
-                       c3.compose(diagram.del2.mor(rho),
-                                  diagram.sigma12.inverse().at(w))))
-        rhs = c3.compose(diagram.sigma01.at(w), diagram.del1.mor(rho))
-        if lhs != rhs:
-            return False, "associativity"
+    lhs = c1.compose(diagram.n0.at(w), diagram.s0.mor(rho))
+    rhs = diagram.n1.at(w)
+    if lhs != rhs:
+        return False, "identity"
+    lhs = c3.compose(
+        diagram.del0.mor(rho),
+        c3.compose(diagram.sigma02.at(w),
+                   c3.compose(diagram.del2.mor(rho),
+                              diagram.sigma12.inverse().at(w))))
+    rhs = c3.compose(diagram.sigma01.at(w), diagram.del1.mor(rho))
+    if lhs != rhs:
+        return False, "associativity"
     return True, None
-
-
-def _slice_isos(cat, x: SliceObj, y: SliceObj):
-    yield from slice_isos(x, y)
-
-
-def _automorphisms(cat, x: SliceObj):
-    yield from slice_isos(x, x)
 
 
 def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = None,
                            dedupe: bool = True,
-                           carrier_pred: Optional[Callable[[FinSetObj], bool]] = None,
-                           skip_cocycle: bool = False,
-                           skip_unit: bool = False) -> list[DescentDatum]:
+                           carrier_pred: Optional[Callable[[FinSetObj], bool]] = None
+                           ) -> list[DescentDatum]:
     """All descent data with level-1 carrier within bound.
 
     Enumeration: every canonical level-1 object, every isomorphism between
@@ -122,12 +108,11 @@ def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = Non
             continue
         d1w, d0w = diagram.d1.obj(w), diagram.d0.obj(w)
         if slice_backed:
-            candidates = _slice_isos(c2, d1w, d0w)
+            candidates = slice_isos(d1w, d0w)
         else:
             candidates = (f for (f, _) in all_isomorphisms(c2, d1w, d0w))
         for rho in candidates:
-            ok, _ = is_descent_datum(diagram, w, rho,
-                                     skip_cocycle=skip_cocycle, skip_unit=skip_unit)
+            ok, _ = is_descent_datum(diagram, w, rho)
             if not ok:
                 continue
             datum = DescentDatum(w, rho)
@@ -160,7 +145,7 @@ def canonicalize_datum(diagram: AugCosimplicial3,
     """Lexicographically least conjugate under carrier relabellings."""
     best = None
     best_iso = None
-    for g in _automorphisms(diagram.c1, datum.w):
+    for g in slice_isos(datum.w, datum.w):
         cand, iso = conjugate_datum(diagram, datum, g)
         if best is None or cand.key < best.key:
             best, best_iso = cand, iso
@@ -170,14 +155,11 @@ def canonicalize_datum(diagram: AugCosimplicial3,
 class DescCategory(ComputableCategory):
     """The category of descent data of a truncated diagram."""
 
-    def __init__(self, diagram: AugCosimplicial3, bound: int = 4, dedupe: bool = True,
-                 carrier_pred: Optional[Callable[[FinSetObj], bool]] = None,
-                 check_hom_condition: bool = True):
+    def __init__(self, diagram: AugCosimplicial3, bound: int = 4,
+                 carrier_pred: Optional[Callable[[FinSetObj], bool]] = None):
         self.diagram = diagram
         self.default_bound = bound
-        self.dedupe = dedupe
         self.carrier_pred = carrier_pred
-        self.check_hom_condition = check_hom_condition  # off only in mutation tests
         self._objects_cache: dict = {}
         self._hom_cache: dict = {}
 
@@ -185,16 +167,14 @@ class DescCategory(ComputableCategory):
         bound = self.default_bound if bound is None else bound
         if bound not in self._objects_cache:
             self._objects_cache[bound] = enumerate_descent_data(
-                self.diagram, bound, dedupe=self.dedupe, carrier_pred=self.carrier_pred)
+                self.diagram, bound, carrier_pred=self.carrier_pred)
         return list(self._objects_cache[bound])
 
     def hom(self, x: DescentDatum, y: DescentDatum) -> list[DescMor]:
         ck = (x.key, y.key)
         if ck in self._hom_cache:
             return self._hom_cache[ck]
-        if not self.check_hom_condition:
-            out = [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)]
-        elif isinstance(self.diagram, BasicFibration):
+        if isinstance(self.diagram, BasicFibration):
             out = self._hom_fibration(x, y)
         else:
             out = self._hom_generic(x, y)
@@ -303,14 +283,9 @@ class DescCategory(ComputableCategory):
         return Functor(self, self.diagram.c1, lambda d: d.w, lambda m: m.m, name="U")
 
 
-def descent_category(diagram: AugCosimplicial3, bound: int = 4, **kw) -> DescCategory:
-    return DescCategory(diagram, bound, **kw)
-
-
 def comparison(diagram: AugCosimplicial3, bound: int = 4,
                desc: Optional[DescCategory] = None,
-               domain: Optional[Category] = None,
-               check_coherence: bool = True) -> Functor:
+               domain: Optional[Category] = None) -> Functor:
     """The comparison functor level-0 -> Desc: B0 |-> (d(B0), theta_B0).
 
     Refuses to build over an incoherent diagram.  Post-composing with the
@@ -318,10 +293,9 @@ def comparison(diagram: AugCosimplicial3, bound: int = 4,
     """
     if not diagram.augmented:
         raise ValueError("comparison needs an augmented diagram")
-    if check_coherence:
-        rep = _coherence_cached(diagram, bound)
-        if not rep.is_empty():
-            raise ValueError(f"incoherent diagram: {rep}")
+    rep = validate_coherence(diagram, bound)
+    if not rep.is_empty():
+        raise ValueError(f"incoherent diagram: {rep}")
     desc = desc if desc is not None else DescCategory(diagram, bound)
     dom = domain if domain is not None else diagram.c0
 
@@ -330,21 +304,11 @@ def comparison(diagram: AugCosimplicial3, bound: int = 4,
 
     def on_mor(f):
         mor = DescMor(on_obj(f.src), on_obj(f.dst), diagram.d.mor(f))
-        assert desc._equivariant(mor.src, mor.dst, mor.m), \
-            f"comparison image breaks equivariance at {f}"
+        if not desc._equivariant(mor.src, mor.dst, mor.m):
+            raise TheoremViolation(f"comparison image breaks equivariance at {f}")
         return mor
 
     return Functor(dom, desc, on_obj, on_mor, name="Phi")
-
-
-def _coherence_cached(diagram, bound):
-    cache = getattr(diagram, "_coherence_reports", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(diagram, "_coherence_reports", cache)
-    if bound not in cache:
-        cache[bound] = validate_coherence(diagram, bound)
-    return cache[bound]
 
 
 @dataclass
@@ -427,7 +391,6 @@ class ClassifyResult:
     fib: BasicFibration
     desc: DescCategory
     phi: Functor
-    within_bound: bool = True
 
     @property
     def exit_code(self) -> int:

@@ -13,8 +13,7 @@ a truncated enumeration as "within bound".
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
@@ -55,9 +54,6 @@ class Category:
 
     def obj_key(self, x):
         return getattr(x, "key", x)
-
-    def is_identity(self, m) -> bool:
-        return m == self.identity(m.src)
 
 
 class FinCategory(Category):
@@ -318,13 +314,6 @@ class NatTrans:
                         report.append(f"{self.name}: naturality fails at {f}")
         return report
 
-    def vert(self, other: "NatTrans") -> "NatTrans":
-        """Vertical composite: self first, then other (self.target = other.source)."""
-        cat = self.source.dst
-        return NatTrans(self.source, other.target,
-                        lambda x: cat.compose(other.at(x), self.at(x)),
-                        name=f"{other.name}·{self.name}")
-
 
 class NatIso(NatTrans):
     def __init__(self, source, target, component, inverse_component, name=""):
@@ -443,12 +432,13 @@ class EquivalenceReport:
     level: str
     faithful: Decision
     full: Decision
-    essentially_surjective: Decision
+    essentially_surjective: Optional[Decision]  # None: not decided
 
     @property
     def within_bound(self):
-        return (self.faithful.within_bound or self.full.within_bound
-                or self.essentially_surjective.within_bound)
+        return any(d.within_bound for d in
+                   (self.faithful, self.full, self.essentially_surjective)
+                   if d is not None)
 
 
 def is_equivalence(functor: Functor, bound: Optional[int] = None,
@@ -456,12 +446,13 @@ def is_equivalence(functor: Functor, bound: Optional[int] = None,
     """Classify a functor as equivalence / fully faithful / faithful / none.
 
     ess_surj, when given, replaces the blind search for essential surjectivity
-    (used by descent's constructive check).
+    (used by descent's constructive check).  Essential surjectivity is not
+    decided, and reported as None, when the functor is not faithful.
     """
     faith = is_faithful(functor, bound)
     full = is_full(functor, bound)
     if not faith:
-        return EquivalenceReport(NOT_FAITHFUL, faith, full, Decision(False, None, faith.within_bound))
+        return EquivalenceReport(NOT_FAITHFUL, faith, full, None)
     surj = ess_surj() if ess_surj is not None else is_essentially_surjective(functor, bound)
     if full and surj:
         return EquivalenceReport(EQUIVALENCE, faith, full, surj)

@@ -62,7 +62,6 @@ def unpair_label(s: str) -> tuple[str, str]:
     parts.append("".join(cur))
     if len(parts) != 2:
         raise FinSetError(f"not a pair label: {s!r}")
-    # undo the escaping that pair_label applied to parens
     return parts[0], parts[1]
 
 
@@ -297,13 +296,6 @@ def all_functions(x: FinSetObj, y: FinSetObj):
         return
     for images in itertools.product(y.elements, repeat=len(x)):
         yield FinFunction(x, y, tuple(zip(x.elements, images)))
-
-
-def all_bijections(x: FinSetObj, y: FinSetObj):
-    if len(x) != len(y):
-        return
-    for perm in itertools.permutations(y.elements):
-        yield FinFunction(x, y, tuple(zip(x.elements, perm)))
 
 
 def canonical_set(n: int, prefix: str = "e") -> FinSetObj:

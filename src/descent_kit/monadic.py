@@ -10,20 +10,19 @@ TheoremViolation: on the basic fibration it is expected never.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import TheoremViolation
-from .fincat import (Category, ComputableCategory, Decision, Functor,
-                     IdentityFunctor, NatIso, NatTrans, find_isomorphism,
-                     is_faithful, is_full, is_isomorphism)
-from .finset import FinFunction, FinSetObj
+from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
+                     Decision, EquivalenceReport, Functor, NatIso, NatTrans,
+                     find_isomorphism, is_equivalence, is_isomorphism)
+from .finset import FinFunction
 from .cosimplicial import BasicFibration, basic_fibration
 from .descent import (DescCategory, DescMor, DescentDatum, canonicalize_datum,
                       comparison, is_descent_datum)
 from .slices import (Adjunction, CartFunctor, SliceCategory, SliceMor,
-                     SliceObj, match_by_legs, sigma_pullback_adjunction)
+                     match_by_legs, sigma_pullback_adjunction)
 
 
 @dataclass
@@ -145,10 +144,6 @@ class EMCategory(ComputableCategory):
         return Functor(self, self.monad.base, lambda alg: alg.x, lambda m: m.m, name="U")
 
 
-def em_category(monad: Monad, bound: int = 4) -> EMCategory:
-    return EMCategory(monad, bound)
-
-
 def em_comparison(adj: Adjunction, em: Optional[EMCategory] = None,
                   bound: int = 4, check: bool = True) -> Functor:
     """K(X) = (R X, R eps_X): the canonical functor into the algebras."""
@@ -258,19 +253,21 @@ def chosen_pullback_bc_square(f: FinFunction, g: FinFunction, bound: int = 3) ->
 
 @dataclass
 class BRResult:
-    verdict: str                 # "Equivalence" or the failing level
+    report: EquivalenceReport
     functor: Functor             # Desc(p) -> EM(T_p)
     desc: DescCategory
     em: EMCategory
     monad: Monad
-    faithful: Decision
-    full: Decision
-    essentially_surjective: Decision
     factorizations_agree: bool
 
     @property
+    def verdict(self) -> str:
+        """report.level: "Equivalence" or the failing level."""
+        return self.report.level
+
+    @property
     def equivalence(self) -> bool:
-        return self.verdict == "Equivalence"
+        return self.verdict == EQUIVALENCE
 
 
 def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> Algebra:
@@ -280,9 +277,11 @@ def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> 
     with the sigma of the first-projection pullback, then through rho, then
     the projection to W.
     """
+    if not isinstance(monad.t, CartFunctor):
+        raise CategoryError("monad endofunctor must track tops")
     w = datum.w
     tw = monad.t.obj(w)
-    t_top = _monad_top(monad, w)
+    t_top = monad.t.top(w)
     d1w = fib.d1.obj(w)
     d1_top = fib.d1.top(w)
     # identify T W with d1(W) re-based along the omit-0 projection
@@ -303,9 +302,11 @@ def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> 
 
 def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> DescentDatum:
     """The gluing isomorphism an algebra induces; inverse of datum_to_algebra."""
+    if not isinstance(monad.t, CartFunctor):
+        raise CategoryError("monad endofunctor must track tops")
     x = alg.x
     tx = monad.t.obj(x)
-    t_top = _monad_top(monad, x)
+    t_top = monad.t.top(x)
     d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
     d1_top, d0_top = fib.d1.top(x), fib.d0.top(x)
     # for u over (e0, e1) with top w: a((w, e1)) is the transported element
@@ -329,12 +330,6 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     if not ok:
         raise TheoremViolation(f"algebra {alg} induces a datum failing {which}")
     return DescentDatum(x, rho)
-
-
-def _monad_top(monad: Monad, x: SliceObj) -> FinFunction:
-    """Projection T(x).carrier -> x.carrier for the change-of-base monad."""
-    assert isinstance(monad.t, CartFunctor), "monad endofunctor must track tops"
-    return monad.t.top(x)
 
 
 def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
@@ -366,9 +361,6 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
 
     functor = Functor(desc, em, on_obj, on_mor, name="Desc→EM")
 
-    faith = is_faithful(functor, bound)
-    full = is_full(functor, bound)
-
     def ess() -> Decision:
         # constructive: every algebra comes from its own datum on the nose,
         # and connects to the enumerated canonical representative by an iso
@@ -384,21 +376,12 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
                 return Decision(False, alg, True)
         return Decision(True, None, True)
 
-    surj = ess()
+    report = is_equivalence(functor, bound, ess_surj=ess)
 
     phi = comparison(fib, bound, desc=desc)
     kcomp = em_comparison(adj, em, bound, check=False)
     factor_ok = _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound)
-
-    if faith and full and surj:
-        verdict = "Equivalence"
-    elif faith and full:
-        verdict = "FullyFaithfulOnly"
-    elif faith:
-        verdict = "FaithfulOnly"
-    else:
-        verdict = "None"
-    return BRResult(verdict, functor, desc, em, monad, faith, full, surj, factor_ok)
+    return BRResult(report, functor, desc, em, monad, factor_ok)
 
 
 def _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound) -> bool:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .finset import (FinFunction, FinSetObj, FinSetError, all_functions,
-                     canonical_set, mediating_map, pair_label, pullback)
-from .fincat import (Category, CategoryError, ComputableCategory, Functor,
+                     canonical_set, mediating_map, pullback)
+from .fincat import (CategoryError, ComputableCategory, Functor,
                      IdentityFunctor, NatIso, NatTrans)
 
 
@@ -56,7 +56,9 @@ class SliceMor:
     fn: FinFunction
 
     def __post_init__(self):
-        assert self.fn.dom == self.src.carrier and self.fn.cod == self.dst.carrier
+        if self.fn.dom != self.src.carrier or self.fn.cod != self.dst.carrier:
+            raise CategoryError(f"{self.fn!r} does not run between the carriers "
+                                f"of {self.src!r} and {self.dst!r}")
 
     @property
     def key(self):
@@ -129,25 +131,6 @@ class SliceCategory(ComputableCategory):
         if f.dst != g.src:
             raise CategoryError("non-composable slice morphisms")
         return SliceMor(f.src, g.dst, f.fn.then(g.fn))
-
-    def canonicalize(self, x: SliceObj) -> tuple[SliceObj, SliceMor]:
-        """The canonical object with the same fiber sizes, with an iso x -> canon."""
-        counts = {b: 0 for b in self.base.elements}
-        relabel = {}
-        for e in x.carrier.elements:
-            b = x.to_base(e)
-            relabel[e] = f"{b}#{counts[b]}"
-            counts[b] += 1
-        labels = []
-        mapping = []
-        for b in self.base.elements:
-            for i in range(counts[b]):
-                lbl = f"{b}#{i}"
-                labels.append(lbl)
-                mapping.append((lbl, b))
-        canon = SliceObj(FinFunction(FinSetObj(tuple(labels)), self.base, tuple(mapping)))
-        fn = FinFunction.of(x.carrier, canon.carrier, relabel)
-        return canon, SliceMor(x, canon, fn)
 
 
 def _vectors(k: int, total: int):
@@ -262,14 +245,6 @@ def slice_isos(x: SliceObj, y: SliceObj):
     for combo in itertools.product(*per_fiber):
         table = dict(p for fiber in combo for p in fiber)
         yield SliceMor(x, y, FinFunction.of(x.carrier, y.carrier, table))
-
-
-def fiber_vector(x: SliceObj) -> tuple[int, ...]:
-    """Fiber sizes of a slice object, in base element order."""
-    counts = {b: 0 for b in x.base.elements}
-    for e in x.carrier.elements:
-        counts[x.to_base(e)] += 1
-    return tuple(counts[b] for b in x.base.elements)
 
 
 def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunction:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
+from descent_kit.errors import TheoremViolation
 from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  DescCategory, DescentDatum,
                                  canonicalize_datum, classify, comparison,
@@ -92,8 +93,8 @@ def test_identity_fibration_only_canonical_rho_passes():
     # and any twisted alternative fails the identity equation
     w2 = next(o for o in fib.c1.objects(3) if len(o.carrier) == 2)
     d1w, d0w = fib.d1.obj(w2), fib.d0.obj(w2)
-    from descent_kit.descent import _slice_isos
-    isos = list(_slice_isos(fib.c2, d1w, d0w))
+    from descent_kit.slices import slice_isos
+    isos = list(slice_isos(d1w, d0w))
     passing = [r for r in isos if is_descent_datum(fib, w2, r)[0]]
     assert len(isos) == 2 and len(passing) == 1
 
@@ -225,3 +226,53 @@ def test_canonicalize_datum_is_isomorphism_in_desc():
         assert iso.src.key == datum.key and iso.dst.key == rep.key
         assert desc._equivariant(iso.src, iso.dst, iso.m)
         assert iso.m.fn.is_bijective()
+
+
+def test_comparison_image_must_be_equivariant():
+    # twisting theta is invisible on fibers of size 1, so the gate at bound 1
+    # passes; the comparison still refuses the image of an inclusion 1 -> 2
+    from descent_kit.mutations import invert_theta
+    broken = invert_theta(basic_fibration(two_to_one(), 2))
+    phi = comparison(broken, 1)
+    one, two = broken.c0.objects(2)[1:]
+    inclusion = broken.c0.hom(one, two)[0]
+    with pytest.raises(TheoremViolation, match="equivariance"):
+        phi.mor(inclusion)
+
+
+def test_classify_even_carriers_is_descent_not_effective():
+    res = classify(two_to_one(), 3, carrier_pred=lambda c: len(c) % 2 == 0)
+    assert res.verdict == DESCENT and res.exit_code == 3
+    datum = res.report.essentially_surjective.witness
+    assert len(datum.w.carrier) == 2
+    # it glues to a single point, which the even subcategory does not hold
+    assert len(descend(res.fib, datum).glued.carrier) == 1
+
+
+def test_classify_without_hom_condition_is_almost():
+    from descent_kit.mutations import descent_category_without_hom_condition
+    p = two_to_one()
+    desc = descent_category_without_hom_condition(basic_fibration(p, 2), 2)
+    res = classify(p, 2, desc=desc)
+    assert res.verdict == ALMOST and res.exit_code == 4
+    assert not res.report.full.ok and res.report.full.witness is not None
+
+
+def test_descent_category_without_cocycle_admits_a_non_datum():
+    from descent_kit.mutations import descent_category_without_cocycle
+    fib = basic_fibration(two_to_one(), 4)
+    real = {d.key for d in DescCategory(fib, 4).objects()}
+    corrupt = descent_category_without_cocycle(fib, 4).objects()
+    assert len(real) == 3 and len(corrupt) == 4
+    (extra,) = [d for d in corrupt if d.key not in real]
+    assert len(extra.w.carrier) == 4
+    assert is_descent_datum(fib, extra.w, extra.rho) == (False, "associativity")
+    with pytest.raises(TheoremViolation):
+        descend(fib, extra, check=False)
+
+
+def test_not_faithful_leaves_essential_surjectivity_undecided():
+    res = classify(fn("e", "xy", {"e": "x"}), 3)
+    assert res.verdict == NOT_ALMOST
+    assert res.report.essentially_surjective is None
+    assert res.report.within_bound

@@ -4,13 +4,14 @@ import pytest
 
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
-from descent_kit.fincat import validate_category
+from descent_kit.fincat import (EQUIVALENCE, CategoryError, IdentityFunctor,
+                             validate_category)
 from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
                                 canonical_set, pullback, unpair_label)
 from descent_kit.monadic import (Algebra, BCSquare, EMCategory, Monad,
                                  algebra_laws_hold, algebra_to_datum,
                                  benabou_roubaud, chosen_pullback_bc_square,
-                                 datum_to_algebra, em_category, em_comparison,
+                                 datum_to_algebra, em_comparison,
                                  induced_monad, is_beck_chevalley, mate,
                                  pullback_square_bc)
 from descent_kit.slices import (SliceCategory, SliceMor, SliceObj,
@@ -68,7 +69,7 @@ def test_em_enumeration_matches_oracle_and_descent_data():
     p = two_to_one()
     fib, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
-    em = em_category(monad, 3)
+    em = EMCategory(monad, 3)
     for x in fib.c1.objects(3):
         got = [alg for alg in em.objects(3) if alg.x.key == x.key]
         assert len(got) == len(oracle_algebras(monad, x))
@@ -81,14 +82,14 @@ def test_em_enumeration_matches_oracle_and_descent_data():
 def test_em_category_is_a_category():
     p = two_to_one()
     _, adj = adjunction_for(p)
-    em = em_category(induced_monad(adj, 2), 2)
+    em = EMCategory(induced_monad(adj, 2), 2)
     assert validate_category(em, 2) == []
 
 
 def test_object_without_algebra_absent():
     p = two_to_one()
     fib, adj = adjunction_for(p)
-    em = em_category(induced_monad(adj, 3), 3)
+    em = EMCategory(induced_monad(adj, 3), 3)
     lopsided = {alg.x.key for alg in em.objects(3)}
     w = next(o for o in fib.c1.objects(3)
              if [o.to_base(e) for e in o.carrier] == ["a"])
@@ -108,7 +109,7 @@ def test_em_comparison_two_to_one_equivalence_within_bound():
     p = two_to_one()
     _, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
-    em = em_category(monad, 3)
+    em = EMCategory(monad, 3)
     k = em_comparison(adj, em, 3)
     assert is_faithful(k, 3).ok and is_full(k, 3).ok
     # p* is monadic here: every bounded algebra is hit up to iso
@@ -212,3 +213,22 @@ def test_broken_counit_detected():
     assert bad.check_triangles(3) != []
     with pytest.raises(TheoremViolation):
         induced_monad(bad, 3)
+
+
+def test_benabou_roubaud_reports_the_equivalence_ladder():
+    res = benabou_roubaud(two_to_one(), 2)
+    assert res.verdict == res.report.level == EQUIVALENCE
+    assert res.report.faithful and res.report.full and res.report.essentially_surjective
+
+
+def test_datum_algebra_maps_need_a_top_tracking_monad():
+    from descent_kit.descent import enumerate_descent_data
+    fib, adj = adjunction_for(two_to_one(), 2)
+    monad = induced_monad(adj, 2)
+    datum = enumerate_descent_data(fib, 2)[-1]
+    alg = datum_to_algebra(fib, monad, datum)
+    plain = Monad(IdentityFunctor(fib.c1), monad.eta, monad.mu)
+    with pytest.raises(CategoryError):
+        datum_to_algebra(fib, plain, datum)
+    with pytest.raises(CategoryError):
+        algebra_to_datum(fib, plain, alg)

@@ -1,4 +1,7 @@
-from descent_kit.fincat import IdentityFunctor, is_faithful, validate_category
+import pytest
+
+from descent_kit.fincat import (CategoryError, IdentityFunctor, is_faithful,
+                             validate_category)
 from descent_kit.finset import (EMPTY, FinFunction, FinSetObj, all_functions,
                                 canonical_set, pair_label, unpair_label)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
@@ -180,3 +183,9 @@ def test_comparison_iso_between_composite_and_single_pullback():
     one_step = ChangeOfBase(v.then(u), cb, cc)
     iso = comparison_iso(two_step, one_step)
     assert iso.check_iso(2) == []
+
+
+def test_slice_mor_between_wrong_carriers_is_rejected():
+    one, two = slice_over(["*"], bound=2).objects()[1:]
+    with pytest.raises(CategoryError):
+        SliceMor(one, two, FinFunction.identity(one.carrier))
