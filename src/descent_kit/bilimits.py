@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .fincat import (Category, CategoryError, ComputableCategory,
                      EquivalenceReport, Functor, NatIso, NatTrans,
-                     all_isomorphisms, is_equivalence)
+                     all_isomorphisms, is_equivalence, two_sided_inverse)
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,10 @@ class PseudoPullbackCategory(CommaCategory):
         e = self.f.dst
 
         def inverse(x):
-            for g in e.hom(x.phi.dst, x.phi.src):
-                if e.compose(g, x.phi) == e.identity(x.phi.src) and \
-                   e.compose(x.phi, g) == e.identity(x.phi.dst):
-                    return g
-            raise CategoryError(f"filler at {x} is not invertible")
+            g = two_sided_inverse(e, x.phi, e.hom(x.phi.dst, x.phi.src))
+            if g is None:
+                raise CategoryError(f"filler at {x} is not invertible")
+            return g
 
         return NatIso(self.proj1().then(self.f), self.proj2().then(self.g),
                       lambda x: x.phi, inverse, name="filler")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .finset import FinFunction, FinSetObj, mediating_map, pullback
-from .fincat import Category, Functor, NatIso
+from .fincat import Category, Functor, IdentityFunctor, NatIso
 from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
                      comparison_iso)
 
@@ -94,19 +94,12 @@ class AugCosimplicial3:
             ("sigma01", self.sigma01, self.d0.then(self.del1), self.d0.then(self.del0), self.c1),
             ("sigma02", self.sigma02, self.d0.then(self.del2), self.d1.then(self.del0), self.c1),
             ("sigma12", self.sigma12, self.d1.then(self.del2), self.d1.then(self.del1), self.c1),
-            ("n0", self.n0, self.d0.then(self.s0), IdentityCartFunctor(self.c1)
-             if isinstance(self.c1, SliceCategory) else _identity(self.c1), self.c1),
-            ("n1", self.n1, self.d1.then(self.s0), IdentityCartFunctor(self.c1)
-             if isinstance(self.c1, SliceCategory) else _identity(self.c1), self.c1),
+            ("n0", self.n0, self.d0.then(self.s0), IdentityFunctor(self.c1), self.c1),
+            ("n1", self.n1, self.d1.then(self.s0), IdentityFunctor(self.c1), self.c1),
         ]
         if self.augmented:
             out.append(("theta", self.theta, self.d.then(self.d1), self.d.then(self.d0), self.c0))
         return out
-
-
-def _identity(cat):
-    from .fincat import IdentityFunctor
-    return IdentityFunctor(cat)
 
 
 def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -> CoherenceReport:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import TheoremViolation
-from .fincat import (Category, ComputableCategory, Decision,
-                     EquivalenceReport, Functor, all_isomorphisms,
-                     is_equivalence)
+from .fincat import (Category, CategoryError, ComputableCategory, Decision,
+                     EquivalenceReport, FullSubcategory, Functor,
+                     all_isomorphisms, is_equivalence)
 from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (AugCosimplicial3, BasicFibration, basic_fibration,
                            validate_coherence)
@@ -59,7 +59,7 @@ class DescMor:
         return (self.src.key, self.dst.key, self.m.key)
 
     def __repr__(self):
-        return f"{self.m.fn!r}"
+        return f"{self.m.fn!r}:{self.src!r}→{self.dst!r}"
 
 
 def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj,
@@ -404,14 +404,19 @@ def classify(p: FinFunction, bound: int = 4,
 
     carrier_pred restricts to the full subcategory of finite sets whose
     carriers satisfy the (isomorphism-closed) predicate: the classifier then
-    answers for that subcategory's basic fibration.
+    answers for that subcategory's basic fibration.  A given desc must be
+    built over the basic fibration of p, which is then used as is.
     """
-    fib = basic_fibration(p, bound)
     if desc is None:
+        fib = basic_fibration(p, bound)
         desc = DescCategory(fib, bound, carrier_pred=carrier_pred)
+    else:
+        fib = desc.diagram
+        if not isinstance(fib, BasicFibration) or fib.p != p:
+            raise CategoryError(f"desc is built over {getattr(fib, 'p', type(fib).__name__)!r}, "
+                                f"not over the basic fibration of {p!r}")
     domain: Category = fib.c0
     if carrier_pred is not None:
-        from .fincat import FullSubcategory
         domain = FullSubcategory(fib.c0, lambda x: carrier_pred(x.carrier),
                                  name="restricted base")
     phi = comparison(fib, bound, desc=desc, domain=domain)

@@ -383,32 +383,34 @@ def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
     return Decision(True, None, truncated)
 
 
+def two_sided_inverse(cat: Category, f, backward):
+    """The first g in backward (a listing of hom(cod f, dom f)) with
+    g∘f = id and f∘g = id, or None."""
+    id_src, id_dst = cat.identity(f.src), cat.identity(f.dst)
+    for g in backward:
+        if cat.compose(g, f) == id_src and cat.compose(f, g) == id_dst:
+            return g
+    return None
+
+
 def find_isomorphism(cat: Category, x, y):
     """First (in canonical enumeration order) two-sided inverse pair, or None."""
     backward = cat.hom(y, x)
     for f in cat.hom(x, y):
-        for g in backward:
-            if cat.compose(g, f) == cat.identity(x) and cat.compose(f, g) == cat.identity(y):
-                return (f, g)
+        g = two_sided_inverse(cat, f, backward)
+        if g is not None:
+            return (f, g)
     return None
 
 
 def all_isomorphisms(cat: Category, x, y):
-    out = []
     backward = cat.hom(y, x)
-    for f in cat.hom(x, y):
-        for g in backward:
-            if cat.compose(g, f) == cat.identity(x) and cat.compose(f, g) == cat.identity(y):
-                out.append((f, g))
-                break
-    return out
+    pairs = ((f, two_sided_inverse(cat, f, backward)) for f in cat.hom(x, y))
+    return [(f, g) for f, g in pairs if g is not None]
 
 
 def is_isomorphism(cat: Category, m) -> bool:
-    for g in cat.hom(m.dst, m.src):
-        if cat.compose(g, m) == cat.identity(m.src) and cat.compose(m, g) == cat.identity(m.dst):
-            return True
-    return False
+    return two_sided_inverse(cat, m, cat.hom(m.dst, m.src)) is not None
 
 
 def is_essentially_surjective(functor: Functor, bound: Optional[int] = None) -> Decision:

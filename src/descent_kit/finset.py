@@ -1,85 +1,39 @@
 """Finite sets with chosen limits and colimits.
 
-Sets are duplicate-free tuples of string labels.  All constructions
-(pullback, product, equalizer, quotient, ...) choose a canonical result with
-printable labels, so iterated constructions compose up to canonical
-isomorphism, never on the nose.  Pair labels use a reversible escaping
-scheme, so every label appearing in a witness can be parsed back.
+Sets are duplicate-free tuples of labels; a label is any hashable value.
+All constructions (pullback, product, equalizer, quotient, ...) choose a
+canonical result, so iterated constructions compose up to canonical
+isomorphism, never on the nose.  An element of a chosen pullback is the
+Python tuple ``(x, y)`` of its two components, so iterated pullbacks nest
+tuples and a witness prints as Python's own repr of them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 
 class FinSetError(ValueError):
     """Raised on malformed finite-set data (duplicate labels, non-total maps...)."""
 
 
-def escape_label(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in "\\(),":
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
-
-
-def pair_label(x: str, y: str) -> str:
-    """Canonical label of an ordered pair; round-trips through unpair_label."""
-    return "(" + escape_label(x) + "," + escape_label(y) + ")"
-
-
-def unpair_label(s: str) -> tuple[str, str]:
-    if not (s.startswith("(") and s.endswith(")")):
-        raise FinSetError(f"not a pair label: {s!r}")
-    body = s[1:-1]
-    parts: list[str] = []
-    cur: list[str] = []
-    depth = 0
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body):
-                raise FinSetError(f"dangling escape in {s!r}")
-            cur.append(body[i + 1])
-            i += 2
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            i += 1
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
-    if len(parts) != 2:
-        raise FinSetError(f"not a pair label: {s!r}")
-    return parts[0], parts[1]
-
-
 @dataclass(frozen=True)
 class FinSetObj:
     """A finite set: a duplicate-free tuple of element labels."""
 
-    elements: tuple[str, ...]
+    elements: tuple[Hashable, ...]
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise FinSetError(f"duplicate labels in {self.elements}")
 
     @staticmethod
-    def of(labels: Iterable[str]) -> "FinSetObj":
+    def of(labels: Iterable[Hashable]) -> "FinSetObj":
         return FinSetObj(tuple(labels))
 
-    def __contains__(self, label: str) -> bool:
+    def __contains__(self, label: Hashable) -> bool:
         return label in self.elements
 
     def __len__(self) -> int:
@@ -89,11 +43,11 @@ class FinSetObj:
         return iter(self.elements)
 
     @property
-    def key(self) -> tuple[str, ...]:
+    def key(self) -> tuple[Hashable, ...]:
         return self.elements
 
     def __repr__(self):
-        return "{" + ",".join(self.elements) + "}"
+        return "{" + ",".join(map(str, self.elements)) + "}"
 
 
 EMPTY = FinSetObj(())
@@ -105,7 +59,7 @@ class FinFunction:
 
     dom: FinSetObj
     cod: FinSetObj
-    mapping: tuple[tuple[str, str], ...]  # ordered as dom.elements
+    mapping: tuple[tuple[Hashable, Hashable], ...]  # ordered as dom.elements
 
     _table: dict = field(init=False, repr=False, compare=False, hash=False)
 
@@ -128,7 +82,7 @@ class FinFunction:
     def identity(s: FinSetObj) -> "FinFunction":
         return FinFunction(s, s, tuple((x, x) for x in s.elements))
 
-    def __call__(self, x: str) -> str:
+    def __call__(self, x: Hashable) -> Hashable:
         return self._table[x]
 
     # dom/cod aliases so a FinFunction can act as a morphism of FinSetCategory
@@ -196,15 +150,15 @@ class Pullback(NamedTuple):
 def pullback(f: FinFunction, g: FinFunction) -> Pullback:
     """Chosen pullback of a cospan f: X -> Z <- Y : g.
 
-    The carrier is the set of pair labels (x,y) with f(x) = g(y), ordered
+    The carrier is the set of tuples (x, y) with f(x) = g(y), ordered
     lexicographically in the (dom(f), dom(g)) element orders.
     """
     if f.cod != g.cod:
         raise FinSetError(f"codomain mismatch: {f.cod} vs {g.cod}")
-    pairs = [(x, y) for x in f.dom.elements for y in g.dom.elements if f(x) == g(y)]
-    obj = FinSetObj(tuple(pair_label(x, y) for x, y in pairs))
-    pr1 = FinFunction(obj, f.dom, tuple((pair_label(x, y), x) for x, y in pairs))
-    pr2 = FinFunction(obj, g.dom, tuple((pair_label(x, y), y) for x, y in pairs))
+    pairs = tuple((x, y) for x in f.dom.elements for y in g.dom.elements if f(x) == g(y))
+    obj = FinSetObj(pairs)
+    pr1 = FinFunction(obj, f.dom, tuple((t, t[0]) for t in pairs))
+    pr2 = FinFunction(obj, g.dom, tuple((t, t[1]) for t in pairs))
     return Pullback(obj, pr1, pr2)
 
 
@@ -215,10 +169,10 @@ def mediating_map(f: FinFunction, g: FinFunction, q1: FinFunction, q2: FinFuncti
     if q1.then(f).mapping != q2.then(g).mapping:
         raise FinSetError("cone does not commute over the cospan")
     pb = pullback(f, g)
-    return FinFunction.of(q1.dom, pb.obj, lambda w: pair_label(q1(w), q2(w)))
+    return FinFunction.of(q1.dom, pb.obj, lambda w: (q1(w), q2(w)))
 
 
-def quotient(x: FinSetObj, pairs: Iterable[tuple[str, str]]) -> tuple[FinSetObj, FinFunction]:
+def quotient(x: FinSetObj, pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[FinSetObj, FinFunction]:
     """Quotient by the equivalence relation generated by pairs.
 
     Class labels are the smallest member label (in element order of x).
@@ -237,7 +191,7 @@ def quotient(x: FinSetObj, pairs: Iterable[tuple[str, str]]) -> tuple[FinSetObj,
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
-    classes: dict[str, list[str]] = {}
+    classes: dict[Hashable, list[Hashable]] = {}
     for e in x.elements:
         classes.setdefault(find(e), []).append(e)
     # pick the earliest member (in x's order) as the class label
@@ -281,11 +235,11 @@ class Coproduct(NamedTuple):
 
 
 def coproduct(x: FinSetObj, y: FinSetObj) -> Coproduct:
-    lx = tuple(pair_label("0", e) for e in x.elements)
-    ly = tuple(pair_label("1", e) for e in y.elements)
+    lx = tuple(("0", e) for e in x.elements)
+    ly = tuple(("1", e) for e in y.elements)
     obj = FinSetObj(lx + ly)
-    in1 = FinFunction(x, obj, tuple((e, pair_label("0", e)) for e in x.elements))
-    in2 = FinFunction(y, obj, tuple((e, pair_label("1", e)) for e in y.elements))
+    in1 = FinFunction(x, obj, tuple(zip(x.elements, lx)))
+    in2 = FinFunction(y, obj, tuple(zip(y.elements, ly)))
     return Coproduct(obj, in1, in2)
 
 

@@ -85,7 +85,7 @@ class SliceCategory(ComputableCategory):
     def objects(self, bound: Optional[int] = None) -> list[SliceObj]:
         """Canonical objects: one per fiber-size vector with total <= bound.
 
-        The object with fibers (n_b) has carrier labels "b#i", i < n_b.
+        The object with fibers (n_b) has carrier labels (b, i), i < n_b.
         """
         bound = self.default_bound if bound is None else bound
         if bound in self._obj_cache:
@@ -93,15 +93,9 @@ class SliceCategory(ComputableCategory):
         out = []
         base_elems = self.base.elements
         for vec in _vectors(len(base_elems), bound):
-            labels = []
-            mapping = []
-            for b, n in zip(base_elems, vec):
-                for i in range(n):
-                    lbl = f"{b}#{i}"
-                    labels.append(lbl)
-                    mapping.append((lbl, b))
-            carrier = FinSetObj(tuple(labels))
-            out.append(SliceObj(FinFunction(carrier, self.base, tuple(mapping))))
+            mapping = tuple(((b, i), b) for b, n in zip(base_elems, vec) for i in range(n))
+            carrier = FinSetObj(tuple(lbl for lbl, _ in mapping))
+            out.append(SliceObj(FinFunction(carrier, self.base, mapping)))
         self._obj_cache[bound] = out
         return list(out)
 

@@ -36,19 +36,18 @@ def test_empty_domain_fibration():
 def test_face_projections_follow_omit_convention():
     p = fn("ab", "*", lambda _: "*")
     fib = basic_fibration(p, 3)
-    from descent_kit.finset import unpair_label
     for t in fib.e2.elements:
-        e0, e1 = unpair_label(t)
+        e0, e1 = t
         assert fib.proj_omit0(t) == e1  # omitting coordinate 0 keeps the second
         assert fib.proj_omit1(t) == e0
     for t in fib.e3.elements:
-        pair, e2 = unpair_label(t)
-        e0, e1 = unpair_label(pair)
+        pair, e2 = t
+        e0, e1 = pair
         assert fib.tproj_omit2(t) == pair
         r0 = fib.tproj_omit0(t)
-        assert unpair_label(r0) == (e1, e2)
+        assert r0 == (e1, e2)
         r1 = fib.tproj_omit1(t)
-        assert unpair_label(r1) == (e0, e2)
+        assert r1 == (e0, e2)
 
 
 def test_basic_fibration_coherence_small_sweep():

@@ -9,9 +9,9 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  canonicalize_datum, classify, comparison,
                                  descend, enumerate_descent_data,
                                  is_descent_datum)
-from descent_kit.fincat import validate_category
+from descent_kit.fincat import CategoryError, validate_category
 from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
-                                canonical_set, unpair_label)
+                                canonical_set)
 from descent_kit.slices import SliceMor, SliceObj
 
 
@@ -276,3 +276,30 @@ def test_not_faithful_leaves_essential_surjectivity_undecided():
     assert res.verdict == NOT_ALMOST
     assert res.report.essentially_surjective is None
     assert res.report.within_bound
+
+
+def test_classify_rejects_desc_over_another_map():
+    p, other = two_to_one(), fn("e", "xy", {"e": "x"})
+    desc = DescCategory(basic_fibration(other, 2), 2)
+    with pytest.raises(CategoryError) as exc:
+        classify(p, 2, desc=desc)
+    assert repr(p) in str(exc.value) and repr(other) in str(exc.value)
+
+
+def test_almost_rung_witness_names_its_data():
+    from descent_kit.mutations import descent_category_without_hom_condition
+    p = two_to_one()
+    desc = descent_category_without_hom_condition(basic_fibration(p, 2), 2)
+    witness = classify(p, 2, desc=desc).report.full.witness
+    assert repr(witness.src) in repr(witness) and repr(witness.dst) in repr(witness)
+
+
+def test_classify_sweep_effective_iff_surjective():
+    # labels built from the characters a string pair codec would escape
+    e_labels, b_labels = ("\\", "(,)", ",\\("), ("(", "),")
+    for m in range(4):
+        for n in range(1, 3):
+            e, b = FinSetObj(e_labels[:m]), FinSetObj(b_labels[:n])
+            for p in all_functions(e, b):
+                verdict = classify(p, 2).verdict
+                assert (verdict == EFFECTIVE) == p.is_surjective(), (p, verdict)

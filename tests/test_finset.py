@@ -5,22 +5,39 @@ from hypothesis import given, strategies as st
 
 from descent_kit.finset import (EMPTY, FinFunction, FinSetError, FinSetObj,
                                 all_functions, canonical_set, coproduct,
-                                equalizer, mediating_map, pair_label, product,
-                                pullback, quotient, unpair_label)
+                                equalizer, mediating_map, product, pullback,
+                                quotient)
 
 
 labels = st.text(st.characters(codec="ascii", min_codepoint=33), min_size=1, max_size=6)
 
 
-@given(labels, labels)
-def test_pair_label_round_trip(x, y):
-    assert unpair_label(pair_label(x, y)) == (x, y)
+@st.composite
+def cospans(draw):
+    """f: X -> Z <- Y : g with labels that include \\ ( ) and ,."""
+    z = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+
+    def leg():
+        dom = draw(st.lists(labels, max_size=4, unique=True))
+        return FinFunction(FinSetObj(tuple(dom)), FinSetObj(tuple(z)),
+                           tuple((e, draw(st.sampled_from(z))) for e in dom))
+
+    return leg(), leg()
 
 
-def test_pair_label_nests():
-    inner = pair_label("a,1", "(b)")
-    outer = pair_label(inner, "c\\d")
-    assert unpair_label(outer) == (inner, "c\\d")
+@given(cospans())
+def test_pullback_carrier_is_matching_tuples(cospan):
+    f, g = cospan
+    pb = pullback(f, g)
+    assert pb.obj.elements == tuple((x, y) for x in f.dom for y in g.dom if f(x) == g(y))
+    assert all(pb.pr1(t) == t[0] and pb.pr2(t) == t[1] for t in pb.obj)
+
+
+def test_repr_tells_apart_pairs_with_commas():
+    one, other = ("a,b", "c"), ("a", "b,c")
+    both = repr(FinSetObj((one, other)))
+    assert str(one) != str(other) and str(one) in both and str(other) in both
+    assert repr(FinSetObj((one,))) != repr(FinSetObj((other,)))
 
 
 def test_duplicate_labels_rejected():
@@ -42,7 +59,7 @@ def test_pullback_over_point_is_product():
     f = FinFunction.of(ab, pt, lambda _: "*")
     p = pullback(f, f)
     assert len(p.obj) == 4
-    assert p.obj.elements == tuple(pair_label(x, y) for x in "ab" for y in "ab")
+    assert p.obj.elements == tuple((x, y) for x in "ab" for y in "ab")
 
 
 def test_pullback_along_identity_is_bijective_projection():
@@ -61,7 +78,7 @@ def test_pullback_enumerated_oracle():
     expect = [(x, y) for x in xs for y in ys if f(x) == g(y)]
     assert expect == [("a", "c")]
     p = pullback(f, g)
-    assert p.obj.elements == (pair_label("a", "c"),)
+    assert p.obj.elements == (("a", "c"),)
 
 
 def test_pullback_codomain_mismatch():
@@ -84,7 +101,7 @@ def test_mediating_diagonal():
     zs = FinSetObj(("x",))
     f = FinFunction.of(xs, zs, lambda _: "x")
     u = mediating_map(f, f, FinFunction.identity(xs), FinFunction.identity(xs))
-    assert all(u(e) == pair_label(e, e) for e in xs)
+    assert all(u(e) == (e, e) for e in xs)
 
 
 def test_mediating_from_singleton_is_pair_selection():
@@ -94,7 +111,7 @@ def test_mediating_from_singleton_is_pair_selection():
     q1 = FinFunction.of(w, xs, {"w": "b"})
     q2 = FinFunction.of(w, xs, {"w": "b"})
     u = mediating_map(f, f, q1, q2)
-    assert u("w") == pair_label("b", "b")
+    assert u("w") == ("b", "b")
 
 
 def test_mediating_rejects_non_commuting_cone():
@@ -200,7 +217,7 @@ def test_pullback_swap_symmetry():
     for f in itertools.islice(all_functions(x, z), 4):
         for g in itertools.islice(all_functions(y, z), 8):
             p, q = pullback(f, g), pullback(g, f)
-            swap = {pair_label(a, b): pair_label(b, a)
+            swap = {(a, b): (b, a)
                     for a in x for b in y if f(a) == g(b)}
             fn = FinFunction.of(p.obj, q.obj, swap)
             assert fn.is_bijective()

@@ -7,7 +7,7 @@ from descent_kit.errors import TheoremViolation
 from descent_kit.fincat import (EQUIVALENCE, CategoryError, IdentityFunctor,
                              validate_category)
 from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
-                                canonical_set, pullback, unpair_label)
+                                canonical_set, pullback)
 from descent_kit.monadic import (Algebra, BCSquare, EMCategory, Monad,
                                  algebra_laws_hold, algebra_to_datum,
                                  benabou_roubaud, chosen_pullback_bc_square,
@@ -128,8 +128,8 @@ def test_mate_of_identity_square_is_identity():
         comp = m.at(x)
         assert comp.fn.is_bijective()
         # identity square: the mate relabels pairs without moving elements
-        src_tops = sorted(unpair_label(e)[0] for e in comp.src.carrier.elements)
-        dst_tops = sorted(unpair_label(e)[0] for e in comp.dst.carrier.elements)
+        src_tops = sorted(top for top, _ in comp.src.carrier.elements)
+        dst_tops = sorted(top for top, _ in comp.dst.carrier.elements)
         assert src_tops == dst_tops
 
 

@@ -1,5 +1,6 @@
-"""Packaging guards: declared entry points exist, and the library never
-relies on ``assert``, which ``python -O`` strips."""
+"""Packaging guards: declared entry points exist, the library never
+relies on ``assert``, which ``python -O`` strips, and no library module
+imports a name it never uses."""
 
 import ast
 import importlib
@@ -28,4 +29,24 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "annotations":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_library_has_no_unused_imports():
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []

@@ -3,7 +3,7 @@ import pytest
 from descent_kit.fincat import (CategoryError, IdentityFunctor, is_faithful,
                              validate_category)
 from descent_kit.finset import (EMPTY, FinFunction, FinSetObj, all_functions,
-                                canonical_set, pair_label, unpair_label)
+                                canonical_set)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor,
                                 comparison_iso, sigma_pullback_adjunction)
@@ -128,8 +128,8 @@ def test_adjunction_unit_embeds_fiberwise():
     adj = sigma_pullback_adjunction(p, SliceCategory(e), SliceCategory(b))
     w = SliceObj_over(e, {"u": "a", "v": "b"})
     eta = adj.unit.at(w)
-    assert eta.fn("u") == pair_label("u", "a")
-    assert eta.fn("v") == pair_label("v", "b")
+    assert eta.fn("u") == ("u", "a")
+    assert eta.fn("v") == ("v", "b")
 
 
 def test_adjunction_counit_is_projection():
@@ -139,7 +139,7 @@ def test_adjunction_counit_is_projection():
     x = SliceObj_over(b, {"u": "*", "v": "*"})
     eps = adj.counit.at(x)
     for t in eps.src.carrier:
-        assert eps.fn(t) == unpair_label(t)[0]
+        assert eps.fn(t) == t[0]
 
 
 def _all_functions_between(esize, bsize):
