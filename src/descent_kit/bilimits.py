@@ -26,11 +26,6 @@ class WedgeObj:
     d: object
     phi: object
 
-    @property
-    def key(self):
-        return (getattr(self.c, "key", self.c), getattr(self.d, "key", self.d),
-                getattr(self.phi, "key", self.phi))
-
     def __repr__(self):
         return f"({self.c!r}, {self.d!r}, {self.phi!r})"
 
@@ -42,17 +37,12 @@ class WedgeMor:
     u: object  # morphism c -> c'
     v: object  # morphism d -> d'
 
-    @property
-    def key(self):
-        return (self.src.key, self.dst.key,
-                getattr(self.u, "key", self.u), getattr(self.v, "key", self.v))
-
 
 class CommaCategory(ComputableCategory):
     """Comma construction F ↓ G; the filler cell need not be invertible."""
 
     def __init__(self, f: Functor, g: Functor, bound: int = 3):
-        if f.dst is not g.dst and f.dst != g.dst:
+        if f.dst != g.dst:
             raise CategoryError("cospan functors must share a codomain")
         self.f = f
         self.g = g
@@ -77,7 +67,7 @@ class CommaCategory(ComputableCategory):
         return list(self._objects_cache[bound])
 
     def hom(self, x: WedgeObj, y: WedgeObj):
-        ck = (x.key, y.key)
+        ck = (x, y)
         if ck not in self._hom_cache:
             e = self.f.dst
             out = []
@@ -94,7 +84,7 @@ class CommaCategory(ComputableCategory):
         return WedgeMor(x, x, self.f.src.identity(x.c), self.g.src.identity(x.d))
 
     def compose(self, g2: WedgeMor, f2: WedgeMor):
-        if f2.dst.key != g2.src.key:
+        if f2.dst != g2.src:
             raise CategoryError("non-composable wedge morphisms")
         return WedgeMor(f2.src, g2.dst,
                         self.f.src.compose(g2.u, f2.u),

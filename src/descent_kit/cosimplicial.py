@@ -118,10 +118,10 @@ def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -
             comp = cell.at(x)
             want_src = src_f.obj(x)
             want_dst = dst_f.obj(x)
-            if target_cat.obj_key(comp.src) != target_cat.obj_key(want_src):
+            if comp.src != want_src:
                 report.add(f"{name}: wrong source", x, comp.src, want_src)
                 continue
-            if target_cat.obj_key(comp.dst) != target_cat.obj_key(want_dst):
+            if comp.dst != want_dst:
                 report.add(f"{name}: wrong target", x, comp.dst, want_dst)
                 continue
             inv = cell.inv_at(x)
@@ -192,9 +192,9 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
     pb3 = pullback(to_b, p)
     e3 = pb3.obj
     r2 = pb3.pr1  # drops the last coordinate
-    r0 = mediating_map(p, p, pb3.pr1.then(q0), pb3.pr2)  # drops coordinate 0
-    r1 = mediating_map(p, p, pb3.pr1.then(q1), pb3.pr2)  # drops coordinate 1
-    diag = mediating_map(p, p, FinFunction.identity(e), FinFunction.identity(e))
+    r0 = mediating_map(pb2, pb3.pr1.then(q0), pb3.pr2)  # drops coordinate 0
+    r1 = mediating_map(pb2, pb3.pr1.then(q1), pb3.pr2)  # drops coordinate 1
+    diag = mediating_map(pb2, FinFunction.identity(e), FinFunction.identity(e))
 
     c0 = SliceCategory(b, bound)
     c1 = SliceCategory(e, bound)

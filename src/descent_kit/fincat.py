@@ -3,8 +3,8 @@
 Two flavours of category share one protocol: table-backed ``FinCategory``
 (explicit objects, morphisms and composition table) and subclasses of
 ``ComputableCategory`` (objects enumerated up to a carrier-size bound,
-hom-sets computed on demand).  Objects and morphisms are value types; two
-objects are equal exactly when their ``key`` is.
+hom-sets computed on demand).  Objects and morphisms are values: they are
+compared and hashed as themselves, component by component.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -29,10 +29,6 @@ class TableMor:
     src: str
     dst: str
 
-    @property
-    def key(self):
-        return self.name
-
 
 class Category:
     """Minimal protocol: enumerable objects, computable hom-sets, composition."""
@@ -51,9 +47,6 @@ class Category:
     def compose(self, g, f):
         """compose(g, f) means "f then g"; defined only when cod(f) = dom(g)."""
         raise NotImplementedError
-
-    def obj_key(self, x):
-        return getattr(x, "key", x)
 
 
 class FinCategory(Category):
@@ -198,20 +191,18 @@ class Functor:
         self._mor_cache: dict = {}
 
     def obj(self, x):
-        k = self.src.obj_key(x)
-        if k not in self._obj_cache:
-            self._obj_cache[k] = self._on_obj(x)
-        return self._obj_cache[k]
+        if x not in self._obj_cache:
+            self._obj_cache[x] = self._on_obj(x)
+        return self._obj_cache[x]
 
     def mor(self, m):
-        k = getattr(m, "key", m)
-        if k not in self._mor_cache:
-            self._mor_cache[k] = self._on_mor(m)
-        return self._mor_cache[k]
+        if m not in self._mor_cache:
+            self._mor_cache[m] = self._on_mor(m)
+        return self._mor_cache[m]
 
     def then(self, other: "Functor") -> "Functor":
         """Diagrammatic composite: apply self first, then other."""
-        if self.dst is not other.src and self.dst != other.src:
+        if self.dst != other.src:
             raise CategoryError("non-composable functors")
         return ComposedFunctor(self, other)
 
@@ -227,8 +218,7 @@ class Functor:
             for y in objs:
                 for f in self.src.hom(x, y):
                     fm = self.mor(f)
-                    if self.dst.obj_key(fm.src) != self.dst.obj_key(self.obj(x)) or \
-                       self.dst.obj_key(fm.dst) != self.dst.obj_key(self.obj(y)):
+                    if fm.src != self.obj(x) or fm.dst != self.obj(y):
                         report.append(f"dom/cod not preserved at {f}")
                 for z in objs:
                     for f in self.src.hom(x, y):
@@ -272,7 +262,7 @@ class NatTrans:
     """Natural transformation between parallel functors, component by component."""
 
     def __init__(self, source: Functor, target: Functor, component: Callable, name: str = ""):
-        if source.src is not target.src and source.src != target.src:
+        if source.src != target.src:
             raise CategoryError("transformation needs parallel functors")
         self.source = source
         self.target = target
@@ -281,18 +271,16 @@ class NatTrans:
         self._cache: dict = {}
 
     def at(self, x):
-        k = self.source.src.obj_key(x)
-        if k not in self._cache:
-            self._cache[k] = self._component(x)
-        return self._cache[k]
+        if x not in self._cache:
+            self._cache[x] = self._component(x)
+        return self._cache[x]
 
     def check_endpoints(self, x) -> list[str]:
-        cat = self.source.dst
         c = self.at(x)
         report = []
-        if cat.obj_key(c.src) != cat.obj_key(self.source.obj(x)):
+        if c.src != self.source.obj(x):
             report.append(f"{self.name}: component at {x} has wrong domain")
-        if cat.obj_key(c.dst) != cat.obj_key(self.target.obj(x)):
+        if c.dst != self.target.obj(x):
             report.append(f"{self.name}: component at {x} has wrong codomain")
         return report
 
@@ -322,10 +310,9 @@ class NatIso(NatTrans):
         self._inv_cache: dict = {}
 
     def inv_at(self, x):
-        k = self.source.src.obj_key(x)
-        if k not in self._inv_cache:
-            self._inv_cache[k] = self._inv_component(x)
-        return self._inv_cache[k]
+        if x not in self._inv_cache:
+            self._inv_cache[x] = self._inv_component(x)
+        return self._inv_cache[x]
 
     def inverse(self) -> "NatIso":
         return NatIso(self.target, self.source, self._inv_component, self._component,
@@ -363,10 +350,9 @@ def is_faithful(functor: Functor, bound: Optional[int] = None) -> Decision:
             seen = {}
             for f in src.hom(x, y):
                 img = functor.mor(f)
-                k = getattr(img, "key", img)
-                if k in seen and seen[k] != f:
-                    return Decision(False, (seen[k], f), truncated)
-                seen[k] = f
+                if img in seen and seen[img] != f:
+                    return Decision(False, (seen[img], f), truncated)
+                seen[img] = f
     return Decision(True, None, truncated)
 
 
@@ -376,9 +362,9 @@ def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
     truncated = src.bounded or dst.bounded
     for x in src.objects(bound):
         for y in src.objects(bound):
-            hit = {getattr(functor.mor(f), "key", None) for f in src.hom(x, y)}
+            hit = {functor.mor(f) for f in src.hom(x, y)}
             for g in dst.hom(functor.obj(x), functor.obj(y)):
-                if getattr(g, "key", g) not in hit:
+                if g not in hit:
                     return Decision(False, g, truncated)
     return Decision(True, None, truncated)
 
@@ -483,9 +469,6 @@ class FullSubcategory(Category):
 
     def compose(self, g, f):
         return self.ambient.compose(g, f)
-
-    def obj_key(self, x):
-        return self.ambient.obj_key(x)
 
     def inclusion(self) -> Functor:
         return Functor(self, self.ambient, lambda x: x, lambda m: m, name=f"incl {self.name}")

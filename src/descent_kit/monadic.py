@@ -75,10 +75,6 @@ class Algebra:
     x: object
     a: object  # morphism T(x) -> x
 
-    @property
-    def key(self):
-        return (getattr(self.x, "key", self.x), getattr(self.a, "key", self.a))
-
     def __repr__(self):
         return f"Alg({self.x!r})"
 
@@ -88,10 +84,6 @@ class AlgMor:
     src: Algebra
     dst: Algebra
     m: object
-
-    @property
-    def key(self):
-        return (self.src.key, self.dst.key, getattr(self.m, "key", self.m))
 
 
 def algebra_laws_hold(monad: Monad, x, a) -> bool:
@@ -124,7 +116,7 @@ class EMCategory(ComputableCategory):
         return list(self._objects_cache[bound])
 
     def hom(self, x: Algebra, y: Algebra):
-        ck = (x.key, y.key)
+        ck = (x, y)
         if ck not in self._hom_cache:
             cat = self.monad.base
             self._hom_cache[ck] = [
@@ -136,8 +128,8 @@ class EMCategory(ComputableCategory):
         return AlgMor(x, x, self.monad.base.identity(x.x))
 
     def compose(self, g: AlgMor, f: AlgMor):
-        if f.dst.key != g.src.key:
-            raise ValueError("non-composable algebra morphisms")
+        if f.dst != g.src:
+            raise CategoryError("non-composable algebra morphisms")
         return AlgMor(f.src, g.dst, self.monad.base.compose(g.m, f.m))
 
     def forgetful(self) -> Functor:
@@ -145,10 +137,14 @@ class EMCategory(ComputableCategory):
 
 
 def em_comparison(adj: Adjunction, em: Optional[EMCategory] = None,
-                  bound: int = 4, check: bool = True) -> Functor:
-    """K(X) = (R X, R eps_X): the canonical functor into the algebras."""
-    monad = induced_monad(adj, bound if check else None, check=check)
-    em = em if em is not None else EMCategory(monad, bound)
+                  bound: int = 4) -> Functor:
+    """K(X) = (R X, R eps_X): the canonical functor into the algebras.
+
+    A given em is taken to be the algebras of the monad of adj, and its
+    monad is used as is; without one, the monad is built and checked.
+    """
+    em = em if em is not None else EMCategory(induced_monad(adj, bound), bound)
+    monad = em.monad
 
     def on_obj(x):
         alg = Algebra(adj.right.obj(x), adj.right.mor(adj.counit.at(x)))
@@ -228,7 +224,7 @@ def pullback_square_bc(p1: FinFunction, p2: FinFunction, q1: FinFunction,
     f_b = q1*, phi the canonical comparison q1* p1* => q2* p2*.
     """
     if q1.then(p1).mapping != q2.then(p2).mapping:
-        raise ValueError("square does not commute")
+        raise CategoryError("square does not commute")
     cz = SliceCategory(p1.cod, bound)
     cx = SliceCategory(p1.dom, bound)
     cy = SliceCategory(p2.dom, bound)
@@ -366,7 +362,7 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
         # and connects to the enumerated canonical representative by an iso
         for alg in em.objects(bound):
             datum = algebra_to_datum(fib, monad, alg)
-            if on_obj(datum).key != alg.key:
+            if on_obj(datum) != alg:
                 raise TheoremViolation(
                     f"algebra {alg} does not round-trip through its datum")
             rep, iso = canonicalize_datum(fib, datum)
@@ -379,7 +375,7 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
     report = is_equivalence(functor, bound, ess_surj=ess)
 
     phi = comparison(fib, bound, desc=desc)
-    kcomp = em_comparison(adj, em, bound, check=False)
+    kcomp = em_comparison(adj, em, bound)
     factor_ok = _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound)
     return BRResult(report, functor, desc, em, monad, factor_ok)
 
@@ -392,33 +388,32 @@ def _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound) -> bool:
     checked for naturality.
     """
     u_desc, u_em = desc.forgetful(), em.forgetful()
-    c0, c1 = fib.c0, fib.c1
+    c0 = fib.c0
     for x in c0.objects(bound):
-        lhs = u_desc.obj(phi.obj(x))
-        if c1.obj_key(lhs) != c1.obj_key(fib.d.obj(x)):
+        if u_desc.obj(phi.obj(x)) != fib.d.obj(x):
             return False
-        if c1.obj_key(u_em.obj(kcomp.obj(x))) != c1.obj_key(fib.d.obj(x)):
+        if u_em.obj(kcomp.obj(x)) != fib.d.obj(x):
             return False
     for datum in desc.objects(bound):
-        if c1.obj_key(u_em.obj(functor.obj(datum))) != c1.obj_key(u_desc.obj(datum)):
+        if u_em.obj(functor.obj(datum)) != u_desc.obj(datum):
             return False
 
     components = {}
     for x in c0.objects(bound):
         left = functor.obj(phi.obj(x))
         right = kcomp.obj(x)
-        if left.key == right.key:
-            components[c0.obj_key(x)] = em.identity(left)
+        if left == right:
+            components[x] = em.identity(left)
             continue
         found = find_isomorphism(em, left, right)
         if found is None:
             return False
-        components[c0.obj_key(x)] = found[0]
+        components[x] = found[0]
     for x in c0.objects(bound):
         for y in c0.objects(bound):
             for f in c0.hom(x, y):
-                lhs = em.compose(components[c0.obj_key(y)], functor.mor(phi.mor(f)))
-                rhs = em.compose(kcomp.mor(f), components[c0.obj_key(x)])
+                lhs = em.compose(components[y], functor.mor(phi.mor(f)))
+                rhs = em.compose(kcomp.mor(f), components[x])
                 if lhs != rhs:
                     return False
     return True

@@ -73,7 +73,7 @@ class _WithoutCocycle(DescCategory):
                     continue
                 datum = DescentDatum(w, rho)
                 rep, _ = canonicalize_datum(self.diagram, datum)
-                if rep.key == datum.key:
+                if rep == datum:
                     out.append(datum)
         return out
 

@@ -39,10 +39,6 @@ class SliceObj:
     def base(self) -> FinSetObj:
         return self.to_base.cod
 
-    @property
-    def key(self):
-        return self.to_base.key
-
     def __repr__(self):
         return f"⟨{self.to_base!r}⟩"
 
@@ -59,10 +55,6 @@ class SliceMor:
         if self.fn.dom != self.src.carrier or self.fn.cod != self.dst.carrier:
             raise CategoryError(f"{self.fn!r} does not run between the carriers "
                                 f"of {self.src!r} and {self.dst!r}")
-
-    @property
-    def key(self):
-        return (self.src.key, self.dst.key, self.fn.mapping)
 
     def __repr__(self):
         return f"{self.fn!r}:{self.src!r}→{self.dst!r}"
@@ -100,7 +92,7 @@ class SliceCategory(ComputableCategory):
         return list(out)
 
     def hom(self, x: SliceObj, y: SliceObj) -> list[SliceMor]:
-        ck = (x.key, y.key)
+        ck = (x, y)
         if ck in self._hom_cache:
             return self._hom_cache[ck]
         cands = []
@@ -182,25 +174,23 @@ class ChangeOfBase(CartFunctor):
         if src.base != u.cod or dst.base != u.dom:
             raise CategoryError("change of base must go from C/cod(u) to C/dom(u)")
         self.u = u
-        self._tops: dict = {}
+        self._pullbacks: dict = {}
         Functor.__init__(self, src, dst, self._apply_obj, self._apply_mor,
                          name=f"({u!r})*")
 
     def _apply_obj(self, x: SliceObj) -> SliceObj:
         pb = pullback(x.to_base, self.u)
-        res = SliceObj(pb.pr2)
-        self._tops[x.key] = pb.pr1
-        return res
+        self._pullbacks[x] = pb
+        return SliceObj(pb.pr2)
 
     def top(self, x: SliceObj) -> FinFunction:
         self.obj(x)
-        return self._tops[x.key]
+        return self._pullbacks[x].pr1
 
     def _apply_mor(self, m: SliceMor) -> SliceMor:
         fx, fy = self.obj(m.src), self.obj(m.dst)
         q1 = self.top(m.src).then(m.fn)
-        q2 = fx.to_base
-        fn = mediating_map(m.dst.to_base, self.u, q1, q2)
+        fn = mediating_map(self._pullbacks[m.dst], q1, fx.to_base)
         return SliceMor(fx, fy, fn)
 
 
@@ -324,7 +314,7 @@ def sigma_pullback_adjunction(p: FinFunction, slice_e: SliceCategory,
     def unit_at(w: SliceObj) -> SliceMor:
         lw = left.obj(w)
         rlw = right.obj(lw)
-        fn = mediating_map(lw.to_base, p, FinFunction.identity(w.carrier), w.to_base)
+        fn = mediating_map(pullback(lw.to_base, p), FinFunction.identity(w.carrier), w.to_base)
         return SliceMor(w, rlw, fn)
 
     def counit_at(x: SliceObj) -> SliceMor:

@@ -131,8 +131,8 @@ def test_desc_homs_fast_path_agrees_with_generic_filter():
     objs = desc.objects()
     for x in objs:
         for y in objs:
-            fast = {m.key for m in desc._hom_fibration(x, y)}
-            slow = {m.key for m in desc._hom_generic(x, y)}
+            fast = set(desc._hom_fibration(x, y))
+            slow = set(desc._hom_generic(x, y))
             assert fast == slow, (x, y)
 
 
@@ -143,11 +143,11 @@ def test_comparison_factorization_strict():
     phi = comparison(fib, 3, desc=desc)
     u = desc.forgetful()
     for x in fib.c0.objects(3):
-        assert u.obj(phi.obj(x)).key == fib.d.obj(x).key
+        assert u.obj(phi.obj(x)) == fib.d.obj(x)
     for x in fib.c0.objects(2):
         for y in fib.c0.objects(2):
             for f in fib.c0.hom(x, y):
-                assert u.mor(phi.mor(f)).key == fib.d.mor(f).key
+                assert u.mor(phi.mor(f)) == fib.d.mor(f)
 
 
 def test_comparison_refuses_incoherent_diagram():
@@ -189,7 +189,7 @@ def test_descend_round_trip_iso_verified():
     for datum in enumerate_descent_data(fib, 4):
         res = descend(fib, datum)
         assert res.iso.m.fn.is_bijective()
-        assert res.iso.dst.key == datum.key
+        assert res.iso.dst == datum
 
 
 def test_classify_identity_effective():
@@ -207,9 +207,9 @@ def test_classify_non_surjection_not_almost_with_witness():
     assert res.verdict == NOT_ALMOST
     m1, m2 = res.report.faithful.witness
     # witnesses are distinct parallel morphisms with the same image
-    assert m1.key != m2.key
-    assert m1.src.key == m2.src.key and m1.dst.key == m2.dst.key
-    assert res.phi.mor(m1).key == res.phi.mor(m2).key
+    assert m1 != m2
+    assert m1.src == m2.src and m1.dst == m2.dst
+    assert res.phi.mor(m1) == res.phi.mor(m2)
 
 
 def test_classify_empty_domain_not_almost():
@@ -223,7 +223,7 @@ def test_canonicalize_datum_is_isomorphism_in_desc():
     desc = DescCategory(fib, 4)
     for datum in enumerate_descent_data(fib, 4, dedupe=False):
         rep, iso = canonicalize_datum(fib, datum)
-        assert iso.src.key == datum.key and iso.dst.key == rep.key
+        assert iso.src == datum and iso.dst == rep
         assert desc._equivariant(iso.src, iso.dst, iso.m)
         assert iso.m.fn.is_bijective()
 
@@ -261,10 +261,10 @@ def test_classify_without_hom_condition_is_almost():
 def test_descent_category_without_cocycle_admits_a_non_datum():
     from descent_kit.mutations import descent_category_without_cocycle
     fib = basic_fibration(two_to_one(), 4)
-    real = {d.key for d in DescCategory(fib, 4).objects()}
+    real = set(DescCategory(fib, 4).objects())
     corrupt = descent_category_without_cocycle(fib, 4).objects()
     assert len(real) == 3 and len(corrupt) == 4
-    (extra,) = [d for d in corrupt if d.key not in real]
+    (extra,) = [d for d in corrupt if d not in real]
     assert len(extra.w.carrier) == 4
     assert is_descent_datum(fib, extra.w, extra.rho) == (False, "associativity")
     with pytest.raises(TheoremViolation):

@@ -1,6 +1,7 @@
 import itertools
+from dataclasses import dataclass
 
-from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, FinCategory,
+from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, FinCategory,
                                 FullSubcategory, Functor, IdentityFunctor,
                                 NatIso, NatTrans, TableFunctor, chain_category,
                                 discrete_category, find_isomorphism,
@@ -155,13 +156,13 @@ def test_decision_ops_agree_with_brute_force_definitions():
         src, dst = functor.src, functor.dst
         # faithful: injective on each hom-set
         expect_faithful = all(
-            len({functor.mor(f).key for f in src.hom(x, y)}) == len(src.hom(x, y))
+            len({functor.mor(f) for f in src.hom(x, y)}) == len(src.hom(x, y))
             for x in src.objects() for y in src.objects())
         assert is_faithful(functor).ok == expect_faithful
         # full: image hits every morphism between image objects
         expect_full = all(
-            {g.key for g in dst.hom(functor.obj(x), functor.obj(y))}
-            <= {functor.mor(f).key for f in src.hom(x, y)}
+            set(dst.hom(functor.obj(x), functor.obj(y)))
+            <= {functor.mor(f) for f in src.hom(x, y)}
             for x in src.objects() for y in src.objects())
         assert is_full(functor).ok == expect_full
         expect_ess = all(
@@ -200,3 +201,32 @@ def test_natiso_requires_two_sided_inverse():
     ident = IdentityFunctor(cat)
     iso = NatIso(ident, ident, lambda x: cat.identity(x), lambda x: cat.identity(x))
     assert iso.check_iso() == []
+
+
+@dataclass(frozen=True)
+class Arrow:
+    """A morphism that is only a value: no name, nothing beyond its ends."""
+
+    src: str
+    dst: str
+
+
+class OneArrow(Category):
+    """The terminal category, with its one arrow as a plain value."""
+
+    def objects(self, bound=None):
+        return ["*"]
+
+    def hom(self, x, y):
+        return [Arrow(x, y)]
+
+    def identity(self, x):
+        return Arrow(x, x)
+
+    def compose(self, g, f):
+        return Arrow(f.src, g.dst)
+
+
+def test_identity_on_plain_value_arrows_is_equivalence():
+    report = is_equivalence(IdentityFunctor(OneArrow()))
+    assert report.level == EQUIVALENCE, report

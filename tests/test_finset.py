@@ -33,6 +33,18 @@ def test_pullback_carrier_is_matching_tuples(cospan):
     assert all(pb.pr1(t) == t[0] and pb.pr2(t) == t[1] for t in pb.obj)
 
 
+@given(st.lists(labels, max_size=4, unique=True),
+       st.lists(labels, min_size=1, max_size=3, unique=True), st.data())
+def test_functions_from_the_same_data_are_equal_and_hash_equal(dom, cod, data):
+    images = [data.draw(st.sampled_from(cod)) for _ in dom]
+    f = FinFunction(FinSetObj(tuple(dom)), FinSetObj(tuple(cod)), tuple(zip(dom, images)))
+    g = FinFunction(FinSetObj(tuple(list(dom))), FinSetObj(tuple(list(cod))),
+                    tuple((x, y) for x, y in zip(dom, images)))
+    assert f == g and hash(f) == hash(g)
+    wider = FinSetObj(tuple(cod) + (data.draw(labels.filter(lambda x: x not in cod)),))
+    assert f != FinFunction(f.dom, wider, f.mapping)
+
+
 def test_repr_tells_apart_pairs_with_commas():
     one, other = ("a,b", "c"), ("a", "b,c")
     both = repr(FinSetObj((one, other)))
@@ -92,7 +104,7 @@ def test_mediating_of_own_projections_is_identity():
     xs, zs = FinSetObj(("a", "b")), FinSetObj(("x",))
     f = FinFunction.of(xs, zs, lambda _: "x")
     p = pullback(f, f)
-    u = mediating_map(f, f, p.pr1, p.pr2)
+    u = mediating_map(pullback(f, f), p.pr1, p.pr2)
     assert u == FinFunction.identity(p.obj)
 
 
@@ -100,7 +112,7 @@ def test_mediating_diagonal():
     xs = FinSetObj(("a", "b"))
     zs = FinSetObj(("x",))
     f = FinFunction.of(xs, zs, lambda _: "x")
-    u = mediating_map(f, f, FinFunction.identity(xs), FinFunction.identity(xs))
+    u = mediating_map(pullback(f, f), FinFunction.identity(xs), FinFunction.identity(xs))
     assert all(u(e) == (e, e) for e in xs)
 
 
@@ -110,7 +122,7 @@ def test_mediating_from_singleton_is_pair_selection():
     f = FinFunction.of(xs, zs, {"a": "x", "b": "y"})
     q1 = FinFunction.of(w, xs, {"w": "b"})
     q2 = FinFunction.of(w, xs, {"w": "b"})
-    u = mediating_map(f, f, q1, q2)
+    u = mediating_map(pullback(f, f), q1, q2)
     assert u("w") == ("b", "b")
 
 
@@ -121,7 +133,11 @@ def test_mediating_rejects_non_commuting_cone():
     q1 = FinFunction.of(w, xs, {"w": "a"})
     q2 = FinFunction.of(w, xs, {"w": "b"})
     with pytest.raises(FinSetError):
-        mediating_map(f, f, q1, q2)
+        mediating_map(pullback(f, f), q1, q2)
+    # a leg into the apex of the cospan, not into a factor of the pullback
+    q3 = FinFunction.of(w, zs, {"w": "y"})
+    with pytest.raises(FinSetError, match="factors"):
+        mediating_map(pullback(f, f), q1, q3)
 
 
 def test_mediating_uniqueness_exhaustive():
@@ -132,7 +148,7 @@ def test_mediating_uniqueness_exhaustive():
     w = FinSetObj(("w0", "w1"))
     q1 = FinFunction.of(w, xs, {"w0": "a", "w1": "b"})
     q2 = FinFunction.of(w, xs, {"w0": "b", "w1": "b"})
-    u = mediating_map(f, f, q1, q2)
+    u = mediating_map(pullback(f, f), q1, q2)
     solutions = [h for h in all_functions(w, p.obj)
                  if h.then(p.pr1) == q1 and h.then(p.pr2) == q2]
     assert solutions == [u]

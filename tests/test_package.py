@@ -1,6 +1,7 @@
 """Packaging guards: declared entry points exist, the library never
-relies on ``assert``, which ``python -O`` strips, and no library module
-imports a name it never uses."""
+relies on ``assert``, which ``python -O`` strips, no library module
+imports a name it never uses, and the benchmark can still drive the
+library."""
 
 import ast
 import importlib
@@ -50,3 +51,16 @@ def test_library_has_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []
+
+
+def test_benchmark_still_drives_the_library(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    run = importlib.import_module("run")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # resolves every traced name, or raises
+    finally:
+        tracer.uninstall()
+    res = run.run("glue", seed=1, seconds=0, trace=False, bound=2)
+    assert res["correct"] is True and res["failed"] == 0
