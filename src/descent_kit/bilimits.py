@@ -44,41 +44,33 @@ class CommaCategory(ComputableCategory):
     def __init__(self, f: Functor, g: Functor, bound: int = 3):
         if f.dst != g.dst:
             raise CategoryError("cospan functors must share a codomain")
+        super().__init__(bound)
         self.f = f
         self.g = g
-        self.default_bound = bound
-        self._objects_cache: dict = {}
-        self._hom_cache: dict = {}
 
     def _connectors(self, fc, gd):
         return self.f.dst.hom(fc, gd)
 
-    def objects(self, bound=None):
-        bound = self.default_bound if bound is None else bound
-        if bound not in self._objects_cache:
-            out = []
-            for c in self.f.src.objects(bound):
-                fc = self.f.obj(c)
-                for d in self.g.src.objects(bound):
-                    gd = self.g.obj(d)
-                    for phi in self._connectors(fc, gd):
-                        out.append(WedgeObj(c, d, phi))
-            self._objects_cache[bound] = out
-        return list(self._objects_cache[bound])
+    def _objects(self, bound):
+        out = []
+        for c in self.f.src.objects(bound):
+            fc = self.f.obj(c)
+            for d in self.g.src.objects(bound):
+                gd = self.g.obj(d)
+                for phi in self._connectors(fc, gd):
+                    out.append(WedgeObj(c, d, phi))
+        return out
 
-    def hom(self, x: WedgeObj, y: WedgeObj):
-        ck = (x, y)
-        if ck not in self._hom_cache:
-            e = self.f.dst
-            out = []
-            for u in self.f.src.hom(x.c, y.c):
-                fu = self.f.mor(u)
-                left = e.compose(y.phi, fu)  # phi' ∘ F(u)
-                for v in self.g.src.hom(x.d, y.d):
-                    if e.compose(self.g.mor(v), x.phi) == left:
-                        out.append(WedgeMor(x, y, u, v))
-            self._hom_cache[ck] = out
-        return self._hom_cache[ck]
+    def _hom(self, x: WedgeObj, y: WedgeObj):
+        e = self.f.dst
+        out = []
+        for u in self.f.src.hom(x.c, y.c):
+            fu = self.f.mor(u)
+            left = e.compose(y.phi, fu)  # phi' ∘ F(u)
+            for v in self.g.src.hom(x.d, y.d):
+                if e.compose(self.g.mor(v), x.phi) == left:
+                    out.append(WedgeMor(x, y, u, v))
+        return out
 
     def identity(self, x: WedgeObj):
         return WedgeMor(x, x, self.f.src.identity(x.c), self.g.src.identity(x.d))

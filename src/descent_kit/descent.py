@@ -2,14 +2,12 @@
 descent classifier.
 
 A descent datum on a truncated diagram is a pair (W, rho) of a level-1
-object and an isomorphism rho: d1(W) -> d0(W) satisfying
-
-    associativity:  del0(rho) ∘ sigma02_W ∘ del2(rho) ∘ sigma12_W⁻¹
-                       = sigma01_W ∘ del1(rho)
-    identity:       n0_W ∘ s0(rho) = n1_W
-
-and a morphism (W, rho) -> (X, rho') is m: W -> X with
-d0(m) ∘ rho = rho' ∘ d1(m).
+object and an isomorphism rho: d1(W) -> d0(W) satisfying the identity and
+associativity equations that ``cosimplicial`` states and checks
+(``is_descent_datum``, imported here).  A morphism (W, rho) -> (X, rho')
+is m: W -> X with d0(m) ∘ rho = rho' ∘ d1(m), checked by
+``is_descent_morphism``: the descent category, the comparison functor and
+``descend`` all use that one check.
 
 For the basic fibration of p: E -> B, ``descend`` glues a datum to an
 object over B (the constructive inverse of the comparison functor), and
@@ -26,11 +24,11 @@ from typing import Callable, Optional
 from .errors import TheoremViolation
 from .fincat import (Category, CategoryError, ComputableCategory, Decision,
                      EquivalenceReport, FullSubcategory, Functor,
-                     all_isomorphisms, is_equivalence)
+                     is_equivalence)
 from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (AugCosimplicial3, BasicFibration, basic_fibration,
-                           validate_coherence)
-from .slices import SliceCategory, SliceMor, SliceObj, slice_isos
+                           is_descent_datum, validate_coherence)
+from .slices import SliceMor, SliceObj, slice_isos
 
 
 @dataclass(frozen=True)
@@ -59,29 +57,12 @@ class DescMor:
         return f"{self.m.fn!r}:{self.src!r}→{self.dst!r}"
 
 
-def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj,
-                     rho) -> tuple[bool, Optional[str]]:
-    """Evaluate the two datum equations as concrete morphism equalities.
-
-    The identity equation is checked first; the failing one is named.
-    """
-    c1, c3 = diagram.c1, diagram.c3
-    if rho.src != diagram.d1.obj(w) or rho.dst != diagram.d0.obj(w):
-        raise CategoryError(f"rho has wrong type: {rho.src} -> {rho.dst}")
-
-    lhs = c1.compose(diagram.n0.at(w), diagram.s0.mor(rho))
-    rhs = diagram.n1.at(w)
-    if lhs != rhs:
-        return False, "identity"
-    lhs = c3.compose(
-        diagram.del0.mor(rho),
-        c3.compose(diagram.sigma02.at(w),
-                   c3.compose(diagram.del2.mor(rho),
-                              diagram.sigma12.inverse().at(w))))
-    rhs = c3.compose(diagram.sigma01.at(w), diagram.del1.mor(rho))
-    if lhs != rhs:
-        return False, "associativity"
-    return True, None
+def is_descent_morphism(diagram: AugCosimplicial3, x: DescentDatum,
+                        y: DescentDatum, m: SliceMor) -> bool:
+    """Whether m: x.w -> y.w is equivariant: d0(m) ∘ x.rho = y.rho ∘ d1(m)."""
+    c2 = diagram.c2
+    return (c2.compose(diagram.d0.mor(m), x.rho)
+            == c2.compose(y.rho, diagram.d1.mor(m)))
 
 
 def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = None,
@@ -95,23 +76,16 @@ def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = Non
     representative per carrier-relabelling class is kept (the
     lexicographically least conjugate).
     """
-    c1, c2 = diagram.c1, diagram.c2
-    slice_backed = isinstance(c1, SliceCategory)
     out = []
-    for w in c1.objects(bound):
+    for w in diagram.c1.objects(bound):
         if carrier_pred is not None and not carrier_pred(w.carrier):
             continue
-        d1w, d0w = diagram.d1.obj(w), diagram.d0.obj(w)
-        if slice_backed:
-            candidates = slice_isos(d1w, d0w)
-        else:
-            candidates = (f for (f, _) in all_isomorphisms(c2, d1w, d0w))
-        for rho in candidates:
+        for rho in slice_isos(diagram.d1.obj(w), diagram.d0.obj(w)):
             ok, _ = is_descent_datum(diagram, w, rho)
             if not ok:
                 continue
             datum = DescentDatum(w, rho)
-            if dedupe and slice_backed:
+            if dedupe:
                 rep, _ = canonicalize_datum(diagram, datum)
                 if rep != datum:
                     continue
@@ -156,39 +130,18 @@ class DescCategory(ComputableCategory):
 
     def __init__(self, diagram: AugCosimplicial3, bound: int = 4,
                  carrier_pred: Optional[Callable[[FinSetObj], bool]] = None):
+        super().__init__(bound)
         self.diagram = diagram
-        self.default_bound = bound
         self.carrier_pred = carrier_pred
-        self._objects_cache: dict = {}
-        self._hom_cache: dict = {}
 
-    def objects(self, bound=None):
-        bound = self.default_bound if bound is None else bound
-        if bound not in self._objects_cache:
-            self._objects_cache[bound] = enumerate_descent_data(
-                self.diagram, bound, carrier_pred=self.carrier_pred)
-        return list(self._objects_cache[bound])
-
-    def hom(self, x: DescentDatum, y: DescentDatum) -> list[DescMor]:
-        ck = (x, y)
-        if ck in self._hom_cache:
-            return self._hom_cache[ck]
-        if isinstance(self.diagram, BasicFibration):
-            out = self._hom_fibration(x, y)
-        else:
-            out = self._hom_generic(x, y)
-        self._hom_cache[ck] = out
-        return out
-
-    def _equivariant(self, x, y, m: SliceMor) -> bool:
-        c2 = self.diagram.c2
-        lhs = c2.compose(self.diagram.d0.mor(m), x.rho)
-        rhs = c2.compose(y.rho, self.diagram.d1.mor(m))
-        return lhs == rhs
+    def _objects(self, bound):
+        return enumerate_descent_data(self.diagram, bound,
+                                      carrier_pred=self.carrier_pred)
 
     def _hom_generic(self, x, y):
+        """The brute filter: every slice morphism that is equivariant."""
         return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)
-                if self._equivariant(x, y, m)]
+                if is_descent_morphism(self.diagram, x, y, m)]
 
     def _hom_fibration(self, x, y):
         """Backtracking enumeration with forcing.
@@ -196,7 +149,7 @@ class DescCategory(ComputableCategory):
         rho moves elements between fibers over related base points; the
         equivariance condition then forces the image of one element from
         the image of another, so choices are only free on class
-        representatives.  Same answers as the brute filter, much faster.
+        representatives.  Same answers as ``_hom_generic``, much faster.
         """
         diagram = self.diagram
         d1, d0 = diagram.d1, diagram.d0
@@ -270,6 +223,9 @@ class DescCategory(ComputableCategory):
         out.sort(key=lambda mor: mor.m.fn.mapping)
         return out
 
+    # hom enumerates by the forcing search; _hom_generic is its reference
+    _hom = _hom_fibration
+
     def identity(self, x: DescentDatum) -> DescMor:
         return DescMor(x, x, self.diagram.c1.identity(x.w))
 
@@ -303,7 +259,7 @@ def comparison(diagram: AugCosimplicial3, bound: int = 4,
 
     def on_mor(f):
         mor = DescMor(on_obj(f.src), on_obj(f.dst), diagram.d.mor(f))
-        if not desc._equivariant(mor.src, mor.dst, mor.m):
+        if not is_descent_morphism(diagram, mor.src, mor.dst, mor.m):
             raise TheoremViolation(f"comparison image breaks equivariance at {f}")
         return mor
 
@@ -364,13 +320,8 @@ def descend(fib: BasicFibration, datum: DescentDatum,
     fn = FinFunction.of(pg.carrier, w.carrier, table)
     if not fn.is_bijective():
         raise TheoremViolation(f"gluing comparison for {datum} is not bijective")
-    m = SliceMor(pg, w, fn)
-    phi_glued = DescentDatum(pg, fib.theta.at(glued))
-    iso = DescMor(phi_glued, datum, m)
-    c2 = fib.c2
-    lhs = c2.compose(fib.d0.mor(m), phi_glued.rho)
-    rhs = c2.compose(datum.rho, fib.d1.mor(m))
-    if lhs != rhs:
+    iso = DescMor(DescentDatum(pg, fib.theta.at(glued)), datum, SliceMor(pg, w, fn))
+    if not is_descent_morphism(fib, iso.src, iso.dst, iso.m):
         raise TheoremViolation(f"gluing comparison for {datum} is not equivariant")
     return DescendResult(glued, iso, partial=not fib.p.is_surjective())
 

@@ -3,8 +3,11 @@
 Two flavours of category share one protocol: table-backed ``FinCategory``
 (explicit objects, morphisms and composition table) and subclasses of
 ``ComputableCategory`` (objects enumerated up to a carrier-size bound,
-hom-sets computed on demand).  Objects and morphisms are values: they are
-compared and hashed as themselves, component by component.
+hom-sets computed on demand).  A ``ComputableCategory`` subclass writes
+only the enumerations ``_objects(bound)`` and ``_hom(x, y)``; the base
+class memoizes both, once per bound and once per pair.  Objects and
+morphisms are values: they are compared and hashed as themselves,
+component by component.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -96,12 +99,37 @@ class FinCategory(Category):
 
 
 class ComputableCategory(Category):
-    """Category whose objects are enumerated up to a size bound."""
+    """Category whose objects are enumerated up to a size bound.
+
+    ``objects`` memoizes ``_objects(bound)`` and hands out a copy;
+    ``hom`` memoizes ``_hom(x, y)`` and hands out the memoized list.
+    """
 
     bounded = True
-    default_bound: int = 4
+
+    def __init__(self, bound: int = 4):
+        self.default_bound = bound
+        self._objects_memo: dict = {}
+        self._hom_memo: dict = {}
 
     def objects(self, bound=None):
+        bound = self.default_bound if bound is None else bound
+        out = self._objects_memo.get(bound)
+        if out is None:
+            out = self._objects_memo[bound] = self._objects(bound)
+        return list(out)
+
+    def hom(self, x, y):
+        key = (x, y)
+        out = self._hom_memo.get(key)
+        if out is None:
+            out = self._hom_memo[key] = self._hom(x, y)
+        return out
+
+    def _objects(self, bound: int) -> list:
+        raise NotImplementedError
+
+    def _hom(self, x, y) -> list:
         raise NotImplementedError
 
 

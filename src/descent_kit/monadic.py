@@ -93,36 +93,32 @@ def algebra_laws_hold(monad: Monad, x, a) -> bool:
     return cat.compose(a, monad.mu.at(x)) == cat.compose(a, monad.t.mor(a))
 
 
+def is_algebra_morphism(monad: Monad, x: Algebra, y: Algebra, h) -> bool:
+    """Whether h: x.x -> y.x commutes with the structure maps: h∘a = b∘T(h)."""
+    cat = monad.base
+    return cat.compose(h, x.a) == cat.compose(y.a, monad.t.mor(h))
+
+
 class EMCategory(ComputableCategory):
     """Algebras for a monad, enumerated by filtering all structure maps."""
 
     def __init__(self, monad: Monad, bound: int = 4):
+        super().__init__(bound)
         self.monad = monad
-        self.default_bound = bound
-        self._objects_cache: dict = {}
-        self._hom_cache: dict = {}
 
-    def objects(self, bound=None):
-        bound = self.default_bound if bound is None else bound
-        if bound not in self._objects_cache:
-            out = []
-            cat = self.monad.base
-            for x in cat.objects(bound):
-                tx = self.monad.t.obj(x)
-                for a in cat.hom(tx, x):
-                    if algebra_laws_hold(self.monad, x, a):
-                        out.append(Algebra(x, a))
-            self._objects_cache[bound] = out
-        return list(self._objects_cache[bound])
+    def _objects(self, bound):
+        out = []
+        cat = self.monad.base
+        for x in cat.objects(bound):
+            tx = self.monad.t.obj(x)
+            for a in cat.hom(tx, x):
+                if algebra_laws_hold(self.monad, x, a):
+                    out.append(Algebra(x, a))
+        return out
 
-    def hom(self, x: Algebra, y: Algebra):
-        ck = (x, y)
-        if ck not in self._hom_cache:
-            cat = self.monad.base
-            self._hom_cache[ck] = [
-                AlgMor(x, y, h) for h in cat.hom(x.x, y.x)
-                if cat.compose(h, x.a) == cat.compose(y.a, self.monad.t.mor(h))]
-        return self._hom_cache[ck]
+    def _hom(self, x: Algebra, y: Algebra):
+        return [AlgMor(x, y, h) for h in self.monad.base.hom(x.x, y.x)
+                if is_algebra_morphism(self.monad, x, y, h)]
 
     def identity(self, x: Algebra):
         return AlgMor(x, x, self.monad.base.identity(x.x))
@@ -266,62 +262,45 @@ class BRResult:
         return self.verdict == EQUIVALENCE
 
 
+def _monad_to_d1(fib: BasicFibration, monad: Monad, w) -> FinFunction:
+    """The identification T W ≅ d1(W): (w, e) |-> the element of d1(W)
+    with top w whose base pair (e0, e1) has e1 = e."""
+    if not isinstance(monad.t, CartFunctor):
+        raise CategoryError("monad endofunctor must track tops")
+    tw, d1w = monad.t.obj(w), fib.d1.obj(w)
+    return match_by_legs(
+        tw.carrier, [monad.t.top(w), tw.to_base],
+        d1w.carrier, [fib.d1.top(w), d1w.to_base.then(fib.proj_omit0)])
+
+
 def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> Algebra:
     """The algebra structure a datum induces on its carrier.
 
-    a: T W -> W sends (w, e) through the canonical identification of T W
-    with the sigma of the first-projection pullback, then through rho, then
-    the projection to W.
+    a: T W -> W sends (w, e) through the identification T W ≅ d1(W), then
+    through rho, then the projection of d0(W) to W.
     """
-    if not isinstance(monad.t, CartFunctor):
-        raise CategoryError("monad endofunctor must track tops")
     w = datum.w
-    tw = monad.t.obj(w)
-    t_top = monad.t.top(w)
-    d1w = fib.d1.obj(w)
-    d1_top = fib.d1.top(w)
-    # identify T W with d1(W) re-based along the omit-0 projection
-    ident = match_by_legs(
-        tw.carrier, [t_top, tw.to_base],
-        d1w.carrier, [d1_top,
-                      FinFunction.of(d1w.carrier, fib.p.dom,
-                                     lambda u: fib.proj_omit0(d1w.to_base(u)))])
-    d0_top = fib.d0.top(w)
-    fn = FinFunction.of(tw.carrier, w.carrier,
-                        lambda t: d0_top(datum.rho.fn(ident(t))))
-    a = SliceMor(tw, w, fn)
-    alg = Algebra(w, a)
+    fn = _monad_to_d1(fib, monad, w).then(datum.rho.fn).then(fib.d0.top(w))
+    a = SliceMor(monad.t.obj(w), w, fn)
     if not algebra_laws_hold(monad, w, a):
         raise TheoremViolation(f"datum {datum} does not induce an algebra")
-    return alg
+    return Algebra(w, a)
 
 
 def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> DescentDatum:
-    """The gluing isomorphism an algebra induces; inverse of datum_to_algebra."""
-    if not isinstance(monad.t, CartFunctor):
-        raise CategoryError("monad endofunctor must track tops")
+    """The gluing isomorphism an algebra induces; inverse of datum_to_algebra.
+
+    rho sends u in d1(X) to the element of d0(X) over the same base pair
+    whose top is a applied to the element of T X identified with u.
+    """
     x = alg.x
-    tx = monad.t.obj(x)
-    t_top = monad.t.top(x)
     d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
-    d1_top, d0_top = fib.d1.top(x), fib.d0.top(x)
-    # for u over (e0, e1) with top w: a((w, e1)) is the transported element
-    keyed = {}
-    for t in tx.carrier.elements:
-        keyed[(t_top(t), tx.to_base(t))] = t
-    target = {}
-    for v in d0x.carrier.elements:
-        target[(d0_top(v), d0x.to_base(v))] = v
-
-    def component(u):
-        base = d1x.to_base(u)
-        t = keyed[(d1_top(u), fib.proj_omit0(base))]
-        return target[(alg.a.fn(t), base)]
-
-    fn = FinFunction.of(d1x.carrier, d0x.carrier, component)
-    rho = SliceMor(d1x, d0x, fn)
+    to_x = _monad_to_d1(fib, monad, x).inverse().then(alg.a.fn)
+    fn = match_by_legs(d1x.carrier, [to_x, d1x.to_base],
+                       d0x.carrier, [fib.d0.top(x), d0x.to_base])
     if not fn.is_bijective():
         raise TheoremViolation(f"algebra {alg} does not induce an invertible datum")
+    rho = SliceMor(d1x, d0x, fn)
     ok, which = is_descent_datum(fib, x, rho)
     if not ok:
         raise TheoremViolation(f"algebra {alg} induces a datum failing {which}")
@@ -350,8 +329,7 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
 
     def on_mor(dm: DescMor):
         am = AlgMor(on_obj(dm.src), on_obj(dm.dst), dm.m)
-        cat = monad.base
-        if cat.compose(am.m, am.src.a) != cat.compose(am.dst.a, monad.t.mor(dm.m)):
+        if not is_algebra_morphism(monad, am.src, am.dst, dm.m):
             raise TheoremViolation(f"descent morphism {dm} is not an algebra morphism")
         return am
 

@@ -62,8 +62,7 @@ def swap_face_convention(fib: BasicFibration) -> BasicFibration:
 
 
 class _WithoutCocycle(DescCategory):
-    def objects(self, bound=None):
-        bound = self.default_bound if bound is None else bound
+    def _objects(self, bound):
         out = []
         for w in self.diagram.c1.objects(bound):
             for rho in slice_isos(self.diagram.d1.obj(w), self.diagram.d0.obj(w)):
@@ -84,7 +83,7 @@ def descent_category_without_cocycle(fib: AugCosimplicial3, bound: int) -> DescC
 
 
 class _WithoutHomCondition(DescCategory):
-    def hom(self, x, y):
+    def _hom(self, x, y):
         return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)]
 
 

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .finset import (FinFunction, FinSetObj, FinSetError, all_functions,
-                     canonical_set, mediating_map, pullback)
+from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
+                     all_functions, canonical_set, mediating_map, pullback)
 from .fincat import (CategoryError, ComputableCategory, Functor,
                      IdentityFunctor, NatIso, NatTrans)
 
@@ -64,50 +64,39 @@ class SliceCategory(ComputableCategory):
     """C/B for the finite-sets backend, enumerated up to carrier size."""
 
     def __init__(self, base: FinSetObj, bound: int = 4):
+        super().__init__(bound)
         self.base = base
-        self.default_bound = bound
-        self._hom_cache: dict = {}
-        self._obj_cache: dict = {}
 
     def obj(self, to_base: FinFunction) -> SliceObj:
         if to_base.cod != self.base:
             raise CategoryError(f"not a slice object over {self.base}")
         return SliceObj(to_base)
 
-    def objects(self, bound: Optional[int] = None) -> list[SliceObj]:
+    def _objects(self, bound: int) -> list[SliceObj]:
         """Canonical objects: one per fiber-size vector with total <= bound.
 
         The object with fibers (n_b) has carrier labels (b, i), i < n_b.
         """
-        bound = self.default_bound if bound is None else bound
-        if bound in self._obj_cache:
-            return list(self._obj_cache[bound])
         out = []
         base_elems = self.base.elements
         for vec in _vectors(len(base_elems), bound):
             mapping = tuple(((b, i), b) for b, n in zip(base_elems, vec) for i in range(n))
             carrier = FinSetObj(tuple(lbl for lbl, _ in mapping))
             out.append(SliceObj(FinFunction(carrier, self.base, mapping)))
-        self._obj_cache[bound] = out
-        return list(out)
+        return out
 
-    def hom(self, x: SliceObj, y: SliceObj) -> list[SliceMor]:
-        ck = (x, y)
-        if ck in self._hom_cache:
-            return self._hom_cache[ck]
+    def _hom(self, x: SliceObj, y: SliceObj) -> list[SliceMor]:
         cands = []
         for e in x.carrier.elements:
             b = x.to_base(e)
             fits = [d for d in y.carrier.elements if y.to_base(d) == b]
             if not fits:
-                self._hom_cache[ck] = []
                 return []
             cands.append(fits)
         out = []
         for choice in itertools.product(*cands):
             fn = FinFunction(x.carrier, y.carrier, tuple(zip(x.carrier.elements, choice)))
             out.append(SliceMor(x, y, fn))
-        self._hom_cache[ck] = out
         return out
 
     def identity(self, x: SliceObj) -> SliceMor:
@@ -183,14 +172,19 @@ class ChangeOfBase(CartFunctor):
         self._pullbacks[x] = pb
         return SliceObj(pb.pr2)
 
+    def pullback_of(self, x: SliceObj) -> Pullback:
+        """The chosen pullback of x.to_base and u; obj(x) is its pr2."""
+        if x not in self._pullbacks:
+            self.obj(x)
+        return self._pullbacks[x]
+
     def top(self, x: SliceObj) -> FinFunction:
-        self.obj(x)
-        return self._pullbacks[x].pr1
+        return self.pullback_of(x).pr1
 
     def _apply_mor(self, m: SliceMor) -> SliceMor:
         fx, fy = self.obj(m.src), self.obj(m.dst)
         q1 = self.top(m.src).then(m.fn)
-        fn = mediating_map(self._pullbacks[m.dst], q1, fx.to_base)
+        fn = mediating_map(self.pullback_of(m.dst), q1, fx.to_base)
         return SliceMor(fx, fy, fn)
 
 
@@ -253,13 +247,20 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatIso:
     The component at x matches elements of F(x) and G(x) on (top, base).
     """
 
+    # An inverse inverts the component already built.  It reads `built`, not
+    # the NatIso's cache: a closure over the NatIso would make it a cycle
+    # whose caches outlive their diagram until the next cyclic collection.
+    built: dict = {}
+
     def component(x: SliceObj) -> SliceMor:
-        fx, gx = f.obj(x), g.obj(x)
-        fn = match_by_legs(fx.carrier, [f.top(x), fx.to_base],
-                           gx.carrier, [g.top(x), gx.to_base])
-        if not fn.is_bijective():
-            raise FinSetError(f"comparison {name} not invertible at {x}")
-        return SliceMor(fx, gx, fn)
+        if x not in built:
+            fx, gx = f.obj(x), g.obj(x)
+            fn = match_by_legs(fx.carrier, [f.top(x), fx.to_base],
+                               gx.carrier, [g.top(x), gx.to_base])
+            if not fn.is_bijective():
+                raise FinSetError(f"comparison {name} not invertible at {x}")
+            built[x] = SliceMor(fx, gx, fn)
+        return built[x]
 
     def inverse(x: SliceObj) -> SliceMor:
         c = component(x)
@@ -314,7 +315,7 @@ def sigma_pullback_adjunction(p: FinFunction, slice_e: SliceCategory,
     def unit_at(w: SliceObj) -> SliceMor:
         lw = left.obj(w)
         rlw = right.obj(lw)
-        fn = mediating_map(pullback(lw.to_base, p), FinFunction.identity(w.carrier), w.to_base)
+        fn = mediating_map(right.pullback_of(lw), FinFunction.identity(w.carrier), w.to_base)
         return SliceMor(w, rlw, fn)
 
     def counit_at(x: SliceObj) -> SliceMor:
@@ -331,14 +332,13 @@ class FinSetCategory(ComputableCategory):
     """The category of finite sets, enumerated by canonical sets of size <= bound."""
 
     def __init__(self, bound: int = 3, prefix: str = "e"):
-        self.default_bound = bound
+        super().__init__(bound)
         self.prefix = prefix
 
-    def objects(self, bound: Optional[int] = None) -> list[FinSetObj]:
-        bound = self.default_bound if bound is None else bound
+    def _objects(self, bound: int) -> list[FinSetObj]:
         return [canonical_set(n, self.prefix) for n in range(bound + 1)]
 
-    def hom(self, x: FinSetObj, y: FinSetObj) -> list[FinFunction]:
+    def _hom(self, x: FinSetObj, y: FinSetObj) -> list[FinFunction]:
         return list(all_functions(x, y))
 
     def identity(self, x: FinSetObj) -> FinFunction:

@@ -8,7 +8,7 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  DescCategory, DescentDatum,
                                  canonicalize_datum, classify, comparison,
                                  descend, enumerate_descent_data,
-                                 is_descent_datum)
+                                 is_descent_datum, is_descent_morphism)
 from descent_kit.fincat import CategoryError, validate_category
 from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
                                 canonical_set)
@@ -220,11 +220,10 @@ def test_classify_empty_domain_not_almost():
 def test_canonicalize_datum_is_isomorphism_in_desc():
     p = two_to_one()
     fib = basic_fibration(p, 4)
-    desc = DescCategory(fib, 4)
     for datum in enumerate_descent_data(fib, 4, dedupe=False):
         rep, iso = canonicalize_datum(fib, datum)
         assert iso.src == datum and iso.dst == rep
-        assert desc._equivariant(iso.src, iso.dst, iso.m)
+        assert is_descent_morphism(fib, iso.src, iso.dst, iso.m)
         assert iso.m.fn.is_bijective()
 
 

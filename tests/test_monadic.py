@@ -232,3 +232,21 @@ def test_datum_algebra_maps_need_a_top_tracking_monad():
         datum_to_algebra(fib, plain, datum)
     with pytest.raises(CategoryError):
         algebra_to_datum(fib, plain, alg)
+
+
+def test_benabou_roubaud_sweep_is_equivalence_and_round_trips():
+    # the paper's oracle on every map m -> n (m <= 3, 1 <= n <= 2), including
+    # the empty, non-surjective and bijective classes; labels as in
+    # test_classify_sweep_effective_iff_surjective
+    from descent_kit.descent import enumerate_descent_data
+    e_labels, b_labels = ("\\", "(,)", ",\\("), ("(", "),")
+    for m in range(4):
+        for n in range(1, 3):
+            e, b = FinSetObj(e_labels[:m]), FinSetObj(b_labels[:n])
+            for p in all_functions(e, b):
+                res = benabou_roubaud(p, 2)
+                assert res.verdict == EQUIVALENCE and res.factorizations_agree, p
+                fib = res.desc.diagram
+                for datum in enumerate_descent_data(fib, 2, dedupe=False):
+                    alg = datum_to_algebra(fib, res.monad, datum)
+                    assert algebra_to_datum(fib, res.monad, alg) == datum, (p, datum)
