@@ -31,7 +31,7 @@ from .cosimplicial import (AugCosimplicial3, BasicFibration, basic_fibration,
 from .slices import SliceMor, SliceObj, slice_isos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentDatum:
     """A level-1 object with a gluing isomorphism between its two pullbacks."""
 
@@ -47,7 +47,7 @@ class DescentDatum:
         return f"Datum({self.w!r}, {self.rho.fn!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescMor:
     src: DescentDatum
     dst: DescentDatum

@@ -9,6 +9,12 @@ class memoizes both, once per bound and once per pair.  Objects and
 morphisms are values: they are compared and hashed as themselves,
 component by component.
 
+Functors (``obj``, ``mor``) and transformations (``at``, ``inv_at``)
+memoize their callables per key, so a value is built once and handed out
+identically ever after.  A memo hit costs one dictionary lookup, hence
+one hash of the key; a miss calls the callable once and stores what it
+returns, falsy values such as the empty set included.
+
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
 a truncated enumeration as "within bound".
@@ -219,14 +225,18 @@ class Functor:
         self._mor_cache: dict = {}
 
     def obj(self, x):
-        if x not in self._obj_cache:
-            self._obj_cache[x] = self._on_obj(x)
-        return self._obj_cache[x]
+        try:
+            return self._obj_cache[x]
+        except KeyError:
+            out = self._obj_cache[x] = self._on_obj(x)
+            return out
 
     def mor(self, m):
-        if m not in self._mor_cache:
-            self._mor_cache[m] = self._on_mor(m)
-        return self._mor_cache[m]
+        try:
+            return self._mor_cache[m]
+        except KeyError:
+            out = self._mor_cache[m] = self._on_mor(m)
+            return out
 
     def then(self, other: "Functor") -> "Functor":
         """Diagrammatic composite: apply self first, then other."""
@@ -299,9 +309,11 @@ class NatTrans:
         self._cache: dict = {}
 
     def at(self, x):
-        if x not in self._cache:
-            self._cache[x] = self._component(x)
-        return self._cache[x]
+        try:
+            return self._cache[x]
+        except KeyError:
+            out = self._cache[x] = self._component(x)
+            return out
 
     def check_endpoints(self, x) -> list[str]:
         c = self.at(x)
@@ -338,9 +350,11 @@ class NatIso(NatTrans):
         self._inv_cache: dict = {}
 
     def inv_at(self, x):
-        if x not in self._inv_cache:
-            self._inv_cache[x] = self._inv_component(x)
-        return self._inv_cache[x]
+        try:
+            return self._inv_cache[x]
+        except KeyError:
+            out = self._inv_cache[x] = self._inv_component(x)
+            return out
 
     def inverse(self) -> "NatIso":
         return NatIso(self.target, self.source, self._inv_component, self._component,

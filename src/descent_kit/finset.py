@@ -6,6 +6,15 @@ canonical result, so iterated constructions compose up to canonical
 isomorphism, never on the nose.  An element of a chosen pullback is the
 Python tuple ``(x, y)`` of its two components, so iterated pullbacks nest
 tuples and a witness prints as Python's own repr of them.
+
+Every ``FinFunction`` is built by its one constructor, which checks it:
+composites and mediating maps included, since a codomain check is what
+makes ``mediating_map`` a commutation check.  The checks are set
+operations: a ``FinSetObj`` keeps its elements as a frozenset, so
+membership costs one hash.  Both classes take their hash once, at
+construction, because every memo of the library hashes its keys through
+them; both are slotted, so the stored hash and set cost no per-instance
+dictionary.
 """
 
 from __future__ import annotations
@@ -19,22 +28,31 @@ class FinSetError(ValueError):
     """Raised on malformed finite-set data (duplicate labels, non-total maps...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinSetObj:
     """A finite set: a duplicate-free tuple of element labels."""
 
     elements: tuple[Hashable, ...]
 
+    _members: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        members = frozenset(self.elements)
+        if len(members) != len(self.elements):
             raise FinSetError(f"duplicate labels in {self.elements}")
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_hash", hash(self.elements))
 
     @staticmethod
     def of(labels: Iterable[Hashable]) -> "FinSetObj":
         return FinSetObj(tuple(labels))
 
     def __contains__(self, label: Hashable) -> bool:
-        return label in self.elements
+        return label in self._members
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -49,7 +67,7 @@ class FinSetObj:
 EMPTY = FinSetObj(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinFunction:
     """A total function between finite sets, given by an explicit mapping."""
 
@@ -58,15 +76,23 @@ class FinFunction:
     mapping: tuple[tuple[Hashable, Hashable], ...]  # ordered as dom.elements
 
     _table: dict = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
+        # the one constructor: every function, composites included, is
+        # checked here, with set operations rather than scans of the tuples
         table = dict(self.mapping)
-        if tuple(x for x, _ in self.mapping) != self.dom.elements:
+        if len(table) != len(self.mapping) or tuple(table) != self.dom.elements:
             raise FinSetError("mapping must list every domain element once, in order")
-        for x, y in self.mapping:
-            if y not in self.cod:
-                raise FinSetError(f"image {y!r} of {x!r} not in codomain {self.cod}")
+        try:
+            in_range = self.cod._members.issuperset(table.values())
+        except TypeError:  # an unhashable image lies in no codomain
+            in_range = False
+        if not in_range:
+            x, y = next((x, y) for x, y in self.mapping if y not in self.cod.elements)
+            raise FinSetError(f"image {y!r} of {x!r} not in codomain {self.cod}")
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_hash", hash(self.mapping))
 
     @staticmethod
     def of(dom: FinSetObj, cod: FinSetObj, assignment) -> "FinFunction":
@@ -85,9 +111,9 @@ class FinFunction:
             raise FinSetError(f"{x!r} is not in the domain {self.dom}") from None
 
     def __hash__(self):
-        # equal functions have equal mappings; hashing the tuple of pairs
-        # avoids recursing through the FinSetObj hashes of dom and cod
-        return hash(self.mapping)
+        # equal functions have equal mappings, so the hash of the tuple of
+        # pairs, taken once at construction, serves every memo lookup
+        return self._hash
 
     # dom/cod aliases so a FinFunction can act as a morphism of FinSetCategory
     @property
@@ -114,10 +140,7 @@ class FinFunction:
         return (self.dom.elements, self.cod.elements, self.mapping)
 
     def image(self) -> FinSetObj:
-        seen = []
-        for _, y in self.mapping:
-            if y not in seen:
-                seen.append(y)
+        seen = set(self._table.values())
         return FinSetObj(tuple(l for l in self.cod.elements if l in seen))
 
     def is_injective(self) -> bool:
@@ -125,7 +148,7 @@ class FinFunction:
         return len(set(vals)) == len(vals)
 
     def is_surjective(self) -> bool:
-        return set(y for _, y in self.mapping) == set(self.cod.elements)
+        return self.cod._members.issubset(self._table.values())
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -201,12 +224,12 @@ def quotient(x: FinSetObj, pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
-    classes: dict[Hashable, list[Hashable]] = {}
+    # each class is labelled by its earliest member in x's order; walking x
+    # meets the classes in the order of those members, so q needs no sort
+    label_of_root: dict[Hashable, Hashable] = {}
     for e in x.elements:
-        classes.setdefault(find(e), []).append(e)
-    # pick the earliest member (in x's order) as the class label
-    label_of_root = {root: members[0] for root, members in classes.items()}
-    q = FinSetObj(tuple(sorted(label_of_root.values(), key=x.elements.index)))
+        label_of_root.setdefault(find(e), e)
+    q = FinSetObj(tuple(label_of_root.values()))
     proj = FinFunction.of(x, q, lambda e: label_of_root[find(e)])
     return q, proj
 

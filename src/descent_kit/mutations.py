@@ -38,11 +38,15 @@ def invert_theta(fib: BasicFibration) -> BasicFibration:
     naturality) as soon as some fiber has two elements.
     """
     good = fib.theta
+    # An inverse inverts the component already built, as in
+    # slices.comparison_iso (which says why this is not the NatIso's cache).
+    built: dict = {}
 
     def component(x):
-        c = good.at(x)
-        twist = _fiber_twist(c.dst)
-        return SliceMor(c.src, c.dst, c.fn.then(twist))
+        if x not in built:
+            c = good.at(x)
+            built[x] = SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
+        return built[x]
 
     def inverse(x):
         c = component(x)

@@ -25,7 +25,7 @@ from .fincat import (CategoryError, ComputableCategory, Functor,
                      IdentityFunctor, NatIso, NatTrans)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceObj:
     """An object of C/B: a carrier with its structure map to the base."""
 
@@ -43,7 +43,7 @@ class SliceObj:
         return f"⟨{self.to_base!r}⟩"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceMor:
     """A commuting triangle between slice objects."""
 
@@ -174,9 +174,11 @@ class ChangeOfBase(CartFunctor):
 
     def pullback_of(self, x: SliceObj) -> Pullback:
         """The chosen pullback of x.to_base and u; obj(x) is its pr2."""
-        if x not in self._pullbacks:
+        try:
+            return self._pullbacks[x]
+        except KeyError:
             self.obj(x)
-        return self._pullbacks[x]
+            return self._pullbacks[x]
 
     def top(self, x: SliceObj) -> FinFunction:
         return self.pullback_of(x).pr1

@@ -1,14 +1,15 @@
+import collections
 import itertools
 from dataclasses import dataclass
 
-from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, FinCategory,
-                                FullSubcategory, Functor, IdentityFunctor,
+from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, ComputableCategory,
+                                FinCategory, FullSubcategory, Functor, IdentityFunctor,
                                 NatIso, NatTrans, TableFunctor, chain_category,
                                 discrete_category, find_isomorphism,
                                 is_equivalence, is_essentially_surjective,
                                 is_faithful, is_full, parallel_pair_category,
                                 validate_category)
-from descent_kit.finset import FinFunction, canonical_set
+from descent_kit.finset import EMPTY, FinFunction, FinSetObj, canonical_set
 from descent_kit.slices import FinSetCategory
 
 
@@ -230,3 +231,48 @@ class OneArrow(Category):
 def test_identity_on_plain_value_arrows_is_equivalence():
     report = is_equivalence(IdentityFunctor(OneArrow()))
     assert report.level == EQUIVALENCE, report
+
+
+class CountedEnumeration(ComputableCategory):
+    """Enumerations that count their calls; every hom-set is empty."""
+
+    def __init__(self, calls):
+        super().__init__(bound=1)
+        self.calls = calls
+
+    def _objects(self, bound):
+        self.calls["objects", bound] += 1
+        return [] if bound == 0 else ["x", "y"]
+
+    def _hom(self, x, y):
+        self.calls["hom", (x, y)] += 1
+        return []
+
+
+def test_each_memo_calls_its_callable_once_per_key_and_returns_the_same_object():
+    cat = chain_category(2)
+    objs, mors = cat.objects(), cat.morphisms()
+    # every other value is EMPTY, whose length is 0: a memo that tested the
+    # truth of a cached value would call its callable again
+    values = {k: EMPTY if i % 2 == 0 else FinSetObj((i,)) for i, k in enumerate(objs + mors)}
+    calls = collections.Counter()
+
+    def counted(tag):
+        def build(x):
+            calls[tag, x] += 1
+            return values[x]
+        return build
+
+    functor = Functor(cat, cat, counted("obj"), counted("mor"))
+    iso = NatIso(IdentityFunctor(cat), IdentityFunctor(cat), counted("at"), counted("inv_at"))
+    computed = CountedEnumeration(calls)
+    for _ in range(3):
+        for memo, keys in [(functor.obj, objs), (functor.mor, mors),
+                           (iso.at, objs), (iso.inv_at, objs)]:
+            for k in keys:
+                assert memo(k) is values[k]
+        assert computed.objects(0) == [] and computed.objects() == ["x", "y"]
+        hom = computed.hom("x", "y")
+        assert hom == [] and computed.hom("x", "y") is hom
+    assert len(calls) == 3 * len(objs) + len(mors) + 3
+    assert set(calls.values()) == {1}

@@ -65,6 +65,61 @@ def test_function_totality_checked():
         FinFunction(x, y, (("a", "z"), ("b", "c")))
 
 
+AB, CD = FinSetObj(("a", "b")), FinSetObj(("c", "d"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FinSetObj(("a", "b", "a")), "duplicate labels"),
+    (lambda: FinFunction(AB, CD, (("a", "c"),)), "every domain element once"),
+    (lambda: FinFunction(AB, CD, (("a", "c"), ("b", "d"), ("a", "c"))),
+     "every domain element once"),
+    (lambda: FinFunction(AB, CD, (("b", "d"), ("a", "c"))), "every domain element once"),
+    (lambda: FinFunction(AB, CD, (("a", "c"), ("b", "d"), ("x", "c"))),
+     "every domain element once"),
+    (lambda: FinFunction(AB, CD, (("a", "c"), ("b", "z"))), "image 'z' of 'b'"),
+    (lambda: FinFunction(AB, CD, (("a", ["c"]), ("b", "d"))), r"image \['c'\] of 'a'"),
+], ids=["duplicate-labels", "missing-domain-element", "repeated-pair", "out-of-order",
+        "extra-element", "image-outside-codomain", "unhashable-image"])
+def test_malformed_input_raises_finset_error(build, message):
+    with pytest.raises(FinSetError, match=message):
+        build()
+
+
+@given(cospans())
+def test_derived_functions_equal_and_hash_equal_direct_ones(cospan):
+    f, g = cospan
+
+    def direct(dom, cod, pairs):
+        """Built from fresh tuples, sharing no object with the derived one."""
+        return FinFunction(FinSetObj(tuple(list(dom))), FinSetObj(tuple(list(cod))),
+                           tuple(pairs))
+
+    pb = pullback(f, g)
+    carrier = [(x, y) for x in f.dom for y in g.dom if f(x) == g(y)]
+    diagonal = direct(carrier, f.cod, ((t, f(t[0])) for t in carrier))
+    derived_and_direct = [
+        (pb.pr1, direct(carrier, f.dom, ((t, t[0]) for t in carrier))),
+        (pb.pr2, direct(carrier, g.dom, ((t, t[1]) for t in carrier))),
+        (pb.pr1.then(f), diagonal),
+        (pb.pr2.then(g), diagonal),
+        (FinFunction.identity(f.dom), direct(f.dom, f.dom, ((x, x) for x in f.dom))),
+        (mediating_map(pb, pb.pr1, pb.pr2), direct(carrier, carrier, ((t, t) for t in carrier))),
+        (FinFunction.of(f.dom, f.cod, dict(f.mapping)), direct(f.dom, f.cod, f.mapping)),
+    ]
+    for derived, built in derived_and_direct:
+        assert derived == built and hash(derived) == hash(built)
+        assert derived.dom == built.dom and hash(derived.dom) == hash(built.dom)
+
+
+def test_image_and_quotient_keep_element_order():
+    f = FinFunction.of(FinSetObj(("p", "q", "r", "s")), FinSetObj(("c", "b", "a", "z")),
+                       {"p": "a", "q": "c", "r": "a", "s": "b"})
+    assert f.image().elements == ("c", "b", "a")
+    q, proj = quotient(FinSetObj(("d", "c", "b", "a")), [("a", "c"), ("b", "d")])
+    assert q.elements == ("d", "c")
+    assert [proj(e) for e in "dcba"] == ["d", "c", "d", "c"]
+
+
 def test_pullback_over_point_is_product():
     ab = FinSetObj(("a", "b"))
     pt = FinSetObj(("*",))

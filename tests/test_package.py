@@ -1,13 +1,17 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library module
-imports a name it never uses, and the benchmark can still drive the
-library."""
+imports a name it never uses, the most numerous value classes stay
+slotted, and the benchmark can still drive the library."""
 
 import ast
 import importlib
 import pathlib
 
 import pytest
+
+from descent_kit.cosimplicial import basic_fibration
+from descent_kit.descent import DescCategory
+from descent_kit.finset import FinFunction, FinSetObj
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -51,6 +55,19 @@ def test_library_has_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []
+
+
+def test_value_classes_have_no_instance_dict():
+    """Millions of these values are built; slots keep the hash each stores
+    from costing more memory than a per-instance __dict__ saved."""
+    point = FinSetObj(("*",))
+    fib = basic_fibration(FinFunction.of(FinSetObj(("a", "b")), point, lambda _: "*"), 2)
+    desc = DescCategory(fib, 2)
+    datum = desc.objects()[-1]
+    values = [desc.identity(datum), datum, datum.w, datum.rho, datum.rho.fn, point]
+    assert [type(v).__name__ for v in values] == [
+        "DescMor", "DescentDatum", "SliceObj", "SliceMor", "FinFunction", "FinSetObj"]
+    assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
 
 
 def test_benchmark_still_drives_the_library(monkeypatch):
