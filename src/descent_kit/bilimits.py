@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import (Category, CategoryError, ComputableCategory,
-                     EquivalenceReport, Functor, NatIso, NatTrans,
-                     all_isomorphisms, is_equivalence, two_sided_inverse)
+                     EquivalenceReport, Functor, NatTrans, all_isomorphisms,
+                     is_equivalence)
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,6 @@ class PseudoPullbackCategory(CommaCategory):
     def _connectors(self, fc, gd):
         return [f for (f, _) in all_isomorphisms(self.f.dst, fc, gd)]
 
-    def filler(self) -> NatIso:
-        e = self.f.dst
-
-        def inverse(x):
-            g = two_sided_inverse(e, x.phi, e.hom(x.phi.dst, x.phi.src))
-            if g is None:
-                raise CategoryError(f"filler at {x} is not invertible")
-            return g
-
-        return NatIso(self.proj1().then(self.f), self.proj2().then(self.g),
-                      lambda x: x.phi, inverse, name="filler")
-
 
 def pseudopullback(f: Functor, g: Functor, bound: int = 3) -> PseudoPullbackCategory:
     return PseudoPullbackCategory(f, g, bound)
@@ -137,7 +125,7 @@ class PsSquare:
     p2: Functor  # corner -> D
     f: Functor   # C -> E
     g: Functor   # D -> E
-    filler: NatIso
+    filler: NatTrans
 
 
 def square_comparison(square: PsSquare, bound: int = 3) -> Functor:
@@ -156,9 +144,9 @@ def square_comparison(square: PsSquare, bound: int = 3) -> Functor:
 
 def is_pseudopullback_square(square: PsSquare, bound: int = 3) -> tuple[bool, EquivalenceReport]:
     """Equivalence of the canonical comparison, with the failing check as witness."""
-    naturality = square.filler.check_naturality(bound)
-    if naturality:
-        raise CategoryError("malformed square: " + "; ".join(naturality))
+    malformed = square.filler.check_iso(bound)
+    if malformed:
+        raise CategoryError("malformed square: " + "; ".join(malformed))
     comparison = square_comparison(square, bound)
     report = is_equivalence(comparison, bound)
     return report.level == "Equivalence", report

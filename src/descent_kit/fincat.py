@@ -9,11 +9,18 @@ class memoizes both, once per bound and once per pair.  Objects and
 morphisms are values: they are compared and hashed as themselves,
 component by component.
 
-Functors (``obj``, ``mor``) and transformations (``at``, ``inv_at``)
-memoize their callables per key, so a value is built once and handed out
-identically ever after.  A memo hit costs one dictionary lookup, hence
-one hash of the key; a miss calls the callable once and stores what it
-returns, falsy values such as the empty set included.
+Functors (``obj``, ``mor``) and transformations (``at``) memoize their
+callables per key, so a value is built once and handed out identically
+ever after.  A memo hit costs one dictionary lookup, hence one hash of
+the key; a miss calls the callable once and stores what it returns, falsy
+values such as the empty set included.  A ``Functor`` subclass writes
+``_on_obj`` / ``_on_mor`` as methods, the way a ``ComputableCategory``
+subclass writes ``_objects`` / ``_hom``, so no functor holds a reference
+to itself and each is freed as soon as it is dropped.
+
+A transformation is invertible when each component is: invertibility is
+checked (``Category.is_isomorphism``), never supplied as a second piece of
+data.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -57,6 +64,10 @@ class Category:
         """compose(g, f) means "f then g"; defined only when cod(f) = dom(g)."""
         raise NotImplementedError
 
+    def is_isomorphism(self, m) -> bool:
+        """Whether m has a two-sided inverse, found by search of hom(cod m, dom m)."""
+        return two_sided_inverse(self, m, self.hom(m.dst, m.src)) is not None
+
 
 class FinCategory(Category):
     """Explicit finite category backed by a composition table."""
@@ -99,9 +110,6 @@ class FinCategory(Category):
             return self._mors[self._table[(g.name, f.name)]]
         except KeyError:
             raise CategoryError(f"composition table missing ({g.name}, {f.name})")
-
-    def validate(self) -> list[str]:
-        return validate_category(self)
 
 
 class ComputableCategory(Category):
@@ -212,17 +220,29 @@ def validate_category(cat: Category, bound: Optional[int] = None) -> list[str]:
 
 
 class Functor:
-    """A functor given by object/morphism callables (or tables)."""
+    """A functor given by object/morphism callables (or tables).
 
-    def __init__(self, src: Category, dst: Category, on_obj: Callable, on_mor: Callable,
-                 name: str = ""):
+    A subclass may omit the callables and write ``_on_obj`` / ``_on_mor``
+    as methods instead.
+    """
+
+    def __init__(self, src: Category, dst: Category, on_obj: Optional[Callable] = None,
+                 on_mor: Optional[Callable] = None, name: str = ""):
         self.src = src
         self.dst = dst
-        self._on_obj = on_obj
-        self._on_mor = on_mor
+        if on_obj is not None:
+            self._on_obj = on_obj
+        if on_mor is not None:
+            self._on_mor = on_mor
         self.name = name
         self._obj_cache: dict = {}
         self._mor_cache: dict = {}
+
+    def _on_obj(self, x):
+        raise NotImplementedError
+
+    def _on_mor(self, m):
+        raise NotImplementedError
 
     def obj(self, x):
         try:
@@ -270,17 +290,26 @@ class Functor:
 
 class ComposedFunctor(Functor):
     def __init__(self, first: Functor, second: Functor):
-        super().__init__(first.src, second.dst,
-                         lambda x: second.obj(first.obj(x)),
-                         lambda m: second.mor(first.mor(m)),
-                         name=f"{second.name}∘{first.name}")
+        super().__init__(first.src, second.dst, name=f"{second.name}∘{first.name}")
         self.first = first
         self.second = second
+
+    def _on_obj(self, x):
+        return self.second.obj(self.first.obj(x))
+
+    def _on_mor(self, m):
+        return self.second.mor(self.first.mor(m))
 
 
 class IdentityFunctor(Functor):
     def __init__(self, cat: Category):
-        super().__init__(cat, cat, lambda x: x, lambda m: m, name="Id")
+        super().__init__(cat, cat, name="Id")
+
+    def _on_obj(self, x):
+        return x
+
+    def _on_mor(self, m):
+        return m
 
 
 class TableFunctor(Functor):
@@ -288,12 +317,25 @@ class TableFunctor(Functor):
 
     def __init__(self, src: FinCategory, dst: FinCategory, obj_map: dict, mor_map: dict,
                  name: str = ""):
+        super().__init__(src, dst, name=name)
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
-        super().__init__(src, dst,
-                         lambda x: self.obj_map[x],
-                         lambda m: dst.mor(self.mor_map[m.name]),
-                         name=name)
+
+    def _on_obj(self, x):
+        return self.obj_map[x]
+
+    def _on_mor(self, m):
+        return self.dst.mor(self.mor_map[m.name])
+
+
+def naturality_failures(source: Functor, target: Functor, at: Callable,
+                        bound: Optional[int] = None) -> list:
+    """The morphisms f: x -> y of the enumerated source category at which
+    at(y) ∘ source(f) ≠ target(f) ∘ at(x), in x, y, hom order."""
+    index, cat = source.src, source.dst
+    objs = index.objects(bound)
+    return [f for x in objs for y in objs for f in index.hom(x, y)
+            if cat.compose(at(y), source.mor(f)) != cat.compose(target.mor(f), at(x))]
 
 
 class NatTrans:
@@ -326,47 +368,20 @@ class NatTrans:
 
     def check_naturality(self, bound: Optional[int] = None) -> list[str]:
         report = []
-        src_cat = self.source.src
-        cat = self.source.dst
-        objs = src_cat.objects(bound)
-        for x in objs:
+        for x in self.source.src.objects(bound):
             report.extend(self.check_endpoints(x))
         if report:
             return report
-        for x in objs:
-            for y in objs:
-                for f in src_cat.hom(x, y):
-                    lhs = cat.compose(self.at(y), self.source.mor(f))
-                    rhs = cat.compose(self.target.mor(f), self.at(x))
-                    if lhs != rhs:
-                        report.append(f"{self.name}: naturality fails at {f}")
-        return report
-
-
-class NatIso(NatTrans):
-    def __init__(self, source, target, component, inverse_component, name=""):
-        super().__init__(source, target, component, name=name)
-        self._inv_component = inverse_component
-        self._inv_cache: dict = {}
-
-    def inv_at(self, x):
-        try:
-            return self._inv_cache[x]
-        except KeyError:
-            out = self._inv_cache[x] = self._inv_component(x)
-            return out
-
-    def inverse(self) -> "NatIso":
-        return NatIso(self.target, self.source, self._inv_component, self._component,
-                      name=f"{self.name}⁻¹")
+        return [f"{self.name}: naturality fails at {f}"
+                for f in naturality_failures(self.source, self.target, self.at, bound)]
 
     def check_iso(self, bound: Optional[int] = None) -> list[str]:
+        """Naturality, then invertibility of each component; the inverse
+        components then form a natural transformation too."""
         report = self.check_naturality(bound)
-        report.extend(self.inverse().check_naturality(bound))
         cat = self.source.dst
         for x in self.source.src.objects(bound):
-            f, g = self.at(x), self.inv_at(x)
-            if cat.compose(g, f) != cat.identity(f.src) or cat.compose(f, g) != cat.identity(g.src):
+            if not cat.is_isomorphism(self.at(x)):
                 report.append(f"{self.name}: component at {x} is not invertible")
         return report
 
@@ -435,10 +450,6 @@ def all_isomorphisms(cat: Category, x, y):
     backward = cat.hom(y, x)
     pairs = ((f, two_sided_inverse(cat, f, backward)) for f in cat.hom(x, y))
     return [(f, g) for f, g in pairs if g is not None]
-
-
-def is_isomorphism(cat: Category, m) -> bool:
-    return two_sided_inverse(cat, m, cat.hom(m.dst, m.src)) is not None
 
 
 def is_essentially_surjective(functor: Functor, bound: Optional[int] = None) -> Decision:

@@ -44,10 +44,6 @@ class FinSetObj:
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_hash", hash(self.elements))
 
-    @staticmethod
-    def of(labels: Iterable[Hashable]) -> "FinSetObj":
-        return FinSetObj(tuple(labels))
-
     def __contains__(self, label: Hashable) -> bool:
         return label in self._members
 
@@ -131,9 +127,6 @@ class FinFunction:
         return FinFunction(self.dom, other.cod,
                            tuple((x, other._table[y]) for x, y in self.mapping))
 
-    def after(self, other: "FinFunction") -> "FinFunction":
-        return other.then(self)
-
     @property
     def key(self):
         # read only by perfbench/child.py, as the digest of each input map
@@ -162,11 +155,6 @@ class FinFunction:
     def __repr__(self):
         body = " ".join(f"{x}:{y}" for x, y in self.mapping)
         return f"[{body}]"
-
-
-def compose(g: FinFunction, f: FinFunction) -> FinFunction:
-    """compose(g, f) = f then g."""
-    return f.then(g)
 
 
 class Pullback(NamedTuple):

@@ -15,8 +15,8 @@ from typing import Optional
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
-                     Decision, EquivalenceReport, Functor, NatIso, NatTrans,
-                     find_isomorphism, is_equivalence, is_isomorphism)
+                     Decision, EquivalenceReport, Functor, NatTrans,
+                     find_isomorphism, is_equivalence, naturality_failures)
 from .finset import FinFunction
 from .cosimplicial import BasicFibration, basic_fibration
 from .descent import (DescCategory, DescMor, DescentDatum, canonicalize_datum,
@@ -53,18 +53,16 @@ class Monad:
         return report
 
 
-def induced_monad(adj: Adjunction, bound: Optional[int] = None,
-                  check: bool = True) -> Monad:
+def induced_monad(adj: Adjunction, bound: Optional[int] = None) -> Monad:
     """The monad R∘L of an adjunction; laws verified on enumerated objects."""
     t = adj.left.then(adj.right)
     mu = NatTrans(t.then(t), t,
                   lambda x: adj.right.mor(adj.counit.at(adj.left.obj(x))),
                   name="mu")
     monad = Monad(t, adj.unit, mu)
-    if check:
-        report = monad.check(bound)
-        if report:
-            raise TheoremViolation("adjunction does not induce a monad: " + "; ".join(report))
+    report = monad.check(bound)
+    if report:
+        raise TheoremViolation("adjunction does not induce a monad: " + "; ".join(report))
     return monad
 
 
@@ -170,7 +168,7 @@ class BCSquare:
     f_b: Functor
     adj_w: Adjunction
     adj_c: Adjunction
-    phi: NatIso
+    phi: NatTrans  # invertible
 
 
 def mate(square: BCSquare) -> NatTrans:
@@ -199,10 +197,7 @@ def is_beck_chevalley(square: BCSquare, bound: Optional[int] = None) -> Decision
     truncated = square.f_b.src.bounded
     for x in square.f_b.src.objects(bound):
         comp = m.at(x)
-        if isinstance(comp, SliceMor):
-            if not comp.fn.is_bijective():
-                return Decision(False, (x, comp), truncated)
-        elif not is_isomorphism(cat, comp):
+        if not cat.is_isomorphism(comp):
             return Decision(False, (x, comp), truncated)
     return Decision(True, None, truncated)
 
@@ -387,11 +382,4 @@ def _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound) -> bool:
         if found is None:
             return False
         components[x] = found[0]
-    for x in c0.objects(bound):
-        for y in c0.objects(bound):
-            for f in c0.hom(x, y):
-                lhs = em.compose(components[y], functor.mor(phi.mor(f)))
-                rhs = em.compose(kcomp.mor(f), components[x])
-                if lhs != rhs:
-                    return False
-    return True
+    return not naturality_failures(phi.then(functor), kcomp, components.__getitem__, bound)

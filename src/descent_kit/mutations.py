@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .fincat import NatIso, NatTrans
+from .fincat import NatTrans
 from .finset import FinFunction
 from .cosimplicial import AugCosimplicial3, BasicFibration
 from .descent import (DescCategory, DescentDatum, DescMor, canonicalize_datum,
@@ -38,21 +38,12 @@ def invert_theta(fib: BasicFibration) -> BasicFibration:
     naturality) as soon as some fiber has two elements.
     """
     good = fib.theta
-    # An inverse inverts the component already built, as in
-    # slices.comparison_iso (which says why this is not the NatIso's cache).
-    built: dict = {}
 
     def component(x):
-        if x not in built:
-            c = good.at(x)
-            built[x] = SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
-        return built[x]
+        c = good.at(x)
+        return SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
 
-    def inverse(x):
-        c = component(x)
-        return SliceMor(c.dst, c.src, c.fn.inverse())
-
-    bad = NatIso(good.source, good.target, component, inverse, name="theta (twisted)")
+    bad = NatTrans(good.source, good.target, component, name="theta (twisted)")
     return dataclasses.replace(fib, theta=bad)
 
 

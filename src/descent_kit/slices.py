@@ -9,8 +9,9 @@ Every functor built here tracks a "top" projection F(X) -> X.  Two
 composites of such functors whose underlying base maps agree are pullbacks
 of the same cospan, so their values are canonically isomorphic by matching
 elements on (top, base); ``comparison_iso`` packages that matching as a
-natural isomorphism.  These comparisons are exactly the constraint cells of
-the cosimplicial diagram of a morphism.
+natural transformation whose components are bijections, which is what
+``SliceCategory.is_isomorphism`` tests.  These comparisons are exactly the
+constraint cells of the cosimplicial diagram of a morphism.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Optional
 
 from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
                      all_functions, canonical_set, mediating_map, pullback)
-from .fincat import (CategoryError, ComputableCategory, Functor,
-                     IdentityFunctor, NatIso, NatTrans)
+from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
+                     Functor, IdentityFunctor, NatTrans)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +108,10 @@ class SliceCategory(ComputableCategory):
             raise CategoryError("non-composable slice morphisms")
         return SliceMor(f.src, g.dst, f.fn.then(g.fn))
 
+    def is_isomorphism(self, m: SliceMor) -> bool:
+        """A commuting triangle is invertible exactly when its map is a bijection."""
+        return m.fn.is_bijective()
+
 
 def _vectors(k: int, total: int):
     """All k-vectors of naturals with sum <= total, lexicographically."""
@@ -135,23 +140,12 @@ class CartFunctor(Functor):
         return super().then(other)
 
 
-class ComposedCartFunctor(CartFunctor):
-    def __init__(self, first: CartFunctor, second: CartFunctor):
-        Functor.__init__(self, first.src, second.dst,
-                         lambda x: second.obj(first.obj(x)),
-                         lambda m: second.mor(first.mor(m)),
-                         name=f"{second.name}∘{first.name}")
-        self.first = first
-        self.second = second
-
+class ComposedCartFunctor(ComposedFunctor, CartFunctor):
     def top(self, x: SliceObj) -> FinFunction:
         return self.second.top(self.first.obj(x)).then(self.first.top(x))
 
 
-class IdentityCartFunctor(CartFunctor):
-    def __init__(self, cat: SliceCategory):
-        Functor.__init__(self, cat, cat, lambda x: x, lambda m: m, name="Id")
-
+class IdentityCartFunctor(IdentityFunctor, CartFunctor):
     def top(self, x: SliceObj) -> FinFunction:
         return FinFunction.identity(x.carrier)
 
@@ -162,12 +156,11 @@ class ChangeOfBase(CartFunctor):
     def __init__(self, u: FinFunction, src: SliceCategory, dst: SliceCategory):
         if src.base != u.cod or dst.base != u.dom:
             raise CategoryError("change of base must go from C/cod(u) to C/dom(u)")
+        super().__init__(src, dst, name=f"({u!r})*")
         self.u = u
         self._pullbacks: dict = {}
-        Functor.__init__(self, src, dst, self._apply_obj, self._apply_mor,
-                         name=f"({u!r})*")
 
-    def _apply_obj(self, x: SliceObj) -> SliceObj:
+    def _on_obj(self, x: SliceObj) -> SliceObj:
         pb = pullback(x.to_base, self.u)
         self._pullbacks[x] = pb
         return SliceObj(pb.pr2)
@@ -183,7 +176,7 @@ class ChangeOfBase(CartFunctor):
     def top(self, x: SliceObj) -> FinFunction:
         return self.pullback_of(x).pr1
 
-    def _apply_mor(self, m: SliceMor) -> SliceMor:
+    def _on_mor(self, m: SliceMor) -> SliceMor:
         fx, fy = self.obj(m.src), self.obj(m.dst)
         q1 = self.top(m.src).then(m.fn)
         fn = mediating_map(self.pullback_of(m.dst), q1, fx.to_base)
@@ -196,11 +189,14 @@ class SigmaAlong(CartFunctor):
     def __init__(self, u: FinFunction, src: SliceCategory, dst: SliceCategory):
         if src.base != u.dom or dst.base != u.cod:
             raise CategoryError("sigma must go from C/dom(u) to C/cod(u)")
+        super().__init__(src, dst, name=f"Σ({u!r})")
         self.u = u
-        Functor.__init__(self, src, dst,
-                         lambda x: SliceObj(x.to_base.then(u)),
-                         lambda m: SliceMor(self.obj(m.src), self.obj(m.dst), m.fn),
-                         name=f"Σ({u!r})")
+
+    def _on_obj(self, x: SliceObj) -> SliceObj:
+        return SliceObj(x.to_base.then(self.u))
+
+    def _on_mor(self, m: SliceMor) -> SliceMor:
+        return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
 
     def top(self, x: SliceObj) -> FinFunction:
         return FinFunction.identity(x.carrier)
@@ -242,33 +238,23 @@ def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunc
     return FinFunction.of(src, dst, assignment)
 
 
-def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatIso:
+def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     """Canonical natural isomorphism F => G between composites of
     change-of-base functors whose underlying base maps agree.
 
-    The component at x matches elements of F(x) and G(x) on (top, base).
+    The component at x matches elements of F(x) and G(x) on (top, base);
+    it is a bijection, or building it raises.
     """
 
-    # An inverse inverts the component already built.  It reads `built`, not
-    # the NatIso's cache: a closure over the NatIso would make it a cycle
-    # whose caches outlive their diagram until the next cyclic collection.
-    built: dict = {}
-
     def component(x: SliceObj) -> SliceMor:
-        if x not in built:
-            fx, gx = f.obj(x), g.obj(x)
-            fn = match_by_legs(fx.carrier, [f.top(x), fx.to_base],
-                               gx.carrier, [g.top(x), gx.to_base])
-            if not fn.is_bijective():
-                raise FinSetError(f"comparison {name} not invertible at {x}")
-            built[x] = SliceMor(fx, gx, fn)
-        return built[x]
+        fx, gx = f.obj(x), g.obj(x)
+        fn = match_by_legs(fx.carrier, [f.top(x), fx.to_base],
+                           gx.carrier, [g.top(x), gx.to_base])
+        if not fn.is_bijective():
+            raise FinSetError(f"comparison {name} not invertible at {x}")
+        return SliceMor(fx, gx, fn)
 
-    def inverse(x: SliceObj) -> SliceMor:
-        c = component(x)
-        return SliceMor(c.dst, c.src, c.fn.inverse())
-
-    return NatIso(f, g, component, inverse, name=name)
+    return NatTrans(f, g, component, name=name)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from descent_kit.bilimits import (CommaCategory, PsSquare, WedgeObj, comma,
                                   is_pseudopullback_square, pseudopullback,
                                   square_comparison)
 from descent_kit.fincat import (FullSubcategory, Functor, IdentityFunctor,
-                                NatIso, chain_category, discrete_category,
+                                NatTrans, chain_category, discrete_category,
                                 find_isomorphism, validate_category)
 from descent_kit.finset import FinSetObj, canonical_set
 from descent_kit.slices import FinSetCategory
@@ -19,8 +19,8 @@ def test_pseudopullback_along_identity_is_graph():
     c = chain_category(2)
     square = PsSquare(corner=c, p1=IdentityFunctor(c), p2=IdentityFunctor(c),
                       f=IdentityFunctor(c), g=IdentityFunctor(c),
-                      filler=NatIso(IdentityFunctor(c), IdentityFunctor(c),
-                                    lambda x: c.identity(x), lambda x: c.identity(x)))
+                      filler=NatTrans(IdentityFunctor(c), IdentityFunctor(c),
+                                      lambda x: c.identity(x)))
     ok, report = is_pseudopullback_square(square, 3)
     assert ok, report
 
@@ -85,11 +85,10 @@ def test_full_subcategory_of_pseudopullback_missing_class_fails():
     sub = FullSubcategory(pp, lambda x: len(x.c) != 2, name="missing class")
     square = PsSquare(corner=sub, p1=sub.inclusion().then(pp.proj1()),
                       p2=sub.inclusion().then(pp.proj2()), f=f, g=f,
-                      filler=NatIso(
+                      filler=NatTrans(
                           sub.inclusion().then(pp.proj1()).then(f),
                           sub.inclusion().then(pp.proj2()).then(f),
-                          lambda x: x.phi,
-                          lambda x: x.phi.inverse()))
+                          lambda x: x.phi))
     ok, report = is_pseudopullback_square(square, 2)
     assert not ok
     assert not report.essentially_surjective.ok

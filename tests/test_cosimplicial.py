@@ -1,6 +1,10 @@
+import collections
+import dataclasses
+
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
+from descent_kit.fincat import NatTrans
 from descent_kit.finset import FinFunction, FinSetObj, canonical_set, all_functions
-from descent_kit.fincat import NatIso
+from descent_kit.mutations import invert_theta
 from descent_kit.slices import SliceMor
 
 
@@ -64,7 +68,7 @@ def test_basic_fibration_coherence_small_sweep():
 def test_theta_inverse_is_natural():
     p = fn("ab", "*", lambda _: "*")
     fib = basic_fibration(p, 2)
-    assert fib.theta.inverse().check_naturality(2) == []
+    assert fib.theta.check_iso(2) == []
 
 
 def test_tampered_theta_detected():
@@ -77,3 +81,37 @@ def test_tampered_theta_detected():
     assert not rep.is_empty()
     assert any("presentation" in f.equation or "naturality" in f.equation
                for f in rep.failures)
+
+
+def test_gate_on_twisted_theta_over_small_maps():
+    # every map m -> n with m <= 3 and 1 <= n <= 2; at bound 1 no fiber has
+    # two elements to swap, at bound 2 only theta's naturality breaks
+    maps = [p for m in range(4) for n in range(1, 3)
+            for p in all_functions(canonical_set(m, "e"), canonical_set(n, "b"))]
+    assert len(maps) == 19
+    for bound, want in [(1, {}), (2, {"theta: naturality": 100})]:
+        seen = collections.Counter(
+            f.equation for p in maps
+            for f in validate_coherence(invert_theta(basic_fibration(p, bound)), bound).failures)
+        assert dict(seen) == want, bound
+
+
+def test_gate_reports_non_invertible_cell():
+    # n0 with each fiber collapsed onto its first point: well typed, and a
+    # bijection exactly where every fiber has at most one point
+    fib = basic_fibration(fn("ab", "*", lambda _: "*"), 2)
+    good = fib.n0
+
+    def collapsed(x):
+        c = good.at(x)
+        first = {}
+        for e in c.dst.carrier.elements:
+            first.setdefault(c.dst.to_base(e), e)
+        return SliceMor(c.src, c.dst, FinFunction.of(
+            c.src.carrier, c.dst.carrier, lambda u: first[c.dst.to_base(c.fn(u))]))
+
+    broken = dataclasses.replace(fib, n0=NatTrans(good.source, good.target, collapsed))
+    rep = validate_coherence(broken, 2)
+    flagged = [f.witness for f in rep.failures if f.equation == "n0: not invertible"]
+    assert flagged == [x for x in fib.c1.objects(2) if not x.to_base.is_injective()]
+    assert flagged

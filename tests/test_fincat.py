@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, ComputableCategory,
                                 FinCategory, FullSubcategory, Functor, IdentityFunctor,
-                                NatIso, NatTrans, TableFunctor, chain_category,
+                                NatTrans, TableFunctor, chain_category,
                                 discrete_category, find_isomorphism,
                                 is_equivalence, is_essentially_surjective,
                                 is_faithful, is_full, parallel_pair_category,
@@ -200,8 +200,19 @@ def test_nattrans_naturality_checked():
 def test_natiso_requires_two_sided_inverse():
     cat = chain_category(2)
     ident = IdentityFunctor(cat)
-    iso = NatIso(ident, ident, lambda x: cat.identity(x), lambda x: cat.identity(x))
+    iso = NatTrans(ident, ident, lambda x: cat.identity(x))
     assert iso.check_iso() == []
+
+
+def test_check_iso_searches_for_inverses():
+    # 0 -> 1 between the two constant functors is natural but not invertible
+    cat = chain_category(2)
+    const = {x: Functor(cat, cat, lambda _, x=x: x, lambda _, x=x: cat.identity(x))
+             for x in cat.objects()}
+    arrow = NatTrans(const["0"], const["1"], lambda _: cat.mor("m01"), name="arrow")
+    assert arrow.check_naturality() == []
+    assert arrow.check_iso() == [f"arrow: component at {x} is not invertible"
+                                 for x in cat.objects()]
 
 
 @dataclass(frozen=True)
@@ -264,15 +275,15 @@ def test_each_memo_calls_its_callable_once_per_key_and_returns_the_same_object()
         return build
 
     functor = Functor(cat, cat, counted("obj"), counted("mor"))
-    iso = NatIso(IdentityFunctor(cat), IdentityFunctor(cat), counted("at"), counted("inv_at"))
+    iso = NatTrans(IdentityFunctor(cat), IdentityFunctor(cat), counted("at"))
     computed = CountedEnumeration(calls)
     for _ in range(3):
         for memo, keys in [(functor.obj, objs), (functor.mor, mors),
-                           (iso.at, objs), (iso.inv_at, objs)]:
+                           (iso.at, objs)]:
             for k in keys:
                 assert memo(k) is values[k]
         assert computed.objects(0) == [] and computed.objects() == ["x", "y"]
         hom = computed.hom("x", "y")
         assert hom == [] and computed.hom("x", "y") is hom
-    assert len(calls) == 3 * len(objs) + len(mors) + 3
+    assert len(calls) == 2 * len(objs) + len(mors) + 3
     assert set(calls.values()) == {1}

@@ -1,17 +1,20 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library module
 imports a name it never uses, the most numerous value classes stay
-slotted, and the benchmark can still drive the library."""
+slotted, a dropped diagram leaves no cyclic garbage, and the benchmark can
+still drive the library."""
 
 import ast
+import gc
 import importlib
 import pathlib
 
 import pytest
 
-from descent_kit.cosimplicial import basic_fibration
+from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.descent import DescCategory
 from descent_kit.finset import FinFunction, FinSetObj
+from descent_kit.mutations import invert_theta
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -68,6 +71,29 @@ def test_value_classes_have_no_instance_dict():
     assert [type(v).__name__ for v in values] == [
         "DescMor", "DescentDatum", "SliceObj", "SliceMor", "FinFunction", "FinSetObj"]
     assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
+
+
+def test_dropped_diagram_leaves_no_cyclic_garbage():
+    """No functor holds a reference to itself and no cell carries an
+    inverse, so reference counting alone frees a dropped diagram; garbage
+    left to the cyclic collector would keep every memo alive until it runs."""
+
+    def build_and_drop():
+        point = FinSetObj(("*",))
+        fib = basic_fibration(FinFunction.of(FinSetObj(("a", "b")), point, lambda _: "*"), 2)
+        ok = validate_coherence(fib, 2).is_empty()
+        caught = not validate_coherence(invert_theta(fib), 2).is_empty()
+        return ok, caught, len(DescCategory(fib, 2).objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        ok, caught, n_data = build_and_drop()
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert ok and caught and n_data > 0
+    assert leftover == 0
 
 
 def test_benchmark_still_drives_the_library(monkeypatch):
