@@ -203,23 +203,41 @@ class DescCategory(ComputableCategory):
             for e in changed:
                 del assignment[e]
 
-        def search(i):
+        # The search runs on an explicit stack, not by recursion: a nested
+        # function that calls itself is a reference cycle, which would keep
+        # every call's state alive until the cyclic collector runs.  A frame
+        # is [index, candidates left, changes forced by the current one].
+        stack: list = []
+        i = 0
+        while True:
             while i < len(elems) and elems[i] in assignment:
                 i += 1
             if i == len(elems):
                 fn = FinFunction.of(wx.carrier, wy.carrier, dict(assignment))
                 out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
-                return
-            e = elems[i]
-            for cand in fiber_y.get(wx.to_base(e), []):
-                assignment[e] = cand
-                changed = propagate([e])
+            else:
+                stack.append([i, iter(fiber_y.get(wx.to_base(elems[i]), [])), None])
+            # backtrack to the deepest element with a candidate that propagates
+            while stack:
+                frame = stack[-1]
+                i, cands, changed = frame
+                e = elems[i]
                 if changed is not None:
-                    search(i + 1)
                     undo(changed)
-                del assignment[e]
-
-        search(0)
+                    del assignment[e]
+                for cand in cands:
+                    assignment[e] = cand
+                    frame[2] = propagate([e])
+                    if frame[2] is not None:
+                        break
+                    del assignment[e]
+                else:
+                    stack.pop()
+                    continue
+                break
+            if not stack:
+                break
+            i += 1
         out.sort(key=lambda mor: mor.m.fn.mapping)
         return out
 

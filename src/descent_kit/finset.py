@@ -9,12 +9,14 @@ tuples and a witness prints as Python's own repr of them.
 
 Every ``FinFunction`` is built by its one constructor, which checks it:
 composites and mediating maps included, since a codomain check is what
-makes ``mediating_map`` a commutation check.  The checks are set
-operations: a ``FinSetObj`` keeps its elements as a frozenset, so
-membership costs one hash.  Both classes take their hash once, at
-construction, because every memo of the library hashes its keys through
-them; both are slotted, so the stored hash and set cost no per-instance
-dictionary.
+makes ``mediating_map`` a commutation check.  Change of base in
+``slices`` builds its mediating maps into a chosen pullback directly from
+the two legs, with that same one constructor and so the same check.  The
+checks are set operations: a ``FinSetObj`` keeps its elements as a
+frozenset, so membership costs one hash.  Both classes take their hash
+once, at construction, because every memo of the library hashes its keys
+through them, and so do the slice values built on them; all are slotted,
+so the stored hash and set cost no per-instance dictionary.
 """
 
 from __future__ import annotations
@@ -167,11 +169,16 @@ def pullback(f: FinFunction, g: FinFunction) -> Pullback:
     """Chosen pullback of a cospan f: X -> Z <- Y : g.
 
     The carrier is the set of tuples (x, y) with f(x) = g(y), ordered
-    lexicographically in the (dom(f), dom(g)) element orders.
+    lexicographically in the (dom(f), dom(g)) element orders.  It is built
+    by fiber: dom(g) is indexed by image once, and each x is paired with
+    the fiber of g over f(x), in dom(g) order.
     """
     if f.cod != g.cod:
         raise FinSetError(f"codomain mismatch: {f.cod} vs {g.cod}")
-    pairs = tuple((x, y) for x in f.dom.elements for y in g.dom.elements if f(x) == g(y))
+    fiber_of: dict = {}
+    for y, z in g.mapping:
+        fiber_of.setdefault(z, []).append(y)
+    pairs = tuple((x, y) for x, z in f.mapping for y in fiber_of.get(z, ()))
     obj = FinSetObj(pairs)
     pr1 = FinFunction(obj, f.dom, tuple((t, t[0]) for t in pairs))
     pr2 = FinFunction(obj, g.dom, tuple((t, t[1]) for t in pairs))

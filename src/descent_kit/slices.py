@@ -1,9 +1,14 @@
 """Slice categories over the finite-sets backend and change of base.
 
 A slice object over B is a function X -> B; a morphism is a commuting
-triangle.  Change of base along p: E -> B is pullback along p, with the
+triangle.  Both store their hash at construction, as ``FinFunction``
+does, since the memos of functors and transformations hash them on every
+lookup.  Change of base along p: E -> B is pullback along p, with the
 chosen pullbacks of finset; each functor caches its values so repeated
-applications return identical (not merely isomorphic) results.
+applications return identical (not merely isomorphic) results.  On a
+morphism it builds the mediating map into the chosen pullback directly
+from the two legs, one checked function whose codomain check is the
+check that the triangle commutes.
 
 Every functor built here tracks a "top" projection F(X) -> X.  Two
 composites of such functors whose underlying base maps agree are pullbacks
@@ -17,7 +22,7 @@ constraint cells of the cosimplicial diagram of a morphism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
@@ -31,6 +36,14 @@ class SliceObj:
     """An object of C/B: a carrier with its structure map to the base."""
 
     to_base: FinFunction
+
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.to_base,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def carrier(self) -> FinSetObj:
@@ -52,10 +65,16 @@ class SliceMor:
     dst: SliceObj
     fn: FinFunction
 
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+
     def __post_init__(self):
         if self.fn.dom != self.src.carrier or self.fn.cod != self.dst.carrier:
             raise CategoryError(f"{self.fn!r} does not run between the carriers "
                                 f"of {self.src!r} and {self.dst!r}")
+        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.fn)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.fn!r}:{self.src!r}→{self.dst!r}"
@@ -177,9 +196,13 @@ class ChangeOfBase(CartFunctor):
         return self.pullback_of(x).pr1
 
     def _on_mor(self, m: SliceMor) -> SliceMor:
+        """The mediating map w |-> (m(top(w)), base(w)) into the pullback of
+        m.dst, built from the two legs of w in one checked function: its
+        codomain check is the check that m commutes over the base."""
         fx, fy = self.obj(m.src), self.obj(m.dst)
-        q1 = self.top(m.src).then(m.fn)
-        fn = mediating_map(self.pullback_of(m.dst), q1, fx.to_base)
+        legs = zip(self.top(m.src).mapping, fx.to_base.mapping)
+        fn = FinFunction(fx.carrier, self.pullback_of(m.dst).obj,
+                         tuple((w, (m.fn(x), a)) for (w, x), (_, a) in legs))
         return SliceMor(fx, fy, fn)
 
 

@@ -1,20 +1,22 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library module
 imports a name it never uses, the most numerous value classes stay
-slotted, a dropped diagram leaves no cyclic garbage, and the benchmark can
-still drive the library."""
+slotted, a dropped diagram leaves no cyclic garbage, memo keys store
+their hash, and the benchmark can still drive the library."""
 
 import ast
 import gc
 import importlib
 import pathlib
+import sys
 
 import pytest
 
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
-from descent_kit.descent import DescCategory
+from descent_kit.descent import DescCategory, classify
 from descent_kit.finset import FinFunction, FinSetObj
 from descent_kit.mutations import invert_theta
+from descent_kit.slices import SliceMor, SliceObj
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -74,26 +76,57 @@ def test_value_classes_have_no_instance_dict():
 
 
 def test_dropped_diagram_leaves_no_cyclic_garbage():
-    """No functor holds a reference to itself and no cell carries an
-    inverse, so reference counting alone frees a dropped diagram; garbage
-    left to the cyclic collector would keep every memo alive until it runs."""
+    """No functor holds a reference to itself, no cell carries an inverse
+    and the hom search does not call itself through a closure, so reference
+    counting alone frees a dropped diagram, its homs and a classification;
+    garbage left to the cyclic collector would keep every memo alive until
+    it runs."""
 
     def build_and_drop():
         point = FinSetObj(("*",))
-        fib = basic_fibration(FinFunction.of(FinSetObj(("a", "b")), point, lambda _: "*"), 2)
+        p = FinFunction.of(FinSetObj(("a", "b")), point, lambda _: "*")
+        fib = basic_fibration(p, 2)
         ok = validate_coherence(fib, 2).is_empty()
         caught = not validate_coherence(invert_theta(fib), 2).is_empty()
-        return ok, caught, len(DescCategory(fib, 2).objects())
+        desc = DescCategory(fib, 2)
+        data = desc.objects()
+        n_mors = sum(len(desc.hom(x, y)) for x in data for y in data)
+        return ok, caught, len(data), n_mors, classify(p, 2).verdict
 
     gc.collect()
     gc.disable()
     try:
-        ok, caught, n_data = build_and_drop()
+        ok, caught, n_data, n_mors, verdict = build_and_drop()
         leftover = gc.collect()
     finally:
         gc.enable()
-    assert ok and caught and n_data > 0
+    assert ok and caught and (n_data, n_mors, verdict) == (2, 3, "Effective")
     assert leftover == 0
+
+
+def test_memo_key_values_store_their_hash():
+    """Every memo lookup hashes its key; the value classes used as keys
+    return a hash stored at construction instead of hashing their fields
+    through a generated __hash__, and equal values still hash equal."""
+
+    def build():
+        carrier = FinSetObj(tuple(["u", "v"]))
+        obj = SliceObj(FinFunction(carrier, FinSetObj(tuple(["x", "y"])),
+                                   tuple([("u", "x"), ("v", "y")])))
+        mor = SliceMor(obj, obj, FinFunction(carrier, FinSetObj(tuple(["u", "v"])),
+                                             tuple([("u", "u"), ("v", "v")])))
+        return obj, mor
+
+    (obj, mor), (obj2, mor2) = build(), build()
+    assert obj == obj2 and hash(obj) == hash(obj2)
+    assert mor == mor2 and hash(mor) == hash(mor2)
+    for value in (obj.carrier, obj.to_base, obj, mor):
+        cls = type(value)
+        hash_fn = cls.__dict__.get("__hash__")
+        assert hash_fn is not None, cls.__name__
+        defined_in = pathlib.Path(hash_fn.__code__.co_filename)
+        assert defined_in == pathlib.Path(sys.modules[cls.__module__].__file__), cls.__name__
+        assert "_hash" in cls.__slots__ and hash(value) == value._hash, cls.__name__
 
 
 def test_benchmark_still_drives_the_library(monkeypatch):

@@ -2,8 +2,8 @@ import pytest
 
 from descent_kit.fincat import (CategoryError, IdentityFunctor, is_faithful,
                              validate_category)
-from descent_kit.finset import (EMPTY, FinFunction, FinSetObj, all_functions,
-                                canonical_set)
+from descent_kit.finset import (EMPTY, FinFunction, FinSetError, FinSetObj,
+                                all_functions, canonical_set, mediating_map)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor,
                                 comparison_iso, sigma_pullback_adjunction)
@@ -189,3 +189,35 @@ def test_slice_mor_between_wrong_carriers_is_rejected():
     one, two = slice_over(["*"], bound=2).objects()[1:]
     with pytest.raises(CategoryError):
         SliceMor(one, two, FinFunction.identity(one.carrier))
+
+
+def test_change_of_base_on_morphisms_is_the_mediating_map():
+    # every morphism of C/B at bound 2, over the base of every map
+    # m -> n (m <= 3, 1 <= n <= 2): the direct build agrees with the
+    # mediating map of the composite leg and the base leg
+    maps = [p for m in range(4) for n in range(1, 3)
+            for p in _all_functions_between(m, n)]
+    assert len(maps) == 19
+    checked = 0
+    for u in maps:
+        cb = SliceCategory(u.cod, 2)
+        cob = ChangeOfBase(u, cb, SliceCategory(u.dom, 2))
+        for x in cb.objects():
+            for y in cb.objects():
+                for m in cb.hom(x, y):
+                    expected = mediating_map(cob.pullback_of(m.dst), cob.top(m.src).then(m.fn),
+                                             cob.obj(m.src).to_base)
+                    assert cob.mor(m).fn == expected, (u, m)
+                    checked += 1
+    assert checked > 0
+
+
+def test_change_of_base_rejects_a_morphism_that_does_not_commute():
+    b = FinSetObj(("x", "y"))
+    u = FinFunction.of(FinSetObj(("a", "b")), b, {"a": "x", "b": "y"})
+    cob = ChangeOfBase(u, SliceCategory(b, 2), SliceCategory(u.dom, 2))
+    over_x, over_y = SliceObj_over(b, {"p": "x"}), SliceObj_over(b, {"q": "y"})
+    # the carriers fit, so SliceMor accepts it, but p over x lands on q over y
+    m = SliceMor(over_x, over_y, FinFunction.of(over_x.carrier, over_y.carrier, {"p": "q"}))
+    with pytest.raises(FinSetError):
+        cob.mor(m)
