@@ -6,8 +6,15 @@ object and an isomorphism rho: d1(W) -> d0(W) satisfying the identity and
 associativity equations that ``cosimplicial`` states and checks
 (``is_descent_datum``, imported here).  A morphism (W, rho) -> (X, rho')
 is m: W -> X with d0(m) ∘ rho = rho' ∘ d1(m), checked by
-``is_descent_morphism``: the descent category, the comparison functor and
-``descend`` all use that one check.
+``is_descent_morphism``: the comparison functor and ``descend`` use that
+one check.
+
+Over finite sets a datum is an action of the kernel-pair groupoid, and
+``moves`` lists it: rho carries v, seen over a level-2 point t, to v2.
+A morphism is fixed by where it sends the first element of each orbit of
+these moves, so ``DescCategory`` enumerates hom-sets as a product of
+per-orbit choices (``_hom_generic``, the brute equivariance filter, is
+its reference); ``descend`` glues along the same moves.
 
 For the basic fibration of p: E -> B, ``descend`` glues a datum to an
 object over B (the constructive inverse of the comparison functor), and
@@ -18,6 +25,7 @@ never by blind search over C/B.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,6 +71,21 @@ def is_descent_morphism(diagram: AugCosimplicial3, x: DescentDatum,
     c2 = diagram.c2
     return (c2.compose(diagram.d0.mor(m), x.rho)
             == c2.compose(y.rho, diagram.d1.mor(m)))
+
+
+def moves(diagram: AugCosimplicial3, datum: DescentDatum) -> list[tuple]:
+    """How rho moves elements: (top1(u), base(u), top0(rho(u))) for each u
+    in d1(w), in carrier order.
+
+    A move (v, t, v2) says rho carries v, seen over the level-2 point t,
+    to v2.  The orbits of ``DescCategory._hom`` and the classes that
+    ``descend`` glues are both read off these triples.
+    """
+    w = datum.w
+    d1w = diagram.d1.obj(w)
+    top1, top0 = diagram.d1.top(w), diagram.d0.top(w)
+    return [(top1(u), d1w.to_base(u), top0(datum.rho.fn(u)))
+            for u in d1w.carrier.elements]
 
 
 def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = None,
@@ -143,106 +166,60 @@ class DescCategory(ComputableCategory):
         return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)
                 if is_descent_morphism(self.diagram, x, y, m)]
 
-    def _hom_fibration(self, x, y):
-        """Backtracking enumeration with forcing.
+    def _hom(self, x, y):
+        """Morphisms by orbit: a product of choices, one per rho-orbit of x.w.
 
-        rho moves elements between fibers over related base points; the
-        equivariance condition then forces the image of one element from
-        the image of another, so choices are only free on class
-        representatives.  Same answers as ``_hom_generic``, much faster.
+        An equivariant m is fixed by where it sends the first element of
+        each orbit of x's moves, since m(v2) = step_y(m(v), t) for every
+        move (v, t, v2) of x.  Each candidate in y's fiber is propagated
+        along the orbit, checking every move out of every element reached;
+        the candidates that survive are the orbit's choices.  Every move
+        can be undone by a chain of moves (rho is a fiberwise bijection and
+        each element has its diagonal move), so an orbit reached from its
+        first element is its whole connected component.  Same answers as
+        ``_hom_generic``, sorted by mapping.
         """
-        diagram = self.diagram
-        d1, d0 = diagram.d1, diagram.d0
+        step = {(v, t): v2 for v, t, v2 in moves(self.diagram, y)}
+        out_x: dict = {}
+        for v, t, v2 in moves(self.diagram, x):
+            out_x.setdefault(v, []).append((t, v2))
         wx, wy = x.w, y.w
-
-        def transitions(datum):
-            dat_d1 = d1.obj(datum.w)
-            top1 = d1.top(datum.w)
-            top0 = d0.top(datum.w)
-            rho_table = datum.rho.fn
-            out = []
-            for u in dat_d1.carrier.elements:
-                out.append((top1(u), dat_d1.to_base(u), top0(rho_table(u))))
-            return out
-
-        # forced moves on the target side: (element, base point) -> element
-        force_y = {}
-        for (v1, t, v2) in transitions(y):
-            force_y[(v1, t)] = v2
-
-        trans_x = transitions(x)
-        elems = list(wx.carrier.elements)
         fiber_y: dict = {}
         for e in wy.carrier.elements:
             fiber_y.setdefault(wy.to_base(e), []).append(e)
 
-        out = []
-        assignment: dict = {}
-
-        def propagate(pending) -> Optional[list]:
-            changed = []
-            queue = list(pending)
+        def follow(first, cand) -> Optional[dict]:
+            assign = {first: cand}
+            queue = [first]
             while queue:
-                w_elt = queue.pop()
-                for (w1, t, w2) in trans_x:
-                    if w1 != w_elt or w1 not in assignment:
-                        continue
-                    forced = force_y.get((assignment[w1], t))
-                    if forced is None:
+                v = queue.pop()
+                for t, v2 in out_x[v]:
+                    forced = step[(assign[v], t)]
+                    if v2 not in assign:
+                        assign[v2] = forced
+                        queue.append(v2)
+                    elif assign[v2] != forced:
                         return None
-                    if w2 in assignment:
-                        if assignment[w2] != forced:
-                            return None
-                    else:
-                        assignment[w2] = forced
-                        changed.append(w2)
-                        queue.append(w2)
-            return changed
+            return assign
 
-        def undo(changed):
-            for e in changed:
-                del assignment[e]
-
-        # The search runs on an explicit stack, not by recursion: a nested
-        # function that calls itself is a reference cycle, which would keep
-        # every call's state alive until the cyclic collector runs.  A frame
-        # is [index, candidates left, changes forced by the current one].
-        stack: list = []
-        i = 0
-        while True:
-            while i < len(elems) and elems[i] in assignment:
-                i += 1
-            if i == len(elems):
-                fn = FinFunction.of(wx.carrier, wy.carrier, dict(assignment))
-                out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
-            else:
-                stack.append([i, iter(fiber_y.get(wx.to_base(elems[i]), [])), None])
-            # backtrack to the deepest element with a candidate that propagates
-            while stack:
-                frame = stack[-1]
-                i, cands, changed = frame
-                e = elems[i]
-                if changed is not None:
-                    undo(changed)
-                    del assignment[e]
-                for cand in cands:
-                    assignment[e] = cand
-                    frame[2] = propagate([e])
-                    if frame[2] is not None:
-                        break
-                    del assignment[e]
-                else:
-                    stack.pop()
-                    continue
-                break
-            if not stack:
-                break
-            i += 1
+        orbits = []
+        reached: set = set()
+        for first in wx.carrier.elements:
+            if first in reached:
+                continue
+            choices = [a for c in fiber_y.get(wx.to_base(first), ())
+                       if (a := follow(first, c)) is not None]
+            if not choices:
+                return []
+            reached.update(choices[0])
+            orbits.append(choices)
+        out = []
+        for combo in itertools.product(*orbits):
+            table = {v: w for assign in combo for v, w in assign.items()}
+            fn = FinFunction.of(wx.carrier, wy.carrier, table)
+            out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
         out.sort(key=lambda mor: mor.m.fn.mapping)
         return out
-
-    # hom enumerates by the forcing search; _hom_generic is its reference
-    _hom = _hom_fibration
 
     def identity(self, x: DescentDatum) -> DescMor:
         return DescMor(x, x, self.diagram.c1.identity(x.w))
@@ -305,9 +282,7 @@ def descend(fib: BasicFibration, datum: DescentDatum,
         if not ok:
             raise CategoryError(f"invalid descent datum: {which} equation fails")
     w = datum.w
-    d1w = fib.d1.obj(w)
-    top1, top0 = fib.d1.top(w), fib.d0.top(w)
-    pairs = [(top1(u), top0(datum.rho.fn(u))) for u in d1w.carrier.elements]
+    pairs = [(v, v2) for v, _, v2 in moves(fib, datum)]
     q, proj = quotient(w.carrier, pairs)
 
     assign = {}

@@ -1,6 +1,9 @@
 """Finite sets with chosen limits and colimits.
 
-Sets are duplicate-free tuples of labels; a label is any hashable value.
+Sets are duplicate-free tuples of labels; a label is any hashable value,
+but the labels the descent enumerations meet must also be mutually
+comparable, since those enumerations sort them (``slices.slice_isos``
+raises ``FinSetError`` on a map whose labels mix, say, ints and strings).
 All constructions (pullback, product, equalizer, quotient, ...) choose a
 canonical result, so iterated constructions compose up to canonical
 isomorphism, never on the nose.  An element of a chosen pullback is the

@@ -17,12 +17,13 @@ from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
                      Decision, EquivalenceReport, Functor, NatTrans,
                      find_isomorphism, is_equivalence, naturality_failures)
-from .finset import FinFunction
+from .finset import FinFunction, pullback
 from .cosimplicial import BasicFibration, basic_fibration
 from .descent import (DescCategory, DescMor, DescentDatum, canonicalize_datum,
                       comparison, is_descent_datum)
-from .slices import (Adjunction, CartFunctor, SliceCategory, SliceMor,
-                     match_by_legs, sigma_pullback_adjunction)
+from .slices import (Adjunction, CartFunctor, ChangeOfBase, SliceCategory,
+                     SliceMor, comparison_iso, match_by_legs,
+                     sigma_pullback_adjunction)
 
 
 @dataclass
@@ -220,7 +221,6 @@ def pullback_square_bc(p1: FinFunction, p2: FinFunction, q1: FinFunction,
     cx = SliceCategory(p1.dom, bound)
     cy = SliceCategory(p2.dom, bound)
     cp = SliceCategory(q1.dom, bound)
-    from .slices import ChangeOfBase, comparison_iso
     r_w = ChangeOfBase(p1, cz, cx)
     r_c = ChangeOfBase(q2, cy, cp)
     f_a = ChangeOfBase(p2, cz, cy)
@@ -233,7 +233,6 @@ def pullback_square_bc(p1: FinFunction, p2: FinFunction, q1: FinFunction,
 
 def chosen_pullback_bc_square(f: FinFunction, g: FinFunction, bound: int = 3) -> BCSquare:
     """The Beck-Chevalley square of the chosen pullback of a cospan."""
-    from .finset import pullback
     pb = pullback(f, g)
     return pullback_square_bc(f, g, pb.pr1, pb.pr2, bound)
 

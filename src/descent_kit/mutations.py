@@ -31,20 +31,23 @@ def _fiber_twist(obj: SliceObj) -> FinFunction:
     return FinFunction.of(obj.carrier, obj.carrier, table)
 
 
+def _twisted(cell: NatTrans, name: str) -> NatTrans:
+    """The cell with each component followed by the fiber twist of its target."""
+
+    def component(x):
+        c = cell.at(x)
+        return SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
+
+    return NatTrans(cell.source, cell.target, component, name=name)
+
+
 def invert_theta(fib: BasicFibration) -> BasicFibration:
     """Twist theta by the fiber-reversing deck transformation.
 
     Typechecks as d1∘d => d0∘d but breaks the presentation equations (and
     naturality) as soon as some fiber has two elements.
     """
-    good = fib.theta
-
-    def component(x):
-        c = good.at(x)
-        return SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
-
-    bad = NatTrans(good.source, good.target, component, name="theta (twisted)")
-    return dataclasses.replace(fib, theta=bad)
+    return dataclasses.replace(fib, theta=_twisted(fib.theta, "theta (twisted)"))
 
 
 def swap_face_convention(fib: BasicFibration) -> BasicFibration:
@@ -89,23 +92,9 @@ def descent_category_without_hom_condition(fib: AugCosimplicial3, bound: int) ->
 
 def broken_mu(monad: Monad) -> Monad:
     """Twist the multiplication fiberwise; breaks the monad laws."""
-    good = monad.mu
-
-    def component(x):
-        c = good.at(x)
-        return SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
-
-    return Monad(monad.t, monad.eta,
-                 NatTrans(good.source, good.target, component, name="mu (twisted)"))
+    return Monad(monad.t, monad.eta, _twisted(monad.mu, "mu (twisted)"))
 
 
 def broken_counit(adj: Adjunction) -> Adjunction:
     """Twist the counit fiberwise; breaks a triangle identity."""
-    good = adj.counit
-
-    def component(x):
-        c = good.at(x)
-        return SliceMor(c.src, c.dst, c.fn.then(_fiber_twist(c.dst)))
-
-    return Adjunction(adj.left, adj.right, adj.unit,
-                      NatTrans(good.source, good.target, component, name="ε (twisted)"))
+    return Adjunction(adj.left, adj.right, adj.unit, _twisted(adj.counit, "ε (twisted)"))

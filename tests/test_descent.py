@@ -12,7 +12,7 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
 from descent_kit.fincat import CategoryError, validate_category
 from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
                                 canonical_set)
-from descent_kit.slices import SliceMor, SliceObj
+from descent_kit.slices import SliceMor, SliceObj, slice_isos
 
 
 def fn(dom, cod, mapping):
@@ -93,7 +93,6 @@ def test_identity_fibration_only_canonical_rho_passes():
     # and any twisted alternative fails the identity equation
     w2 = next(o for o in fib.c1.objects(3) if len(o.carrier) == 2)
     d1w, d0w = fib.d1.obj(w2), fib.d0.obj(w2)
-    from descent_kit.slices import slice_isos
     isos = list(slice_isos(d1w, d0w))
     passing = [r for r in isos if is_descent_datum(fib, w2, r)[0]]
     assert len(isos) == 2 and len(passing) == 1
@@ -124,16 +123,58 @@ def test_desc_category_passes_validate_category():
         assert validate_category(desc, 3) == []
 
 
+def small_maps():
+    """The 19 maps m -> n with m <= 3 and 1 <= n <= 2."""
+    for m in range(4):
+        for n in range(1, 3):
+            yield from all_functions(FinSetObj(tuple("abc"[:m])), FinSetObj(tuple("xy"[:n])))
+
+
+def by_mapping(mor):
+    return mor.m.fn.mapping
+
+
 def test_desc_homs_fast_path_agrees_with_generic_filter():
-    p = fn("abc", "xy", {"a": "x", "b": "y", "c": "y"})
-    fib = basic_fibration(p, 3)
-    desc = DescCategory(fib, 3)
-    objs = desc.objects()
-    for x in objs:
-        for y in objs:
-            fast = set(desc._hom_fibration(x, y))
-            slow = set(desc._hom_generic(x, y))
-            assert fast == slow, (x, y)
+    from descent_kit.mutations import descent_category_without_cocycle
+    cases = [DescCategory(basic_fibration(p, 3), 3) for p in small_maps()]
+    # the cocycle mutant's objects include a 4-point non-datum
+    cases.append(descent_category_without_cocycle(basic_fibration(two_to_one(), 4), 4))
+    for desc in cases:
+        objs = desc.objects()
+        for x in objs:
+            for y in objs:
+                assert desc.hom(x, y) == sorted(desc._hom_generic(x, y), key=by_mapping), (x, y)
+
+
+def test_desc_homs_sorted_on_a_carrier_out_of_label_order():
+    # canonical carriers list their labels in sorted order, which the
+    # per-orbit product already follows; a hand-made carrier need not
+    fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
+    w = SliceObj(fn("ba", "x", lambda _: "x"))
+    rho = next(r for r in slice_isos(fib.d1.obj(w), fib.d0.obj(w))
+               if is_descent_datum(fib, w, r)[0])
+    desc = DescCategory(fib, 2)
+    point = next(d for d in desc.objects() if len(d.w.carrier) == 1)
+    datum = DescentDatum(w, rho)
+    generic = desc._hom_generic(point, datum)  # in the carrier's order: b, a
+    assert len(generic) == 2
+    assert desc.hom(point, datum) == sorted(generic, key=by_mapping) != generic
+
+
+def test_desc_hom_counts_match_glued_homs():
+    # Galois: descend is an equivalence onto its image, so each hom-set of
+    # Desc counts the maps over B between the glued objects
+    pairs = 0
+    for p in small_maps():
+        fib = basic_fibration(p, 3)
+        desc = DescCategory(fib, 3)
+        data = desc.objects()
+        glued = {d: descend(fib, d).glued for d in data}
+        for x in data:
+            for y in data:
+                assert len(desc.hom(x, y)) == len(fib.c0.hom(glued[x], glued[y])), (p, x, y)
+                pairs += 1
+    assert pairs == 490
 
 
 def test_comparison_factorization_strict():

@@ -6,11 +6,12 @@ import dataclasses
 import pytest
 
 from descent_kit.cosimplicial import basic_fibration
-from descent_kit.descent import (DescCategory, DescentDatum, comparison, descend,
-                                 is_descent_datum)
+from descent_kit.descent import (DescCategory, DescentDatum, classify, comparison,
+                                 descend, is_descent_datum)
 from descent_kit.fincat import CategoryError
 from descent_kit.finset import FinFunction, FinSetError, FinSetObj
-from descent_kit.monadic import EMCategory, induced_monad, pullback_square_bc
+from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
+                                 pullback_square_bc)
 from descent_kit.mutations import invert_theta
 from descent_kit.slices import sigma_pullback_adjunction, slice_isos
 
@@ -67,6 +68,14 @@ def non_commuting_bc_square():
     pullback_square_bc(p1, p1, q, swap, 1)
 
 
+def classify_mixed_type_labels():
+    classify(fn((1, "a"), "x", lambda _: "x"), 2)
+
+
+def benabou_roubaud_mixed_type_labels():
+    benabou_roubaud(fn((1, "a"), "x", lambda _: "x"), 2)
+
+
 def call_outside_domain():
     FinFunction.identity(FinSetObj(("a",)))("z")
 
@@ -79,6 +88,8 @@ def call_outside_domain():
     (descend_invalid_datum, CategoryError, "invalid descent datum"),
     (non_composable_algebra_morphisms, CategoryError, "non-composable"),
     (non_commuting_bc_square, CategoryError, "does not commute"),
+    (classify_mixed_type_labels, FinSetError, "mutually comparable"),
+    (benabou_roubaud_mixed_type_labels, FinSetError, "mutually comparable"),
     (call_outside_domain, FinSetError, "not in the domain"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):

@@ -164,13 +164,6 @@ def test_triangle_identities_small_sweep():
                 assert adj.check_triangles(3) == [], p
 
 
-def test_hom_bijection_counts_spot():
-    e, b = FinSetObj(("a", "b", "c")), FinSetObj(("x", "y"))
-    p = FinFunction.of(e, b, {"a": "x", "b": "y", "c": "y"})
-    adj = sigma_pullback_adjunction(p, SliceCategory(e, 2), SliceCategory(b, 2))
-    assert adj.hom_bijection_counts(2) == []
-
-
 def test_comparison_iso_between_composite_and_single_pullback():
     # pulling back along u then v agrees with pulling back along v;u
     b = FinSetObj(("x", "y"))
