@@ -1,19 +1,18 @@
-"""Pseudopullback and comma constructions for (enumerable) categories,
-and the decision "is this square a pseudopullback".
+"""Pseudopullbacks of (enumerable) categories, and the decision "is this
+square a pseudopullback".
 
 Objects of the pseudopullback of F: C -> E <- D : G are triples
 (c, d, phi) with phi an explicit isomorphism F c -> G d; morphisms are
-pairs (u, v) making the evident square commute.  The comma category is the
-same shape with phi an arbitrary morphism.  A square is a pseudopullback
-exactly when its canonical comparison into the constructed one is an
-equivalence (within the bound).
+pairs (u, v) making the evident square commute.  A square is a
+pseudopullback exactly when its canonical comparison into the constructed
+one is an equivalence (within the bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import (Category, CategoryError, ComputableCategory,
+from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
                      EquivalenceReport, Functor, NatTrans, all_isomorphisms,
                      is_equivalence)
 
@@ -38,8 +37,8 @@ class WedgeMor:
     v: object  # morphism d -> d'
 
 
-class CommaCategory(ComputableCategory):
-    """Comma construction F ↓ G; the filler cell need not be invertible."""
+class PseudoPullbackCategory(ComputableCategory):
+    """The pseudopullback of a cospan F: C -> E <- D : G."""
 
     def __init__(self, f: Functor, g: Functor, bound: int = 3):
         if f.dst != g.dst:
@@ -48,16 +47,12 @@ class CommaCategory(ComputableCategory):
         self.f = f
         self.g = g
 
-    def _connectors(self, fc, gd):
-        return self.f.dst.hom(fc, gd)
-
     def _objects(self, bound):
         out = []
         for c in self.f.src.objects(bound):
             fc = self.f.obj(c)
             for d in self.g.src.objects(bound):
-                gd = self.g.obj(d)
-                for phi in self._connectors(fc, gd):
+                for phi, _ in all_isomorphisms(self.f.dst, fc, self.g.obj(d)):
                     out.append(WedgeObj(c, d, phi))
         return out
 
@@ -89,24 +84,14 @@ class CommaCategory(ComputableCategory):
         return Functor(self, self.g.src, lambda x: x.d, lambda m: m.v, name="pr2")
 
     def filler(self) -> NatTrans:
-        """The canonical cell F∘pr1 => G∘pr2 with component phi at (c,d,phi)."""
+        """The canonical invertible cell F∘pr1 => G∘pr2 with component phi
+        at (c, d, phi)."""
         return NatTrans(self.proj1().then(self.f), self.proj2().then(self.g),
                         lambda x: x.phi, name="filler")
 
 
-class PseudoPullbackCategory(CommaCategory):
-    """The pseudopullback: comma objects whose connector is invertible."""
-
-    def _connectors(self, fc, gd):
-        return [f for (f, _) in all_isomorphisms(self.f.dst, fc, gd)]
-
-
 def pseudopullback(f: Functor, g: Functor, bound: int = 3) -> PseudoPullbackCategory:
     return PseudoPullbackCategory(f, g, bound)
-
-
-def comma(f: Functor, g: Functor, bound: int = 3) -> CommaCategory:
-    return CommaCategory(f, g, bound)
 
 
 @dataclass
@@ -149,35 +134,4 @@ def is_pseudopullback_square(square: PsSquare, bound: int = 3) -> tuple[bool, Eq
         raise CategoryError("malformed square: " + "; ".join(malformed))
     comparison = square_comparison(square, bound)
     report = is_equivalence(comparison, bound)
-    return report.level == "Equivalence", report
-
-
-def check_universal_property(f: Functor, g: Functor, bound: int = 2) -> list[str]:
-    """Bounded universal-property audit of the constructed pseudopullback.
-
-    Cones from the terminal shape correspond to objects, cones from the
-    arrow shape to morphisms; both correspondences must be bijective.
-    """
-    pp = pseudopullback(f, g, bound)
-    report = []
-    e = f.dst
-
-    point_cones = [(c, d, phi)
-                   for c in f.src.objects(bound)
-                   for d in g.src.objects(bound)
-                   for (phi, _) in all_isomorphisms(e, f.obj(c), g.obj(d))]
-    objs = pp.objects(bound)
-    if len(point_cones) != len(objs):
-        report.append(f"terminal-shape cones: {len(point_cones)} vs objects {len(objs)}")
-
-    arrow_cones = 0
-    for x in objs:
-        for y in objs:
-            for u in f.src.hom(x.c, y.c):
-                for v in g.src.hom(x.d, y.d):
-                    if e.compose(g.mor(v), x.phi) == e.compose(y.phi, f.mor(u)):
-                        arrow_cones += 1
-    n_mors = sum(len(pp.hom(x, y)) for x in objs for y in objs)
-    if arrow_cones != n_mors:
-        report.append(f"arrow-shape cones: {arrow_cones} vs morphisms {n_mors}")
-    return report
+    return report.level == EQUIVALENCE, report

@@ -64,9 +64,6 @@ class CoherenceFailure:
 class CoherenceReport:
     failures: list[CoherenceFailure] = field(default_factory=list)
 
-    def __bool__(self):
-        return not self.failures
-
     def is_empty(self):
         return not self.failures
 

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import TheoremViolation
-from .fincat import (Category, CategoryError, ComputableCategory, Decision,
-                     EquivalenceReport, FullSubcategory, Functor,
+from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
+                     NOT_FAITHFUL, Category, CategoryError, ComputableCategory,
+                     Decision, EquivalenceReport, FullSubcategory, Functor,
                      is_equivalence)
 from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (AugCosimplicial3, BasicFibration, basic_fibration,
@@ -116,36 +117,28 @@ def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = Non
     return out
 
 
-def conjugate_datum(diagram: AugCosimplicial3, datum: DescentDatum,
-                    g: SliceMor) -> tuple[DescentDatum, "DescMor"]:
-    """Transport a datum along an automorphism g of its carrier.
+def canonicalize_datum(diagram: AugCosimplicial3,
+                       datum: DescentDatum) -> tuple[DescentDatum, DescMor]:
+    """Lexicographically least conjugate under carrier relabellings, with
+    the relabelling as the connecting isomorphism datum -> conjugate.
 
-    Returns the conjugated datum together with g as the connecting
-    descent-category isomorphism datum -> conjugate.
+    An automorphism g of the carrier transports rho to the conjugate
+    d0(g) ∘ rho ∘ d1(g)⁻¹, and g is then a descent morphism from the datum
+    to the conjugate.  Every conjugate shares w and the source and target
+    of rho, so they are ordered by the mapping of rho alone, and the datum
+    and its isomorphism are built once, for the least.
     """
     c2 = diagram.c2
-    d0g = diagram.d0.mor(g)
-    d1g = diagram.d1.mor(g)
-    inv = SliceMor(d1g.dst, d1g.src, d1g.fn.inverse())
-    rho2 = c2.compose(d0g, c2.compose(datum.rho, inv))
-    new = DescentDatum(datum.w, rho2)
-    return new, DescMor(datum, new, g)
-
-
-def canonicalize_datum(diagram: AugCosimplicial3,
-                       datum: DescentDatum) -> tuple[DescentDatum, "DescMor"]:
-    """Lexicographically least conjugate under carrier relabellings.
-
-    Every conjugate shares w and the source and target of rho, so they are
-    ordered by the mapping of rho alone.
-    """
-    best = None
-    best_iso = None
+    best_rho = best_g = None
     for g in slice_isos(datum.w, datum.w):
-        cand, iso = conjugate_datum(diagram, datum, g)
-        if best is None or cand.rho.fn.mapping < best.rho.fn.mapping:
-            best, best_iso = cand, iso
-    return best, best_iso
+        d0g = diagram.d0.mor(g)
+        d1g = diagram.d1.mor(g)
+        inv = SliceMor(d1g.dst, d1g.src, d1g.fn.inverse())
+        rho = c2.compose(d0g, c2.compose(datum.rho, inv))
+        if best_rho is None or rho.fn.mapping < best_rho.fn.mapping:
+            best_rho, best_g = rho, g
+    best = DescentDatum(datum.w, best_rho)
+    return best, DescMor(datum, best, best_g)
 
 
 class DescCategory(ComputableCategory):
@@ -376,9 +369,9 @@ def classify(p: FinFunction, bound: int = 4,
 
     report = is_equivalence(phi, bound, ess_surj=ess)
     verdict = {
-        "Equivalence": EFFECTIVE,
-        "FullyFaithfulOnly": DESCENT,
-        "FaithfulOnly": ALMOST,
-        "None": NOT_ALMOST,
+        EQUIVALENCE: EFFECTIVE,
+        FULLY_FAITHFUL_ONLY: DESCENT,
+        FAITHFUL_ONLY: ALMOST,
+        NOT_FAITHFUL: NOT_ALMOST,
     }[report.level]
     return ClassifyResult(verdict, report, fib, desc, phi)

@@ -95,13 +95,20 @@ class FinCategory(Category):
         return [self._mors[n] for n in self._mors]
 
     def mor(self, name: str) -> TableMor:
-        return self._mors[name]
+        try:
+            return self._mors[name]
+        except KeyError:
+            raise CategoryError(f"unknown morphism {name!r}") from None
 
     def hom(self, x, y):
         return [m for m in self._mors.values() if m.src == x and m.dst == y]
 
     def identity(self, x):
-        return self._mors[self._identity[x]]
+        try:
+            name = self._identity[x]
+        except KeyError:
+            raise CategoryError(f"missing identity for object {x!r}") from None
+        return self.mor(name)
 
     def compose(self, g, f):
         if f.dst != g.src:
@@ -160,15 +167,17 @@ def validate_category(cat: Category, bound: Optional[int] = None) -> list[str]:
         for y in objs:
             mors.extend(cat.hom(x, y))
 
+    for x in objs:
+        try:
+            i = cat.identity(x)
+        except CategoryError:
+            report.append(f"missing identity for object {x}")
+            continue
+        if i.src != x or i.dst != x:
+            report.append(f"identity of {x} is not an endomorphism: {i}")
+
     if isinstance(cat, FinCategory):
         mors = cat.morphisms()
-        for x in objs:
-            try:
-                i = cat.identity(x)
-                if i.src != x or i.dst != x:
-                    report.append(f"identity of {x} is not an endomorphism: {i}")
-            except KeyError:
-                report.append(f"missing identity for object {x}")
         for (g, f), h in cat._table.items():
             gm, fm, hm = cat._mors.get(g), cat._mors.get(f), cat._mors.get(h)
             if gm is None or fm is None or hm is None:
@@ -191,7 +200,10 @@ def validate_category(cat: Category, bound: Optional[int] = None) -> list[str]:
             return None
 
     for m in mors:
-        i_dom, i_cod = cat.identity(m.src), cat.identity(m.dst)
+        try:
+            i_dom, i_cod = cat.identity(m.src), cat.identity(m.dst)
+        except CategoryError:  # reported above as a missing identity
+            continue
         left = comp(i_cod, m)
         right = comp(m, i_dom)
         if left is not None and left != m:

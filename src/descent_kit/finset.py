@@ -4,9 +4,9 @@ Sets are duplicate-free tuples of labels; a label is any hashable value,
 but the labels the descent enumerations meet must also be mutually
 comparable, since those enumerations sort them (``slices.slice_isos``
 raises ``FinSetError`` on a map whose labels mix, say, ints and strings).
-All constructions (pullback, product, equalizer, quotient, ...) choose a
-canonical result, so iterated constructions compose up to canonical
-isomorphism, never on the nose.  An element of a chosen pullback is the
+All constructions (pullback, quotient, coproduct) choose a canonical
+result, so iterated constructions compose up to canonical isomorphism,
+never on the nose.  An element of a chosen pullback is the
 Python tuple ``(x, y)`` of its two components, so iterated pullbacks nest
 tuples and a witness prints as Python's own repr of them.
 
@@ -98,8 +98,13 @@ class FinFunction:
     @staticmethod
     def of(dom: FinSetObj, cod: FinSetObj, assignment) -> "FinFunction":
         """Build from a dict or a callable on labels."""
-        get = assignment.__getitem__ if hasattr(assignment, "__getitem__") else assignment
-        return FinFunction(dom, cod, tuple((x, get(x)) for x in dom.elements))
+        if not hasattr(assignment, "__getitem__"):
+            return FinFunction(dom, cod, tuple((x, assignment(x)) for x in dom.elements))
+        try:
+            pairs = tuple((x, assignment[x]) for x in dom.elements)
+        except KeyError as exc:
+            raise FinSetError(f"the assignment gives no image of {exc.args[0]!r}") from None
+        return FinFunction(dom, cod, pairs)
 
     @staticmethod
     def identity(s: FinSetObj) -> "FinFunction":
@@ -230,33 +235,6 @@ def quotient(x: FinSetObj, pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[
     q = FinSetObj(tuple(label_of_root.values()))
     proj = FinFunction.of(x, q, lambda e: label_of_root[find(e)])
     return q, proj
-
-
-class Product(NamedTuple):
-    obj: FinSetObj
-    pr1: FinFunction
-    pr2: FinFunction
-
-
-def product(x: FinSetObj, y: FinSetObj) -> Product:
-    one = FinSetObj(("*",))
-    f = FinFunction.of(x, one, lambda _: "*")
-    g = FinFunction.of(y, one, lambda _: "*")
-    pb = pullback(f, g)
-    return Product(pb.obj, pb.pr1, pb.pr2)
-
-
-class Equalizer(NamedTuple):
-    obj: FinSetObj
-    incl: FinFunction
-
-
-def equalizer(f: FinFunction, g: FinFunction) -> Equalizer:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise FinSetError("equalizer needs a parallel pair")
-    kept = tuple(e for e in f.dom.elements if f(e) == g(e))
-    obj = FinSetObj(kept)
-    return Equalizer(obj, FinFunction.of(obj, f.dom, lambda e: e))
 
 
 class Coproduct(NamedTuple):

@@ -5,10 +5,12 @@ import dataclasses
 
 import pytest
 
+from descent_kit.bilimits import PsSquare, is_pseudopullback_square
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.descent import (DescCategory, DescentDatum, classify, comparison,
                                  descend, is_descent_datum)
-from descent_kit.fincat import CategoryError
+from descent_kit.fincat import (CategoryError, Functor, IdentityFunctor, NatTrans,
+                                chain_category)
 from descent_kit.finset import FinFunction, FinSetError, FinSetObj
 from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
                                  pullback_square_bc)
@@ -80,6 +82,27 @@ def call_outside_domain():
     FinFunction.identity(FinSetObj(("a",)))("z")
 
 
+def identity_of_unknown_object():
+    chain_category(2).identity("2")
+
+
+def unknown_table_morphism():
+    chain_category(2).mor("m10")
+
+
+def pseudopullback_square_with_non_invertible_filler():
+    # the cell m01: 0 -> 1 of the chain 0 -> 1, seen from the point
+    pt, c = chain_category(1), chain_category(2)
+
+    def const(obj):
+        return Functor(pt, c, lambda _: obj, lambda _: c.identity(obj))
+
+    zero, one = const("0"), const("1")
+    square = PsSquare(corner=pt, p1=zero, p2=one, f=IdentityFunctor(c), g=IdentityFunctor(c),
+                      filler=NatTrans(zero, one, lambda _: c.mor("m01")))
+    is_pseudopullback_square(square, 1)
+
+
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
@@ -91,6 +114,10 @@ def call_outside_domain():
     (classify_mixed_type_labels, FinSetError, "mutually comparable"),
     (benabou_roubaud_mixed_type_labels, FinSetError, "mutually comparable"),
     (call_outside_domain, FinSetError, "not in the domain"),
+    (identity_of_unknown_object, CategoryError, "missing identity for object '2'"),
+    (unknown_table_morphism, CategoryError, "unknown morphism 'm10'"),
+    (pseudopullback_square_with_non_invertible_filler, CategoryError,
+     "malformed square: .*not invertible"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):

@@ -46,6 +46,13 @@ def test_compose_on_non_composable_pair_reported():
     assert any("non-composable" in v for v in validate_category(cat))
 
 
+def test_missing_identity_reported_not_raised():
+    # f: a -> b has no identity at its codomain, so its unit laws cannot be
+    # stated; the checker reports the gap instead of failing on it
+    cat = FinCategory(["a", "b"], [("ia", "a", "a"), ("f", "a", "b")], {"a": "ia"}, {})
+    assert validate_category(cat) == ["missing identity for object b"]
+
+
 def test_corrupting_any_table_entry_detected():
     good = chain_category(3)
     names = list(good._mors)

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from descent_kit.finset import (EMPTY, FinFunction, FinSetError, FinSetObj,
                                 all_functions, canonical_set, coproduct,
-                                equalizer, mediating_map, product, pullback,
-                                quotient)
+                                mediating_map, pullback, quotient)
 
 
 labels = st.text(st.characters(codec="ascii", min_codepoint=33), min_size=1, max_size=6)
@@ -78,8 +77,9 @@ AB, CD = FinSetObj(("a", "b")), FinSetObj(("c", "d"))
      "every domain element once"),
     (lambda: FinFunction(AB, CD, (("a", "c"), ("b", "z"))), "image 'z' of 'b'"),
     (lambda: FinFunction(AB, CD, (("a", ["c"]), ("b", "d"))), r"image \['c'\] of 'a'"),
+    (lambda: FinFunction.of(AB, CD, {"a": "c"}), "no image of 'b'"),
 ], ids=["duplicate-labels", "missing-domain-element", "repeated-pair", "out-of-order",
-        "extra-element", "image-outside-codomain", "unhashable-image"])
+        "extra-element", "image-outside-codomain", "unhashable-image", "partial-dict"])
 def test_malformed_input_raises_finset_error(build, message):
     with pytest.raises(FinSetError, match=message):
         build()
@@ -236,28 +236,6 @@ def test_quotient_kernel_pair_recovers_relation():
     # closure of pairs plus diagonal
     expect = {(u, v) for u in ("a", "c", "d") for v in ("a", "c", "d")} | {(e, e) for e in x}
     assert kernel == expect
-
-
-def test_product_with_singleton_relabels():
-    x = FinSetObj(("a", "b"))
-    s = FinSetObj(("s",))
-    pr = product(x, s)
-    assert len(pr.obj) == 2 and pr.pr1.is_bijective()
-
-
-def test_equalizer_of_equal_maps_is_identity():
-    x = FinSetObj(("a", "b"))
-    f = FinFunction.of(x, x, {"a": "b", "b": "a"})
-    eq = equalizer(f, f)
-    assert eq.obj == x
-
-
-def test_equalizer_pointwise_oracle():
-    x, y = FinSetObj(("a", "b")), FinSetObj(("u", "v"))
-    f = FinFunction.of(x, y, {"a": "u", "b": "u"})
-    g = FinFunction.of(x, y, {"a": "u", "b": "v"})
-    eq = equalizer(f, g)
-    assert eq.obj.elements == ("a",)
 
 
 def test_coproduct_disjoint_and_jointly_surjective():

@@ -1,8 +1,9 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library module
-imports a name it never uses, the most numerous value classes stay
-slotted, a dropped diagram leaves no cyclic garbage, memo keys store
-their hash, and the benchmark can still drive the library."""
+imports a name it never uses, every public name is used or listed, the
+most numerous value classes stay slotted, a dropped diagram leaves no
+cyclic garbage, memo keys store their hash, and the benchmark can still
+drive the library."""
 
 import ast
 import gc
@@ -60,6 +61,52 @@ def test_library_has_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []
+
+
+# Public names that no other library code names, each with what will
+# connect it: an entry point, a ROADMAP item, or a fixture that tests build
+# categories from.  Anything else that nothing uses is deleted, not listed.
+UNUSED_PUBLIC_NAMES = {
+    "descent.classify": "entry point (ROADMAP item 5, the CLI)",
+    "monadic.benabou_roubaud": "entry point (ROADMAP item 5, the CLI)",
+    "bilimits.is_pseudopullback_square": "ROADMAP item 2",
+    "finset.coproduct": "ROADMAP item 2",
+    "fincat.validate_category": "ROADMAP item 3",
+    "fincat.TableFunctor": "ROADMAP item 3",
+    "monadic.is_beck_chevalley": "ROADMAP item 6",
+    "monadic.chosen_pullback_bc_square": "ROADMAP item 6",
+    "fincat.chain_category": "fixture",
+    "fincat.discrete_category": "fixture",
+    "fincat.parallel_pair_category": "fixture",
+    "slices.FinSetCategory": "fixture",
+}
+
+
+def test_public_names_are_used_or_listed():
+    """A module-level public function or class must be named somewhere in
+    the library outside its own definition, or be listed above; a listed
+    name that comes into use must leave the list.  ``mutations.py`` holds
+    test hooks, so its own definitions are exempt."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "descent_kit").glob("*.py"))}
+
+    def names(node):
+        found = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found.add(n.id)
+            elif isinstance(n, ast.ImportFrom):
+                found.update(alias.name for alias in n.names)
+        return found
+
+    tops = [(module, node) for module, tree in trees.items() for node in tree.body]
+    named = [names(node) for _, node in tops]
+    unused = {f"{module}.{node.name}" for i, (module, node) in enumerate(tops)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and module != "mutations" and not node.name.startswith("_")
+              and not any(node.name in found for j, found in enumerate(named) if j != i)}
+    assert sorted(unused - UNUSED_PUBLIC_NAMES.keys()) == [], "used nowhere and not listed"
+    assert sorted(UNUSED_PUBLIC_NAMES.keys() - unused) == [], "listed but now used: unlist"
 
 
 def test_value_classes_have_no_instance_dict():
