@@ -139,8 +139,13 @@ def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj,
 
 
 def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -> CoherenceReport:
-    """Check constraint typing, naturality, invertibility, and (when augmented)
-    the two presentation equations, on every enumerated object.
+    """Check constraint typing and invertibility on every enumerated object,
+    naturality on the generators of each cell's index category, and (when
+    augmented) the two presentation equations.
+
+    A naturality failure is reported at the generators whose squares fail
+    (``fincat.naturality_failures``); every other morphism is a composite
+    of generators, and its square commutes when theirs do.
 
     The presentation equations are checked, once the constraints pass, by
     ``is_descent_datum`` on (d B0, theta_B0): a failure is recorded once per
@@ -167,7 +172,7 @@ def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -
                 continue
             if not target_cat.is_isomorphism(comp):
                 report.add(f"{name}: not invertible", x)
-        # naturality over every enumerated morphism
+        # naturality on the generators of the index category
         for m in naturality_failures(src_f, dst_f, cell.at, bound):
             report.add(f"{name}: naturality", m)
 

@@ -20,7 +20,9 @@ to itself and each is freed as soon as it is dropped.
 
 A transformation is invertible when each component is: invertibility is
 checked (``Category.is_isomorphism``), never supplied as a second piece of
-data.
+data.  It is natural when its squares commute on the generators of the
+enumerated source (``Category.generators``), since functors preserve
+composition; ``naturality_failures`` is the one loop that decides it.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -67,6 +69,13 @@ class Category:
     def is_isomorphism(self, m) -> bool:
         """Whether m has a two-sided inverse, found by search of hom(cod m, dom m)."""
         return two_sided_inverse(self, m, self.hom(m.dst, m.src)) is not None
+
+    def generators(self, bound: Optional[int] = None) -> list:
+        """Morphisms of the enumeration whose composites give every one of
+        its morphisms.  By default every enumerated morphism, in x, y, hom
+        order; a subclass that knows a smaller generating set returns it."""
+        objs = self.objects(bound)
+        return [f for x in objs for y in objs for f in self.hom(x, y)]
 
 
 class FinCategory(Category):
@@ -334,20 +343,34 @@ class TableFunctor(Functor):
         self.mor_map = dict(mor_map)
 
     def _on_obj(self, x):
-        return self.obj_map[x]
+        try:
+            return self.obj_map[x]
+        except KeyError:
+            raise CategoryError(f"functor {self.name!r} has no image for object {x!r}") from None
 
     def _on_mor(self, m):
-        return self.dst.mor(self.mor_map[m.name])
+        try:
+            name = self.mor_map[m.name]
+        except KeyError:
+            raise CategoryError(
+                f"functor {self.name!r} has no image for morphism {m.name!r}") from None
+        return self.dst.mor(name)
 
 
 def naturality_failures(source: Functor, target: Functor, at: Callable,
                         bound: Optional[int] = None) -> list:
-    """The morphisms f: x -> y of the enumerated source category at which
-    at(y) ∘ source(f) ≠ target(f) ∘ at(x), in x, y, hom order."""
-    index, cat = source.src, source.dst
-    objs = index.objects(bound)
-    return [f for x in objs for y in objs for f in index.hom(x, y)
-            if cat.compose(at(y), source.mor(f)) != cat.compose(target.mor(f), at(x))]
+    """The generators f: x -> y of the enumerated source category at which
+    at(y) ∘ source(f) ≠ target(f) ∘ at(x), in the order of ``generators``.
+
+    Squares on generators decide naturality: both functors preserve
+    identities and composition, so when the squares of f and g commute,
+    so does the square of g ∘ f, and every enumerated morphism is a
+    composite of generators through objects of the enumeration.  A failing
+    transformation is reported at the generators only.
+    """
+    cat = source.dst
+    return [f for f in source.src.generators(bound)
+            if cat.compose(at(f.dst), source.mor(f)) != cat.compose(target.mor(f), at(f.src))]
 
 
 class NatTrans:

@@ -8,7 +8,9 @@ chosen pullbacks of finset; each functor caches its values so repeated
 applications return identical (not merely isomorphic) results.  On a
 morphism it builds the mediating map into the chosen pullback directly
 from the two legs, one checked function whose codomain check is the
-check that the triangle commutes.
+check that the triangle commutes.  The enumerated C/B also lists
+generators (transpositions, merges and inclusions of fibers) whose
+composites give every morphism, so naturality is checked on them alone.
 
 Every functor built here tracks a "top" projection F(X) -> X.  Two
 composites of such functors whose underlying base maps agree are pullbacks
@@ -86,6 +88,7 @@ class SliceCategory(ComputableCategory):
     def __init__(self, base: FinSetObj, bound: int = 4):
         super().__init__(bound)
         self.base = base
+        self._generators_memo: dict = {}
 
     def obj(self, to_base: FinFunction) -> SliceObj:
         if to_base.cod != self.base:
@@ -103,6 +106,44 @@ class SliceCategory(ComputableCategory):
             mapping = tuple(((b, i), b) for b, n in zip(base_elems, vec) for i in range(n))
             carrier = FinSetObj(tuple(lbl for lbl, _ in mapping))
             out.append(SliceObj(FinFunction(carrier, self.base, mapping)))
+        return out
+
+    def generators(self, bound: Optional[int] = None) -> list[SliceMor]:
+        """Three kinds of morphism between the canonical objects, by source
+        in object order and, for each source, fiber by fiber:
+
+        - the adjacent transposition (b, i) <-> (b, i+1) inside a fiber;
+        - the merge of the last two points of a fiber;
+        - the inclusion into the object with one more point over b, when
+          that object is within the bound.
+
+        Every enumerated morphism f: x -> y is a composite of these.  Fiber
+        by fiber, f is a permutation, then merges onto its image, then
+        inclusions, then a permutation; doing the merges of every fiber
+        before any inclusion, no intermediate object is larger than x or y.
+        Memoized per bound, as ``objects`` is.
+        """
+        bound = self.default_bound if bound is None else bound
+        out = self._generators_memo.get(bound)
+        if out is None:
+            out = self._generators_memo[bound] = self._generators(bound)
+        return out
+
+    def _generators(self, bound: int) -> list[SliceMor]:
+        base_elems = self.base.elements
+        by_vec = dict(zip(_vectors(len(base_elems), bound), self.objects(bound)))
+        out = []
+        for vec, x in by_vec.items():
+            room = sum(vec) < bound
+            for k, (b, n) in enumerate(zip(base_elems, vec)):
+                for i in range(n - 1):
+                    out.append(_relabel(x, x, {(b, i): (b, i + 1), (b, i + 1): (b, i)}))
+                if n >= 2:
+                    merged = by_vec[vec[:k] + (n - 1,) + vec[k + 1:]]
+                    out.append(_relabel(x, merged, {(b, n - 1): (b, n - 2)}))
+                if room:
+                    grown = by_vec[vec[:k] + (n + 1,) + vec[k + 1:]]
+                    out.append(_relabel(x, grown, {}))
         return out
 
     def _hom(self, x: SliceObj, y: SliceObj) -> list[SliceMor]:
@@ -130,6 +171,12 @@ class SliceCategory(ComputableCategory):
     def is_isomorphism(self, m: SliceMor) -> bool:
         """A commuting triangle is invertible exactly when its map is a bijection."""
         return m.fn.is_bijective()
+
+
+def _relabel(x: SliceObj, y: SliceObj, moved: dict) -> SliceMor:
+    """The map x -> y sending each label to itself, or where moved says."""
+    return SliceMor(x, y, FinFunction(x.carrier, y.carrier, tuple(
+        (e, moved.get(e, e)) for e in x.carrier.elements)))
 
 
 def _vectors(k: int, total: int):

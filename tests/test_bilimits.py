@@ -5,9 +5,8 @@ import pytest
 from descent_kit.bilimits import (PsSquare, WedgeObj, is_pseudopullback_square,
                                   pseudopullback)
 from descent_kit.fincat import (FullSubcategory, Functor, IdentityFunctor,
-                                NatTrans, chain_category, discrete_category,
-                                find_isomorphism, validate_category)
-from descent_kit.finset import FinSetObj, canonical_set
+                                NatTrans, chain_category, validate_category)
+from descent_kit.finset import canonical_set
 from descent_kit.slices import FinSetCategory
 
 

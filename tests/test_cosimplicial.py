@@ -1,11 +1,18 @@
 import collections
 import dataclasses
 
+import pytest
+
+from descent_kit import cosimplicial
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.fincat import NatTrans
 from descent_kit.finset import FinFunction, FinSetObj, canonical_set, all_functions
-from descent_kit.mutations import invert_theta
+from descent_kit.mutations import invert_theta, swap_face_convention
 from descent_kit.slices import SliceMor
+
+# every map m -> n with m <= 3 and 1 <= n <= 2
+SMALL_MAPS = [p for m in range(4) for n in range(1, 3)
+              for p in all_functions(canonical_set(m, "e"), canonical_set(n, "b"))]
 
 
 def fn(dom, cod, mapping):
@@ -84,16 +91,69 @@ def test_tampered_theta_detected():
 
 
 def test_gate_on_twisted_theta_over_small_maps():
-    # every map m -> n with m <= 3 and 1 <= n <= 2; at bound 1 no fiber has
-    # two elements to swap, at bound 2 only theta's naturality breaks
-    maps = [p for m in range(4) for n in range(1, 3)
-            for p in all_functions(canonical_set(m, "e"), canonical_set(n, "b"))]
-    assert len(maps) == 19
-    for bound, want in [(1, {}), (2, {"theta: naturality": 100})]:
+    # at bound 1 no fiber has two elements to swap; at bound 2 only theta's
+    # naturality breaks, reported at the generators whose squares fail
+    assert len(SMALL_MAPS) == 19
+    for bound, want in [(1, {}), (2, {"theta: naturality": 25})]:
         seen = collections.Counter(
-            f.equation for p in maps
+            f.equation for p in SMALL_MAPS
             for f in validate_coherence(invert_theta(basic_fibration(p, bound)), bound).failures)
         assert dict(seen) == want, bound
+
+
+@pytest.mark.parametrize("p", SMALL_MAPS, ids=repr)
+def test_faces_and_their_composites_preserve_composition(p):
+    # deciding naturality on generators needs both functors of each square
+    # to preserve identities and composition
+    fib = basic_fibration(p, 2)
+    functors = [fib.d] + [f for _, _, src_f, dst_f, _ in fib.constraint_types()
+                          for f in (src_f, dst_f)]
+    assert len(functors) == 13
+    for functor in functors:
+        assert functor.check(2) == [], functor.name
+
+
+def _every_square(source, target, at, bound=None):
+    """The naturality loop over every enumerated morphism, as reference."""
+    index, cat = source.src, source.dst
+    objs = index.objects(bound)
+    return [f for x in objs for y in objs for f in index.hom(x, y)
+            if cat.compose(at(y), source.mor(f)) != cat.compose(target.mor(f), at(x))]
+
+
+def _gate(p, mutate, bound):
+    """(equation -> witnesses) of the gate's report, or the exception it raises."""
+    try:
+        report = validate_coherence(mutate(basic_fibration(p, bound)), bound)
+    except Exception as exc:
+        return type(exc), str(exc)
+    out: dict = {}
+    for failure in report.failures:
+        out.setdefault(failure.equation, []).append(failure.witness)
+    return out
+
+
+def test_gate_on_generators_agrees_with_every_square(monkeypatch):
+    mutations = [lambda fib: fib, invert_theta, swap_face_convention]
+    cases = [(p, mutate, bound) for p in SMALL_MAPS for mutate in mutations
+             for bound in (1, 2, 3)]
+    assert len(cases) == 171
+    on_generators = [_gate(*case) for case in cases]
+    monkeypatch.setattr(cosimplicial, "naturality_failures", _every_square)
+    on_every_square = [_gate(*case) for case in cases]
+    raised = 0
+    for case, got, want in zip(cases, on_generators, on_every_square):
+        if isinstance(want, tuple):
+            raised += 1
+            assert got == want, case
+            continue
+        assert isinstance(got, dict) and got.keys() == want.keys(), case
+        for equation, witnesses in got.items():
+            if equation.endswith(": naturality"):
+                assert set(witnesses) <= set(want[equation]), (case, equation)
+            else:
+                assert witnesses == want[equation], (case, equation)
+    assert raised == 36
 
 
 def test_gate_reports_non_invertible_cell():

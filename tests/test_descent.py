@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from descent_kit.cosimplicial import basic_fibration, validate_coherence
+from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
 from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  DescCategory, DescentDatum,
@@ -10,9 +10,8 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
 from descent_kit.fincat import CategoryError, validate_category
-from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
-                                canonical_set)
-from descent_kit.slices import SliceMor, SliceObj, slice_isos
+from descent_kit.finset import FinFunction, FinSetObj, all_functions
+from descent_kit.slices import SliceObj, slice_isos
 
 
 def fn(dom, cod, mapping):

@@ -10,7 +10,7 @@ from descent_kit.cosimplicial import basic_fibration
 from descent_kit.descent import (DescCategory, DescentDatum, classify, comparison,
                                  descend, is_descent_datum)
 from descent_kit.fincat import (CategoryError, Functor, IdentityFunctor, NatTrans,
-                                chain_category)
+                                TableFunctor, chain_category)
 from descent_kit.finset import FinFunction, FinSetError, FinSetObj
 from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
                                  pullback_square_bc)
@@ -90,6 +90,17 @@ def unknown_table_morphism():
     chain_category(2).mor("m10")
 
 
+def table_functor_missing_a_morphism():
+    c = chain_category(2)
+    TableFunctor(c, c, {"0": "0", "1": "1"}, {"m00": "m00"}, name="F").check()
+
+
+def table_functor_missing_an_object():
+    c = chain_category(2)
+    TableFunctor(c, c, {"0": "0"}, {"m00": "m00", "m01": "m01", "m11": "m11"},
+                 name="F").check()
+
+
 def pseudopullback_square_with_non_invertible_filler():
     # the cell m01: 0 -> 1 of the chain 0 -> 1, seen from the point
     pt, c = chain_category(1), chain_category(2)
@@ -116,6 +127,10 @@ def pseudopullback_square_with_non_invertible_filler():
     (call_outside_domain, FinSetError, "not in the domain"),
     (identity_of_unknown_object, CategoryError, "missing identity for object '2'"),
     (unknown_table_morphism, CategoryError, "unknown morphism 'm10'"),
+    (table_functor_missing_a_morphism, CategoryError,
+     "functor 'F' has no image for morphism 'm11'"),
+    (table_functor_missing_an_object, CategoryError,
+     "functor 'F' has no image for object '1'"),
     (pseudopullback_square_with_non_invertible_filler, CategoryError,
      "malformed square: .*not invertible"),
 ], ids=lambda case: getattr(case, "__name__", None))

@@ -9,7 +9,7 @@ from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, Computable
                                 is_equivalence, is_essentially_surjective,
                                 is_faithful, is_full, parallel_pair_category,
                                 validate_category)
-from descent_kit.finset import EMPTY, FinFunction, FinSetObj, canonical_set
+from descent_kit.finset import EMPTY, FinSetObj, canonical_set
 from descent_kit.slices import FinSetCategory
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from descent_kit.finset import (EMPTY, FinFunction, FinSetError, FinSetObj,
+from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
                                 all_functions, canonical_set, coproduct,
                                 mediating_map, pullback, quotient)
 

@@ -1,21 +1,16 @@
-import itertools
-
 import pytest
 
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
 from descent_kit.fincat import (EQUIVALENCE, CategoryError, IdentityFunctor,
                              validate_category)
-from descent_kit.finset import (FinFunction, FinSetObj, all_functions,
-                                canonical_set, pullback)
-from descent_kit.monadic import (Algebra, BCSquare, EMCategory, Monad,
-                                 algebra_laws_hold, algebra_to_datum,
+from descent_kit.finset import FinFunction, FinSetObj, all_functions
+from descent_kit.monadic import (EMCategory, Monad, algebra_to_datum,
                                  benabou_roubaud, chosen_pullback_bc_square,
                                  datum_to_algebra, em_comparison,
                                  induced_monad, is_beck_chevalley, mate,
                                  pullback_square_bc)
-from descent_kit.slices import (SliceCategory, SliceMor, SliceObj,
-                                sigma_pullback_adjunction)
+from descent_kit.slices import sigma_pullback_adjunction
 
 
 def fn(dom, cod, mapping):

@@ -1,6 +1,6 @@
 """Packaging guards: declared entry points exist, the library never
-relies on ``assert``, which ``python -O`` strips, no library module
-imports a name it never uses, every public name is used or listed, the
+relies on ``assert``, which ``python -O`` strips, no library or test
+module imports a name it never uses, every public name is used or listed, the
 most numerous value classes stay slotted, a dropped diagram leaves no
 cyclic garbage, memo keys store their hash, and the benchmark can still
 drive the library."""
@@ -56,10 +56,13 @@ def _unused_imports(tree):
 
 
 def test_library_has_no_unused_imports():
+    """Neither the library nor its tests import a name they never use."""
     found = []
-    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+    for path in sorted([*(ROOT / "src" / "descent_kit").rglob("*.py"),
+                        *(ROOT / "tests").rglob("*.py")]):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+        where = path.relative_to(ROOT)
+        found += [f"{where}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []
 
 
@@ -67,14 +70,14 @@ def test_library_has_no_unused_imports():
 # connect it: an entry point, a ROADMAP item, or a fixture that tests build
 # categories from.  Anything else that nothing uses is deleted, not listed.
 UNUSED_PUBLIC_NAMES = {
-    "descent.classify": "entry point (ROADMAP item 5, the CLI)",
-    "monadic.benabou_roubaud": "entry point (ROADMAP item 5, the CLI)",
-    "bilimits.is_pseudopullback_square": "ROADMAP item 2",
-    "finset.coproduct": "ROADMAP item 2",
-    "fincat.validate_category": "ROADMAP item 3",
-    "fincat.TableFunctor": "ROADMAP item 3",
-    "monadic.is_beck_chevalley": "ROADMAP item 6",
-    "monadic.chosen_pullback_bc_square": "ROADMAP item 6",
+    "descent.classify": "entry point (ROADMAP item 8, the CLI)",
+    "monadic.benabou_roubaud": "entry point (ROADMAP item 8, the CLI)",
+    "bilimits.is_pseudopullback_square": "ROADMAP item 5",
+    "finset.coproduct": "ROADMAP item 5",
+    "fincat.validate_category": "ROADMAP item 6",
+    "fincat.TableFunctor": "ROADMAP item 6",
+    "monadic.is_beck_chevalley": "ROADMAP item 7",
+    "monadic.chosen_pullback_bc_square": "ROADMAP item 7",
     "fincat.chain_category": "fixture",
     "fincat.discrete_category": "fixture",
     "fincat.parallel_pair_category": "fixture",

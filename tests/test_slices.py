@@ -1,9 +1,8 @@
 import pytest
 
-from descent_kit.fincat import (CategoryError, IdentityFunctor, is_faithful,
-                             validate_category)
-from descent_kit.finset import (EMPTY, FinFunction, FinSetError, FinSetObj,
-                                all_functions, canonical_set, mediating_map)
+from descent_kit.fincat import CategoryError, is_faithful, validate_category
+from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
+                                canonical_set, mediating_map)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor,
                                 comparison_iso, sigma_pullback_adjunction)
@@ -214,3 +213,55 @@ def test_change_of_base_rejects_a_morphism_that_does_not_commute():
     m = SliceMor(over_x, over_y, FinFunction.of(over_x.carrier, over_y.carrier, {"p": "q"}))
     with pytest.raises(FinSetError):
         cob.mor(m)
+
+
+def _kind(g):
+    size_change = len(g.dst.carrier) - len(g.src.carrier)
+    return {0: "transposition", -1: "merge", 1: "inclusion"}[size_change]
+
+
+def _composites(cat, gens, bound):
+    """Every composite of gens (identities included), found by following
+    generators out of each morphism reached so far."""
+    out_of: dict = {}
+    for g in gens:
+        out_of.setdefault(g.src, []).append(g)
+    reached = {cat.identity(x) for x in cat.objects(bound)}
+    todo = list(reached)
+    while todo:
+        f = todo.pop()
+        for g in out_of.get(f.dst, ()):
+            h = cat.compose(g, f)
+            if h not in reached:
+                reached.add(h)
+                todo.append(h)
+    return reached
+
+
+@pytest.mark.parametrize("base", [[], ["x"], ["x", "y"]])
+def test_generators_compose_to_every_hom_set(base):
+    cat = slice_over(base)
+    objs = cat.objects(3)
+    every = {f for x in objs for y in objs for f in cat.hom(x, y)}
+    gens = cat.generators(3)
+    assert set(gens) <= every and len(set(gens)) == len(gens)
+    assert cat.generators(3) is gens  # memoized per bound
+    assert _composites(cat, gens, 3) == every
+    if base:
+        # each kind is needed: without it some hom-set is not reached
+        for kind in ("transposition", "merge", "inclusion"):
+            kept = [g for g in gens if _kind(g) != kind]
+            assert len(kept) < len(gens), kind
+            assert _composites(cat, kept, 3) < every, kind
+
+
+def test_generators_of_a_two_point_fiber():
+    cat = slice_over(["x"])
+    labels = [(_kind(g), len(g.src.carrier), [y for _, y in g.fn.mapping])
+              for g in cat.generators(2)]
+    assert labels == [
+        ("inclusion", 0, []),
+        ("inclusion", 1, [("x", 0)]),
+        ("transposition", 2, [("x", 1), ("x", 0)]),
+        ("merge", 2, [("x", 0), ("x", 0)]),
+    ]
