@@ -90,10 +90,6 @@ class PseudoPullbackCategory(ComputableCategory):
                         lambda x: x.phi, name="filler")
 
 
-def pseudopullback(f: Functor, g: Functor, bound: int = 3) -> PseudoPullbackCategory:
-    return PseudoPullbackCategory(f, g, bound)
-
-
 @dataclass
 class PsSquare:
     """A candidate pseudopullback square.
@@ -114,8 +110,8 @@ class PsSquare:
 
 
 def square_comparison(square: PsSquare, bound: int = 3) -> Functor:
-    """The canonical functor corner -> pseudopullback(f, g)."""
-    pp = pseudopullback(square.f, square.g, bound)
+    """The canonical functor corner -> the pseudopullback of f and g."""
+    pp = PseudoPullbackCategory(square.f, square.g, bound)
 
     def on_obj(a):
         return WedgeObj(square.p1.obj(a), square.p2.obj(a), square.filler.at(a))

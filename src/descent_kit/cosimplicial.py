@@ -1,12 +1,13 @@
-"""Truncated augmented cosimplicial diagrams of categories.
+"""The truncated augmented cosimplicial diagram of slices of a map.
 
-An ``AugCosimplicial3`` is three levels of categories with face and
-degeneracy functors, an optional augmentation, and the six constraint
-cells relating composites of faces:
+A ``BasicFibration`` is the diagram of a finite-set function p: E -> B:
+the augmentation c0 --d--> c1, three cosimplicial levels with face and
+degeneracy functors, and the seven constraint cells relating composites of
+faces:
 
     sigma01 : del1∘d0 => del0∘d0        n0 : s0∘d0 => Id
     sigma02 : del2∘d0 => del0∘d1        n1 : s0∘d1 => Id
-    sigma12 : del2∘d1 => del1∘d1        theta : d1∘d => d0∘d   (augmented)
+    sigma12 : del2∘d1 => del1∘d1        theta : d1∘d => d0∘d
 
 Each cell is a plain ``NatTrans``; that it is invertible is a property
 ``validate_coherence`` checks, component by component, with the target
@@ -25,14 +26,14 @@ when
     associativity:  sigma01_W ∘ del1(rho) ∘ sigma12_W
                        = del0(rho) ∘ sigma02_W ∘ del2(rho)
 
-(``is_descent_datum``).  The two presentation equations of an augmented
-diagram say that theta_B0 is a datum on d(B0) for every level-0 object B0,
-so ``validate_coherence`` checks them by that same function.
+(``is_descent_datum``).  The two presentation equations of the
+augmentation say that theta_B0 is a datum on d(B0) for every level-0
+object B0, so ``validate_coherence`` checks them by that same function.
 
-``basic_fibration`` realizes the diagram of a finite-set function
-p: E -> B: slices over B, E, E×_B E and E×_B E×_B E with change of base
-along p, the projections and the diagonal; every constraint is the
-canonical comparison of iterated chosen pullbacks.
+``basic_fibration`` realizes the diagram of p: slices over B, E, E×_B E
+and E×_B E×_B E with change of base along p, the projections and the
+diagonal; every constraint is the canonical comparison of iterated chosen
+pullbacks.
 """
 
 from __future__ import annotations
@@ -77,12 +78,15 @@ class CoherenceReport:
 
 
 @dataclass
-class AugCosimplicial3:
-    """Three cosimplicial levels, optionally augmented by c0 --d--> c1."""
+class BasicFibration:
+    """The cosimplicial diagram of slices of a function p: E -> B,
+    augmented by c0 = C/B --d = p*--> c1 = C/E."""
 
+    c0: Category
     c1: Category
     c2: Category
     c3: Category
+    d: Functor   # c0 -> c1
     d0: Functor  # c1 -> c2
     d1: Functor  # c1 -> c2
     s0: Functor  # c2 -> c1
@@ -94,29 +98,30 @@ class AugCosimplicial3:
     sigma12: NatTrans
     n0: NatTrans
     n1: NatTrans
-    c0: Optional[Category] = None
-    d: Optional[Functor] = None  # c0 -> c1
-    theta: Optional[NatTrans] = None  # d1∘d => d0∘d
-
-    @property
-    def augmented(self) -> bool:
-        return self.c0 is not None
+    theta: NatTrans  # d1∘d => d0∘d
+    p: FinFunction
+    e2: FinSetObj
+    e3: FinSetObj
+    proj_omit0: FinFunction  # E2 -> E, second coordinate
+    proj_omit1: FinFunction  # E2 -> E, first coordinate
+    diagonal: FinFunction    # E -> E2
+    tproj_omit0: FinFunction  # E3 -> E2
+    tproj_omit1: FinFunction
+    tproj_omit2: FinFunction
 
     def constraint_types(self):
         """Each constraint with the composites it must relate."""
-        out = [
+        return [
             ("sigma01", self.sigma01, self.d0.then(self.del1), self.d0.then(self.del0), self.c1),
             ("sigma02", self.sigma02, self.d0.then(self.del2), self.d1.then(self.del0), self.c1),
             ("sigma12", self.sigma12, self.d1.then(self.del2), self.d1.then(self.del1), self.c1),
             ("n0", self.n0, self.d0.then(self.s0), IdentityFunctor(self.c1), self.c1),
             ("n1", self.n1, self.d1.then(self.s0), IdentityFunctor(self.c1), self.c1),
+            ("theta", self.theta, self.d.then(self.d1), self.d.then(self.d0), self.c0),
         ]
-        if self.augmented:
-            out.append(("theta", self.theta, self.d.then(self.d1), self.d.then(self.d0), self.c0))
-        return out
 
 
-def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj,
+def is_descent_datum(diagram: BasicFibration, w: SliceObj,
                      rho) -> tuple[bool, Optional[str]]:
     """Evaluate the two datum equations as concrete morphism equalities.
 
@@ -138,10 +143,10 @@ def is_descent_datum(diagram: AugCosimplicial3, w: SliceObj,
     return True, None
 
 
-def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -> CoherenceReport:
+def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> CoherenceReport:
     """Check constraint typing and invertibility on every enumerated object,
-    naturality on the generators of each cell's index category, and (when
-    augmented) the two presentation equations.
+    naturality on the generators of each cell's index category, and the two
+    presentation equations of the augmentation.
 
     A naturality failure is reported at the generators whose squares fail
     (``fincat.naturality_failures``); every other morphism is a composite
@@ -179,28 +184,12 @@ def validate_coherence(diagram: AugCosimplicial3, bound: Optional[int] = None) -
     if report.failures:
         return report
 
-    if diagram.augmented:
-        for b0 in diagram.c0.objects(bound):
-            ok, which = is_descent_datum(diagram, diagram.d.obj(b0), diagram.theta.at(b0))
-            if not ok:
-                report.add(f"presentation {which}", b0)
+    for b0 in diagram.c0.objects(bound):
+        ok, which = is_descent_datum(diagram, diagram.d.obj(b0), diagram.theta.at(b0))
+        if not ok:
+            report.add(f"presentation {which}", b0)
 
     return report
-
-
-@dataclass
-class BasicFibration(AugCosimplicial3):
-    """The cosimplicial diagram of slices of a function p: E -> B."""
-
-    p: FinFunction = None
-    e2: FinSetObj = None
-    e3: FinSetObj = None
-    proj_omit0: FinFunction = None  # E2 -> E, second coordinate
-    proj_omit1: FinFunction = None  # E2 -> E, first coordinate
-    diagonal: FinFunction = None    # E -> E2
-    tproj_omit0: FinFunction = None  # E3 -> E2
-    tproj_omit1: FinFunction = None
-    tproj_omit2: FinFunction = None
 
 
 def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
@@ -234,14 +223,13 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
     del2 = ChangeOfBase(r2, c2, c3)
 
     return BasicFibration(
-        c1=c1, c2=c2, c3=c3,
-        d0=d0, d1=d1, s0=s0, del0=del0, del1=del1, del2=del2,
+        c0=c0, c1=c1, c2=c2, c3=c3,
+        d=d, d0=d0, d1=d1, s0=s0, del0=del0, del1=del1, del2=del2,
         sigma01=comparison_iso(d0.then(del1), d0.then(del0), "sigma01"),
         sigma02=comparison_iso(d0.then(del2), d1.then(del0), "sigma02"),
         sigma12=comparison_iso(d1.then(del2), d1.then(del1), "sigma12"),
         n0=comparison_iso(d0.then(s0), IdentityCartFunctor(c1), "n0"),
         n1=comparison_iso(d1.then(s0), IdentityCartFunctor(c1), "n1"),
-        c0=c0, d=d,
         theta=comparison_iso(d.then(d1), d.then(d0), "theta"),
         p=p, e2=e2, e3=e3,
         proj_omit0=q0, proj_omit1=q1, diagonal=diag,

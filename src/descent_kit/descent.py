@@ -1,13 +1,13 @@
 """Descent data, the descent category, the comparison functor and the
 descent classifier.
 
-A descent datum on a truncated diagram is a pair (W, rho) of a level-1
-object and an isomorphism rho: d1(W) -> d0(W) satisfying the identity and
-associativity equations that ``cosimplicial`` states and checks
-(``is_descent_datum``, imported here).  A morphism (W, rho) -> (X, rho')
-is m: W -> X with d0(m) ∘ rho = rho' ∘ d1(m), checked by
-``is_descent_morphism``: the comparison functor and ``descend`` use that
-one check.
+A descent datum on the basic fibration of p: E -> B is a pair (W, rho)
+of a level-1 object and an isomorphism rho: d1(W) -> d0(W) satisfying
+the identity and associativity equations that ``cosimplicial`` states
+and checks (``is_descent_datum``, imported here).  A morphism
+(W, rho) -> (X, rho') is m: W -> X with d0(m) ∘ rho = rho' ∘ d1(m),
+checked by ``is_descent_morphism``: the comparison functor and
+``descend`` use that one check.
 
 Over finite sets a datum is an action of the kernel-pair groupoid, and
 ``moves`` lists it: rho carries v, seen over a level-2 point t, to v2.
@@ -16,11 +16,13 @@ these moves, so ``DescCategory`` enumerates hom-sets as a product of
 per-orbit choices (``_hom_generic``, the brute equivariance filter, is
 its reference); ``descend`` glues along the same moves.
 
-For the basic fibration of p: E -> B, ``descend`` glues a datum to an
-object over B (the constructive inverse of the comparison functor), and
-``classify`` decides the almost / plain / effective descent ladder with
-auditable witnesses.  Essential surjectivity is always decided by gluing,
-never by blind search over C/B.
+A ``DescCategory`` holds the one input of every descent decision: the
+diagram, the enumeration bound and an optional carrier predicate.
+``comparison`` reads all three from it, and ``classify`` builds it once.
+``descend`` glues a datum to an object over B (the constructive inverse
+of the comparison functor), and ``classify`` decides the almost / plain /
+effective descent ladder with auditable witnesses.  Essential
+surjectivity is always decided by gluing, never by blind search over C/B.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from typing import Callable, Optional
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
-                     NOT_FAITHFUL, Category, CategoryError, ComputableCategory,
-                     Decision, EquivalenceReport, FullSubcategory, Functor,
-                     is_equivalence)
+                     NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
+                     EquivalenceReport, FullSubcategory, Functor, is_equivalence)
 from .finset import FinFunction, FinSetObj, quotient
-from .cosimplicial import (AugCosimplicial3, BasicFibration, basic_fibration,
-                           is_descent_datum, validate_coherence)
+from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
+                           validate_coherence)
 from .slices import SliceMor, SliceObj, slice_isos
 
 
@@ -66,7 +67,7 @@ class DescMor:
         return f"{self.m.fn!r}:{self.src!r}→{self.dst!r}"
 
 
-def is_descent_morphism(diagram: AugCosimplicial3, x: DescentDatum,
+def is_descent_morphism(diagram: BasicFibration, x: DescentDatum,
                         y: DescentDatum, m: SliceMor) -> bool:
     """Whether m: x.w -> y.w is equivariant: d0(m) ∘ x.rho = y.rho ∘ d1(m)."""
     c2 = diagram.c2
@@ -74,7 +75,7 @@ def is_descent_morphism(diagram: AugCosimplicial3, x: DescentDatum,
             == c2.compose(y.rho, diagram.d1.mor(m)))
 
 
-def moves(diagram: AugCosimplicial3, datum: DescentDatum) -> list[tuple]:
+def moves(diagram: BasicFibration, datum: DescentDatum) -> list[tuple]:
     """How rho moves elements: (top1(u), base(u), top0(rho(u))) for each u
     in d1(w), in carrier order.
 
@@ -89,16 +90,15 @@ def moves(diagram: AugCosimplicial3, datum: DescentDatum) -> list[tuple]:
             for u in d1w.carrier.elements]
 
 
-def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = None,
-                           dedupe: bool = True,
+def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
                            carrier_pred: Optional[Callable[[FinSetObj], bool]] = None
                            ) -> list[DescentDatum]:
-    """All descent data with level-1 carrier within bound.
+    """One descent datum per carrier-relabelling class, with level-1
+    carrier within bound.
 
     Enumeration: every canonical level-1 object, every isomorphism between
-    its two pullbacks, filtered by the two equations.  With dedupe, one
-    representative per carrier-relabelling class is kept (the
-    lexicographically least conjugate).
+    its two pullbacks, filtered by the two equations; the representative
+    kept is the lexicographically least conjugate.
     """
     out = []
     for w in diagram.c1.objects(bound):
@@ -109,15 +109,12 @@ def enumerate_descent_data(diagram: AugCosimplicial3, bound: Optional[int] = Non
             if not ok:
                 continue
             datum = DescentDatum(w, rho)
-            if dedupe:
-                rep, _ = canonicalize_datum(diagram, datum)
-                if rep != datum:
-                    continue
-            out.append(datum)
+            if canonicalize_datum(diagram, datum)[0] == datum:
+                out.append(datum)
     return out
 
 
-def canonicalize_datum(diagram: AugCosimplicial3,
+def canonicalize_datum(diagram: BasicFibration,
                        datum: DescentDatum) -> tuple[DescentDatum, DescMor]:
     """Lexicographically least conjugate under carrier relabellings, with
     the relabelling as the connecting isomorphism datum -> conjugate.
@@ -142,9 +139,10 @@ def canonicalize_datum(diagram: AugCosimplicial3,
 
 
 class DescCategory(ComputableCategory):
-    """The category of descent data of a truncated diagram."""
+    """The descent data of a basic fibration with level-1 carrier within
+    the bound, and only those whose carrier passes carrier_pred if given."""
 
-    def __init__(self, diagram: AugCosimplicial3, bound: int = 4,
+    def __init__(self, diagram: BasicFibration, bound: int = 4,
                  carrier_pred: Optional[Callable[[FinSetObj], bool]] = None):
         super().__init__(bound)
         self.diagram = diagram
@@ -226,32 +224,38 @@ class DescCategory(ComputableCategory):
         return Functor(self, self.diagram.c1, lambda d: d.w, lambda m: m.m, name="U")
 
 
-def comparison(diagram: AugCosimplicial3, bound: int = 4,
-               desc: Optional[DescCategory] = None,
-               domain: Optional[Category] = None) -> Functor:
-    """The comparison functor level-0 -> Desc: B0 |-> (d(B0), theta_B0).
+class _Comparison(Functor):
+    """B0 |-> (d(B0), theta_B0); a morphism goes to its image under d."""
 
-    Refuses to build over an incoherent diagram.  Post-composing with the
-    forgetful functor gives back the augmentation on the nose.
-    """
-    if not diagram.augmented:
-        raise CategoryError("comparison needs an augmented diagram")
-    rep = validate_coherence(diagram, bound)
-    if not rep.is_empty():
-        raise CategoryError(f"incoherent diagram: {rep}")
-    desc = desc if desc is not None else DescCategory(diagram, bound)
-    dom = domain if domain is not None else diagram.c0
+    def _on_obj(self, b0):
+        fib = self.dst.diagram
+        return DescentDatum(fib.d.obj(b0), fib.theta.at(b0))
 
-    def on_obj(b0):
-        return DescentDatum(diagram.d.obj(b0), diagram.theta.at(b0))
-
-    def on_mor(f):
-        mor = DescMor(on_obj(f.src), on_obj(f.dst), diagram.d.mor(f))
-        if not is_descent_morphism(diagram, mor.src, mor.dst, mor.m):
+    def _on_mor(self, f):
+        fib = self.dst.diagram
+        mor = DescMor(self.obj(f.src), self.obj(f.dst), fib.d.mor(f))
+        if not is_descent_morphism(fib, mor.src, mor.dst, mor.m):
             raise TheoremViolation(f"comparison image breaks equivariance at {f}")
         return mor
 
-    return Functor(dom, desc, on_obj, on_mor, name="Phi")
+
+def comparison(desc: DescCategory) -> Functor:
+    """The comparison functor level-0 -> desc: B0 |-> (d(B0), theta_B0).
+
+    Reads everything from desc: the diagram, its default bound (at which
+    the diagram is gated) and its carrier predicate, which restricts the
+    domain to the full subcategory of level-0 objects whose carriers pass
+    it.  Refuses to build over an incoherent diagram.  Post-composing with
+    the forgetful functor gives back the augmentation on the nose.
+    """
+    fib, pred = desc.diagram, desc.carrier_pred
+    rep = validate_coherence(fib, desc.default_bound)
+    if not rep.is_empty():
+        raise CategoryError(f"incoherent diagram: {rep}")
+    dom = fib.c0
+    if pred is not None:
+        dom = FullSubcategory(fib.c0, lambda x: pred(x.carrier), name="restricted base")
+    return _Comparison(dom, desc, name="Phi")
 
 
 @dataclass
@@ -334,28 +338,16 @@ class ClassifyResult:
 
 
 def classify(p: FinFunction, bound: int = 4,
-             carrier_pred: Optional[Callable[[FinSetObj], bool]] = None,
-             desc: Optional[DescCategory] = None) -> ClassifyResult:
+             carrier_pred: Optional[Callable[[FinSetObj], bool]] = None) -> ClassifyResult:
     """Place p on the ladder NotAlmost < Almost < Descent < Effective.
 
     carrier_pred restricts to the full subcategory of finite sets whose
     carriers satisfy the (isomorphism-closed) predicate: the classifier then
-    answers for that subcategory's basic fibration.  A given desc must be
-    built over the basic fibration of p, which is then used as is.
+    answers for that subcategory's basic fibration.
     """
-    if desc is None:
-        fib = basic_fibration(p, bound)
-        desc = DescCategory(fib, bound, carrier_pred=carrier_pred)
-    else:
-        fib = desc.diagram
-        if not isinstance(fib, BasicFibration) or fib.p != p:
-            raise CategoryError(f"desc is built over {getattr(fib, 'p', type(fib).__name__)!r}, "
-                                f"not over the basic fibration of {p!r}")
-    domain: Category = fib.c0
-    if carrier_pred is not None:
-        domain = FullSubcategory(fib.c0, lambda x: carrier_pred(x.carrier),
-                                 name="restricted base")
-    phi = comparison(fib, bound, desc=desc, domain=domain)
+    fib = basic_fibration(p, bound)
+    desc = DescCategory(fib, bound, carrier_pred=carrier_pred)
+    phi = comparison(desc)
 
     def ess() -> Decision:
         for datum in desc.objects(bound):

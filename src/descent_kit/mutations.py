@@ -12,7 +12,7 @@ import dataclasses
 
 from .fincat import NatTrans
 from .finset import FinFunction
-from .cosimplicial import AugCosimplicial3, BasicFibration
+from .cosimplicial import BasicFibration
 from .descent import (DescCategory, DescentDatum, DescMor, canonicalize_datum,
                       is_descent_datum)
 from .monadic import Monad
@@ -75,7 +75,7 @@ class _WithoutCocycle(DescCategory):
         return out
 
 
-def descent_category_without_cocycle(fib: AugCosimplicial3, bound: int) -> DescCategory:
+def descent_category_without_cocycle(fib: BasicFibration, bound: int) -> DescCategory:
     """Enumerate 'descent data' filtered by the identity equation only."""
     return _WithoutCocycle(fib, bound)
 
@@ -85,7 +85,7 @@ class _WithoutHomCondition(DescCategory):
         return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)]
 
 
-def descent_category_without_hom_condition(fib: AugCosimplicial3, bound: int) -> DescCategory:
+def descent_category_without_hom_condition(fib: BasicFibration, bound: int) -> DescCategory:
     """Descent category whose morphisms are not required to commute with rho."""
     return _WithoutHomCondition(fib, bound)
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from descent_kit.bilimits import (PsSquare, WedgeObj, is_pseudopullback_square,
-                                  pseudopullback)
+from descent_kit.bilimits import (PseudoPullbackCategory, PsSquare, WedgeObj,
+                                  is_pseudopullback_square)
 from descent_kit.fincat import (FullSubcategory, Functor, IdentityFunctor,
                                 NatTrans, chain_category, validate_category)
 from descent_kit.finset import canonical_set
@@ -31,7 +31,7 @@ def test_pseudopullback_of_two_points_is_iso_category():
     two_b = canonical_set(2, "b")
     f = constant_functor(pt, sets, two_a)
     g = constant_functor(pt, sets, two_b)
-    pp = pseudopullback(f, g, 1)
+    pp = PseudoPullbackCategory(f, g, 1)
     objs = pp.objects(1)
     assert len(objs) == 2  # the two bijections a≅b
     for x in objs:
@@ -42,13 +42,13 @@ def test_pseudopullback_of_two_points_is_iso_category():
 
 def test_pseudopullback_category_laws():
     sets = FinSetCategory(bound=2)
-    pp = pseudopullback(IdentityFunctor(sets), IdentityFunctor(sets), 1)
+    pp = PseudoPullbackCategory(IdentityFunctor(sets), IdentityFunctor(sets), 1)
     assert validate_category(pp, 1) == []
 
 
 def test_pseudopullback_filler_is_invertible():
     sets = FinSetCategory(bound=1)
-    pp = pseudopullback(IdentityFunctor(sets), IdentityFunctor(sets), 1)
+    pp = PseudoPullbackCategory(IdentityFunctor(sets), IdentityFunctor(sets), 1)
     assert pp.filler().check_iso(1) == []
 
 
@@ -61,7 +61,7 @@ def test_pseudopullback_of_identities_counts(bound, n_objects, n_morphisms):
     assert len(sizes) == n_objects
     assert sum(m ** n for n in sizes for m in sizes) == n_morphisms
     sets = FinSetCategory(bound=bound)
-    pp = pseudopullback(IdentityFunctor(sets), IdentityFunctor(sets), bound)
+    pp = PseudoPullbackCategory(IdentityFunctor(sets), IdentityFunctor(sets), bound)
     objs = pp.objects(bound)
     assert sorted(len(x.c) for x in objs) == sizes
     assert all(len(x.c) == len(x.d) and x.phi.is_bijective() for x in objs)
@@ -73,7 +73,7 @@ def test_constructed_pseudopullback_is_its_own_square():
     disc = FullSubcategory(sets, lambda x: len(x) <= 1, name="small")
     f = disc.inclusion()
     g = IdentityFunctor(sets)
-    pp = pseudopullback(f, g, 2)
+    pp = PseudoPullbackCategory(f, g, 2)
     square = PsSquare(corner=pp, p1=pp.proj1(), p2=pp.proj2(), f=f, g=g,
                       filler=pp.filler())
     ok, report = is_pseudopullback_square(square, 2)
@@ -83,7 +83,7 @@ def test_constructed_pseudopullback_is_its_own_square():
 def test_full_subcategory_of_pseudopullback_missing_class_fails():
     sets = FinSetCategory(bound=2)
     f = IdentityFunctor(sets)
-    pp = pseudopullback(f, f, 2)
+    pp = PseudoPullbackCategory(f, f, 2)
     # drop the whole iso-class of 2-element corners
     sub = FullSubcategory(pp, lambda x: len(x.c) != 2, name="missing class")
     square = PsSquare(corner=sub, p1=sub.inclusion().then(pp.proj1()),
@@ -104,8 +104,8 @@ def test_pseudopullback_symmetric_up_to_equivalence():
     disc = FullSubcategory(sets, lambda x: len(x) != 1, name="no singletons")
     f = disc.inclusion()
     g = IdentityFunctor(sets)
-    left = pseudopullback(f, g, 2)
-    right = pseudopullback(g, f, 2)
+    left = PseudoPullbackCategory(f, g, 2)
+    right = PseudoPullbackCategory(g, f, 2)
     swap = Functor(left, right,
                    lambda x: WedgeObj(x.d, x.c, x.phi.inverse()),
                    lambda m: type(m)(WedgeObj(m.src.d, m.src.c, m.src.phi.inverse()),
@@ -122,6 +122,6 @@ def test_fully_faithful_leg_gives_fully_faithful_projection():
     sub = FullSubcategory(sets, lambda x: len(x) >= 1, name="nonempty")
     g = sub.inclusion()  # fully faithful
     f = IdentityFunctor(sets)
-    pp = pseudopullback(f, g, 2)
+    pp = PseudoPullbackCategory(f, g, 2)
     pr1 = pp.proj1()
     assert is_faithful(pr1, 2).ok and is_full(pr1, 2).ok

@@ -1,8 +1,6 @@
 """Bad input gets a typed library error: CategoryError or FinSetError, both
 ValueErrors, never a bare ValueError or a stray KeyError."""
 
-import dataclasses
-
 import pytest
 
 from descent_kit.bilimits import PsSquare, is_pseudopullback_square
@@ -38,12 +36,8 @@ def non_composable_descent_morphisms():
     desc.compose(desc.identity(x), desc.identity(y))
 
 
-def comparison_without_augmentation():
-    comparison(dataclasses.replace(fibration(), c0=None), 2)
-
-
 def comparison_over_incoherent_diagram():
-    comparison(invert_theta(fibration()), 2)
+    comparison(DescCategory(invert_theta(fibration()), 2))
 
 
 def descend_invalid_datum():
@@ -117,7 +111,6 @@ def pseudopullback_square_with_non_invertible_filler():
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
-    (comparison_without_augmentation, CategoryError, "augmented"),
     (comparison_over_incoherent_diagram, CategoryError, "incoherent"),
     (descend_invalid_datum, CategoryError, "invalid descent datum"),
     (non_composable_algebra_morphisms, CategoryError, "non-composable"),

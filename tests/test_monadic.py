@@ -60,7 +60,7 @@ def oracle_algebras(monad, x):
     return found
 
 
-def test_em_enumeration_matches_oracle_and_descent_data():
+def test_em_enumeration_matches_oracle_and_descent_data(raw_descent_data):
     p = two_to_one()
     fib, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
@@ -69,8 +69,7 @@ def test_em_enumeration_matches_oracle_and_descent_data():
         got = [alg for alg in em.objects(3) if alg.x == x]
         assert len(got) == len(oracle_algebras(monad, x))
     # bijective correspondence with descent data on each carrier
-    from descent_kit.descent import enumerate_descent_data
-    raw = enumerate_descent_data(fib, 3, dedupe=False)
+    raw = raw_descent_data(fib, 3)
     assert len(em.objects(3)) == len(raw)
 
 
@@ -95,7 +94,7 @@ def test_em_comparison_identity_p_equivalence():
     from descent_kit.fincat import is_equivalence
     p = FinFunction.identity(FinSetObj(("x",)))
     _, adj = adjunction_for(p)
-    k = em_comparison(adj, bound=2)
+    k = em_comparison(adj, EMCategory(induced_monad(adj, 2), 2))
     assert is_equivalence(k, 2).level == "Equivalence"
 
 
@@ -105,7 +104,7 @@ def test_em_comparison_two_to_one_equivalence_within_bound():
     _, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
     em = EMCategory(monad, 3)
-    k = em_comparison(adj, em, 3)
+    k = em_comparison(adj, em)
     assert is_faithful(k, 3).ok and is_full(k, 3).ok
     # p* is monadic here: every bounded algebra is hit up to iso
     from descent_kit.fincat import find_isomorphism
@@ -155,12 +154,11 @@ def test_broken_square_mate_not_invertible():
     assert not witness_mor.fn.is_bijective()
 
 
-def test_datum_algebra_round_trip():
+def test_datum_algebra_round_trip(raw_descent_data):
     p = fn("abc", "xy", {"a": "x", "b": "y", "c": "y"})
     fib, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
-    from descent_kit.descent import enumerate_descent_data
-    for datum in enumerate_descent_data(fib, 3, dedupe=False):
+    for datum in raw_descent_data(fib, 3):
         alg = datum_to_algebra(fib, monad, datum)
         back = algebra_to_datum(fib, monad, alg)
         assert back == datum
@@ -229,11 +227,10 @@ def test_datum_algebra_maps_need_a_top_tracking_monad():
         algebra_to_datum(fib, plain, alg)
 
 
-def test_benabou_roubaud_sweep_is_equivalence_and_round_trips():
+def test_benabou_roubaud_sweep_is_equivalence_and_round_trips(raw_descent_data):
     # the paper's oracle on every map m -> n (m <= 3, 1 <= n <= 2), including
     # the empty, non-surjective and bijective classes; labels as in
     # test_classify_sweep_effective_iff_surjective
-    from descent_kit.descent import enumerate_descent_data
     e_labels, b_labels = ("\\", "(,)", ",\\("), ("(", "),")
     for m in range(4):
         for n in range(1, 3):
@@ -242,6 +239,6 @@ def test_benabou_roubaud_sweep_is_equivalence_and_round_trips():
                 res = benabou_roubaud(p, 2)
                 assert res.verdict == EQUIVALENCE and res.factorizations_agree, p
                 fib = res.desc.diagram
-                for datum in enumerate_descent_data(fib, 2, dedupe=False):
+                for datum in raw_descent_data(fib, 2):
                     alg = datum_to_algebra(fib, res.monad, datum)
                     assert algebra_to_datum(fib, res.monad, alg) == datum, (p, datum)

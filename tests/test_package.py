@@ -16,6 +16,7 @@ import pytest
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.descent import DescCategory, classify
 from descent_kit.finset import FinFunction, FinSetObj
+from descent_kit.monadic import benabou_roubaud
 from descent_kit.mutations import invert_theta
 from descent_kit.slices import SliceMor, SliceObj
 
@@ -128,9 +129,9 @@ def test_value_classes_have_no_instance_dict():
 def test_dropped_diagram_leaves_no_cyclic_garbage():
     """No functor holds a reference to itself, no cell carries an inverse
     and the hom search does not call itself through a closure, so reference
-    counting alone frees a dropped diagram, its homs and a classification;
-    garbage left to the cyclic collector would keep every memo alive until
-    it runs."""
+    counting alone frees a dropped diagram, its homs, a classification and
+    a Benabou-Roubaud comparison; garbage left to the cyclic collector would
+    keep every memo alive until it runs."""
 
     def build_and_drop():
         point = FinSetObj(("*",))
@@ -141,16 +142,18 @@ def test_dropped_diagram_leaves_no_cyclic_garbage():
         desc = DescCategory(fib, 2)
         data = desc.objects()
         n_mors = sum(len(desc.hom(x, y)) for x in data for y in data)
-        return ok, caught, len(data), n_mors, classify(p, 2).verdict
+        return (ok, caught, len(data), n_mors, classify(p, 2).verdict,
+                benabou_roubaud(p, 2).verdict)
 
     gc.collect()
     gc.disable()
     try:
-        ok, caught, n_data, n_mors, verdict = build_and_drop()
+        ok, caught, n_data, n_mors, verdict, br_verdict = build_and_drop()
         leftover = gc.collect()
     finally:
         gc.enable()
     assert ok and caught and (n_data, n_mors, verdict) == (2, 3, "Effective")
+    assert br_verdict == "Equivalence"
     assert leftover == 0
 
 
