@@ -109,9 +109,12 @@ class PsSquare:
     filler: NatTrans
 
 
-def square_comparison(square: PsSquare, bound: int = 3) -> Functor:
-    """The canonical functor corner -> the pseudopullback of f and g."""
-    pp = PseudoPullbackCategory(square.f, square.g, bound)
+def is_pseudopullback_square(square: PsSquare, bound: int = 3) -> tuple[bool, EquivalenceReport]:
+    """Equivalence of the canonical comparison corner -> the pseudopullback
+    of f and g, with the failing check as witness."""
+    malformed = square.filler.check_iso(bound)
+    if malformed:
+        raise CategoryError("malformed square: " + "; ".join(malformed))
 
     def on_obj(a):
         return WedgeObj(square.p1.obj(a), square.p2.obj(a), square.filler.at(a))
@@ -120,14 +123,7 @@ def square_comparison(square: PsSquare, bound: int = 3) -> Functor:
         return WedgeMor(on_obj(m.src), on_obj(m.dst),
                         square.p1.mor(m), square.p2.mor(m))
 
-    return Functor(square.corner, pp, on_obj, on_mor, name="corner comparison")
-
-
-def is_pseudopullback_square(square: PsSquare, bound: int = 3) -> tuple[bool, EquivalenceReport]:
-    """Equivalence of the canonical comparison, with the failing check as witness."""
-    malformed = square.filler.check_iso(bound)
-    if malformed:
-        raise CategoryError("malformed square: " + "; ".join(malformed))
-    comparison = square_comparison(square, bound)
+    comparison = Functor(square.corner, PseudoPullbackCategory(square.f, square.g, bound),
+                         on_obj, on_mor, name="corner comparison")
     report = is_equivalence(comparison, bound)
     return report.level == EQUIVALENCE, report

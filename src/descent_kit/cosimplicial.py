@@ -1,14 +1,15 @@
 """The truncated augmented cosimplicial diagram of slices of a map.
 
-A ``BasicFibration`` is the diagram of a finite-set function p: E -> B:
-the augmentation c0 --d--> c1, three cosimplicial levels with face and
-degeneracy functors, and the seven constraint cells relating composites of
-faces:
+A ``BasicFibration`` is the diagram of a finite-set function p: E -> B
+and nothing else: the augmentation c0 --d--> c1, three cosimplicial levels
+with face and degeneracy functors, and the seven constraint cells relating
+composites of faces:
 
     sigma01 : del1∘d0 => del0∘d0        n0 : s0∘d0 => Id
     sigma02 : del2∘d0 => del0∘d1        n1 : s0∘d1 => Id
     sigma12 : del2∘d1 => del1∘d1        theta : d1∘d => d0∘d
 
+Each map of finite sets lives in exactly one functor, as its ``u``.
 Each cell is a plain ``NatTrans``; that it is invertible is a property
 ``validate_coherence`` checks, component by component, with the target
 category's ``is_isomorphism``.
@@ -41,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .finset import FinFunction, FinSetObj, mediating_map, pullback
-from .fincat import (Category, CategoryError, Functor, IdentityFunctor, NatTrans,
-                     naturality_failures)
+from .finset import FinFunction, mediating_map, pullback
+from .fincat import CategoryError, IdentityFunctor, NatTrans, naturality_failures
 from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
                      SliceObj, comparison_iso)
 
@@ -80,34 +80,27 @@ class CoherenceReport:
 @dataclass
 class BasicFibration:
     """The cosimplicial diagram of slices of a function p: E -> B,
-    augmented by c0 = C/B --d = p*--> c1 = C/E."""
+    augmented by c0 = C/B --d = p*--> c1 = C/E.  p is d.u; c2 and c3 lie
+    over E2 = E×_B E and E3 = E×_B E×_B E; d_i and del_i pull back along
+    the projections omitting coordinate i, s0 along the diagonal E -> E2."""
 
-    c0: Category
-    c1: Category
-    c2: Category
-    c3: Category
-    d: Functor   # c0 -> c1
-    d0: Functor  # c1 -> c2
-    d1: Functor  # c1 -> c2
-    s0: Functor  # c2 -> c1
-    del0: Functor  # c2 -> c3
-    del1: Functor
-    del2: Functor
+    c0: SliceCategory
+    c1: SliceCategory
+    c2: SliceCategory
+    c3: SliceCategory
+    d: ChangeOfBase   # c0 -> c1
+    d0: ChangeOfBase  # c1 -> c2
+    d1: ChangeOfBase  # c1 -> c2
+    s0: ChangeOfBase  # c2 -> c1
+    del0: ChangeOfBase  # c2 -> c3
+    del1: ChangeOfBase
+    del2: ChangeOfBase
     sigma01: NatTrans
     sigma02: NatTrans
     sigma12: NatTrans
     n0: NatTrans
     n1: NatTrans
     theta: NatTrans  # d1∘d => d0∘d
-    p: FinFunction
-    e2: FinSetObj
-    e3: FinSetObj
-    proj_omit0: FinFunction  # E2 -> E, second coordinate
-    proj_omit1: FinFunction  # E2 -> E, first coordinate
-    diagonal: FinFunction    # E -> E2
-    tproj_omit0: FinFunction  # E3 -> E2
-    tproj_omit1: FinFunction
-    tproj_omit2: FinFunction
 
     def constraint_types(self):
         """Each constraint with the composites it must relate."""
@@ -197,22 +190,18 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
 
     Each call builds a fresh diagram; nothing is kept across calls.
     """
-    e, b = p.dom, p.cod
     pb2 = pullback(p, p)
-    e2 = pb2.obj
     q1, q0 = pb2.pr1, pb2.pr2  # pr1 keeps coordinate 0 (omits 1), pr2 omits 0
-    to_b = q1.then(p)
-    pb3 = pullback(to_b, p)
-    e3 = pb3.obj
+    pb3 = pullback(q1.then(p), p)
     r2 = pb3.pr1  # drops the last coordinate
     r0 = mediating_map(pb2, pb3.pr1.then(q0), pb3.pr2)  # drops coordinate 0
     r1 = mediating_map(pb2, pb3.pr1.then(q1), pb3.pr2)  # drops coordinate 1
-    diag = mediating_map(pb2, FinFunction.identity(e), FinFunction.identity(e))
+    diag = mediating_map(pb2, FinFunction.identity(p.dom), FinFunction.identity(p.dom))
 
-    c0 = SliceCategory(b, bound)
-    c1 = SliceCategory(e, bound)
-    c2 = SliceCategory(e2, bound)
-    c3 = SliceCategory(e3, bound)
+    c0 = SliceCategory(p.cod, bound)
+    c1 = SliceCategory(p.dom, bound)
+    c2 = SliceCategory(pb2.obj, bound)
+    c3 = SliceCategory(pb3.obj, bound)
 
     d = ChangeOfBase(p, c0, c1)
     d0 = ChangeOfBase(q0, c1, c2)
@@ -230,7 +219,4 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
         sigma12=comparison_iso(d1.then(del2), d1.then(del1), "sigma12"),
         n0=comparison_iso(d0.then(s0), IdentityCartFunctor(c1), "n0"),
         n1=comparison_iso(d1.then(s0), IdentityCartFunctor(c1), "n1"),
-        theta=comparison_iso(d.then(d1), d.then(d0), "theta"),
-        p=p, e2=e2, e3=e3,
-        proj_omit0=q0, proj_omit1=q1, diagonal=diag,
-        tproj_omit0=r0, tproj_omit1=r1, tproj_omit2=r2)
+        theta=comparison_iso(d.then(d1), d.then(d0), "theta"))

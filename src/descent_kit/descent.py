@@ -245,8 +245,11 @@ def comparison(desc: DescCategory) -> Functor:
     Reads everything from desc: the diagram, its default bound (at which
     the diagram is gated) and its carrier predicate, which restricts the
     domain to the full subcategory of level-0 objects whose carriers pass
-    it.  Refuses to build over an incoherent diagram.  Post-composing with
-    the forgetful functor gives back the augmentation on the nose.
+    it.  The codomain is Desc(p): a predicate not closed under p* may see
+    Phi send a passing object to a datum that fails it, and the predicate
+    only filters the data essential surjectivity must reach.  Refuses to
+    build over an incoherent diagram.  Post-composing with the forgetful
+    functor gives back the augmentation on the nose.
     """
     fib, pred = desc.diagram, desc.carrier_pred
     rep = validate_coherence(fib, desc.default_bound)
@@ -265,31 +268,31 @@ class DescendResult:
     partial: bool                   # p not surjective: glued lives over im(p)
 
 
-def descend(fib: BasicFibration, datum: DescentDatum,
-            check: bool = True) -> DescendResult:
+def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
     """Glue a descent datum to an object over the base.
 
-    The carrier is the quotient of the datum's total set by the relation
-    rho induces between fibers over related points; the returned
-    isomorphism exhibits comparison(glued) ≅ datum and is verified before
-    being returned.
+    The datum's two equations are checked first (``CategoryError`` names
+    the one that fails).  The carrier is the quotient of the datum's total
+    set by the relation rho induces between fibers over related points; the
+    returned isomorphism exhibits comparison(glued) ≅ datum and is verified
+    before being returned.
     """
-    if check:
-        ok, which = is_descent_datum(fib, datum.w, datum.rho)
-        if not ok:
-            raise CategoryError(f"invalid descent datum: {which} equation fails")
+    ok, which = is_descent_datum(fib, datum.w, datum.rho)
+    if not ok:
+        raise CategoryError(f"invalid descent datum: {which} equation fails")
+    p = fib.d.u
     w = datum.w
     pairs = [(v, v2) for v, _, v2 in moves(fib, datum)]
     q, proj = quotient(w.carrier, pairs)
 
     assign = {}
     for cls in q.elements:
-        assign[cls] = fib.p(w.to_base(cls))
+        assign[cls] = p(w.to_base(cls))
     for e in w.carrier.elements:
         # p-image must be constant on classes, else the datum was invalid
-        if fib.p(w.to_base(e)) != assign[proj(e)]:
+        if p(w.to_base(e)) != assign[proj(e)]:
             raise TheoremViolation(f"glued class of {e} is not over a single base point")
-    glued = SliceObj(FinFunction.of(q, fib.p.cod, assign))
+    glued = SliceObj(FinFunction.of(q, p.cod, assign))
 
     # the canonical iso comparison(glued) -> datum: (class, e) |-> the unique
     # representative of the class in the fiber over e
@@ -313,7 +316,7 @@ def descend(fib: BasicFibration, datum: DescentDatum,
     iso = DescMor(DescentDatum(pg, fib.theta.at(glued)), datum, SliceMor(pg, w, fn))
     if not is_descent_morphism(fib, iso.src, iso.dst, iso.m):
         raise TheoremViolation(f"gluing comparison for {datum} is not equivariant")
-    return DescendResult(glued, iso, partial=not fib.p.is_surjective())
+    return DescendResult(glued, iso, partial=not p.is_surjective())
 
 
 EFFECTIVE = "Effective"
@@ -341,9 +344,12 @@ def classify(p: FinFunction, bound: int = 4,
              carrier_pred: Optional[Callable[[FinSetObj], bool]] = None) -> ClassifyResult:
     """Place p on the ladder NotAlmost < Almost < Descent < Effective.
 
-    carrier_pred restricts to the full subcategory of finite sets whose
-    carriers satisfy the (isomorphism-closed) predicate: the classifier then
-    answers for that subcategory's basic fibration.
+    carrier_pred restricts the domain of Phi to the level-0 objects whose
+    carriers satisfy the (isomorphism-closed) predicate.  Phi's codomain is
+    Desc(p), so faithful and full are decided on its hom-sets even where a
+    predicate not closed under p* sees Phi leave it.  The predicate only
+    filters the data essential surjectivity must reach: each datum whose
+    carrier passes must glue to an object that passes too.
     """
     fib = basic_fibration(p, bound)
     desc = DescCategory(fib, bound, carrier_pred=carrier_pred)
@@ -352,7 +358,7 @@ def classify(p: FinFunction, bound: int = 4,
     def ess() -> Decision:
         for datum in desc.objects(bound):
             try:
-                res = descend(fib, datum, check=False)
+                res = descend(fib, datum)
             except TheoremViolation as exc:
                 raise TheoremViolation(f"datum failed to glue for {p!r}: {exc}")
             if carrier_pred is not None and not carrier_pred(res.glued.carrier):

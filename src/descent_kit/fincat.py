@@ -132,7 +132,9 @@ class ComputableCategory(Category):
     """Category whose objects are enumerated up to a size bound.
 
     ``objects`` memoizes ``_objects(bound)`` and hands out a copy;
-    ``hom`` memoizes ``_hom(x, y)`` and hands out the memoized list.
+    ``hom`` memoizes ``_hom(x, y)`` and hands out the memoized list.  A
+    negative bound raises: every enumeration would be empty, and each answer
+    drawn from it vacuous.
     """
 
     bounded = True
@@ -146,6 +148,8 @@ class ComputableCategory(Category):
         bound = self.default_bound if bound is None else bound
         out = self._objects_memo.get(bound)
         if out is None:
+            if bound < 0:
+                raise CategoryError(f"negative enumeration bound {bound}")
             out = self._objects_memo[bound] = self._objects(bound)
         return list(out)
 

@@ -356,11 +356,13 @@ class Adjunction:
         return report
 
 
-def sigma_pullback_adjunction(p: FinFunction, slice_e: SliceCategory,
-                              slice_b: SliceCategory) -> Adjunction:
-    """The adjunction Σ_p ⊣ p* between C/E and C/B."""
-    left = SigmaAlong(p, slice_e, slice_b)
-    right = ChangeOfBase(p, slice_b, slice_e)
+def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
+    """The adjunction Σ_u ⊣ u* on the given change of base u*: C/B -> C/A.
+
+    right is used as is, so the adjunction shares its pullbacks and memo
+    with every other reader of that functor.
+    """
+    left = SigmaAlong(right.u, right.dst, right.src)
 
     def unit_at(w: SliceObj) -> SliceMor:
         lw = left.obj(w)
@@ -373,8 +375,8 @@ def sigma_pullback_adjunction(p: FinFunction, slice_e: SliceCategory,
         lrx = left.obj(rx)
         return SliceMor(lrx, x, right.top(x))
 
-    unit = NatTrans(IdentityFunctor(slice_e), left.then(right), unit_at, name="η")
-    counit = NatTrans(right.then(left), IdentityFunctor(slice_b), counit_at, name="ε")
+    unit = NatTrans(IdentityFunctor(right.dst), left.then(right), unit_at, name="η")
+    counit = NatTrans(right.then(left), IdentityFunctor(right.src), counit_at, name="ε")
     return Adjunction(left, right, unit, counit)
 
 

@@ -23,41 +23,41 @@ def test_identity_fibration_levels_relabel():
     p = FinFunction.identity(FinSetObj(("x", "y")))
     fib = basic_fibration(p, 2)
     # all projections are bijections, so every level has the same object count
-    assert len(fib.e2) == 2 and len(fib.e3) == 2
+    assert len(fib.c2.base) == 2 and len(fib.c3.base) == 2
     assert validate_coherence(fib, 2).is_empty()
 
 
 def test_two_to_one_fibration_shapes():
     p = fn("ab", "*", lambda _: "*")
     fib = basic_fibration(p, 2)
-    assert len(fib.e2) == 4
-    assert len(fib.e3) == 8
+    assert len(fib.c2.base) == 4
+    assert len(fib.c3.base) == 8
     # the degeneracy pulls back along the 2-element diagonal
-    assert fib.diagonal.dom.elements == p.dom.elements
-    assert fib.diagonal.is_injective()
+    assert fib.s0.u.dom.elements == p.dom.elements
+    assert fib.s0.u.is_injective()
 
 
 def test_empty_domain_fibration():
     p = fn("", "x", {})
     fib = basic_fibration(p, 2)
-    assert len(fib.e2) == 0 and len(fib.e3) == 0
+    assert len(fib.c2.base) == 0 and len(fib.c3.base) == 0
     assert validate_coherence(fib, 2).is_empty()
 
 
 def test_face_projections_follow_omit_convention():
     p = fn("ab", "*", lambda _: "*")
     fib = basic_fibration(p, 3)
-    for t in fib.e2.elements:
+    for t in fib.c2.base.elements:
         e0, e1 = t
-        assert fib.proj_omit0(t) == e1  # omitting coordinate 0 keeps the second
-        assert fib.proj_omit1(t) == e0
-    for t in fib.e3.elements:
+        assert fib.d0.u(t) == e1  # omitting coordinate 0 keeps the second
+        assert fib.d1.u(t) == e0
+    for t in fib.c3.base.elements:
         pair, e2 = t
         e0, e1 = pair
-        assert fib.tproj_omit2(t) == pair
-        r0 = fib.tproj_omit0(t)
+        assert fib.del2.u(t) == pair
+        r0 = fib.del0.u(t)
         assert r0 == (e1, e2)
-        r1 = fib.tproj_omit1(t)
+        r1 = fib.del1.u(t)
         assert r1 == (e0, e2)
 
 

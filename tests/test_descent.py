@@ -9,7 +9,8 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  canonicalize_datum, classify, comparison,
                                  descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.fincat import FAITHFUL_ONLY, is_equivalence, validate_category
+from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, is_equivalence,
+                                validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
 from descent_kit.slices import SliceObj, slice_isos
 
@@ -299,8 +300,20 @@ def test_classify_singletons_over_a_non_surjection_is_almost():
     assert len(witness.src.w.carrier) == 0 and len(witness.dst.w.carrier) == 1
 
 
+def test_classify_even_carriers_over_a_predicate_not_closed_under_pullback():
+    # Phi's codomain is Desc(p): a two-point object (one point over each of
+    # x, y) goes to a three-point datum, which fails the predicate; the
+    # predicate only filters the data essential surjectivity must reach
+    res = classify(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 2,
+                   carrier_pred=lambda c: len(c) % 2 == 0)
+    assert res.verdict == DESCENT and res.exit_code == 3
+    two = next(x for x in res.phi.src.objects()
+               if sorted(x.to_base(e) for e in x.carrier) == ["x", "y"])
+    assert len(res.phi.obj(two).w.carrier) == 3
+
+
 def test_descent_category_without_cocycle_admits_a_non_datum():
-    from descent_kit.mutations import descent_category_without_cocycle
+    from descent_kit.mutations import descent_category_without_cocycle, invert_theta
     fib = basic_fibration(two_to_one(), 4)
     real = set(DescCategory(fib, 4).objects())
     corrupt = descent_category_without_cocycle(fib, 4).objects()
@@ -308,8 +321,13 @@ def test_descent_category_without_cocycle_admits_a_non_datum():
     (extra,) = [d for d in corrupt if d not in real]
     assert len(extra.w.carrier) == 4
     assert is_descent_datum(fib, extra.w, extra.rho) == (False, "associativity")
-    with pytest.raises(TheoremViolation):
-        descend(fib, extra, check=False)
+    with pytest.raises(CategoryError, match="associativity"):
+        descend(fib, extra)
+    # the datum check leaves theta alone; descend's own equivariance check
+    # catches a twisted theta on the four-point datum
+    (four,) = [d for d in real if len(d.w.carrier) == 4]
+    with pytest.raises(TheoremViolation, match="not equivariant"):
+        descend(invert_theta(fib), four)
 
 
 def test_not_faithful_leaves_essential_surjectivity_undecided():

@@ -4,7 +4,7 @@ ValueErrors, never a bare ValueError or a stray KeyError."""
 import pytest
 
 from descent_kit.bilimits import PsSquare, is_pseudopullback_square
-from descent_kit.cosimplicial import basic_fibration
+from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.descent import (DescCategory, DescentDatum, classify, comparison,
                                  descend, is_descent_datum)
 from descent_kit.fincat import (CategoryError, Functor, IdentityFunctor, NatTrans,
@@ -51,7 +51,7 @@ def descend_invalid_datum():
 
 def non_composable_algebra_morphisms():
     fib = fibration()
-    adj = sigma_pullback_adjunction(fib.p, fib.c1, fib.c0)
+    adj = sigma_pullback_adjunction(fib.d)
     em = EMCategory(induced_monad(adj, 2), 2)
     x, y = em.objects()[:2]
     em.compose(em.identity(x), em.identity(y))
@@ -108,6 +108,19 @@ def pseudopullback_square_with_non_invertible_filler():
     is_pseudopullback_square(square, 1)
 
 
+def classify_at_a_negative_bound():
+    # every enumeration would be empty: a non-surjection would read Effective
+    classify(fn("e", "xy", {"e": "x"}), -1)
+
+
+def benabou_roubaud_at_a_negative_bound():
+    benabou_roubaud(fn("ab", "*", lambda _: "*"), -1)
+
+
+def validate_coherence_at_a_negative_bound():
+    validate_coherence(fibration(), -1)
+
+
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
@@ -126,6 +139,9 @@ def pseudopullback_square_with_non_invertible_filler():
      "functor 'F' has no image for object '1'"),
     (pseudopullback_square_with_non_invertible_filler, CategoryError,
      "malformed square: .*not invertible"),
+    (classify_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
+    (benabou_roubaud_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
+    (validate_coherence_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):

@@ -5,9 +5,9 @@ from descent_kit.errors import TheoremViolation
 from descent_kit.fincat import (EQUIVALENCE, CategoryError, IdentityFunctor,
                              validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
-from descent_kit.monadic import (EMCategory, Monad, algebra_to_datum,
-                                 benabou_roubaud, chosen_pullback_bc_square,
-                                 datum_to_algebra, em_comparison,
+from descent_kit.monadic import (EMCategory, EMComparison, Monad,
+                                 algebra_to_datum, benabou_roubaud,
+                                 chosen_pullback_bc_square, datum_to_algebra,
                                  induced_monad, is_beck_chevalley, mate,
                                  pullback_square_bc)
 from descent_kit.slices import sigma_pullback_adjunction
@@ -23,7 +23,7 @@ def two_to_one():
 
 def adjunction_for(p, bound=3):
     fib = basic_fibration(p, bound)
-    return fib, sigma_pullback_adjunction(p, fib.c1, fib.c0)
+    return fib, sigma_pullback_adjunction(fib.d)
 
 
 def test_identity_adjunction_induces_identity_like_monad():
@@ -94,7 +94,7 @@ def test_em_comparison_identity_p_equivalence():
     from descent_kit.fincat import is_equivalence
     p = FinFunction.identity(FinSetObj(("x",)))
     _, adj = adjunction_for(p)
-    k = em_comparison(adj, EMCategory(induced_monad(adj, 2), 2))
+    k = EMComparison(adj, EMCategory(induced_monad(adj, 2), 2))
     assert is_equivalence(k, 2).level == "Equivalence"
 
 
@@ -104,7 +104,7 @@ def test_em_comparison_two_to_one_equivalence_within_bound():
     _, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
     em = EMCategory(monad, 3)
-    k = em_comparison(adj, em)
+    k = EMComparison(adj, em)
     assert is_faithful(k, 3).ok and is_full(k, 3).ok
     # p* is monadic here: every bounded algebra is hit up to iso
     from descent_kit.fincat import find_isomorphism
@@ -174,6 +174,13 @@ def test_benabou_roubaud_two_to_one():
     res = benabou_roubaud(two_to_one(), 3)
     assert res.equivalence and res.factorizations_agree
     assert len(res.desc.objects(3)) == len(res.em.objects(3)) == 2
+
+
+def test_benabou_roubaud_monad_is_built_on_the_fibrations_own_pullback():
+    # T_p = p*Σ_p uses the augmentation d itself, so Phi, T_p and K share
+    # one p* and its memo
+    res = benabou_roubaud(two_to_one(), 2)
+    assert res.monad.t.second is res.desc.diagram.d
 
 
 def test_benabou_roubaud_three_to_two():

@@ -124,7 +124,7 @@ def test_pullback_functor_not_faithful_over_missed_point():
 def test_adjunction_unit_embeds_fiberwise():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
-    adj = sigma_pullback_adjunction(p, SliceCategory(e), SliceCategory(b))
+    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b), SliceCategory(e)))
     w = SliceObj_over(e, {"u": "a", "v": "b"})
     eta = adj.unit.at(w)
     assert eta.fn("u") == ("u", "a")
@@ -134,7 +134,7 @@ def test_adjunction_unit_embeds_fiberwise():
 def test_adjunction_counit_is_projection():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
-    adj = sigma_pullback_adjunction(p, SliceCategory(e), SliceCategory(b))
+    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b), SliceCategory(e)))
     x = SliceObj_over(b, {"u": "*", "v": "*"})
     eps = adj.counit.at(x)
     for t in eps.src.carrier:
@@ -158,8 +158,8 @@ def test_triangle_identities_small_sweep():
     for esize in range(3):
         for bsize in range(1, 3):
             for p in _all_functions_between(esize, bsize):
-                adj = sigma_pullback_adjunction(p, SliceCategory(p.dom, 3),
-                                                SliceCategory(p.cod, 3))
+                adj = sigma_pullback_adjunction(ChangeOfBase(
+                    p, SliceCategory(p.cod, 3), SliceCategory(p.dom, 3)))
                 assert adj.check_triangles(3) == [], p
 
 
