@@ -116,7 +116,8 @@ class BasicFibration:
 
 def is_descent_datum(diagram: BasicFibration, w: SliceObj,
                      rho) -> tuple[bool, Optional[str]]:
-    """Evaluate the two datum equations as concrete morphism equalities.
+    """Decide the two datum equations, each as two paths of morphisms with
+    equal composites (``Category.commutes``, pointwise on slices).
 
     The identity equation is checked first; the failing one is named.
     The cocycle is stated without inverses, as in the module docstring.
@@ -125,13 +126,11 @@ def is_descent_datum(diagram: BasicFibration, w: SliceObj,
     if rho.src != diagram.d1.obj(w) or rho.dst != diagram.d0.obj(w):
         raise CategoryError(f"rho has wrong type: {rho.src} -> {rho.dst}")
 
-    if c1.compose(diagram.n0.at(w), diagram.s0.mor(rho)) != diagram.n1.at(w):
+    if not c1.commutes([diagram.s0.mor(rho), diagram.n0.at(w)], [diagram.n1.at(w)]):
         return False, "identity"
-    lhs = c3.compose(diagram.sigma01.at(w),
-                     c3.compose(diagram.del1.mor(rho), diagram.sigma12.at(w)))
-    rhs = c3.compose(diagram.del0.mor(rho),
-                     c3.compose(diagram.sigma02.at(w), diagram.del2.mor(rho)))
-    if lhs != rhs:
+    if not c3.commutes(
+            [diagram.sigma12.at(w), diagram.del1.mor(rho), diagram.sigma01.at(w)],
+            [diagram.del2.mor(rho), diagram.sigma02.at(w), diagram.del0.mor(rho)]):
         return False, "associativity"
     return True, None
 

@@ -34,7 +34,8 @@ from typing import Callable, Optional
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
                      NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
-                     EquivalenceReport, FullSubcategory, Functor, is_equivalence)
+                     EquivalenceReport, FullSubcategory, Functor, is_equivalence,
+                     path_ends)
 from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
@@ -70,9 +71,7 @@ class DescMor:
 def is_descent_morphism(diagram: BasicFibration, x: DescentDatum,
                         y: DescentDatum, m: SliceMor) -> bool:
     """Whether m: x.w -> y.w is equivariant: d0(m) ∘ x.rho = y.rho ∘ d1(m)."""
-    c2 = diagram.c2
-    return (c2.compose(diagram.d0.mor(m), x.rho)
-            == c2.compose(y.rho, diagram.d1.mor(m)))
+    return diagram.c2.commutes([x.rho, diagram.d0.mor(m)], [diagram.d1.mor(m), y.rho])
 
 
 def moves(diagram: BasicFibration, datum: DescentDatum) -> list[tuple]:
@@ -219,6 +218,13 @@ class DescCategory(ComputableCategory):
         if f.dst != g.src:
             raise CategoryError("non-composable descent morphisms")
         return DescMor(f.src, g.dst, self.diagram.c1.compose(g.m, f.m))
+
+    def commutes(self, lhs: list[DescMor], rhs: list[DescMor]) -> bool:
+        """Equal endpoints and equal underlying composites in level 1."""
+        ends = path_ends(lhs, "descent morphisms")
+        if path_ends(rhs, "descent morphisms") != ends:
+            return False
+        return self.diagram.c1.commutes([f.m for f in lhs], [f.m for f in rhs])
 
     def forgetful(self) -> Functor:
         return Functor(self, self.diagram.c1, lambda d: d.w, lambda m: m.m, name="U")

@@ -18,11 +18,17 @@ values such as the empty set included.  A ``Functor`` subclass writes
 subclass writes ``_objects`` / ``_hom``, so no functor holds a reference
 to itself and each is freed as soon as it is dropped.
 
-A transformation is invertible when each component is: invertibility is
-checked (``Category.is_isomorphism``), never supplied as a second piece of
-data.  It is natural when its squares commute on the generators of the
-enumerated source (``Category.generators``), since functors preserve
-composition; ``naturality_failures`` is the one loop that decides it.
+Every square and law is decided by ``Category.commutes(lhs, rhs)``: two
+paths of composable morphisms, each listed in the order its arrows apply,
+have equal composites.  By default it composes both paths and compares;
+a slice category decides it pointwise, pushing each element of the source
+through the maps of both paths, so no composite is built just to be
+compared.  A transformation is invertible when each component is:
+invertibility is checked (``Category.is_isomorphism``), never supplied as
+a second piece of data.  It is natural when its squares commute on the
+generators of the enumerated source (``Category.generators``), since
+functors preserve composition; ``naturality_failures`` is the one loop
+that decides it.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -31,6 +37,7 @@ a truncated enumeration as "within bound".
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -66,6 +73,17 @@ class Category:
         """compose(g, f) means "f then g"; defined only when cod(f) = dom(g)."""
         raise NotImplementedError
 
+    def commutes(self, lhs, rhs) -> bool:
+        """Whether two nonempty paths of composable morphisms, each listed in
+        the order its arrows apply, have equal composites.  Raises
+        ``CategoryError`` where ``compose`` does: on neighbours that do not
+        compose, in either path.  Paths with different endpoints give False.
+
+        The default composes each path and compares; a category that can
+        decide equality of composites without building them overrides it.
+        """
+        return _composite(self, lhs) == _composite(self, rhs)
+
     def is_isomorphism(self, m) -> bool:
         """Whether m has a two-sided inverse, found by search of hom(cod m, dom m)."""
         return two_sided_inverse(self, m, self.hom(m.dst, m.src)) is not None
@@ -76,6 +94,23 @@ class Category:
         order; a subclass that knows a smaller generating set returns it."""
         objs = self.objects(bound)
         return [f for x in objs for y in objs for f in self.hom(x, y)]
+
+
+def _composite(cat: Category, path):
+    out = path[0]
+    for m in path[1:]:
+        out = cat.compose(m, out)
+    return out
+
+
+def path_ends(path, what: str) -> tuple:
+    """(source, target) of a nonempty path of morphisms listed in the order
+    they apply; raises ``CategoryError("non-composable <what>")`` at the
+    first neighbours that do not compose, as ``compose`` does."""
+    for f, g in zip(path, path[1:]):
+        if f.dst != g.src:
+            raise CategoryError(f"non-composable {what}")
+    return path[0].src, path[-1].dst
 
 
 class FinCategory(Category):
@@ -133,8 +168,8 @@ class ComputableCategory(Category):
 
     ``objects`` memoizes ``_objects(bound)`` and hands out a copy;
     ``hom`` memoizes ``_hom(x, y)`` and hands out the memoized list.  A
-    negative bound raises: every enumeration would be empty, and each answer
-    drawn from it vacuous.
+    bound that is not an integer raises, and so does a negative one: every
+    enumeration would be empty, and each answer drawn from it vacuous.
     """
 
     bounded = True
@@ -148,7 +183,12 @@ class ComputableCategory(Category):
         bound = self.default_bound if bound is None else bound
         out = self._objects_memo.get(bound)
         if out is None:
-            if bound < 0:
+            try:
+                negative = operator.index(bound) < 0
+            except TypeError:
+                raise CategoryError(
+                    f"enumeration bound must be an integer, not {bound!r}") from None
+            if negative:
                 raise CategoryError(f"negative enumeration bound {bound}")
             out = self._objects_memo[bound] = self._objects(bound)
         return list(out)
@@ -306,9 +346,8 @@ class Functor:
                 for z in objs:
                     for f in self.src.hom(x, y):
                         for g in self.src.hom(y, z):
-                            lhs = self.mor(self.src.compose(g, f))
-                            rhs = self.dst.compose(self.mor(g), self.mor(f))
-                            if lhs != rhs:
+                            if not self.dst.commutes([self.mor(self.src.compose(g, f))],
+                                                     [self.mor(f), self.mor(g)]):
                                 report.append(f"composition not preserved on ({g},{f})")
         return report
 
@@ -374,7 +413,7 @@ def naturality_failures(source: Functor, target: Functor, at: Callable,
     """
     cat = source.dst
     return [f for f in source.src.generators(bound)
-            if cat.compose(at(f.dst), source.mor(f)) != cat.compose(target.mor(f), at(f.src))]
+            if not cat.commutes([source.mor(f), at(f.dst)], [at(f.src), target.mor(f)])]
 
 
 class NatTrans:
@@ -468,9 +507,9 @@ def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
 def two_sided_inverse(cat: Category, f, backward):
     """The first g in backward (a listing of hom(cod f, dom f)) with
     g∘f = id and f∘g = id, or None."""
-    id_src, id_dst = cat.identity(f.src), cat.identity(f.dst)
+    id_src, id_dst = [cat.identity(f.src)], [cat.identity(f.dst)]
     for g in backward:
-        if cat.compose(g, f) == id_src and cat.compose(f, g) == id_dst:
+        if cat.commutes([f, g], id_src) and cat.commutes([g, f], id_dst):
             return g
     return None
 
@@ -561,6 +600,9 @@ class FullSubcategory(Category):
 
     def compose(self, g, f):
         return self.ambient.compose(g, f)
+
+    def commutes(self, lhs, rhs):
+        return self.ambient.commutes(lhs, rhs)
 
     def inclusion(self) -> Functor:
         return Functor(self, self.ambient, lambda x: x, lambda m: m, name=f"incl {self.name}")

@@ -43,7 +43,10 @@ class FinSetObj:
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        members = frozenset(self.elements)
+        try:
+            members = frozenset(self.elements)
+        except TypeError:
+            raise FinSetError(f"elements must be hashable labels: {self.elements!r}") from None
         if len(members) != len(self.elements):
             raise FinSetError(f"duplicate labels in {self.elements}")
         object.__setattr__(self, "_members", members)
@@ -82,7 +85,10 @@ class FinFunction:
     def __post_init__(self):
         # the one constructor: every function, composites included, is
         # checked here, with set operations rather than scans of the tuples
-        table = dict(self.mapping)
+        try:
+            table = dict(self.mapping)
+        except (TypeError, ValueError):
+            raise FinSetError(f"mapping must be (element, image) pairs: {self.mapping!r}") from None
         if len(table) != len(self.mapping) or tuple(table) != self.dom.elements:
             raise FinSetError("mapping must list every domain element once, in order")
         try:
@@ -99,6 +105,8 @@ class FinFunction:
     def of(dom: FinSetObj, cod: FinSetObj, assignment) -> "FinFunction":
         """Build from a dict or a callable on labels."""
         if not hasattr(assignment, "__getitem__"):
+            if not callable(assignment):
+                raise FinSetError(f"an assignment is a mapping or a callable, not {assignment!r}")
             return FinFunction(dom, cod, tuple((x, assignment(x)) for x in dom.elements))
         try:
             pairs = tuple((x, assignment[x]) for x in dom.elements)

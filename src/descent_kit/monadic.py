@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
                      Decision, EquivalenceReport, Functor, NatTrans,
-                     is_equivalence, naturality_failures)
+                     is_equivalence, naturality_failures, path_ends)
 from .finset import FinFunction, pullback
 from .cosimplicial import BasicFibration, basic_fibration
 from .descent import (DescCategory, DescMor, DescentDatum, canonicalize_datum,
@@ -44,13 +44,12 @@ class Monad:
         cat = self.base
         for x in cat.objects(bound):
             tx = self.t.obj(x)
-            if cat.compose(self.mu.at(x), self.eta.at(tx)) != cat.identity(tx):
+            mu_x, id_tx = self.mu.at(x), [cat.identity(tx)]
+            if not cat.commutes([self.eta.at(tx), mu_x], id_tx):
                 report.append(f"unit law mu∘(eta T) fails at {x}")
-            if cat.compose(self.mu.at(x), self.t.mor(self.eta.at(x))) != cat.identity(tx):
+            if not cat.commutes([self.t.mor(self.eta.at(x)), mu_x], id_tx):
                 report.append(f"unit law mu∘(T eta) fails at {x}")
-            lhs = cat.compose(self.mu.at(x), self.t.mor(self.mu.at(x)))
-            rhs = cat.compose(self.mu.at(x), self.mu.at(tx))
-            if lhs != rhs:
+            if not cat.commutes([self.t.mor(mu_x), mu_x], [self.mu.at(tx), mu_x]):
                 report.append(f"associativity mu∘(T mu) = mu∘(mu T) fails at {x}")
         return report
 
@@ -88,15 +87,14 @@ class AlgMor:
 
 def algebra_laws_hold(monad: Monad, x, a) -> bool:
     cat = monad.base
-    if cat.compose(a, monad.eta.at(x)) != cat.identity(x):
+    if not cat.commutes([monad.eta.at(x), a], [cat.identity(x)]):
         return False
-    return cat.compose(a, monad.mu.at(x)) == cat.compose(a, monad.t.mor(a))
+    return cat.commutes([monad.mu.at(x), a], [monad.t.mor(a), a])
 
 
 def is_algebra_morphism(monad: Monad, x: Algebra, y: Algebra, h) -> bool:
     """Whether h: x.x -> y.x commutes with the structure maps: h∘a = b∘T(h)."""
-    cat = monad.base
-    return cat.compose(h, x.a) == cat.compose(y.a, monad.t.mor(h))
+    return monad.base.commutes([x.a, h], [monad.t.mor(h), y.a])
 
 
 class EMCategory(ComputableCategory):
@@ -127,6 +125,13 @@ class EMCategory(ComputableCategory):
         if f.dst != g.src:
             raise CategoryError("non-composable algebra morphisms")
         return AlgMor(f.src, g.dst, self.monad.base.compose(g.m, f.m))
+
+    def commutes(self, lhs: list[AlgMor], rhs: list[AlgMor]) -> bool:
+        """Equal endpoints and equal underlying composites in the base."""
+        ends = path_ends(lhs, "algebra morphisms")
+        if path_ends(rhs, "algebra morphisms") != ends:
+            return False
+        return self.monad.base.commutes([f.m for f in lhs], [f.m for f in rhs])
 
     def forgetful(self) -> Functor:
         return Functor(self, self.monad.base, lambda alg: alg.x, lambda m: m.m, name="U")
@@ -262,8 +267,8 @@ def _monad_to_d1(fib: BasicFibration, monad: Monad, w) -> FinFunction:
         raise CategoryError("monad endofunctor must track tops")
     tw, d1w = monad.t.obj(w), fib.d1.obj(w)
     return match_by_legs(
-        tw.carrier, [monad.t.top(w), tw.to_base],
-        d1w.carrier, [fib.d1.top(w), d1w.to_base.then(fib.d0.u)])
+        tw.carrier, [monad.t.tops(w), [tw.to_base]],
+        d1w.carrier, [[fib.d1.top(w)], [d1w.to_base, fib.d0.u]])
 
 
 def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> Algebra:
@@ -288,9 +293,9 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     """
     x = alg.x
     d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
-    to_x = _monad_to_d1(fib, monad, x).inverse().then(alg.a.fn)
-    fn = match_by_legs(d1x.carrier, [to_x, d1x.to_base],
-                       d0x.carrier, [fib.d0.top(x), d0x.to_base])
+    to_x = [_monad_to_d1(fib, monad, x).inverse(), alg.a.fn]
+    fn = match_by_legs(d1x.carrier, [to_x, [d1x.to_base]],
+                       d0x.carrier, [[fib.d0.top(x)], [d0x.to_base]])
     if not fn.is_bijective():
         raise TheoremViolation(f"algebra {alg} does not induce an invertible datum")
     rho = SliceMor(d1x, d0x, fn)

@@ -12,13 +12,20 @@ check that the triangle commutes.  The enumerated C/B also lists
 generators (transpositions, merges and inclusions of fibers) whose
 composites give every morphism, so naturality is checked on them alone.
 
-Every functor built here tracks a "top" projection F(X) -> X.  Two
-composites of such functors whose underlying base maps agree are pullbacks
-of the same cospan, so their values are canonically isomorphic by matching
-elements on (top, base); ``comparison_iso`` packages that matching as a
-natural transformation whose components are bijections, which is what
-``SliceCategory.is_isomorphism`` tests.  These comparisons are exactly the
-constraint cells of the cosimplicial diagram of a morphism.
+``SliceCategory.commutes`` decides whether two paths of triangles have
+equal composites pointwise: each element of the common source is pushed
+through the table of every map on each path, so a square or a law is
+checked without building a composite function or triangle.
+
+Every functor built here tracks a "top" projection F(X) -> X, as the path
+of maps it composes (``CartFunctor.tops``).  Two composites of such
+functors whose underlying base maps agree are pullbacks of the same
+cospan, so their values are canonically isomorphic by matching elements on
+(top, base), following each path pointwise; ``comparison_iso`` packages
+that matching as a natural transformation whose components are
+bijections, which is what ``SliceCategory.is_isomorphism`` tests.  These
+comparisons are exactly the constraint cells of the cosimplicial diagram
+of a morphism.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Optional
 from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
                      all_functions, canonical_set, mediating_map, pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
-                     Functor, IdentityFunctor, NatTrans)
+                     Functor, IdentityFunctor, NatTrans, path_ends)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,6 +175,25 @@ class SliceCategory(ComputableCategory):
             raise CategoryError("non-composable slice morphisms")
         return SliceMor(f.src, g.dst, f.fn.then(g.fn))
 
+    def commutes(self, lhs: list[SliceMor], rhs: list[SliceMor]) -> bool:
+        """Pointwise: the paths share their endpoints and send each element
+        of the source to the same element, following the table of every
+        map; neither composite is built."""
+        ends = path_ends(lhs, "slice morphisms")
+        if path_ends(rhs, "slice morphisms") != ends:
+            return False
+        left = [m.fn._table for m in lhs]
+        right = [m.fn._table for m in rhs]
+        for e in ends[0].carrier.elements:
+            a = b = e
+            for table in left:
+                a = table[a]
+            for table in right:
+                b = table[b]
+            if a != b:
+                return False
+        return True
+
     def is_isomorphism(self, m: SliceMor) -> bool:
         """A commuting triangle is invertible exactly when its map is a bijection."""
         return m.fn.is_bijective()
@@ -192,12 +218,14 @@ def _vectors(k: int, total: int):
 class CartFunctor(Functor):
     """A functor between slice categories carrying a top projection.
 
-    top(x): F(x).carrier -> x.carrier identifies where each element of the
-    value came from; together with the structure map of F(x) it pins every
-    element of a (composite of) chosen pullback(s).
+    The top projection F(x).carrier -> x.carrier identifies where each
+    element of the value came from; together with the structure map of
+    F(x) it pins every element of a (composite of) chosen pullback(s).
+    ``tops(x)`` gives it as the path of maps it composes, in the order they
+    apply (empty for the identity), so that it is followed, not built.
     """
 
-    def top(self, x: SliceObj) -> FinFunction:
+    def tops(self, x: SliceObj) -> list[FinFunction]:
         raise NotImplementedError
 
     def then(self, other: Functor) -> Functor:
@@ -207,13 +235,13 @@ class CartFunctor(Functor):
 
 
 class ComposedCartFunctor(ComposedFunctor, CartFunctor):
-    def top(self, x: SliceObj) -> FinFunction:
-        return self.second.top(self.first.obj(x)).then(self.first.top(x))
+    def tops(self, x: SliceObj) -> list[FinFunction]:
+        return self.second.tops(self.first.obj(x)) + self.first.tops(x)
 
 
 class IdentityCartFunctor(IdentityFunctor, CartFunctor):
-    def top(self, x: SliceObj) -> FinFunction:
-        return FinFunction.identity(x.carrier)
+    def tops(self, x: SliceObj) -> list[FinFunction]:
+        return []
 
 
 class ChangeOfBase(CartFunctor):
@@ -242,6 +270,9 @@ class ChangeOfBase(CartFunctor):
     def top(self, x: SliceObj) -> FinFunction:
         return self.pullback_of(x).pr1
 
+    def tops(self, x: SliceObj) -> list[FinFunction]:
+        return [self.top(x)]
+
     def _on_mor(self, m: SliceMor) -> SliceMor:
         """The mediating map w |-> (m(top(w)), base(w)) into the pullback of
         m.dst, built from the two legs of w in one checked function: its
@@ -268,8 +299,8 @@ class SigmaAlong(CartFunctor):
     def _on_mor(self, m: SliceMor) -> SliceMor:
         return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
 
-    def top(self, x: SliceObj) -> FinFunction:
-        return FinFunction.identity(x.carrier)
+    def tops(self, x: SliceObj) -> list[FinFunction]:
+        return []
 
 
 def slice_isos(x: SliceObj, y: SliceObj):
@@ -297,16 +328,33 @@ def slice_isos(x: SliceObj, y: SliceObj):
         yield SliceMor(x, y, FinFunction.of(x.carrier, y.carrier, table))
 
 
+def _leg_values(carrier: FinSetObj, legs: list[list[FinFunction]]):
+    """(e, the values of the legs at e) for each e of carrier; a leg is a
+    path of functions, followed pointwise in the order they apply."""
+    tables = [[fn._table for fn in leg] for leg in legs]
+    for e in carrier.elements:
+        values = []
+        try:
+            for leg in tables:
+                v = e
+                for table in leg:
+                    v = table[v]
+                values.append(v)
+        except KeyError as exc:
+            raise FinSetError(f"a leg out of {carrier} is not defined at {exc.args[0]!r}") from None
+        yield e, tuple(values)
+
+
 def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunction:
-    """The unique map src -> dst commuting with the given (jointly monic) legs."""
+    """The unique map src -> dst commuting with the given (jointly monic)
+    legs, each a path of functions out of its carrier (see ``_leg_values``)."""
     keyed = {}
-    for e in dst.elements:
-        k = tuple(leg(e) for leg in dst_legs)
+    for e, k in _leg_values(dst, dst_legs):
         if k in keyed:
             raise FinSetError(f"legs do not pin down {dst}: {k} hit twice")
         keyed[k] = e
     try:
-        assignment = {e: keyed[tuple(leg(e) for leg in src_legs)] for e in src.elements}
+        assignment = {e: keyed[k] for e, k in _leg_values(src, src_legs)}
     except KeyError as exc:
         raise FinSetError(f"no match for leg value {exc} in {dst}") from exc
     return FinFunction.of(src, dst, assignment)
@@ -316,14 +364,15 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     """Canonical natural isomorphism F => G between composites of
     change-of-base functors whose underlying base maps agree.
 
-    The component at x matches elements of F(x) and G(x) on (top, base);
-    it is a bijection, or building it raises.
+    The component at x matches elements of F(x) and G(x) on (top, base),
+    following the tops of each composite's factors; it is a bijection, or
+    building it raises.
     """
 
     def component(x: SliceObj) -> SliceMor:
         fx, gx = f.obj(x), g.obj(x)
-        fn = match_by_legs(fx.carrier, [f.top(x), fx.to_base],
-                           gx.carrier, [g.top(x), gx.to_base])
+        fn = match_by_legs(fx.carrier, [f.tops(x), [fx.to_base]],
+                           gx.carrier, [g.tops(x), [gx.to_base]])
         if not fn.is_bijective():
             raise FinSetError(f"comparison {name} not invertible at {x}")
         return SliceMor(fx, gx, fn)
@@ -345,13 +394,13 @@ class Adjunction:
         a, b = self.left.src, self.right.src
         for x in a.objects(bound):
             lx = self.left.obj(x)
-            lhs = b.compose(self.counit.at(lx), self.left.mor(self.unit.at(x)))
-            if lhs != b.identity(lx):
+            if not b.commutes([self.left.mor(self.unit.at(x)), self.counit.at(lx)],
+                              [b.identity(lx)]):
                 report.append(f"triangle (εL)(Lη) fails at {x}")
         for y in b.objects(bound):
             ry = self.right.obj(y)
-            lhs = a.compose(self.right.mor(self.counit.at(y)), self.unit.at(ry))
-            if lhs != a.identity(ry):
+            if not a.commutes([self.unit.at(ry), self.right.mor(self.counit.at(y))],
+                              [a.identity(ry)]):
                 report.append(f"triangle (Rε)(ηR) fails at {y}")
         return report
 

@@ -5,10 +5,10 @@ import pytest
 
 from descent_kit import cosimplicial
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
-from descent_kit.fincat import NatTrans
+from descent_kit.fincat import CategoryError, NatTrans
 from descent_kit.finset import FinFunction, FinSetObj, canonical_set, all_functions
 from descent_kit.mutations import invert_theta, swap_face_convention
-from descent_kit.slices import SliceMor
+from descent_kit.slices import SliceCategory, SliceMor
 
 # every map m -> n with m <= 3 and 1 <= n <= 2
 SMALL_MAPS = [p for m in range(4) for n in range(1, 3)
@@ -99,6 +99,41 @@ def test_gate_on_twisted_theta_over_small_maps():
             f.equation for p in SMALL_MAPS
             for f in validate_coherence(invert_theta(basic_fibration(p, bound)), bound).failures)
         assert dict(seen) == want, bound
+
+
+def test_gate_builds_no_composite(monkeypatch):
+    """The gate decides every square and equation pointwise: with slice and
+    function composition refused, it gives the same reports on the 19 maps,
+    plain and with theta twisted, and raises the same error on the same
+    mis-typed diagrams of ``swap_face_convention``."""
+
+    def diagrams():
+        out = []
+        for p in SMALL_MAPS:
+            fib = basic_fibration(p, 2)
+            twisted = invert_theta(fib)
+            for b0 in fib.c0.objects(2):
+                twisted.theta.at(b0)  # the mutant's cell is data, built with then
+            out += [fib, twisted, swap_face_convention(fib)]
+        return out
+
+    def outcome(diagram):
+        try:
+            return [str(f) for f in validate_coherence(diagram, 2).failures]
+        except CategoryError as exc:
+            return f"raises {exc}"
+
+    def refuse(*args):
+        raise AssertionError("a composite was built")
+
+    want = [outcome(d) for d in diagrams()]
+    built = diagrams()
+    monkeypatch.setattr(SliceCategory, "compose", refuse)
+    monkeypatch.setattr(FinFunction, "then", refuse)
+    assert [outcome(d) for d in built] == want
+    raising = [i for i, o in enumerate(want) if isinstance(o, str)]
+    assert len(raising) == 12 and all(i % 3 == 2 for i in raising)
+    assert {want[i] for i in raising} == {"raises non-composable slice morphisms"}
 
 
 @pytest.mark.parametrize("p", SMALL_MAPS, ids=repr)

@@ -121,6 +121,30 @@ def validate_coherence_at_a_negative_bound():
     validate_coherence(fibration(), -1)
 
 
+def classify_at_no_bound():
+    classify(fn("ab", "*", lambda _: "*"), None)
+
+
+def classify_at_a_fractional_bound():
+    classify(fn("ab", "*", lambda _: "*"), 2.5)
+
+
+def classify_at_a_string_bound():
+    classify(fn("ab", "*", lambda _: "*"), "2")
+
+
+def set_with_an_unhashable_label():
+    FinSetObj(([1],))
+
+
+def function_with_a_malformed_pair():
+    FinFunction(FinSetObj(("a",)), FinSetObj(("x",)), (("a",),))
+
+
+def function_of_a_number():
+    FinFunction.of(FinSetObj(("a",)), FinSetObj(("x",)), 5)
+
+
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
@@ -142,6 +166,12 @@ def validate_coherence_at_a_negative_bound():
     (classify_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
     (benabou_roubaud_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
     (validate_coherence_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
+    (classify_at_no_bound, CategoryError, "bound must be an integer, not None"),
+    (classify_at_a_fractional_bound, CategoryError, "bound must be an integer, not 2.5"),
+    (classify_at_a_string_bound, CategoryError, "bound must be an integer, not '2'"),
+    (set_with_an_unhashable_label, FinSetError, "must be hashable"),
+    (function_with_a_malformed_pair, FinSetError, r"\(element, image\) pairs"),
+    (function_of_a_number, FinSetError, "a mapping or a callable, not 5"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):

@@ -2,7 +2,10 @@ import collections
 import itertools
 from dataclasses import dataclass
 
-from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, ComputableCategory,
+import pytest
+
+from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, CategoryError,
+                                ComputableCategory,
                                 FinCategory, FullSubcategory, Functor, IdentityFunctor,
                                 NatTrans, TableFunctor, chain_category,
                                 discrete_category, find_isomorphism,
@@ -294,3 +297,17 @@ def test_each_memo_calls_its_callable_once_per_key_and_returns_the_same_object()
         assert hom == [] and computed.hom("x", "y") is hom
     assert len(calls) == 2 * len(objs) + len(mors) + 3
     assert set(calls.values()) == {1}
+
+
+def test_commutes_composes_both_paths_by_default():
+    c = chain_category(3)
+    m = c.mor
+    assert c.commutes([m("m01"), m("m12")], [m("m02")])
+    assert c.commutes([m("m00"), m("m01"), m("m12")], [m("m01"), m("m12"), m("m22")])
+    assert c.commutes([m("m11")], [m("m11")])
+    assert not c.commutes([m("m01"), m("m12")], [m("m01")])  # different targets
+    assert not c.commutes([m("m12")], [m("m02")])  # different sources
+    with pytest.raises(CategoryError, match=r"non-composable pair \(m01, m01\)"):
+        c.commutes([m("m02")], [m("m01"), m("m01")])
+    pair = parallel_pair_category()
+    assert not pair.commutes([pair.mor("f")], [pair.mor("g")])

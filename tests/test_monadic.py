@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
 
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
-from descent_kit.fincat import (EQUIVALENCE, CategoryError, IdentityFunctor,
+from descent_kit.fincat import (EQUIVALENCE, Category, CategoryError, IdentityFunctor,
                              validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
-from descent_kit.monadic import (EMCategory, EMComparison, Monad,
+from descent_kit.monadic import (Algebra, EMCategory, EMComparison, Monad,
                                  algebra_to_datum, benabou_roubaud,
                                  chosen_pullback_bc_square, datum_to_algebra,
                                  induced_monad, is_beck_chevalley, mate,
@@ -249,3 +251,29 @@ def test_benabou_roubaud_sweep_is_equivalence_and_round_trips(raw_descent_data):
                 for datum in raw_descent_data(fib, 2):
                     alg = datum_to_algebra(fib, res.monad, datum)
                     assert algebra_to_datum(fib, res.monad, alg) == datum, (p, datum)
+
+
+def test_em_commutes_forwards_to_the_base():
+    """Algebra morphisms commute when their endpoints match and their maps
+    commute pointwise in the base; a path breaks where ``compose`` breaks."""
+    _, adj = adjunction_for(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 2)
+    em = EMCategory(induced_monad(adj, 2), 2)
+    algs = em.objects()
+    mors = [f for x in algs for y in algs for f in em.hom(x, y)]
+    outcomes = set()
+    for f, g, h in itertools.product(mors, repeat=3):
+        for lhs, rhs in (([f, g], [h]), ([f], [h])):
+            if f.dst != g.src and len(lhs) == 2:
+                with pytest.raises(CategoryError, match="non-composable algebra morphisms"):
+                    em.commutes(lhs, rhs)
+                continue
+            want = Category.commutes(em, lhs, rhs)
+            assert em.commutes(lhs, rhs) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+    # two structures on one carrier: their identities share the underlying map
+    x, a = next((x, a) for x in algs for a in em.monad.base.hom(x.a.src, x.x) if a != x.a)
+    y = Algebra(x.x, a)
+    id_x, id_y = em.identity(x), em.identity(y)
+    assert em.monad.base.commutes([id_x.m], [id_y.m])
+    assert not em.commutes([id_x], [id_y])

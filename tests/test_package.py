@@ -1,6 +1,7 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library or test
-module imports a name it never uses, every public name is used or listed, the
+module imports a name it never uses, no library code compares composites
+built by ``compose``, every public name is used or listed, the
 most numerous value classes stay slotted, a dropped diagram leaves no
 cyclic garbage, memo keys store their hash, and the benchmark can still
 drive the library."""
@@ -64,6 +65,42 @@ def test_library_has_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         where = path.relative_to(ROOT)
         found += [f"{where}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert found == []
+
+
+def _compared_composites(tree):
+    """Lines where ``==`` or ``!=`` compares the result of a ``.compose(...)``
+    call, directly or through a name a function binds to one."""
+
+    def composite(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compose")
+
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        bound = set() if isinstance(scope, ast.Module) else {
+            target.id for node in ast.walk(scope)
+            if isinstance(node, ast.Assign) and composite(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(composite(side) or isinstance(side, ast.Name) and side.id in bound
+                            for side in (node.left, *node.comparators))):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_library_decides_commuting_diagrams_with_commutes():
+    """A law or square is decided by ``Category.commutes``, which a slice
+    category answers pointwise; comparing composites built by ``compose``
+    would build them only to compare them."""
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _compared_composites(tree)]
     assert found == []
 
 

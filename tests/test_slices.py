@@ -1,6 +1,10 @@
-import pytest
+import functools
 
-from descent_kit.fincat import CategoryError, is_faithful, validate_category
+import pytest
+from hypothesis import given, strategies as st
+
+from descent_kit.fincat import (Category, CategoryError, FullSubcategory, is_faithful,
+                                validate_category)
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
                                 canonical_set, mediating_map)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
@@ -265,3 +269,83 @@ def test_generators_of_a_two_point_fiber():
         ("transposition", 2, [("x", 1), ("x", 0)]),
         ("merge", 2, [("x", 0), ("x", 0)]),
     ]
+
+
+@functools.cache
+def _enumerated_slice(n_base):
+    """C/B over n_base points at bound 3, its generators followed by every
+    enumerated morphism, and those morphisms by source."""
+    cat = slice_over(["x", "y"][:n_base])
+    objs = cat.objects(3)
+    mors = cat.generators(3) + [f for x in objs for y in objs for f in cat.hom(x, y)]
+    out_of: dict = {}
+    for f in mors:
+        out_of.setdefault(f.src, []).append(f)
+    return cat, mors, out_of
+
+
+@st.composite
+def slice_paths(draw):
+    """(cat, lhs, rhs): composable paths of length 1-3 in C/B, |B| <= 2,
+    bound 3.  rhs is lhs's composite, or a path from lhs's source that ends
+    at lhs's target when a last arrow can get there, or any path at all."""
+    cat, mors, out_of = _enumerated_slice(draw(st.integers(1, 2)))
+
+    def walk(first):
+        path = [first]
+        for _ in range(draw(st.integers(0, 2))):
+            path.append(draw(st.sampled_from(out_of[path[-1].dst])))
+        return path
+
+    lhs = walk(draw(st.sampled_from(mors)))
+    kind = draw(st.sampled_from(["composite", "parallel", "any"]))
+    if kind == "composite":
+        rhs = [functools.reduce(lambda f, g: cat.compose(g, f), lhs)]
+    elif kind == "parallel":
+        rhs = walk(draw(st.sampled_from(out_of[lhs[0].src])))
+        last = cat.hom(rhs[-1].src, lhs[-1].dst)
+        if last:
+            rhs[-1] = draw(st.sampled_from(last))
+    else:
+        rhs = walk(draw(st.sampled_from(mors)))
+    return cat, lhs, rhs
+
+
+@given(slice_paths())
+def test_slice_commutes_agrees_with_composing_both_paths(case):
+    cat, lhs, rhs = case
+    want = Category.commutes(cat, lhs, rhs)
+    assert cat.commutes(lhs, rhs) == want
+    assert cat.commutes(rhs, lhs) == want
+    assert FullSubcategory(cat, lambda x: True).commutes(lhs, rhs) == want
+
+
+@given(slice_paths(), st.data())
+def test_slice_commutes_raises_where_compose_does(case, data):
+    cat, lhs, rhs = case
+    _, mors, _ = _enumerated_slice(len(cat.base))
+    cut = data.draw(st.integers(1, len(lhs)))
+    stray = data.draw(st.sampled_from([f for f in mors if f.src != lhs[cut - 1].dst]))
+    broken = lhs[:cut] + [stray] + lhs[cut:]
+    args = (broken, rhs) if data.draw(st.booleans()) else (rhs, broken)
+    with pytest.raises(CategoryError) as composing:
+        Category.commutes(cat, *args)
+    with pytest.raises(CategoryError) as pointwise:
+        cat.commutes(*args)
+    assert str(pointwise.value) == str(composing.value) == "non-composable slice morphisms"
+
+
+def test_full_subcategory_of_a_slice_commutes_pointwise(monkeypatch):
+    cat = slice_over(["x"], 2)
+    sub = FullSubcategory(cat, lambda x: True)
+    gens = cat.generators(2)
+    cases = [([f, g], [h]) for f in gens for g in gens if f.dst == g.src
+             for h in cat.hom(f.src, g.dst)]
+    want = [Category.commutes(cat, lhs, rhs) for lhs, rhs in cases]
+    assert set(want) == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("a composite was built")
+
+    monkeypatch.setattr(SliceCategory, "compose", refuse)
+    assert [sub.commutes(lhs, rhs) for lhs, rhs in cases] == want
