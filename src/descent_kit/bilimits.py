@@ -60,9 +60,9 @@ class PseudoPullbackCategory(ComputableCategory):
         e = self.f.dst
         out = []
         for u in self.f.src.hom(x.c, y.c):
-            left = [self.f.mor(u), y.phi]  # phi' ∘ F(u)
+            left = e.compose(y.phi, self.f.mor(u))  # phi' ∘ F(u)
             for v in self.g.src.hom(x.d, y.d):
-                if e.commutes([x.phi, self.g.mor(v)], left):
+                if e.commutes([x.phi, self.g.mor(v)], [left]):
                     out.append(WedgeMor(x, y, u, v))
         return out
 

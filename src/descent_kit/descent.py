@@ -34,8 +34,7 @@ from typing import Callable, Optional
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
                      NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
-                     EquivalenceReport, FullSubcategory, Functor, is_equivalence,
-                     path_ends)
+                     EquivalenceReport, FullSubcategory, Functor, is_equivalence)
 from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
@@ -218,13 +217,6 @@ class DescCategory(ComputableCategory):
         if f.dst != g.src:
             raise CategoryError("non-composable descent morphisms")
         return DescMor(f.src, g.dst, self.diagram.c1.compose(g.m, f.m))
-
-    def commutes(self, lhs: list[DescMor], rhs: list[DescMor]) -> bool:
-        """Equal endpoints and equal underlying composites in level 1."""
-        ends = path_ends(lhs, "descent morphisms")
-        if path_ends(rhs, "descent morphisms") != ends:
-            return False
-        return self.diagram.c1.commutes([f.m for f in lhs], [f.m for f in rhs])
 
     def forgetful(self) -> Functor:
         return Functor(self, self.diagram.c1, lambda d: d.w, lambda m: m.m, name="U")

@@ -601,9 +601,6 @@ class FullSubcategory(Category):
     def compose(self, g, f):
         return self.ambient.compose(g, f)
 
-    def commutes(self, lhs, rhs):
-        return self.ambient.commutes(lhs, rhs)
-
     def inclusion(self) -> Functor:
         return Functor(self, self.ambient, lambda x: x, lambda m: m, name=f"incl {self.name}")
 

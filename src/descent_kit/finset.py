@@ -14,8 +14,9 @@ Every ``FinFunction`` is built by its one constructor, which checks it:
 composites and mediating maps included, since a codomain check is what
 makes ``mediating_map`` a commutation check.  Change of base in
 ``slices`` builds its mediating maps into a chosen pullback directly from
-the two legs, with that same one constructor and so the same check.  The
-checks are set operations: a ``FinSetObj`` keeps its elements as a
+the two legs, with that same one constructor and so the same check.  A
+check that only compares composites builds none: ``follow`` reads their
+values off the tables of the factors.  The checks are set operations: a ``FinSetObj`` keeps its elements as a
 frozenset, so membership costs one hash.  Both classes take their hash
 once, at construction, because every memo of the library hashes its keys
 through them, and so do the slice values built on them; all are slotted,
@@ -173,6 +174,21 @@ class FinFunction:
     def __repr__(self):
         body = " ".join(f"{x}:{y}" for x, y in self.mapping)
         return f"[{body}]"
+
+
+def follow(path: Iterable[FinFunction], elements: Iterable[Hashable]) -> list:
+    """The value at each of elements of the composite of path, its functions
+    listed in the order they apply, read off their tables: the composite
+    itself is never built.  An empty path is the identity.  A value outside
+    the domain of the next function raises ``FinSetError``."""
+    values = list(elements)
+    for fn in path:
+        table = fn._table
+        try:
+            values = [table[v] for v in values]
+        except KeyError as exc:
+            raise FinSetError(f"{exc.args[0]!r} is not in the domain {fn.dom}") from None
+    return values
 
 
 class Pullback(NamedTuple):

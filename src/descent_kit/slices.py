@@ -14,8 +14,9 @@ composites give every morphism, so naturality is checked on them alone.
 
 ``SliceCategory.commutes`` decides whether two paths of triangles have
 equal composites pointwise: each element of the common source is pushed
-through the table of every map on each path, so a square or a law is
-checked without building a composite function or triangle.
+through the table of every map on each path (``finset.follow``), so a
+square or a law is checked without building a composite function or
+triangle.
 
 Every functor built here tracks a "top" projection F(X) -> X, as the path
 of maps it composes (``CartFunctor.tops``).  Two composites of such
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
-                     all_functions, canonical_set, mediating_map, pullback)
+                     all_functions, canonical_set, follow, mediating_map,
+                     pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
                      Functor, IdentityFunctor, NatTrans, path_ends)
 
@@ -182,17 +184,9 @@ class SliceCategory(ComputableCategory):
         ends = path_ends(lhs, "slice morphisms")
         if path_ends(rhs, "slice morphisms") != ends:
             return False
-        left = [m.fn._table for m in lhs]
-        right = [m.fn._table for m in rhs]
-        for e in ends[0].carrier.elements:
-            a = b = e
-            for table in left:
-                a = table[a]
-            for table in right:
-                b = table[b]
-            if a != b:
-                return False
-        return True
+        elements = ends[0].carrier.elements
+        return (follow([m.fn for m in lhs], elements)
+                == follow([m.fn for m in rhs], elements))
 
     def is_isomorphism(self, m: SliceMor) -> bool:
         """A commuting triangle is invertible exactly when its map is a bijection."""
@@ -330,19 +324,9 @@ def slice_isos(x: SliceObj, y: SliceObj):
 
 def _leg_values(carrier: FinSetObj, legs: list[list[FinFunction]]):
     """(e, the values of the legs at e) for each e of carrier; a leg is a
-    path of functions, followed pointwise in the order they apply."""
-    tables = [[fn._table for fn in leg] for leg in legs]
-    for e in carrier.elements:
-        values = []
-        try:
-            for leg in tables:
-                v = e
-                for table in leg:
-                    v = table[v]
-                values.append(v)
-        except KeyError as exc:
-            raise FinSetError(f"a leg out of {carrier} is not defined at {exc.args[0]!r}") from None
-        yield e, tuple(values)
+    path of functions, followed pointwise (``finset.follow``)."""
+    columns = [follow(leg, carrier.elements) for leg in legs]
+    return zip(carrier.elements, zip(*columns))
 
 
 def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunction:

@@ -9,7 +9,7 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  canonicalize_datum, classify, comparison,
                                  descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.fincat import (FAITHFUL_ONLY, Category, CategoryError, is_equivalence,
+from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, is_equivalence,
                                 validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
 from descent_kit.slices import SliceObj, slice_isos
@@ -357,30 +357,3 @@ def test_classify_sweep_effective_iff_surjective():
             for p in all_functions(e, b):
                 verdict = classify(p, 2).verdict
                 assert (verdict == EFFECTIVE) == p.is_surjective(), (p, verdict)
-
-
-def test_desc_commutes_forwards_to_level_one():
-    """Descent morphisms commute when their endpoints match and their maps
-    commute pointwise in level 1; a path breaks where ``compose`` breaks."""
-    desc = DescCategory(basic_fibration(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 2), 2)
-    data = desc.objects()
-    mors = [f for x in data for y in data for f in desc.hom(x, y)]
-    assert (len(data), len(mors)) == (4, 13)
-    outcomes = set()
-    for f, g, h in itertools.product(mors, repeat=3):
-        for lhs, rhs in (([f, g], [h]), ([f], [h])):
-            if f.dst != g.src and len(lhs) == 2:
-                with pytest.raises(CategoryError, match="non-composable descent morphisms"):
-                    desc.commutes(lhs, rhs)
-                continue
-            want = Category.commutes(desc, lhs, rhs)
-            assert desc.commutes(lhs, rhs) == want
-            outcomes.add(want)
-    assert outcomes == {True, False}
-    # two data on one carrier: their identities share the underlying map
-    x, rho = next((x, rho) for x in data for rho in slice_isos(x.rho.src, x.rho.dst)
-                  if rho != x.rho)
-    y = DescentDatum(x.w, rho)
-    id_x, id_y = desc.identity(x), desc.identity(y)
-    assert desc.diagram.c1.commutes([id_x.m], [id_y.m])
-    assert not desc.commutes([id_x], [id_y])

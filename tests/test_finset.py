@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
                                 all_functions, canonical_set, coproduct,
-                                mediating_map, pullback, quotient)
+                                follow, mediating_map, pullback, quotient)
 
 
 labels = st.text(st.characters(codec="ascii", min_codepoint=33), min_size=1, max_size=6)
@@ -271,3 +271,17 @@ def test_pullback_swap_symmetry():
             fn = FinFunction.of(p.obj, q.obj, swap)
             assert fn.is_bijective()
             assert fn.then(q.pr1) == p.pr2 and fn.then(q.pr2) == p.pr1
+
+
+def test_follow_reads_the_composite_without_building_it():
+    x, y, z = canonical_set(2, "x"), canonical_set(3, "y"), canonical_set(2, "z")
+    for f in all_functions(x, y):
+        for g in all_functions(y, z):
+            assert follow([f, g], x.elements) == [f.then(g)(e) for e in x]
+            back = tuple(reversed(x.elements))
+            assert (follow([f, g, FinFunction.identity(z)], back)
+                    == [f.then(g)(e) for e in back])
+    assert follow([], y.elements) == list(y.elements)
+    f = next(all_functions(x, y))
+    with pytest.raises(FinSetError, match="not in the domain"):
+        follow([f, f], x.elements)  # f's values lie in y, outside f's domain x

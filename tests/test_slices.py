@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from descent_kit.fincat import (Category, CategoryError, FullSubcategory, is_faithful,
+from descent_kit.fincat import (Category, CategoryError, is_faithful,
                                 validate_category)
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
                                 canonical_set, mediating_map)
@@ -317,7 +317,6 @@ def test_slice_commutes_agrees_with_composing_both_paths(case):
     want = Category.commutes(cat, lhs, rhs)
     assert cat.commutes(lhs, rhs) == want
     assert cat.commutes(rhs, lhs) == want
-    assert FullSubcategory(cat, lambda x: True).commutes(lhs, rhs) == want
 
 
 @given(slice_paths(), st.data())
@@ -333,19 +332,3 @@ def test_slice_commutes_raises_where_compose_does(case, data):
     with pytest.raises(CategoryError) as pointwise:
         cat.commutes(*args)
     assert str(pointwise.value) == str(composing.value) == "non-composable slice morphisms"
-
-
-def test_full_subcategory_of_a_slice_commutes_pointwise(monkeypatch):
-    cat = slice_over(["x"], 2)
-    sub = FullSubcategory(cat, lambda x: True)
-    gens = cat.generators(2)
-    cases = [([f, g], [h]) for f in gens for g in gens if f.dst == g.src
-             for h in cat.hom(f.src, g.dst)]
-    want = [Category.commutes(cat, lhs, rhs) for lhs, rhs in cases]
-    assert set(want) == {True, False}
-
-    def refuse(*args):
-        raise AssertionError("a composite was built")
-
-    monkeypatch.setattr(SliceCategory, "compose", refuse)
-    assert [sub.commutes(lhs, rhs) for lhs, rhs in cases] == want
