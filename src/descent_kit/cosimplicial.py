@@ -45,7 +45,7 @@ from typing import Optional
 from .finset import FinFunction, mediating_map, pullback
 from .fincat import CategoryError, IdentityFunctor, NatTrans, naturality_failures
 from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
-                     SliceObj, comparison_iso)
+                     comparison_iso)
 
 
 @dataclass
@@ -114,7 +114,7 @@ class BasicFibration:
         ]
 
 
-def is_descent_datum(diagram: BasicFibration, w: SliceObj,
+def is_descent_datum(diagram: BasicFibration, w: FinFunction,
                      rho) -> tuple[bool, Optional[str]]:
     """Decide the two datum equations, each as two paths of morphisms with
     equal composites (``Category.commutes``, pointwise on slices).

@@ -38,14 +38,14 @@ from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
 from .finset import FinFunction, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
-from .slices import SliceMor, SliceObj, slice_isos
+from .slices import SliceMor, slice_isos
 
 
 @dataclass(frozen=True, slots=True)
 class DescentDatum:
     """A level-1 object with a gluing isomorphism between its two pullbacks."""
 
-    w: SliceObj
+    w: FinFunction
     rho: SliceMor  # d1(w) -> d0(w)
 
     @property
@@ -84,8 +84,7 @@ def moves(diagram: BasicFibration, datum: DescentDatum) -> list[tuple]:
     w = datum.w
     d1w = diagram.d1.obj(w)
     top1, top0 = diagram.d1.top(w), diagram.d0.top(w)
-    return [(top1(u), d1w.to_base(u), top0(datum.rho.fn(u)))
-            for u in d1w.carrier.elements]
+    return [(top1(u), t, top0(datum.rho.fn(u))) for u, t in d1w.mapping]
 
 
 def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
@@ -100,7 +99,7 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
     """
     out = []
     for w in diagram.c1.objects(bound):
-        if carrier_pred is not None and not carrier_pred(w.carrier):
+        if carrier_pred is not None and not carrier_pred(w.dom):
             continue
         for rho in slice_isos(diagram.d1.obj(w), diagram.d0.obj(w)):
             ok, _ = is_descent_datum(diagram, w, rho)
@@ -174,8 +173,8 @@ class DescCategory(ComputableCategory):
             out_x.setdefault(v, []).append((t, v2))
         wx, wy = x.w, y.w
         fiber_y: dict = {}
-        for e in wy.carrier.elements:
-            fiber_y.setdefault(wy.to_base(e), []).append(e)
+        for e, b in wy.mapping:
+            fiber_y.setdefault(b, []).append(e)
 
         def follow(first, cand) -> Optional[dict]:
             assign = {first: cand}
@@ -193,10 +192,10 @@ class DescCategory(ComputableCategory):
 
         orbits = []
         reached: set = set()
-        for first in wx.carrier.elements:
+        for first, b in wx.mapping:
             if first in reached:
                 continue
-            choices = [a for c in fiber_y.get(wx.to_base(first), ())
+            choices = [a for c in fiber_y.get(b, ())
                        if (a := follow(first, c)) is not None]
             if not choices:
                 return []
@@ -205,7 +204,7 @@ class DescCategory(ComputableCategory):
         out = []
         for combo in itertools.product(*orbits):
             table = {v: w for assign in combo for v, w in assign.items()}
-            fn = FinFunction.of(wx.carrier, wy.carrier, table)
+            fn = FinFunction.of(wx.dom, wy.dom, table)
             out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
         out.sort(key=lambda mor: mor.m.fn.mapping)
         return out
@@ -255,14 +254,14 @@ def comparison(desc: DescCategory) -> Functor:
         raise CategoryError(f"incoherent diagram: {rep}")
     dom = fib.c0
     if pred is not None:
-        dom = FullSubcategory(fib.c0, lambda x: pred(x.carrier), name="restricted base")
+        dom = FullSubcategory(fib.c0, lambda x: pred(x.dom), name="restricted base")
     return _Comparison(dom, desc, name="Phi")
 
 
 @dataclass
 class DescendResult:
-    glued: SliceObj                 # object of C/B
-    iso: Optional[DescMor]          # comparison(glued) -> datum, in Desc
+    glued: FinFunction              # object of C/B
+    iso: DescMor                    # comparison(glued) -> datum, in Desc
     partial: bool                   # p not surjective: glued lives over im(p)
 
 
@@ -281,34 +280,33 @@ def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
     p = fib.d.u
     w = datum.w
     pairs = [(v, v2) for v, _, v2 in moves(fib, datum)]
-    q, proj = quotient(w.carrier, pairs)
+    q, proj = quotient(w.dom, pairs)
 
     assign = {}
     for cls in q.elements:
-        assign[cls] = p(w.to_base(cls))
-    for e in w.carrier.elements:
+        assign[cls] = p(w(cls))
+    for e, b in w.mapping:
         # p-image must be constant on classes, else the datum was invalid
-        if p(w.to_base(e)) != assign[proj(e)]:
+        if p(b) != assign[proj(e)]:
             raise TheoremViolation(f"glued class of {e} is not over a single base point")
-    glued = SliceObj(FinFunction.of(q, p.cod, assign))
+    glued = FinFunction.of(q, p.cod, assign)
 
     # the canonical iso comparison(glued) -> datum: (class, e) |-> the unique
     # representative of the class in the fiber over e
     pg = fib.d.obj(glued)
     table = {}
     members: dict = {}
-    for e in w.carrier.elements:
-        members.setdefault((proj(e), w.to_base(e)), []).append(e)
-    for t in pg.carrier.elements:
+    for e, b in w.mapping:
+        members.setdefault((proj(e), b), []).append(e)
+    for t, e in pg.mapping:
         cls = fib.d.top(glued)(t)
-        e = pg.to_base(t)
         reps = members.get((cls, e), [])
         if len(reps) != 1:
             raise TheoremViolation(
                 f"class {cls} meets the fiber over {e} in {len(reps)} points; "
                 f"datum {datum} does not glue")
         table[t] = reps[0]
-    fn = FinFunction.of(pg.carrier, w.carrier, table)
+    fn = FinFunction.of(pg.dom, w.dom, table)
     if not fn.is_bijective():
         raise TheoremViolation(f"gluing comparison for {datum} is not bijective")
     iso = DescMor(DescentDatum(pg, fib.theta.at(glued)), datum, SliceMor(pg, w, fn))
@@ -359,7 +357,7 @@ def classify(p: FinFunction, bound: int = 4,
                 res = descend(fib, datum)
             except TheoremViolation as exc:
                 raise TheoremViolation(f"datum failed to glue for {p!r}: {exc}")
-            if carrier_pred is not None and not carrier_pred(res.glued.carrier):
+            if carrier_pred is not None and not carrier_pred(res.glued.dom):
                 return Decision(False, datum, True)
         return Decision(True, None, True)
 

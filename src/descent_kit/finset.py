@@ -19,13 +19,16 @@ check that only compares composites builds none: ``follow`` reads their
 values off the tables of the factors.  The checks are set operations: a ``FinSetObj`` keeps its elements as a
 frozenset, so membership costs one hash.  Both classes take their hash
 once, at construction, because every memo of the library hashes its keys
-through them, and so do the slice values built on them; all are slotted,
-so the stored hash and set cost no per-instance dictionary.
+through them: an object of a slice category in ``slices`` is a
+``FinFunction`` itself.  Both are slotted, so the stored hash and set
+cost no per-instance dictionary.  Both take tuples only: a list or a
+string where a tuple belongs raises ``FinSetError``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, NamedTuple
 
@@ -44,6 +47,8 @@ class FinSetObj:
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
+        if not isinstance(self.elements, tuple):
+            raise FinSetError(f"elements must be a tuple of labels, not {self.elements!r}")
         try:
             members = frozenset(self.elements)
         except TypeError:
@@ -99,21 +104,26 @@ class FinFunction:
         if not in_range:
             x, y = next((x, y) for x, y in self.mapping if y not in self.cod.elements)
             raise FinSetError(f"image {y!r} of {x!r} not in codomain {self.cod}")
+        try:
+            mapping_hash = hash(self.mapping)
+        except TypeError:  # a list where a tuple belongs
+            raise FinSetError(f"mapping must be a tuple of (element, image) tuples: "
+                              f"{self.mapping!r}") from None
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_hash", hash(self.mapping))
+        object.__setattr__(self, "_hash", mapping_hash)
 
     @staticmethod
     def of(dom: FinSetObj, cod: FinSetObj, assignment) -> "FinFunction":
-        """Build from a dict or a callable on labels."""
-        if not hasattr(assignment, "__getitem__"):
-            if not callable(assignment):
-                raise FinSetError(f"an assignment is a mapping or a callable, not {assignment!r}")
-            return FinFunction(dom, cod, tuple((x, assignment(x)) for x in dom.elements))
-        try:
-            pairs = tuple((x, assignment[x]) for x in dom.elements)
-        except KeyError as exc:
-            raise FinSetError(f"the assignment gives no image of {exc.args[0]!r}") from None
-        return FinFunction(dom, cod, pairs)
+        """Build from a mapping (a dict) or a callable on labels."""
+        if isinstance(assignment, Mapping):
+            try:
+                pairs = tuple((x, assignment[x]) for x in dom.elements)
+            except KeyError as exc:
+                raise FinSetError(f"the assignment gives no image of {exc.args[0]!r}") from None
+            return FinFunction(dom, cod, pairs)
+        if not callable(assignment):
+            raise FinSetError(f"an assignment is a mapping or a callable, not {assignment!r}")
+        return FinFunction(dom, cod, tuple((x, assignment(x)) for x in dom.elements))
 
     @staticmethod
     def identity(s: FinSetObj) -> "FinFunction":

@@ -267,8 +267,8 @@ def _monad_to_d1(fib: BasicFibration, monad: Monad, w) -> FinFunction:
         raise CategoryError("monad endofunctor must track tops")
     tw, d1w = monad.t.obj(w), fib.d1.obj(w)
     return match_by_legs(
-        tw.carrier, [monad.t.tops(w), [tw.to_base]],
-        d1w.carrier, [[fib.d1.top(w)], [d1w.to_base, fib.d0.u]])
+        tw.dom, [monad.t.tops(w), [tw]],
+        d1w.dom, [[fib.d1.top(w)], [d1w, fib.d0.u]])
 
 
 def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> Algebra:
@@ -294,8 +294,8 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     x = alg.x
     d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
     to_x = [_monad_to_d1(fib, monad, x).inverse(), alg.a.fn]
-    fn = match_by_legs(d1x.carrier, [to_x, [d1x.to_base]],
-                       d0x.carrier, [[fib.d0.top(x)], [d0x.to_base]])
+    fn = match_by_legs(d1x.dom, [to_x, [d1x]],
+                       d0x.dom, [[fib.d0.top(x)], [d0x]])
     if not fn.is_bijective():
         raise TheoremViolation(f"algebra {alg} does not induce an invertible datum")
     rho = SliceMor(d1x, d0x, fn)

@@ -16,19 +16,19 @@ from .cosimplicial import BasicFibration
 from .descent import (DescCategory, DescentDatum, DescMor, canonicalize_datum,
                       is_descent_datum)
 from .monadic import Monad
-from .slices import Adjunction, SliceMor, SliceObj, slice_isos
+from .slices import Adjunction, SliceMor, slice_isos
 
 
-def _fiber_twist(obj: SliceObj) -> FinFunction:
+def _fiber_twist(obj: FinFunction) -> FinFunction:
     """Reverse each fiber of a slice object; nontrivial on fibers of size >= 2."""
     by_fiber: dict = {}
-    for e in obj.carrier.elements:
-        by_fiber.setdefault(obj.to_base(e), []).append(e)
+    for e in obj.dom.elements:
+        by_fiber.setdefault(obj(e), []).append(e)
     table = {}
     for fiber in by_fiber.values():
         for a, b in zip(fiber, reversed(fiber)):
             table[a] = b
-    return FinFunction.of(obj.carrier, obj.carrier, table)
+    return FinFunction.of(obj.dom, obj.dom, table)
 
 
 def _twisted(cell: NatTrans, name: str) -> NatTrans:

@@ -1,7 +1,8 @@
 """Slice categories over the finite-sets backend and change of base.
 
-A slice object over B is a function X -> B; a morphism is a commuting
-triangle.  Both store their hash at construction, as ``FinFunction``
+An object of C/B is its structure map: a ``FinFunction`` X -> B, whose
+domain X is the carrier.  A morphism is a commuting triangle, a
+``SliceMor``; it stores its hash at construction, as ``FinFunction``
 does, since the memos of functors and transformations hash them on every
 lookup.  Change of base along p: E -> B is pullback along p, with the
 chosen pullbacks of finset; each functor caches its values so repeated
@@ -43,43 +44,19 @@ from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
 
 
 @dataclass(frozen=True, slots=True)
-class SliceObj:
-    """An object of C/B: a carrier with its structure map to the base."""
-
-    to_base: FinFunction
-
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.to_base,)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def carrier(self) -> FinSetObj:
-        return self.to_base.dom
-
-    @property
-    def base(self) -> FinSetObj:
-        return self.to_base.cod
-
-    def __repr__(self):
-        return f"⟨{self.to_base!r}⟩"
-
-
-@dataclass(frozen=True, slots=True)
 class SliceMor:
-    """A commuting triangle between slice objects."""
+    """A commuting triangle x -> y between objects of C/B, each its map to
+    the base: fn runs between their domains.  fn alone does not fix y,
+    whose structure map the triangle keeps."""
 
-    src: SliceObj
-    dst: SliceObj
+    src: FinFunction
+    dst: FinFunction
     fn: FinFunction
 
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        if self.fn.dom != self.src.carrier or self.fn.cod != self.dst.carrier:
+        if self.fn.dom != self.src.dom or self.fn.cod != self.dst.dom:
             raise CategoryError(f"{self.fn!r} does not run between the carriers "
                                 f"of {self.src!r} and {self.dst!r}")
         object.__setattr__(self, "_hash", hash((self.src, self.dst, self.fn)))
@@ -92,19 +69,15 @@ class SliceMor:
 
 
 class SliceCategory(ComputableCategory):
-    """C/B for the finite-sets backend, enumerated up to carrier size."""
+    """C/B for the finite-sets backend: an object is a ``FinFunction`` with
+    codomain base, enumerated up to the size of its domain."""
 
     def __init__(self, base: FinSetObj, bound: int = 4):
         super().__init__(bound)
         self.base = base
         self._generators_memo: dict = {}
 
-    def obj(self, to_base: FinFunction) -> SliceObj:
-        if to_base.cod != self.base:
-            raise CategoryError(f"not a slice object over {self.base}")
-        return SliceObj(to_base)
-
-    def _objects(self, bound: int) -> list[SliceObj]:
+    def _objects(self, bound: int) -> list[FinFunction]:
         """Canonical objects: one per fiber-size vector with total <= bound.
 
         The object with fibers (n_b) has carrier labels (b, i), i < n_b.
@@ -114,7 +87,7 @@ class SliceCategory(ComputableCategory):
         for vec in _vectors(len(base_elems), bound):
             mapping = tuple(((b, i), b) for b, n in zip(base_elems, vec) for i in range(n))
             carrier = FinSetObj(tuple(lbl for lbl, _ in mapping))
-            out.append(SliceObj(FinFunction(carrier, self.base, mapping)))
+            out.append(FinFunction(carrier, self.base, mapping))
         return out
 
     def generators(self, bound: Optional[int] = None) -> list[SliceMor]:
@@ -155,22 +128,21 @@ class SliceCategory(ComputableCategory):
                     out.append(_relabel(x, grown, {}))
         return out
 
-    def _hom(self, x: SliceObj, y: SliceObj) -> list[SliceMor]:
+    def _hom(self, x: FinFunction, y: FinFunction) -> list[SliceMor]:
         cands = []
-        for e in x.carrier.elements:
-            b = x.to_base(e)
-            fits = [d for d in y.carrier.elements if y.to_base(d) == b]
+        for _, b in x.mapping:
+            fits = [d for d, c in y.mapping if c == b]
             if not fits:
                 return []
             cands.append(fits)
         out = []
         for choice in itertools.product(*cands):
-            fn = FinFunction(x.carrier, y.carrier, tuple(zip(x.carrier.elements, choice)))
+            fn = FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice)))
             out.append(SliceMor(x, y, fn))
         return out
 
-    def identity(self, x: SliceObj) -> SliceMor:
-        return SliceMor(x, x, FinFunction.identity(x.carrier))
+    def identity(self, x: FinFunction) -> SliceMor:
+        return SliceMor(x, x, FinFunction.identity(x.dom))
 
     def compose(self, g: SliceMor, f: SliceMor) -> SliceMor:
         if f.dst != g.src:
@@ -184,7 +156,7 @@ class SliceCategory(ComputableCategory):
         ends = path_ends(lhs, "slice morphisms")
         if path_ends(rhs, "slice morphisms") != ends:
             return False
-        elements = ends[0].carrier.elements
+        elements = ends[0].dom.elements
         return (follow([m.fn for m in lhs], elements)
                 == follow([m.fn for m in rhs], elements))
 
@@ -193,10 +165,10 @@ class SliceCategory(ComputableCategory):
         return m.fn.is_bijective()
 
 
-def _relabel(x: SliceObj, y: SliceObj, moved: dict) -> SliceMor:
+def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
     """The map x -> y sending each label to itself, or where moved says."""
-    return SliceMor(x, y, FinFunction(x.carrier, y.carrier, tuple(
-        (e, moved.get(e, e)) for e in x.carrier.elements)))
+    return SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(
+        (e, moved.get(e, e)) for e in x.dom.elements)))
 
 
 def _vectors(k: int, total: int):
@@ -212,14 +184,14 @@ def _vectors(k: int, total: int):
 class CartFunctor(Functor):
     """A functor between slice categories carrying a top projection.
 
-    The top projection F(x).carrier -> x.carrier identifies where each
+    The top projection F(x).dom -> x.dom identifies where each
     element of the value came from; together with the structure map of
     F(x) it pins every element of a (composite of) chosen pullback(s).
     ``tops(x)`` gives it as the path of maps it composes, in the order they
     apply (empty for the identity), so that it is followed, not built.
     """
 
-    def tops(self, x: SliceObj) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list[FinFunction]:
         raise NotImplementedError
 
     def then(self, other: Functor) -> Functor:
@@ -229,12 +201,12 @@ class CartFunctor(Functor):
 
 
 class ComposedCartFunctor(ComposedFunctor, CartFunctor):
-    def tops(self, x: SliceObj) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list[FinFunction]:
         return self.second.tops(self.first.obj(x)) + self.first.tops(x)
 
 
 class IdentityCartFunctor(IdentityFunctor, CartFunctor):
-    def tops(self, x: SliceObj) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list[FinFunction]:
         return []
 
 
@@ -248,23 +220,23 @@ class ChangeOfBase(CartFunctor):
         self.u = u
         self._pullbacks: dict = {}
 
-    def _on_obj(self, x: SliceObj) -> SliceObj:
-        pb = pullback(x.to_base, self.u)
+    def _on_obj(self, x: FinFunction) -> FinFunction:
+        pb = pullback(x, self.u)
         self._pullbacks[x] = pb
-        return SliceObj(pb.pr2)
+        return pb.pr2
 
-    def pullback_of(self, x: SliceObj) -> Pullback:
-        """The chosen pullback of x.to_base and u; obj(x) is its pr2."""
+    def pullback_of(self, x: FinFunction) -> Pullback:
+        """The chosen pullback of x and u; obj(x) is its pr2."""
         try:
             return self._pullbacks[x]
         except KeyError:
             self.obj(x)
             return self._pullbacks[x]
 
-    def top(self, x: SliceObj) -> FinFunction:
+    def top(self, x: FinFunction) -> FinFunction:
         return self.pullback_of(x).pr1
 
-    def tops(self, x: SliceObj) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list[FinFunction]:
         return [self.top(x)]
 
     def _on_mor(self, m: SliceMor) -> SliceMor:
@@ -272,8 +244,8 @@ class ChangeOfBase(CartFunctor):
         m.dst, built from the two legs of w in one checked function: its
         codomain check is the check that m commutes over the base."""
         fx, fy = self.obj(m.src), self.obj(m.dst)
-        legs = zip(self.top(m.src).mapping, fx.to_base.mapping)
-        fn = FinFunction(fx.carrier, self.pullback_of(m.dst).obj,
+        legs = zip(self.top(m.src).mapping, fx.mapping)
+        fn = FinFunction(fx.dom, fy.dom,
                          tuple((w, (m.fn(x), a)) for (w, x), (_, a) in legs))
         return SliceMor(fx, fy, fn)
 
@@ -287,30 +259,30 @@ class SigmaAlong(CartFunctor):
         super().__init__(src, dst, name=f"Σ({u!r})")
         self.u = u
 
-    def _on_obj(self, x: SliceObj) -> SliceObj:
-        return SliceObj(x.to_base.then(self.u))
+    def _on_obj(self, x: FinFunction) -> FinFunction:
+        return x.then(self.u)
 
     def _on_mor(self, m: SliceMor) -> SliceMor:
         return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
 
-    def tops(self, x: SliceObj) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list[FinFunction]:
         return []
 
 
-def slice_isos(x: SliceObj, y: SliceObj):
+def slice_isos(x: FinFunction, y: FinFunction):
     """All isomorphisms x -> y over the base: fiberwise bijections."""
     by_fiber_x: dict = {}
-    for e in x.carrier.elements:
-        by_fiber_x.setdefault(x.to_base(e), []).append(e)
+    for e, b in x.mapping:
+        by_fiber_x.setdefault(b, []).append(e)
     by_fiber_y: dict = {}
-    for e in y.carrier.elements:
-        by_fiber_y.setdefault(y.to_base(e), []).append(e)
+    for e, b in y.mapping:
+        by_fiber_y.setdefault(b, []).append(e)
     if set(by_fiber_x) != set(by_fiber_y):
         return
     try:
         keys = sorted(by_fiber_x)
     except TypeError:
-        raise FinSetError(f"the labels of {x.base} must be mutually comparable: "
+        raise FinSetError(f"the labels of {x.cod} must be mutually comparable: "
                           "fibers are enumerated in sorted order") from None
     if any(len(by_fiber_x[k]) != len(by_fiber_y[k]) for k in keys):
         return
@@ -319,7 +291,7 @@ def slice_isos(x: SliceObj, y: SliceObj):
                  for k in keys]
     for combo in itertools.product(*per_fiber):
         table = dict(p for fiber in combo for p in fiber)
-        yield SliceMor(x, y, FinFunction.of(x.carrier, y.carrier, table))
+        yield SliceMor(x, y, FinFunction.of(x.dom, y.dom, table))
 
 
 def _leg_values(carrier: FinSetObj, legs: list[list[FinFunction]]):
@@ -353,10 +325,10 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     building it raises.
     """
 
-    def component(x: SliceObj) -> SliceMor:
+    def component(x: FinFunction) -> SliceMor:
         fx, gx = f.obj(x), g.obj(x)
-        fn = match_by_legs(fx.carrier, [f.tops(x), [fx.to_base]],
-                           gx.carrier, [g.tops(x), [gx.to_base]])
+        fn = match_by_legs(fx.dom, [f.tops(x), [fx]],
+                           gx.dom, [g.tops(x), [gx]])
         if not fn.is_bijective():
             raise FinSetError(f"comparison {name} not invertible at {x}")
         return SliceMor(fx, gx, fn)
@@ -397,13 +369,13 @@ def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
     """
     left = SigmaAlong(right.u, right.dst, right.src)
 
-    def unit_at(w: SliceObj) -> SliceMor:
+    def unit_at(w: FinFunction) -> SliceMor:
         lw = left.obj(w)
         rlw = right.obj(lw)
-        fn = mediating_map(right.pullback_of(lw), FinFunction.identity(w.carrier), w.to_base)
+        fn = mediating_map(right.pullback_of(lw), FinFunction.identity(w.dom), w)
         return SliceMor(w, rlw, fn)
 
-    def counit_at(x: SliceObj) -> SliceMor:
+    def counit_at(x: FinFunction) -> SliceMor:
         rx = right.obj(x)
         lrx = left.obj(rx)
         return SliceMor(lrx, x, right.top(x))

@@ -200,13 +200,13 @@ def test_gate_reports_non_invertible_cell():
     def collapsed(x):
         c = good.at(x)
         first = {}
-        for e in c.dst.carrier.elements:
-            first.setdefault(c.dst.to_base(e), e)
+        for e in c.dst.dom.elements:
+            first.setdefault(c.dst(e), e)
         return SliceMor(c.src, c.dst, FinFunction.of(
-            c.src.carrier, c.dst.carrier, lambda u: first[c.dst.to_base(c.fn(u))]))
+            c.src.dom, c.dst.dom, lambda u: first[c.dst(c.fn(u))]))
 
     broken = dataclasses.replace(fib, n0=NatTrans(good.source, good.target, collapsed))
     rep = validate_coherence(broken, 2)
     flagged = [f.witness for f in rep.failures if f.equation == "n0: not invertible"]
-    assert flagged == [x for x in fib.c1.objects(2) if not x.to_base.is_injective()]
+    assert flagged == [x for x in fib.c1.objects(2) if not x.is_injective()]
     assert flagged

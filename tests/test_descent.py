@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
 from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, is_equivalence,
                                 validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
-from descent_kit.slices import SliceObj, slice_isos
+from descent_kit.slices import slice_isos
 
 
 def fn(dom, cod, mapping):
@@ -28,9 +29,9 @@ def oracle_data_for_two_to_one(fib, n):
     over each point, rho given by four bijections between fibers, equations
     evaluated elementwise with no functor machinery."""
     w = next(o for o in fib.c1.objects(2 * n)
-             if sorted(sum(1 for e in o.carrier if o.to_base(e) == b) for b in "ab")
+             if sorted(sum(1 for e in o.dom if o(e) == b) for b in "ab")
              == [n, n])
-    fibers = {b: [e for e in w.carrier if w.to_base(e) == b] for b in "ab"}
+    fibers = {b: [e for e in w.dom if w(e) == b] for b in "ab"}
     count = 0
     for g in _all_fiberwise_bijections(fibers):
         # identity equation: rho over (e, e) fixes each element
@@ -68,7 +69,7 @@ def test_datum_counts_match_independent_oracle(raw_descent_data):
     raw = raw_descent_data(fib, 4)
     by_size = {}
     for d in raw:
-        by_size[len(d.w.carrier)] = by_size.get(len(d.w.carrier), 0) + 1
+        by_size[len(d.w.dom)] = by_size.get(len(d.w.dom), 0) + 1
     assert by_size == {0: 1, 2: 1, 4: 2}
     deduped = enumerate_descent_data(fib, 4)
     assert len(deduped) == 3  # the two size-4 data are conjugate relabellings
@@ -88,10 +89,10 @@ def test_identity_fibration_only_canonical_rho_passes(raw_descent_data):
     fib = basic_fibration(p, 3)
     data = raw_descent_data(fib, 3)
     # one datum per carrier size: rho is forced up to the equations
-    sizes = sorted(len(d.w.carrier) for d in data)
+    sizes = sorted(len(d.w.dom) for d in data)
     assert sizes == [0, 1, 2, 3]
     # and any twisted alternative fails the identity equation
-    w2 = next(o for o in fib.c1.objects(3) if len(o.carrier) == 2)
+    w2 = next(o for o in fib.c1.objects(3) if len(o.dom) == 2)
     d1w, d0w = fib.d1.obj(w2), fib.d0.obj(w2)
     isos = list(slice_isos(d1w, d0w))
     passing = [r for r in isos if is_descent_datum(fib, w2, r)[0]]
@@ -101,7 +102,7 @@ def test_identity_fibration_only_canonical_rho_passes(raw_descent_data):
 def test_singleton_fiber_datum_forced():
     p = two_to_one()
     fib = basic_fibration(p, 2)
-    data = [d for d in enumerate_descent_data(fib, 2) if len(d.w.carrier) == 2]
+    data = [d for d in enumerate_descent_data(fib, 2) if len(d.w.dom) == 2]
     assert len(data) == 1
     ok, _ = is_descent_datum(fib, data[0].w, data[0].rho)
     assert ok
@@ -112,7 +113,7 @@ def test_empty_domain_descent_category_is_terminal_like():
     fib = basic_fibration(p, 3)
     desc = DescCategory(fib, 3)
     objs = desc.objects()
-    assert len(objs) == 1 and len(objs[0].w.carrier) == 0
+    assert len(objs) == 1 and len(objs[0].w.dom) == 0
     assert len(desc.hom(objs[0], objs[0])) == 1
 
 
@@ -128,6 +129,25 @@ def small_maps():
     for m in range(4):
         for n in range(1, 3):
             yield from all_functions(FinSetObj(tuple("abc"[:m])), FinSetObj(tuple("xy"[:n])))
+
+
+def _vectors_within(fiber_sizes, room):
+    """How many vectors (n_c) have sum of fiber_sizes[c] * n_c <= room."""
+    if not fiber_sizes:
+        return 1
+    size, rest = fiber_sizes[0], fiber_sizes[1:]
+    return sum(_vectors_within(rest, room - size * n) for n in range(room // size + 1))
+
+
+def test_descent_data_count_matches_objects_over_the_image():
+    # Galois: Desc(p) is C/im(p), so its objects up to isomorphism with
+    # level-1 carrier within b are the fiber-size vectors (n_c) over im(p)
+    # whose pullback, of size sum |p^-1(c)| n_c, is within b
+    for p in small_maps():
+        fiber_sizes = list(collections.Counter(c for _, c in p.mapping).values())
+        for bound in range(1, 5):
+            desc = DescCategory(basic_fibration(p, bound), bound)
+            assert len(desc.objects()) == _vectors_within(fiber_sizes, bound), (p, bound)
 
 
 def by_mapping(mor):
@@ -150,11 +170,11 @@ def test_desc_homs_sorted_on_a_carrier_out_of_label_order():
     # canonical carriers list their labels in sorted order, which the
     # per-orbit product already follows; a hand-made carrier need not
     fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
-    w = SliceObj(fn("ba", "x", lambda _: "x"))
+    w = fn("ba", "x", lambda _: "x")
     rho = next(r for r in slice_isos(fib.d1.obj(w), fib.d0.obj(w))
                if is_descent_datum(fib, w, r)[0])
     desc = DescCategory(fib, 2)
-    point = next(d for d in desc.objects() if len(d.w.carrier) == 1)
+    point = next(d for d in desc.objects() if len(d.w.dom) == 1)
     datum = DescentDatum(w, rho)
     generic = desc._hom_generic(point, datum)  # in the carrier's order: b, a
     assert len(generic) == 2
@@ -202,9 +222,9 @@ def test_comparison_refuses_incoherent_diagram():
 def test_descend_singleton_fibers_glues_to_point():
     p = two_to_one()
     fib = basic_fibration(p, 2)
-    datum = next(d for d in enumerate_descent_data(fib, 2) if len(d.w.carrier) == 2)
+    datum = next(d for d in enumerate_descent_data(fib, 2) if len(d.w.dom) == 2)
     res = descend(fib, datum)
-    assert len(res.glued.carrier) == 1 and not res.partial
+    assert len(res.glued.dom) == 1 and not res.partial
 
 
 def test_descend_identity_forgets_rho():
@@ -212,15 +232,15 @@ def test_descend_identity_forgets_rho():
     fib = basic_fibration(p, 3)
     for datum in enumerate_descent_data(fib, 3):
         res = descend(fib, datum)
-        assert len(res.glued.carrier) == len(datum.w.carrier)
+        assert len(res.glued.dom) == len(datum.w.dom)
 
 
 def test_descend_swap_datum_has_two_orbits(raw_descent_data):
     p = two_to_one()
     fib = basic_fibration(p, 4)
     swap_data = [d for d in raw_descent_data(fib, 4)
-                 if len(d.w.carrier) == 4]
-    sizes = sorted(len(descend(fib, d).glued.carrier) for d in swap_data)
+                 if len(d.w.dom) == 4]
+    sizes = sorted(len(descend(fib, d).glued.dom) for d in swap_data)
     assert sizes == [2, 2]
 
 
@@ -284,9 +304,9 @@ def test_classify_even_carriers_is_descent_not_effective():
     res = classify(two_to_one(), 3, carrier_pred=lambda c: len(c) % 2 == 0)
     assert res.verdict == DESCENT and res.exit_code == 3
     datum = res.report.essentially_surjective.witness
-    assert len(datum.w.carrier) == 2
+    assert len(datum.w.dom) == 2
     # it glues to a single point, which the even subcategory does not hold
-    assert len(descend(res.fib, datum).glued.carrier) == 1
+    assert len(descend(res.fib, datum).glued.dom) == 1
 
 
 def test_classify_singletons_over_a_non_surjection_is_almost():
@@ -297,7 +317,7 @@ def test_classify_singletons_over_a_non_surjection_is_almost():
     assert res.verdict == ALMOST and res.exit_code == 4
     witness = res.report.full.witness
     assert not res.report.full.ok and witness is not None
-    assert len(witness.src.w.carrier) == 0 and len(witness.dst.w.carrier) == 1
+    assert len(witness.src.w.dom) == 0 and len(witness.dst.w.dom) == 1
 
 
 def test_classify_even_carriers_over_a_predicate_not_closed_under_pullback():
@@ -308,8 +328,8 @@ def test_classify_even_carriers_over_a_predicate_not_closed_under_pullback():
                    carrier_pred=lambda c: len(c) % 2 == 0)
     assert res.verdict == DESCENT and res.exit_code == 3
     two = next(x for x in res.phi.src.objects()
-               if sorted(x.to_base(e) for e in x.carrier) == ["x", "y"])
-    assert len(res.phi.obj(two).w.carrier) == 3
+               if sorted(x(e) for e in x.dom) == ["x", "y"])
+    assert len(res.phi.obj(two).w.dom) == 3
 
 
 def test_descent_category_without_cocycle_admits_a_non_datum():
@@ -319,13 +339,13 @@ def test_descent_category_without_cocycle_admits_a_non_datum():
     corrupt = descent_category_without_cocycle(fib, 4).objects()
     assert len(real) == 3 and len(corrupt) == 4
     (extra,) = [d for d in corrupt if d not in real]
-    assert len(extra.w.carrier) == 4
+    assert len(extra.w.dom) == 4
     assert is_descent_datum(fib, extra.w, extra.rho) == (False, "associativity")
     with pytest.raises(CategoryError, match="associativity"):
         descend(fib, extra)
     # the datum check leaves theta alone; descend's own equivariance check
     # catches a twisted theta on the four-point datum
-    (four,) = [d for d in real if len(d.w.carrier) == 4]
+    (four,) = [d for d in real if len(d.w.dom) == 4]
     with pytest.raises(TheoremViolation, match="not equivariant"):
         descend(invert_theta(fib), four)
 

@@ -145,6 +145,27 @@ def function_of_a_number():
     FinFunction.of(FinSetObj(("a",)), FinSetObj(("x",)), 5)
 
 
+def set_of_a_list():
+    FinSetObj(["a"])
+
+
+def set_of_a_string():
+    # "ab" is hashable and iterable, but not the set ("a", "b")
+    FinSetObj("ab")
+
+
+def function_with_a_list_mapping():
+    FinFunction(FinSetObj(("a",)), FinSetObj(("x",)), [("a", "x")])
+
+
+def function_with_a_list_pair():
+    FinFunction(FinSetObj(("a",)), FinSetObj(("x",)), (["a", "x"],))
+
+
+def function_of_a_list():
+    FinFunction.of(FinSetObj(("a",)), FinSetObj(("x",)), ["x"])
+
+
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
@@ -172,6 +193,11 @@ def function_of_a_number():
     (set_with_an_unhashable_label, FinSetError, "must be hashable"),
     (function_with_a_malformed_pair, FinSetError, r"\(element, image\) pairs"),
     (function_of_a_number, FinSetError, "a mapping or a callable, not 5"),
+    (set_of_a_list, FinSetError, r"must be a tuple of labels, not \['a'\]"),
+    (set_of_a_string, FinSetError, "must be a tuple of labels, not 'ab'"),
+    (function_with_a_list_mapping, FinSetError, r"must be a tuple of \(element, image\) tuples"),
+    (function_with_a_list_pair, FinSetError, r"must be a tuple of \(element, image\) tuples"),
+    (function_of_a_list, FinSetError, r"a mapping or a callable, not \['x'\]"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):

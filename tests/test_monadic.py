@@ -34,7 +34,7 @@ def test_identity_adjunction_induces_identity_like_monad():
     monad = induced_monad(adj, 2)
     assert monad.check(2) == []
     for w in fib.c1.objects(2):
-        assert len(monad.t.obj(w).carrier) == len(w.carrier)
+        assert len(monad.t.obj(w).dom) == len(w.dom)
 
 
 def test_two_to_one_monad_refibers_product():
@@ -42,11 +42,11 @@ def test_two_to_one_monad_refibers_product():
     fib, adj = adjunction_for(p)
     monad = induced_monad(adj, 3)
     w = next(o for o in fib.c1.objects(2)
-             if sorted(o.to_base(e) for e in o.carrier) == ["a", "b"])
+             if sorted(o(e) for e in o.dom) == ["a", "b"])
     tw = monad.t.obj(w)
     # fiber over each point of E is all of W
     for e in "ab":
-        assert sum(1 for t in tw.carrier if tw.to_base(t) == e) == len(w.carrier)
+        assert sum(1 for t in tw.dom if tw(t) == e) == len(w.dom)
 
 
 def oracle_algebras(monad, x):
@@ -88,7 +88,7 @@ def test_object_without_algebra_absent():
     em = EMCategory(induced_monad(adj, 3), 3)
     lopsided = {alg.x for alg in em.objects(3)}
     w = next(o for o in fib.c1.objects(3)
-             if [o.to_base(e) for e in o.carrier] == ["a"])
+             if [o(e) for e in o.dom] == ["a"])
     assert w not in lopsided
 
 
@@ -124,8 +124,8 @@ def test_mate_of_identity_square_is_identity():
         comp = m.at(x)
         assert comp.fn.is_bijective()
         # identity square: the mate relabels pairs without moving elements
-        src_tops = sorted(top for top, _ in comp.src.carrier.elements)
-        dst_tops = sorted(top for top, _ in comp.dst.carrier.elements)
+        src_tops = sorted(top for top, _ in comp.src.dom.elements)
+        dst_tops = sorted(top for top, _ in comp.dst.dom.elements)
         assert src_tops == dst_tops
 
 

@@ -19,7 +19,7 @@ from descent_kit.descent import DescCategory, classify
 from descent_kit.finset import FinFunction, FinSetObj
 from descent_kit.monadic import benabou_roubaud
 from descent_kit.mutations import invert_theta
-from descent_kit.slices import SliceMor, SliceObj
+from descent_kit.slices import SliceMor
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -159,7 +159,7 @@ def test_value_classes_have_no_instance_dict():
     datum = desc.objects()[-1]
     values = [desc.identity(datum), datum, datum.w, datum.rho, datum.rho.fn, point]
     assert [type(v).__name__ for v in values] == [
-        "DescMor", "DescentDatum", "SliceObj", "SliceMor", "FinFunction", "FinSetObj"]
+        "DescMor", "DescentDatum", "FinFunction", "SliceMor", "FinFunction", "FinSetObj"]
     assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
 
 
@@ -201,8 +201,8 @@ def test_memo_key_values_store_their_hash():
 
     def build():
         carrier = FinSetObj(tuple(["u", "v"]))
-        obj = SliceObj(FinFunction(carrier, FinSetObj(tuple(["x", "y"])),
-                                   tuple([("u", "x"), ("v", "y")])))
+        obj = FinFunction(carrier, FinSetObj(tuple(["x", "y"])),
+                          tuple([("u", "x"), ("v", "y")]))
         mor = SliceMor(obj, obj, FinFunction(carrier, FinSetObj(tuple(["u", "v"])),
                                              tuple([("u", "u"), ("v", "v")])))
         return obj, mor
@@ -210,7 +210,7 @@ def test_memo_key_values_store_their_hash():
     (obj, mor), (obj2, mor2) = build(), build()
     assert obj == obj2 and hash(obj) == hash(obj2)
     assert mor == mor2 and hash(mor) == hash(mor2)
-    for value in (obj.carrier, obj.to_base, obj, mor):
+    for value in (obj.dom, obj, mor):
         cls = type(value)
         hash_fn = cls.__dict__.get("__hash__")
         assert hash_fn is not None, cls.__name__

@@ -19,18 +19,18 @@ def slice_over(labels, bound=3):
 def test_slice_over_empty_base():
     cat = slice_over([])
     objs = cat.objects(3)
-    assert len(objs) == 1 and len(objs[0].carrier) == 0
+    assert len(objs) == 1 and len(objs[0].dom) == 0
 
 
 def test_slice_over_point_enumerates_sizes():
     cat = slice_over(["*"], bound=2)
-    assert [len(o.carrier) for o in cat.objects()] == [0, 1, 2]
+    assert [len(o.dom) for o in cat.objects()] == [0, 1, 2]
 
 
 def test_slice_two_point_base_bound_one():
     cat = slice_over(["x", "y"], bound=1)
     objs = cat.objects()
-    fibers = sorted(tuple(sum(1 for e in o.carrier if o.to_base(e) == b) for b in "xy")
+    fibers = sorted(tuple(sum(1 for e in o.dom if o(e) == b) for b in "xy")
                     for o in objs)
     assert fibers == [(0, 0), (0, 1), (1, 0)]
 
@@ -44,9 +44,9 @@ def test_hom_is_fiberwise():
     cat = slice_over(["x", "y"], bound=3)
     objs = set(cat.objects())
     two_over_x = next(o for o in cat.objects()
-                      if len(o.carrier) == 2 and all(o.to_base(e) == "x" for e in o.carrier))
+                      if len(o.dom) == 2 and all(o(e) == "x" for e in o.dom))
     one_each = next(o for o in cat.objects()
-                    if len(o.carrier) == 2 and {o.to_base(e) for e in o.carrier} == {"x", "y"})
+                    if len(o.dom) == 2 and {o(e) for e in o.dom} == {"x", "y"})
     assert len(cat.hom(two_over_x, one_each)) == 1
     assert len(cat.hom(one_each, two_over_x)) == 0
 
@@ -68,8 +68,8 @@ def test_change_of_base_product_case():
     f = ChangeOfBase(p, SliceCategory(b), SliceCategory(e))
     x = SliceCategory(b).objects(2)[2]  # two points over *
     fx = f.obj(x)
-    assert len(fx.carrier) == 4
-    fibers = {c: sum(1 for t in fx.carrier if fx.to_base(t) == c) for c in "ab"}
+    assert len(fx.dom) == 4
+    fibers = {c: sum(1 for t in fx.dom if fx(t) == c) for c in "ab"}
     assert fibers == {"a": 2, "b": 2}
 
 
@@ -77,14 +77,29 @@ def test_change_of_base_empty_fiber():
     e, b = FinSetObj(("e",)), FinSetObj(("x", "y"))
     p = FinFunction.of(e, b, {"e": "x"})
     f = ChangeOfBase(p, SliceCategory(b), SliceCategory(e))
-    point_over_y = SliceObj_over(b, {"q": "y"})
-    assert len(f.obj(point_over_y).carrier) == 0
+    point_over_y = map_over(b, {"q": "y"})
+    assert len(f.obj(point_over_y).dom) == 0
 
 
-def SliceObj_over(base, mapping):
-    from descent_kit.slices import SliceObj
+def map_over(base, mapping):
     carrier = FinSetObj(tuple(mapping))
-    return SliceObj(FinFunction.of(carrier, base, mapping))
+    return FinFunction.of(carrier, base, mapping)
+
+
+def test_change_of_base_hands_out_its_values():
+    # an object of C/B is its map: change of base hands out the chosen
+    # pullback's own projection, and sigma the composite map
+    e, b = FinSetObj(("a", "b", "c")), FinSetObj(("x", "y"))
+    p = FinFunction.of(e, b, {"a": "x", "b": "x", "c": "y"})
+    cb, ce = SliceCategory(b, 2), SliceCategory(e, 2)
+    cob, sig = ChangeOfBase(p, cb, ce), SigmaAlong(p, ce, cb)
+    objs = cb.objects()
+    assert len(objs) == 6
+    assert all(isinstance(x, FinFunction) and x.cod == b for x in objs)
+    for x in objs:
+        assert cob.obj(x) is cob.pullback_of(x).pr2
+    for w in ce.objects():
+        assert sig.obj(w) == w.then(p)
 
 
 def test_change_of_base_caches_identical_results():
@@ -107,11 +122,11 @@ def test_sigma_postcomposes():
     p = FinFunction.of(e, b, lambda _: "*")
     ce, cb = SliceCategory(e), SliceCategory(b)
     sig = SigmaAlong(p, ce, cb)
-    w = SliceObj_over(e, {"u": "a", "v": "b"})
+    w = map_over(e, {"u": "a", "v": "b"})
     sw = sig.obj(w)
-    assert sw.carrier == w.carrier and sw.base == b
-    empty = SliceObj_over(e, {})
-    assert len(sig.obj(empty).carrier) == 0
+    assert sw.dom == w.dom and sw.cod == b
+    empty = map_over(e, {})
+    assert len(sig.obj(empty).dom) == 0
 
 
 def test_pullback_functor_not_faithful_over_missed_point():
@@ -129,7 +144,7 @@ def test_adjunction_unit_embeds_fiberwise():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
     adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b), SliceCategory(e)))
-    w = SliceObj_over(e, {"u": "a", "v": "b"})
+    w = map_over(e, {"u": "a", "v": "b"})
     eta = adj.unit.at(w)
     assert eta.fn("u") == ("u", "a")
     assert eta.fn("v") == ("v", "b")
@@ -139,9 +154,9 @@ def test_adjunction_counit_is_projection():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
     adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b), SliceCategory(e)))
-    x = SliceObj_over(b, {"u": "*", "v": "*"})
+    x = map_over(b, {"u": "*", "v": "*"})
     eps = adj.counit.at(x)
-    for t in eps.src.carrier:
+    for t in eps.src.dom:
         assert eps.fn(t) == t[0]
 
 
@@ -184,7 +199,7 @@ def test_comparison_iso_between_composite_and_single_pullback():
 def test_slice_mor_between_wrong_carriers_is_rejected():
     one, two = slice_over(["*"], bound=2).objects()[1:]
     with pytest.raises(CategoryError):
-        SliceMor(one, two, FinFunction.identity(one.carrier))
+        SliceMor(one, two, FinFunction.identity(one.dom))
 
 
 def test_change_of_base_on_morphisms_is_the_mediating_map():
@@ -202,7 +217,7 @@ def test_change_of_base_on_morphisms_is_the_mediating_map():
             for y in cb.objects():
                 for m in cb.hom(x, y):
                     expected = mediating_map(cob.pullback_of(m.dst), cob.top(m.src).then(m.fn),
-                                             cob.obj(m.src).to_base)
+                                             cob.obj(m.src))
                     assert cob.mor(m).fn == expected, (u, m)
                     checked += 1
     assert checked > 0
@@ -212,15 +227,15 @@ def test_change_of_base_rejects_a_morphism_that_does_not_commute():
     b = FinSetObj(("x", "y"))
     u = FinFunction.of(FinSetObj(("a", "b")), b, {"a": "x", "b": "y"})
     cob = ChangeOfBase(u, SliceCategory(b, 2), SliceCategory(u.dom, 2))
-    over_x, over_y = SliceObj_over(b, {"p": "x"}), SliceObj_over(b, {"q": "y"})
+    over_x, over_y = map_over(b, {"p": "x"}), map_over(b, {"q": "y"})
     # the carriers fit, so SliceMor accepts it, but p over x lands on q over y
-    m = SliceMor(over_x, over_y, FinFunction.of(over_x.carrier, over_y.carrier, {"p": "q"}))
+    m = SliceMor(over_x, over_y, FinFunction.of(over_x.dom, over_y.dom, {"p": "q"}))
     with pytest.raises(FinSetError):
         cob.mor(m)
 
 
 def _kind(g):
-    size_change = len(g.dst.carrier) - len(g.src.carrier)
+    size_change = len(g.dst.dom) - len(g.src.dom)
     return {0: "transposition", -1: "merge", 1: "inclusion"}[size_change]
 
 
@@ -261,7 +276,7 @@ def test_generators_compose_to_every_hom_set(base):
 
 def test_generators_of_a_two_point_fiber():
     cat = slice_over(["x"])
-    labels = [(_kind(g), len(g.src.carrier), [y for _, y in g.fn.mapping])
+    labels = [(_kind(g), len(g.src.dom), [y for _, y in g.fn.mapping])
               for g in cat.generators(2)]
     assert labels == [
         ("inclusion", 0, []),
