@@ -9,12 +9,24 @@ and checks (``is_descent_datum``, imported here).  A morphism
 checked by ``is_descent_morphism``: the comparison functor and
 ``descend`` use that one check.
 
-Over finite sets a datum is an action of the kernel-pair groupoid, and
-``moves`` lists it: rho carries v, seen over a level-2 point t, to v2.
-A morphism is fixed by where it sends the first element of each orbit of
-these moves, so ``DescCategory`` enumerates hom-sets as a product of
-per-orbit choices (``_hom_generic``, the brute equivariance filter, is
-its reference); ``descend`` glues along the same moves.
+Over finite sets a datum is an action of the kernel-pair groupoid Eq(p),
+a functor Eq(p) -> FinSet (the Galois theorem).  Within a fiber of p
+every two points of E are joined by exactly one arrow of Eq(p), so a
+level-1 object w: W -> E carries a datum exactly when its fiber sizes are
+constant along each fiber of p, and then every datum on w is conjugate to
+every other under a relabelling of W.  ``enumerate_descent_data``
+therefore builds one datum per such canonical w and tries no candidate
+rho: it keeps the one that matches the i-th point over e0 with the i-th
+point over e1, which on a canonical carrier is the lexicographically
+least conjugate (``canonicalize_datum`` finds that conjugate for any
+datum).
+
+``moves`` lists a datum as the groupoid acts: rho carries v, seen over a
+level-2 point t, to v2.  A morphism is fixed by where it sends the first
+element of each orbit of these moves, so ``DescCategory`` enumerates
+hom-sets as a product of per-orbit choices, in order of mapping
+(``_hom_generic``, the brute equivariance filter, is its reference);
+``descend`` glues along the same moves.
 
 A ``DescCategory`` holds the one input of every descent decision: the
 diagram, the enumeration bound and an optional carrier predicate.
@@ -90,25 +102,59 @@ def moves(diagram: BasicFibration, datum: DescentDatum) -> list[tuple]:
 def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
                            carrier_pred: Optional[Callable[[FinSetObj], bool]] = None
                            ) -> list[DescentDatum]:
-    """One descent datum per carrier-relabelling class, with level-1
-    carrier within bound.
+    """One descent datum per isomorphism class, with level-1 carrier within
+    bound, in the order of the canonical level-1 objects.
 
-    Enumeration: every canonical level-1 object, every isomorphism between
-    its two pullbacks, filtered by the two equations; the representative
-    kept is the lexicographically least conjugate.
+    A canonical w: W -> E carries a datum exactly when its fiber sizes are
+    constant along each fiber of p, and then all data on w are conjugate
+    under relabellings of W (see the module docstring), so each such w
+    gives one datum and no candidate rho is tried.  The one kept is
+    ``_index_datum``: over each point (e0, e1) of E×_B E, rho sends the
+    i-th point of w over e0 to the i-th point over e1, in carrier order.  On a canonical carrier, labelled (e, i), this is the
+    lexicographically least conjugate, the one ``canonicalize_datum``
+    picks.  Each datum is still checked by ``is_descent_datum``; one that
+    fails means the diagram is not the basic fibration it claims to be, and
+    raises ``TheoremViolation`` rather than dropping the object.
     """
     out = []
     for w in diagram.c1.objects(bound):
         if carrier_pred is not None and not carrier_pred(w.dom):
             continue
-        for rho in slice_isos(diagram.d1.obj(w), diagram.d0.obj(w)):
-            ok, _ = is_descent_datum(diagram, w, rho)
-            if not ok:
-                continue
-            datum = DescentDatum(w, rho)
-            if canonicalize_datum(diagram, datum)[0] == datum:
-                out.append(datum)
+        rho = _index_datum(diagram, w)
+        if rho is None:
+            continue
+        ok, which = is_descent_datum(diagram, w, rho)
+        if not ok:
+            raise TheoremViolation(f"the index-matching datum on {w!r} fails "
+                                   f"the {which} equation")
+        out.append(DescentDatum(w, rho))
     return out
+
+
+def _index_datum(diagram: BasicFibration, w: FinFunction) -> Optional[SliceMor]:
+    """rho: d1(w) -> d0(w) matching the i-th point of w over e0 with the
+    i-th point over e1 at each (e0, e1), or None when the fiber sizes of w
+    differ within a fiber of p.
+
+    Read off the two top projections and the structure maps: an element u
+    of d1(w) sits over t = d1(w)(u) and came from top1(u) in W.
+    """
+    fibers: dict = {}
+    for v, e in w.mapping:
+        fibers.setdefault(e, []).append(v)
+    size_over: dict = {}
+    for e, b in diagram.d.u.mapping:
+        n = len(fibers.get(e, ()))
+        if size_over.setdefault(b, n) != n:
+            return None
+    index = {v: i for points in fibers.values() for i, v in enumerate(points)}
+    d1w, d0w = diagram.d1.obj(w), diagram.d0.obj(w)
+    target = {(t, index[v]): u
+              for (u, v), (_, t) in zip(diagram.d0.top(w).mapping, d0w.mapping)}
+    fn = FinFunction(d1w.dom, d0w.dom, tuple(
+        (u, target[t, index[v]])
+        for (u, v), (_, t) in zip(diagram.d1.top(w).mapping, d1w.mapping)))
+    return SliceMor(d1w, d0w, fn)
 
 
 def canonicalize_datum(diagram: BasicFibration,
@@ -165,7 +211,14 @@ class DescCategory(ComputableCategory):
         can be undone by a chain of moves (rho is a fiberwise bijection and
         each element has its diagonal move), so an orbit reached from its
         first element is its whole connected component.  Same answers as
-        ``_hom_generic``, sorted by mapping.
+        ``_hom_generic``.
+
+        Ordered by mapping without a sort: orbits are met in the carrier
+        order of their first elements, so every element before the first
+        of an orbit lies in an earlier orbit, and two morphisms first
+        differ at the first element of the first orbit where their choices
+        differ.  With each orbit's choices ordered by the image of that
+        element, ``itertools.product`` yields the mappings in order.
         """
         step = {(v, t): v2 for v, t, v2 in moves(self.diagram, y)}
         out_x: dict = {}
@@ -175,6 +228,8 @@ class DescCategory(ComputableCategory):
         fiber_y: dict = {}
         for e, b in wy.mapping:
             fiber_y.setdefault(b, []).append(e)
+        elements = wx.dom.elements
+        position = {v: i for i, v in enumerate(elements)}
 
         def follow(first, cand) -> Optional[dict]:
             assign = {first: cand}
@@ -200,13 +255,16 @@ class DescCategory(ComputableCategory):
             if not choices:
                 return []
             reached.update(choices[0])
-            orbits.append(choices)
+            choices.sort(key=lambda a: a[first])
+            orbits.append([[(position[v], img) for v, img in a.items()] for a in choices])
         out = []
         for combo in itertools.product(*orbits):
-            table = {v: w for assign in combo for v, w in assign.items()}
-            fn = FinFunction.of(wx.dom, wy.dom, table)
+            images = [None] * len(elements)
+            for choice in combo:
+                for i, img in choice:
+                    images[i] = img
+            fn = FinFunction(wx.dom, wy.dom, tuple(zip(elements, images)))
             out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
-        out.sort(key=lambda mor: mor.m.fn.mapping)
         return out
 
     def identity(self, x: DescentDatum) -> DescMor:

@@ -1,9 +1,10 @@
 """Finite sets with chosen limits and colimits.
 
-Sets are duplicate-free tuples of labels; a label is any hashable value,
-but the labels the descent enumerations meet must also be mutually
-comparable, since those enumerations sort them (``slices.slice_isos``
-raises ``FinSetError`` on a map whose labels mix, say, ints and strings).
+Sets are duplicate-free tuples of labels; a label is any hashable value.
+Descent data are enumerated without comparing labels, so ``classify``
+takes a map whose labels mix, say, ints and strings.  ``slices.slice_isos``
+does sort the labels of the base, and raises ``FinSetError`` on such a
+map; ``descent.canonicalize_datum``, and so ``benabou_roubaud``, walks it.
 All constructions (pullback, quotient, coproduct) choose a canonical
 result, so iterated constructions compose up to canonical isomorphism,
 never on the nose.  An element of a chosen pullback is the

@@ -161,7 +161,14 @@ class SliceCategory(ComputableCategory):
                 == follow([m.fn for m in rhs], elements))
 
     def is_isomorphism(self, m: SliceMor) -> bool:
-        """A commuting triangle is invertible exactly when its map is a bijection."""
+        """A commuting triangle is invertible exactly when its map is a
+        bijection.  A triangle across two bases, or one that does not
+        commute, is no morphism and raises ``CategoryError``: ``SliceMor``
+        checks only that fn runs between the carriers."""
+        if m.src.cod != m.dst.cod:
+            raise CategoryError(f"{m!r} spans two bases, {m.src.cod} and {m.dst.cod}")
+        if follow([m.fn, m.dst], m.src.dom.elements) != [b for _, b in m.src.mapping]:
+            raise CategoryError(f"{m!r} does not commute over the base")
         return m.fn.is_bijective()
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from descent_kit.descent import DescentDatum, is_descent_datum
+from descent_kit.descent import DescentDatum, canonicalize_datum, is_descent_datum
 from descent_kit.slices import slice_isos
 
 
@@ -13,6 +13,27 @@ def _raw_descent_data(fib, bound):
             if is_descent_datum(fib, w, rho)[0]]
 
 
+def _brute_descent_data(fib, bound, carrier_pred=None):
+    """The reference for ``enumerate_descent_data``: every rho between the
+    two pullbacks of every canonical w whose carrier passes carrier_pred,
+    filtered by the datum equations, kept when it is its own least
+    conjugate (``canonicalize_datum``)."""
+    out = []
+    for w in fib.c1.objects(bound):
+        if carrier_pred is not None and not carrier_pred(w.dom):
+            continue
+        for rho in slice_isos(fib.d1.obj(w), fib.d0.obj(w)):
+            datum = DescentDatum(w, rho)
+            if is_descent_datum(fib, w, rho)[0] and canonicalize_datum(fib, datum)[0] == datum:
+                out.append(datum)
+    return out
+
+
 @pytest.fixture
 def raw_descent_data():
     return _raw_descent_data
+
+
+@pytest.fixture
+def brute_descent_data():
+    return _brute_descent_data

@@ -1,7 +1,10 @@
 import collections
+import dataclasses
 import itertools
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
@@ -164,6 +167,61 @@ def test_desc_homs_fast_path_agrees_with_generic_filter():
         for x in objs:
             for y in objs:
                 assert desc.hom(x, y) == sorted(desc._hom_generic(x, y), key=by_mapping), (x, y)
+
+
+def test_enumeration_matches_the_brute_reference_on_small_maps(brute_descent_data):
+    for p in small_maps():
+        for bound in range(5):
+            fib = basic_fibration(p, bound)
+            assert enumerate_descent_data(fib, bound) == brute_descent_data(fib, bound), (p, bound)
+
+
+@st.composite
+def relabelled_maps(draw):
+    """A map with at most three points over at most three, relabelled and
+    reordered as the benchmark's inputs are: random labels, the fibers
+    dealt to shuffled base points, E listed in shuffled order."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)
+                 .filter(lambda s: sum(s) <= 3))
+    n = len(sizes) + sum(sizes)
+    labels = draw(st.lists(st.text("abxy01", min_size=1, max_size=3),
+                           min_size=n, max_size=n, unique=True))
+    base, points = labels[:len(sizes)], iter(labels[len(sizes):])
+    pairs = draw(st.permutations([(next(points), b) for b, k in zip(base, sizes)
+                                  for _ in range(k)]))
+    base = draw(st.permutations(base))
+    return FinFunction(FinSetObj(tuple(e for e, _ in pairs)), FinSetObj(tuple(base)),
+                       tuple(pairs))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=relabelled_maps(), bound=st.integers(0, 3),
+       sizes=st.none() | st.sets(st.integers(0, 3)))
+def test_enumeration_and_homs_match_the_brute_reference_on_relabelled_maps(
+        brute_descent_data, p, bound, sizes):
+    pred = None if sizes is None else (lambda c: len(c) in sizes)
+    fib = basic_fibration(p, bound)
+    desc = DescCategory(fib, bound, carrier_pred=pred)
+    assert desc.objects() == brute_descent_data(fib, bound, pred)
+    for x in desc.objects():
+        for y in desc.objects():
+            assert desc.hom(x, y) == sorted(desc._hom_generic(x, y), key=by_mapping)
+
+
+def test_enumeration_raises_on_a_datum_the_diagram_breaks():
+    # twisting n0 breaks the identity equation for every w with a fiber of
+    # two points; the enumeration names that w instead of dropping it
+    from descent_kit.mutations import _twisted
+    fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
+    broken = dataclasses.replace(fib, n0=_twisted(fib.n0, "n0 (twisted)"))
+    assert len(enumerate_descent_data(broken, 1)) == 2  # invisible on singletons
+    two = fib.c1.objects(2)[2]
+    with pytest.raises(TheoremViolation,
+                       match=re.escape(f"datum on {two!r} fails the identity equation")):
+        enumerate_descent_data(broken, 2)
+    with pytest.raises(TheoremViolation, match="identity equation"):
+        DescCategory(broken, 2).objects()
 
 
 def test_desc_homs_sorted_on_a_carrier_out_of_label_order():
@@ -366,6 +424,19 @@ def test_almost_rung_witness_names_its_data():
     assert report.level == FAITHFUL_ONLY and not report.full.ok
     witness = report.full.witness
     assert repr(witness.src) in repr(witness) and repr(witness.dst) in repr(witness)
+
+
+def test_classify_takes_labels_of_mixed_type():
+    # the enumerations of classify never compare labels, so labels Python
+    # cannot order (ints beside strings) get verdicts, effective iff surjective
+    cases = [(fn((1, "a"), "x", lambda _: "x"), EFFECTIVE),
+             (fn((1, "a", 2), ("x", 0), {1: "x", "a": 0, 2: "x"}), EFFECTIVE),
+             (fn((1,), ("x", 0), {1: "x"}), NOT_ALMOST)]
+    for p, expected in cases:
+        for bound in (2, 3):
+            verdict = classify(p, bound).verdict
+            assert verdict == expected, (p, bound)
+            assert (verdict == EFFECTIVE) == p.is_surjective()
 
 
 def test_classify_sweep_effective_iff_surjective():

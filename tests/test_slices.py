@@ -234,6 +234,27 @@ def test_change_of_base_rejects_a_morphism_that_does_not_commute():
         cob.mor(m)
 
 
+def test_is_isomorphism_rejects_a_triangle_that_does_not_commute():
+    b = FinSetObj(("x", "y"))
+    over_x, over_y = map_over(b, {"p": "x"}), map_over(b, {"q": "y"})
+    m = SliceMor(over_x, over_y, FinFunction.of(over_x.dom, over_y.dom, {"p": "q"}))
+    assert m.fn.is_bijective()
+    with pytest.raises(CategoryError, match="does not commute"):
+        SliceCategory(b, 2).is_isomorphism(m)
+    # the same carriers over one point of the base do commute
+    over_x_too = map_over(b, {"q": "x"})
+    fn = FinFunction.of(over_x.dom, over_x_too.dom, {"p": "q"})
+    assert SliceCategory(b, 2).is_isomorphism(SliceMor(over_x, over_x_too, fn))
+
+
+def test_is_isomorphism_rejects_a_triangle_across_two_bases():
+    over_x = map_over(FinSetObj(("x", "y")), {"p": "x"})
+    over_z = map_over(FinSetObj(("x", "z")), {"q": "z"})
+    m = SliceMor(over_x, over_z, FinFunction.of(over_x.dom, over_z.dom, {"p": "q"}))
+    with pytest.raises(CategoryError, match="spans two bases"):
+        SliceCategory(over_x.cod, 2).is_isomorphism(m)
+
+
 def _kind(g):
     size_change = len(g.dst.dom) - len(g.src.dom)
     return {0: "transposition", -1: "merge", 1: "inclusion"}[size_change]
