@@ -14,19 +14,12 @@ def _raw_descent_data(fib, bound):
 
 
 def _brute_descent_data(fib, bound, carrier_pred=None):
-    """The reference for ``enumerate_descent_data``: every rho between the
-    two pullbacks of every canonical w whose carrier passes carrier_pred,
-    filtered by the datum equations, kept when it is its own least
-    conjugate (``canonicalize_datum``)."""
-    out = []
-    for w in fib.c1.objects(bound):
-        if carrier_pred is not None and not carrier_pred(w.dom):
-            continue
-        for rho in slice_isos(fib.d1.obj(w), fib.d0.obj(w)):
-            datum = DescentDatum(w, rho)
-            if is_descent_datum(fib, w, rho)[0] and canonicalize_datum(fib, datum)[0] == datum:
-                out.append(datum)
-    return out
+    """The reference for ``enumerate_descent_data``: of every datum
+    (``_raw_descent_data``) whose carrier passes carrier_pred, the ones
+    that are their own least conjugate (``canonicalize_datum``)."""
+    return [d for d in _raw_descent_data(fib, bound)
+            if (carrier_pred is None or carrier_pred(d.w.dom))
+            and canonicalize_datum(fib, d)[0] == d]
 
 
 @pytest.fixture
