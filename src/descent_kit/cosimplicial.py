@@ -140,6 +140,10 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     naturality on the generators of each cell's index category, and the two
     presentation equations of the augmentation.
 
+    A component with the right source and target whose triangle does not
+    commute over the base is no morphism; it is reported as
+    "<cell>: does not commute", not raised, and not tested for invertibility.
+
     A naturality failure is reported at the generators whose squares fail
     (``fincat.naturality_failures``); every other morphism is a composite
     of generators, and its square commutes when theirs do.
@@ -167,7 +171,13 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
             if comp.dst != want_dst:
                 report.add(f"{name}: wrong target", x, comp.dst, want_dst)
                 continue
-            if not target_cat.is_isomorphism(comp):
+            try:
+                invertible = target_cat.is_isomorphism(comp)
+            except CategoryError:
+                # typed right but not over the base: no morphism at all
+                report.add(f"{name}: does not commute", x)
+                continue
+            if not invertible:
                 report.add(f"{name}: not invertible", x)
         # naturality on the generators of the index category
         for m in naturality_failures(src_f, dst_f, cell.at, bound):

@@ -110,11 +110,12 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
     under relabellings of W (see the module docstring), so each such w
     gives one datum and no candidate rho is tried.  The one kept is
     ``_index_datum``: over each point (e0, e1) of E×_B E, rho sends the
-    i-th point of w over e0 to the i-th point over e1, in carrier order.  On a canonical carrier, labelled (e, i), this is the
-    lexicographically least conjugate, the one ``canonicalize_datum``
-    picks.  Each datum is still checked by ``is_descent_datum``; one that
-    fails means the diagram is not the basic fibration it claims to be, and
-    raises ``TheoremViolation`` rather than dropping the object.
+    i-th point of w over e0 to the i-th point over e1, in carrier order.
+    On a canonical carrier, labelled (e, i), this is the lexicographically
+    least conjugate, the one ``canonicalize_datum`` picks.  Each datum is
+    still checked by ``is_descent_datum``; one that fails means the diagram
+    is not the basic fibration it claims to be, and raises
+    ``TheoremViolation`` rather than dropping the object.
     """
     out = []
     for w in diagram.c1.objects(bound):

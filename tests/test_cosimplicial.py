@@ -210,3 +210,27 @@ def test_gate_reports_non_invertible_cell():
     flagged = [f.witness for f in rep.failures if f.equation == "n0: not invertible"]
     assert flagged == [x for x in fib.c1.objects(2) if not x.is_injective()]
     assert flagged
+
+
+def test_gate_reports_non_commuting_cell():
+    # n0 with each component sent onto the first point of its target: well
+    # typed, over the base exactly where the target lies over one point of
+    # E, and a bijection only where it has at most one point
+    fib = basic_fibration(fn("ab", "*", lambda _: "*"), 2)
+    good = fib.n0
+
+    def constant(x):
+        c = good.at(x)
+        return SliceMor(c.src, c.dst, FinFunction.of(
+            c.src.dom, c.dst.dom, lambda u: c.dst.dom.elements[0]))
+
+    broken = dataclasses.replace(fib, n0=NatTrans(good.source, good.target, constant))
+    rep = validate_coherence(broken, 2)
+    at = collections.defaultdict(list)
+    for f in rep.failures:
+        at[f.equation].append(f.witness)
+    over = {x: {e for _, e in x.mapping} for x in fib.c1.objects(2)}
+    assert at["n0: does not commute"] == [x for x, es in over.items() if len(es) > 1]
+    assert at["n0: not invertible"] == [x for x, es in over.items()
+                                        if len(es) == 1 and len(x.dom) > 1]
+    assert at["n0: does not commute"] and at["n0: not invertible"]
