@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .finset import FinFunction, mediating_map, pullback
+from .finset import FinFunction, FinSetError, mediating_map, pullback
 from .fincat import CategoryError, IdentityFunctor, NatTrans, naturality_failures
 from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
                      comparison_iso)
@@ -197,8 +197,11 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
 def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
     """Build the slice diagram of p with its canonical constraint cells.
 
-    Each call builds a fresh diagram; nothing is kept across calls.
+    Each call builds a fresh diagram, keeping nothing; a p that is no
+    ``FinFunction`` raises ``FinSetError``.
     """
+    if not isinstance(p, FinFunction):
+        raise FinSetError(f"p must be a FinFunction, not {p!r}")
     pb2 = pullback(p, p)
     q1, q0 = pb2.pr1, pb2.pr2  # pr1 keeps coordinate 0 (omits 1), pr2 omits 0
     pb3 = pullback(q1.then(p), p)

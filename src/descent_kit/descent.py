@@ -17,16 +17,16 @@ constant along each fiber of p, and then every datum on w is conjugate to
 every other under a relabelling of W.  ``enumerate_descent_data``
 therefore builds one datum per such canonical w and tries no candidate
 rho: it keeps the one that matches the i-th point over e0 with the i-th
-point over e1, which on a canonical carrier is the lexicographically
-least conjugate (``canonicalize_datum`` finds that conjugate for any
-datum).
+point over e1, which on a canonical carrier is the conjugate least in the
+element order of d0(w) (``canonicalize_datum`` walks Aut(w) for that
+conjugate of any datum; no decision calls it).
 
 ``moves`` lists a datum as the groupoid acts: rho carries v, seen over a
 level-2 point t, to v2.  A morphism is fixed by where it sends the first
 element of each orbit of these moves, so ``DescCategory`` enumerates
-hom-sets as a product of per-orbit choices, in order of mapping
-(``_hom_generic``, the brute equivariance filter, is its reference);
-``descend`` glues along the same moves.
+hom-sets as a product of per-orbit choices, in the carrier order of
+``_hom_generic`` (the brute equivariance filter, its reference), never
+comparing labels; ``descend`` glues along the same moves.
 
 A ``DescCategory`` holds the one input of every descent decision: the
 diagram, the enumeration bound and an optional carrier predicate.
@@ -47,10 +47,10 @@ from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
                      NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
                      EquivalenceReport, FullSubcategory, Functor, is_equivalence)
-from .finset import FinFunction, FinSetObj, quotient
+from .finset import FinFunction, FinSetError, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
-from .slices import SliceMor, slice_isos
+from .slices import SliceMor, match_by_legs, slice_isos
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +111,8 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
     gives one datum and no candidate rho is tried.  The one kept is
     ``_index_datum``: over each point (e0, e1) of E×_B E, rho sends the
     i-th point of w over e0 to the i-th point over e1, in carrier order.
-    On a canonical carrier, labelled (e, i), this is the lexicographically
-    least conjugate, the one ``canonicalize_datum`` picks.  Each datum is
+    On a canonical carrier this is the conjugate least in the element
+    order of d0(w), the one ``canonicalize_datum`` picks.  Each datum is
     still checked by ``is_descent_datum``; one that fails means the diagram
     is not the basic fibration it claims to be, and raises
     ``TheoremViolation`` rather than dropping the object.
@@ -160,24 +160,27 @@ def _index_datum(diagram: BasicFibration, w: FinFunction) -> Optional[SliceMor]:
 
 def canonicalize_datum(diagram: BasicFibration,
                        datum: DescentDatum) -> tuple[DescentDatum, DescMor]:
-    """Lexicographically least conjugate under carrier relabellings, with
-    the relabelling as the connecting isomorphism datum -> conjugate.
+    """The least conjugate under carrier relabellings, with the
+    relabelling as the connecting isomorphism datum -> conjugate.
 
     An automorphism g of the carrier transports rho to the conjugate
     d0(g) ∘ rho ∘ d1(g)⁻¹, and g is then a descent morphism from the datum
     to the conjugate.  Every conjugate shares w and the source and target
-    of rho, so they are ordered by the mapping of rho alone, and the datum
-    and its isomorphism are built once, for the least.
+    of rho, so they are ordered by the positions of rho's images in d0(w),
+    never by label; the datum and its isomorphism are built once, for the
+    least.  Only ``mutations`` and the tests call it.
     """
     c2 = diagram.c2
-    best_rho = best_g = None
+    position = {u: i for i, u in enumerate(datum.rho.dst.dom.elements)}
+    best_key = best_rho = best_g = None
     for g in slice_isos(datum.w, datum.w):
         d0g = diagram.d0.mor(g)
         d1g = diagram.d1.mor(g)
         inv = SliceMor(d1g.dst, d1g.src, d1g.fn.inverse())
         rho = c2.compose(d0g, c2.compose(datum.rho, inv))
-        if best_rho is None or rho.fn.mapping < best_rho.fn.mapping:
-            best_rho, best_g = rho, g
+        key = [position[u] for _, u in rho.fn.mapping]
+        if best_key is None or key < best_key:
+            best_key, best_rho, best_g = key, rho, g
     best = DescentDatum(datum.w, best_rho)
     return best, DescMor(datum, best, best_g)
 
@@ -214,12 +217,14 @@ class DescCategory(ComputableCategory):
         first element is its whole connected component.  Same answers as
         ``_hom_generic``.
 
-        Ordered by mapping without a sort: orbits are met in the carrier
-        order of their first elements, so every element before the first
-        of an orbit lies in an earlier orbit, and two morphisms first
-        differ at the first element of the first orbit where their choices
-        differ.  With each orbit's choices ordered by the image of that
-        element, ``itertools.product`` yields the mappings in order.
+        In ``_hom_generic``'s order, by the carrier positions of the
+        images, element by element: orbits are met in the carrier order of
+        their first elements, so every element before the first of an orbit
+        lies in an earlier orbit, and two morphisms first differ at the
+        first element of the first orbit where their choices differ.  Each
+        orbit's choices come in the carrier order of y, in which that
+        element's image is tried, so ``itertools.product`` yields the maps
+        in order.
         """
         step = {(v, t): v2 for v, t, v2 in moves(self.diagram, y)}
         out_x: dict = {}
@@ -256,7 +261,6 @@ class DescCategory(ComputableCategory):
             if not choices:
                 return []
             reached.update(choices[0])
-            choices.sort(key=lambda a: a[first])
             orbits.append([[(position[v], img) for v, img in a.items()] for a in choices])
         out = []
         for combo in itertools.product(*orbits):
@@ -327,12 +331,14 @@ class DescendResult:
 def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
     """Glue a descent datum to an object over the base.
 
-    The datum's two equations are checked first (``CategoryError`` names
-    the one that fails).  The carrier is the quotient of the datum's total
-    set by the relation rho induces between fibers over related points; the
-    returned isomorphism exhibits comparison(glued) ≅ datum and is verified
-    before being returned.
+    A value that is no ``DescentDatum`` raises ``CategoryError``, as does a
+    datum failing either equation, which is named.  The carrier is the
+    quotient of the datum's total set by the relation rho induces between
+    fibers over related points; the returned isomorphism exhibits
+    comparison(glued) ≅ datum and is verified before being returned.
     """
+    if not isinstance(datum, DescentDatum):
+        raise CategoryError(f"descend takes a DescentDatum, not {datum!r}")
     ok, which = is_descent_datum(fib, datum.w, datum.rho)
     if not ok:
         raise CategoryError(f"invalid descent datum: {which} equation fails")
@@ -351,21 +357,12 @@ def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
     glued = FinFunction.of(q, p.cod, assign)
 
     # the canonical iso comparison(glued) -> datum: (class, e) |-> the unique
-    # representative of the class in the fiber over e
+    # representative of the class in the fiber over e, matched on both legs
     pg = fib.d.obj(glued)
-    table = {}
-    members: dict = {}
-    for e, b in w.mapping:
-        members.setdefault((proj(e), b), []).append(e)
-    for t, e in pg.mapping:
-        cls = fib.d.top(glued)(t)
-        reps = members.get((cls, e), [])
-        if len(reps) != 1:
-            raise TheoremViolation(
-                f"class {cls} meets the fiber over {e} in {len(reps)} points; "
-                f"datum {datum} does not glue")
-        table[t] = reps[0]
-    fn = FinFunction.of(pg.dom, w.dom, table)
+    try:
+        fn = match_by_legs(pg.dom, [[fib.d.top(glued)], [pg]], w.dom, [[proj], [w]])
+    except FinSetError as exc:
+        raise TheoremViolation(f"datum {datum} does not glue: {exc}") from exc
     if not fn.is_bijective():
         raise TheoremViolation(f"gluing comparison for {datum} is not bijective")
     iso = DescMor(DescentDatum(pg, fib.theta.at(glued)), datum, SliceMor(pg, w, fn))

@@ -1,10 +1,7 @@
 """Finite sets with chosen limits and colimits.
 
 Sets are duplicate-free tuples of labels; a label is any hashable value.
-Descent data are enumerated without comparing labels, so ``classify``
-takes a map whose labels mix, say, ints and strings.  ``slices.slice_isos``
-does sort the labels of the base, and raises ``FinSetError`` on such a
-map; ``descent.canonicalize_datum``, and so ``benabou_roubaud``, walks it.
+The library never compares two labels, so they may mix ints and strings.
 All constructions (pullback, quotient, coproduct) choose a canonical
 result, so iterated constructions compose up to canonical isomorphism,
 never on the nose.  An element of a chosen pullback is the
@@ -17,13 +14,14 @@ makes ``mediating_map`` a commutation check.  Change of base in
 ``slices`` builds its mediating maps into a chosen pullback directly from
 the two legs, with that same one constructor and so the same check.  A
 check that only compares composites builds none: ``follow`` reads their
-values off the tables of the factors.  The checks are set operations: a ``FinSetObj`` keeps its elements as a
-frozenset, so membership costs one hash.  Both classes take their hash
-once, at construction, because every memo of the library hashes its keys
-through them: an object of a slice category in ``slices`` is a
-``FinFunction`` itself.  Both are slotted, so the stored hash and set
-cost no per-instance dictionary.  Both take tuples only: a list or a
-string where a tuple belongs raises ``FinSetError``.
+values off the tables of the factors.  The checks are set operations: a
+``FinSetObj`` keeps its elements as a frozenset, so membership costs one
+hash.  Both classes take their hash once, at construction, because every
+memo of the library hashes its keys through them: an object of a slice
+category in ``slices`` is a ``FinFunction`` itself.  Both are slotted, so
+the stored hash and set cost no per-instance dictionary.  Both take
+tuples only: a list or a string where a tuple belongs raises
+``FinSetError``.
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ from typing import Optional
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
-                     Decision, EquivalenceReport, Functor, NatTrans,
+                     Decision, EquivalenceReport, Functor, NatTrans, find_isomorphism,
                      is_equivalence, naturality_failures, path_ends)
 from .finset import FinFunction, pullback
 from .cosimplicial import BasicFibration, basic_fibration
-from .descent import (DescCategory, DescMor, DescentDatum, canonicalize_datum,
-                      comparison, is_descent_datum)
+from .descent import (DescCategory, DescMor, DescentDatum, comparison,
+                      is_descent_datum)
 from .slices import (Adjunction, CartFunctor, ChangeOfBase, SliceCategory,
                      SliceMor, comparison_iso, match_by_legs,
                      sigma_pullback_adjunction)
@@ -324,7 +324,8 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
     Builds the canonical Desc(p) -> EM(T_p), datum by datum; verifies
     algebra laws, functoriality, the equivalence within bound, and that the
     descent and Eilenberg-Moore factorizations through C/E agree on the
-    nose.
+    nose.  An algebra whose datum ``find_isomorphism`` cannot connect to
+    the enumerated datum on its carrier fails essential surjectivity.
     """
     fib = basic_fibration(p, bound)
     desc = DescCategory(fib, bound)
@@ -338,17 +339,20 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
     functor = _DescToEM(desc, em, name="Desc→EM")
 
     def ess() -> Decision:
-        # constructive: every algebra comes from its own datum on the nose,
-        # and connects to the enumerated canonical representative by an iso
+        # constructive: each algebra's own datum is isomorphic in Desc(p) to
+        # the enumerated datum on its carrier; mapping the iso raises unless
+        # it is an algebra morphism
+        enumerated = {d.w: d for d in desc.objects(bound)}
         for alg in em.objects(bound):
             datum = algebra_to_datum(fib, monad, alg)
             if functor.obj(datum) != alg:
                 raise TheoremViolation(
                     f"algebra {alg} does not round-trip through its datum")
-            # the connecting map is a bijection; mapping it raises unless
-            # it is an algebra morphism
-            rep, iso = canonicalize_datum(fib, datum)
-            functor.mor(DescMor(rep, datum, SliceMor(rep.w, datum.w, iso.m.fn.inverse())))
+            rep = enumerated.get(alg.x)
+            iso = None if rep is None else find_isomorphism(desc, rep, datum)
+            if iso is None:
+                return Decision(False, alg, True)
+            functor.mor(iso[0])
         return Decision(True, None, True)
 
     report = is_equivalence(functor, bound, ess_surj=ess)

@@ -277,7 +277,8 @@ class SigmaAlong(CartFunctor):
 
 
 def slice_isos(x: FinFunction, y: FinFunction):
-    """All isomorphisms x -> y over the base: fiberwise bijections."""
+    """All isomorphisms x -> y over the base: fiberwise bijections, fiber
+    by fiber in the carrier order of x."""
     by_fiber_x: dict = {}
     for e, b in x.mapping:
         by_fiber_x.setdefault(b, []).append(e)
@@ -286,16 +287,10 @@ def slice_isos(x: FinFunction, y: FinFunction):
         by_fiber_y.setdefault(b, []).append(e)
     if set(by_fiber_x) != set(by_fiber_y):
         return
-    try:
-        keys = sorted(by_fiber_x)
-    except TypeError:
-        raise FinSetError(f"the labels of {x.cod} must be mutually comparable: "
-                          "fibers are enumerated in sorted order") from None
-    if any(len(by_fiber_x[k]) != len(by_fiber_y[k]) for k in keys):
+    if any(len(es) != len(by_fiber_y[b]) for b, es in by_fiber_x.items()):
         return
-    per_fiber = [[list(zip(by_fiber_x[k], perm))
-                  for perm in itertools.permutations(by_fiber_y[k])]
-                 for k in keys]
+    per_fiber = [[list(zip(es, perm)) for perm in itertools.permutations(by_fiber_y[b])]
+                 for b, es in by_fiber_x.items()]
     for combo in itertools.product(*per_fiber):
         table = dict(p for fiber in combo for p in fiber)
         yield SliceMor(x, y, FinFunction.of(x.dom, y.dom, table))

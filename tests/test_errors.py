@@ -1,11 +1,14 @@
 """Bad input gets a typed library error: CategoryError or FinSetError, both
-ValueErrors, never a bare ValueError or a stray KeyError.
+ValueErrors, never a bare ValueError or a stray KeyError.  An entry point
+given a value of the wrong Python type says so: ``basic_fibration``, and
+with it ``classify`` and ``benabou_roubaud``, on a p that is no
+``FinFunction``, and ``descend`` on a datum that is no ``DescentDatum``.
+Values of the wrong Python type handed to internal constructors are out of
+scope.
 
-Labels that Python cannot order are not bad input to ``classify``: it
-enumerates descent data without sorting fiber labels, and
-``tests/test_descent.py`` checks its verdicts on such maps.  They still
-are to ``benabou_roubaud``, whose ``canonicalize_datum`` walks
-``slice_isos``, which sorts them."""
+Labels that Python cannot order are not bad input: no code of the library
+compares labels, and ``tests/test_descent.py`` and ``tests/test_monadic.py``
+check ``classify`` and ``benabou_roubaud`` on such maps."""
 
 import pytest
 
@@ -55,6 +58,19 @@ def descend_invalid_datum():
     descend(fib, DescentDatum(w, rho))
 
 
+def classify_a_mapping_that_is_no_finfunction():
+    classify({"a": "x"}, 2)
+
+
+def benabou_roubaud_of_a_tuple():
+    benabou_roubaud(("a", "x"), 2)
+
+
+def descend_a_carrier_that_is_no_datum():
+    fib = fibration()
+    descend(fib, fib.c1.objects()[1])
+
+
 def non_composable_algebra_morphisms():
     fib = fibration()
     adj = sigma_pullback_adjunction(fib.d)
@@ -68,10 +84,6 @@ def non_commuting_bc_square():
     q = FinFunction.identity(p1.dom)
     swap = fn("ab", "ab", {"a": "b", "b": "a"})
     pullback_square_bc(p1, p1, q, swap, 1)
-
-
-def benabou_roubaud_mixed_type_labels():
-    benabou_roubaud(fn((1, "a"), "x", lambda _: "x"), 2)
 
 
 def call_outside_domain():
@@ -173,9 +185,12 @@ def function_of_a_list():
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
     (comparison_over_incoherent_diagram, CategoryError, "incoherent"),
     (descend_invalid_datum, CategoryError, "invalid descent datum"),
+    (classify_a_mapping_that_is_no_finfunction, FinSetError,
+     r"p must be a FinFunction, not \{'a': 'x'\}"),
+    (benabou_roubaud_of_a_tuple, FinSetError, r"p must be a FinFunction, not \('a', 'x'\)"),
+    (descend_a_carrier_that_is_no_datum, CategoryError, "descend takes a DescentDatum, not "),
     (non_composable_algebra_morphisms, CategoryError, "non-composable"),
     (non_commuting_bc_square, CategoryError, "does not commute"),
-    (benabou_roubaud_mixed_type_labels, FinSetError, "mutually comparable"),
     (call_outside_domain, FinSetError, "not in the domain"),
     (identity_of_unknown_object, CategoryError, "missing identity for object '2'"),
     (unknown_table_morphism, CategoryError, "unknown morphism 'm10'"),

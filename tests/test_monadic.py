@@ -4,8 +4,9 @@ import pytest
 
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
-from descent_kit.fincat import (EQUIVALENCE, Category, CategoryError, IdentityFunctor,
-                             validate_category)
+from descent_kit.descent import enumerate_descent_data
+from descent_kit.fincat import (EQUIVALENCE, FULLY_FAITHFUL_ONLY, Category, CategoryError,
+                                IdentityFunctor, validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
 from descent_kit.monadic import (Algebra, EMCategory, EMComparison, Monad,
                                  algebra_to_datum, benabou_roubaud,
@@ -197,6 +198,36 @@ def test_benabou_roubaud_non_surjective_still_equivalence():
     p = fn("e", "xy", {"e": "x"})
     res = benabou_roubaud(p, 2)
     assert res.equivalence
+
+
+def test_benabou_roubaud_takes_labels_of_mixed_type():
+    # no code of the library compares labels, so ints beside strings get
+    # the equivalence, as in test_classify_takes_labels_of_mixed_type
+    cases = [fn((1, "a"), "x", lambda _: "x"),
+             fn((1, "a", 2), ("x", 0), {1: "x", "a": 0, 2: "x"}),
+             fn((1,), ("x", 0), {1: "x"})]
+    for p in cases:
+        for bound in (2, 3):
+            res = benabou_roubaud(p, bound)
+            assert res.equivalence and res.factorizations_agree, (p, bound)
+
+
+def test_benabou_roubaud_names_the_algebra_no_enumerated_datum_reaches(monkeypatch):
+    # essential surjectivity connects each algebra to the enumerated datum
+    # on its carrier; a Desc(p) that drops a datum leaves its algebra unreached
+    from descent_kit import monadic
+
+    class DroppingLast(monadic.DescCategory):
+        def _objects(self, bound):
+            return super()._objects(bound)[:-1]
+
+    monkeypatch.setattr(monadic, "DescCategory", DroppingLast)
+    res = benabou_roubaud(two_to_one(), 2)
+    assert res.verdict == FULLY_FAITHFUL_ONLY
+    dropped = enumerate_descent_data(res.desc.diagram, 2)[-1]
+    ess = res.report.essentially_surjective
+    assert not ess.ok and ess.within_bound
+    assert ess.witness == res.functor.obj(dropped)
 
 
 def test_broken_mu_detected():

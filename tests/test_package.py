@@ -1,7 +1,8 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library or test
 module imports a name it never uses, no library code compares composites
-built by ``compose``, every public name is used or listed, the
+built by ``compose``, no library code sorts labels
+(``test_library_never_sorts``), every public name is used or listed, the
 most numerous value classes stay slotted, a dropped diagram leaves no
 cyclic garbage, memo keys store their hash, and the benchmark can still
 drive the library."""
@@ -42,6 +43,19 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_never_sorts():
+    """No library code calls ``sorted`` or ``.sort``: every enumeration
+    follows carrier order, so a label needs a hash, never an ordering."""
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id == "sorted"
+                       or isinstance(node.func, ast.Attribute) and node.func.attr == "sort")]
     assert found == []
 
 
