@@ -60,9 +60,9 @@ class PseudoPullbackCategory(ComputableCategory):
         e = self.f.dst
         out = []
         for u in self.f.src.hom(x.c, y.c):
-            left = e.compose(y.phi, self.f.mor(u))  # phi' ∘ F(u)
             for v in self.g.src.hom(x.d, y.d):
-                if e.commutes([x.phi, self.g.mor(v)], [left]):
+                # G(v) ∘ phi = phi' ∘ F(u)
+                if e.commutes([x.phi, self.g.image(v)], [self.f.image(u), y.phi]):
                     out.append(WedgeMor(x, y, u, v))
         return out
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .finset import FinFunction, FinSetError, mediating_map, pullback
-from .fincat import CategoryError, IdentityFunctor, NatTrans, naturality_failures
+from .fincat import CategoryError, NatTrans, naturality_failures
 from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
                      comparison_iso)
 
@@ -108,8 +108,8 @@ class BasicFibration:
             ("sigma01", self.sigma01, self.d0.then(self.del1), self.d0.then(self.del0), self.c1),
             ("sigma02", self.sigma02, self.d0.then(self.del2), self.d1.then(self.del0), self.c1),
             ("sigma12", self.sigma12, self.d1.then(self.del2), self.d1.then(self.del1), self.c1),
-            ("n0", self.n0, self.d0.then(self.s0), IdentityFunctor(self.c1), self.c1),
-            ("n1", self.n1, self.d1.then(self.s0), IdentityFunctor(self.c1), self.c1),
+            ("n0", self.n0, self.d0.then(self.s0), IdentityCartFunctor(self.c1), self.c1),
+            ("n1", self.n1, self.d1.then(self.s0), IdentityCartFunctor(self.c1), self.c1),
             ("theta", self.theta, self.d.then(self.d1), self.d.then(self.d0), self.c0),
         ]
 
@@ -121,16 +121,19 @@ def is_descent_datum(diagram: BasicFibration, w: FinFunction,
 
     The identity equation is checked first; the failing one is named.
     The cocycle is stated without inverses, as in the module docstring.
+    The faces of rho are followed as views (``CartFunctor.image``), never
+    built; a rho that does not commute over E×_B E raises ``FinSetError``
+    when a face of it is followed.
     """
     c1, c3 = diagram.c1, diagram.c3
     if rho.src != diagram.d1.obj(w) or rho.dst != diagram.d0.obj(w):
         raise CategoryError(f"rho has wrong type: {rho.src} -> {rho.dst}")
 
-    if not c1.commutes([diagram.s0.mor(rho), diagram.n0.at(w)], [diagram.n1.at(w)]):
+    if not c1.commutes([diagram.s0.image(rho), diagram.n0.at(w)], [diagram.n1.at(w)]):
         return False, "identity"
     if not c3.commutes(
-            [diagram.sigma12.at(w), diagram.del1.mor(rho), diagram.sigma01.at(w)],
-            [diagram.del2.mor(rho), diagram.sigma02.at(w), diagram.del0.mor(rho)]):
+            [diagram.sigma12.at(w), diagram.del1.image(rho), diagram.sigma01.at(w)],
+            [diagram.del2.image(rho), diagram.sigma02.at(w), diagram.del0.image(rho)]):
         return False, "associativity"
     return True, None
 

@@ -82,7 +82,7 @@ class DescMor:
 def is_descent_morphism(diagram: BasicFibration, x: DescentDatum,
                         y: DescentDatum, m: SliceMor) -> bool:
     """Whether m: x.w -> y.w is equivariant: d0(m) ∘ x.rho = y.rho ∘ d1(m)."""
-    return diagram.c2.commutes([x.rho, diagram.d0.mor(m)], [diagram.d1.mor(m), y.rho])
+    return diagram.c2.commutes([x.rho, diagram.d0.image(m)], [diagram.d1.image(m), y.rho])
 
 
 def moves(diagram: BasicFibration, datum: DescentDatum) -> list[tuple]:

@@ -23,7 +23,10 @@ paths of composable morphisms, each listed in the order its arrows apply,
 have equal composites.  By default it composes both paths and compares;
 a slice category decides it pointwise, pushing each element of the source
 through the maps of both paths, so no composite is built just to be
-compared.  A transformation is invertible when each component is:
+compared.  A functor's image that is only compared is asked for as
+``Functor.image``, which is ``mor`` by default; the functors of ``slices``
+hand out a view that is followed, so no image is built just to be compared
+either.  A transformation is invertible when each component is:
 invertibility is checked (``Category.is_isomorphism``), never supplied as
 a second piece of data.  It is natural when its squares commute on the
 generators of the enumerated source (``Category.generators``), since
@@ -323,6 +326,12 @@ class Functor:
             out = self._mor_cache[m] = self._on_mor(m)
             return out
 
+    def image(self, m):
+        """F(m) for a path that is only compared (``Category.commutes``):
+        by default the built ``mor(m)``; a functor that can follow F(m)
+        without building it returns a view with src, dst and values."""
+        return self.mor(m)
+
     def then(self, other: "Functor") -> "Functor":
         """Diagrammatic composite: apply self first, then other."""
         if self.dst != other.src:
@@ -335,19 +344,19 @@ class Functor:
         objs = self.src.objects(bound)
         for x in objs:
             ix = self.src.identity(x)
-            if self.mor(ix) != self.dst.identity(self.obj(x)):
+            if not self.dst.commutes([self.image(ix)], [self.dst.identity(self.obj(x))]):
                 report.append(f"identity not preserved at {x}")
         for x in objs:
             for y in objs:
                 for f in self.src.hom(x, y):
-                    fm = self.mor(f)
+                    fm = self.image(f)
                     if fm.src != self.obj(x) or fm.dst != self.obj(y):
                         report.append(f"dom/cod not preserved at {f}")
                 for z in objs:
                     for f in self.src.hom(x, y):
                         for g in self.src.hom(y, z):
-                            if not self.dst.commutes([self.mor(self.src.compose(g, f))],
-                                                     [self.mor(f), self.mor(g)]):
+                            if not self.dst.commutes([self.image(self.src.compose(g, f))],
+                                                     [self.image(f), self.image(g)]):
                                 report.append(f"composition not preserved on ({g},{f})")
         return report
 
@@ -373,6 +382,9 @@ class IdentityFunctor(Functor):
         return x
 
     def _on_mor(self, m):
+        return m
+
+    def image(self, m):
         return m
 
 
@@ -409,11 +421,13 @@ def naturality_failures(source: Functor, target: Functor, at: Callable,
     identities and composition, so when the squares of f and g commute,
     so does the square of g ∘ f, and every enumerated morphism is a
     composite of generators through objects of the enumeration.  A failing
-    transformation is reported at the generators only.
+    transformation is reported at the generators only.  Each square is only
+    compared, so source(f) and target(f) are asked for as ``image``s: a
+    change of base follows them pointwise and builds neither.
     """
     cat = source.dst
     return [f for f in source.src.generators(bound)
-            if not cat.commutes([source.mor(f), at(f.dst)], [at(f.src), target.mor(f)])]
+            if not cat.commutes([source.image(f), at(f.dst)], [at(f.src), target.image(f)])]
 
 
 class NatTrans:

@@ -13,8 +13,10 @@ composites and mediating maps included, since a codomain check is what
 makes ``mediating_map`` a commutation check.  Change of base in
 ``slices`` builds its mediating maps into a chosen pullback directly from
 the two legs, with that same one constructor and so the same check.  A
-check that only compares composites builds none: ``follow`` reads their
-values off the tables of the factors.  The checks are set operations: a
+check that only compares composites or images builds none: ``follow``
+reads values off the tables of the factors, and an image that is only
+followed checks its values with ``FinSetObj.includes``, the membership
+test the constructor makes.  The checks are set operations: a
 ``FinSetObj`` keeps its elements as a frozenset, so membership costs one
 hash.  Both classes take their hash once, at construction, because every
 memo of the library hashes its keys through them: an object of a slice
@@ -60,6 +62,14 @@ class FinSetObj:
     def __contains__(self, label: Hashable) -> bool:
         return label in self._members
 
+    def includes(self, labels: Iterable[Hashable]) -> bool:
+        """Whether every one of labels is an element, at one hash each; an
+        unhashable label lies in no set."""
+        try:
+            return self._members.issuperset(labels)
+        except TypeError:
+            return False
+
     def __hash__(self):
         return self._hash
 
@@ -96,11 +106,7 @@ class FinFunction:
             raise FinSetError(f"mapping must be (element, image) pairs: {self.mapping!r}") from None
         if len(table) != len(self.mapping) or tuple(table) != self.dom.elements:
             raise FinSetError("mapping must list every domain element once, in order")
-        try:
-            in_range = self.cod._members.issuperset(table.values())
-        except TypeError:  # an unhashable image lies in no codomain
-            in_range = False
-        if not in_range:
+        if not self.cod.includes(table.values()):
             x, y = next((x, y) for x, y in self.mapping if y not in self.cod.elements)
             raise FinSetError(f"image {y!r} of {x!r} not in codomain {self.cod}")
         try:
@@ -133,6 +139,15 @@ class FinFunction:
             return self._table[x]
         except KeyError:
             raise FinSetError(f"{x!r} is not in the domain {self.dom}") from None
+
+    def values(self, elements: Iterable[Hashable]) -> list:
+        """The image of each of elements, read off the table; one outside
+        the domain raises ``FinSetError``."""
+        table = self._table
+        try:
+            return [table[x] for x in elements]
+        except KeyError as exc:
+            raise FinSetError(f"{exc.args[0]!r} is not in the domain {self.dom}") from None
 
     def __hash__(self):
         # equal functions have equal mappings, so the hash of the tuple of
@@ -192,11 +207,7 @@ def follow(path: Iterable[FinFunction], elements: Iterable[Hashable]) -> list:
     the domain of the next function raises ``FinSetError``."""
     values = list(elements)
     for fn in path:
-        table = fn._table
-        try:
-            values = [table[v] for v in values]
-        except KeyError as exc:
-            raise FinSetError(f"{exc.args[0]!r} is not in the domain {fn.dom}") from None
+        values = fn.values(values)
     return values
 
 

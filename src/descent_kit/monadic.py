@@ -47,9 +47,9 @@ class Monad:
             mu_x, id_tx = self.mu.at(x), [cat.identity(tx)]
             if not cat.commutes([self.eta.at(tx), mu_x], id_tx):
                 report.append(f"unit law mu∘(eta T) fails at {x}")
-            if not cat.commutes([self.t.mor(self.eta.at(x)), mu_x], id_tx):
+            if not cat.commutes([self.t.image(self.eta.at(x)), mu_x], id_tx):
                 report.append(f"unit law mu∘(T eta) fails at {x}")
-            if not cat.commutes([self.t.mor(mu_x), mu_x], [self.mu.at(tx), mu_x]):
+            if not cat.commutes([self.t.image(mu_x), mu_x], [self.mu.at(tx), mu_x]):
                 report.append(f"associativity mu∘(T mu) = mu∘(mu T) fails at {x}")
         return report
 
@@ -72,10 +72,10 @@ class Algebra:
     """An object with a structure map T(X) -> X satisfying the two laws."""
 
     x: object
-    a: object  # morphism T(x) -> x
+    a: SliceMor  # T(x) -> x
 
     def __repr__(self):
-        return f"Alg({self.x!r})"
+        return f"Alg({self.x!r}, {self.a.fn!r})"
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ def algebra_laws_hold(monad: Monad, x, a) -> bool:
     cat = monad.base
     if not cat.commutes([monad.eta.at(x), a], [cat.identity(x)]):
         return False
-    return cat.commutes([monad.mu.at(x), a], [monad.t.mor(a), a])
+    return cat.commutes([monad.mu.at(x), a], [monad.t.image(a), a])
 
 
 def is_algebra_morphism(monad: Monad, x: Algebra, y: Algebra, h) -> bool:
     """Whether h: x.x -> y.x commutes with the structure maps: h∘a = b∘T(h)."""
-    return monad.base.commutes([x.a, h], [monad.t.mor(h), y.a])
+    return monad.base.commutes([x.a, h], [monad.t.image(h), y.a])
 
 
 class EMCategory(ComputableCategory):

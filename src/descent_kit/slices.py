@@ -6,18 +6,23 @@ domain X is the carrier.  A morphism is a commuting triangle, a
 does, since the memos of functors and transformations hash them on every
 lookup.  Change of base along p: E -> B is pullback along p, with the
 chosen pullbacks of finset; each functor caches its values so repeated
-applications return identical (not merely isomorphic) results.  On a
-morphism it builds the mediating map into the chosen pullback directly
-from the two legs, one checked function whose codomain check is the
-check that the triangle commutes.  The enumerated C/B also lists
-generators (transpositions, merges and inclusions of fibers) whose
-composites give every morphism, so naturality is checked on them alone.
+applications return identical (not merely isomorphic) results.  A
+morphism m has its image two ways, by one per-element rule,
+w |-> (m(top w), base w) (``ChangeOfBase._values``).  ``mor(m)`` builds
+the mediating map into the chosen pullback by that rule, one checked
+function whose codomain check is the check that the triangle commutes,
+and caches it.  ``image(m)`` is a ``SliceImage``: the ends of the image
+and the rule, followed where a path is only compared, never built and
+never stored, with the same codomain check on every value it gives.  The
+enumerated C/B also lists generators (transpositions, merges and
+inclusions of fibers) whose composites give every morphism, so
+naturality is checked on them alone.
 
 ``SliceCategory.commutes`` decides whether two paths of triangles have
 equal composites pointwise: each element of the common source is pushed
-through the table of every map on each path (``finset.follow``), so a
-square or a law is checked without building a composite function or
-triangle.
+through every step of each path, a triangle by its table and a view by
+its rule, so a square or a law is checked without building a composite
+function, a triangle or a functor's image.
 
 Every functor built here tracks a "top" projection F(X) -> X, as the path
 of maps it composes (``CartFunctor.tops``).  Two composites of such
@@ -32,6 +37,7 @@ of a morphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,6 +72,45 @@ class SliceMor:
 
     def __repr__(self):
         return f"{self.fn!r}:{self.src!r}→{self.dst!r}"
+
+    def values(self, elements) -> list:
+        """The images of elements under fn, read off its table."""
+        return self.fn.values(elements)
+
+
+class SliceImage:
+    """F(m) for a ``CartFunctor`` F, followed and never built.
+
+    src and dst are F(m.src) and F(m.dst), so a path types through a view
+    as through a triangle.  ``values`` reads images off m by the rule of F
+    on morphisms (``CartFunctor._values``) and keeps the codomain check of
+    the built F(m): a value outside the carrier of dst raises
+    ``FinSetError``, so a triangle that does not commute is never compared.
+    For a composite F the one check covers every factor: an element of a
+    chosen pullback pairs an element of the carrier pulled back with a
+    point of the new base.  Views are made where they are followed and not
+    stored.
+    """
+
+    __slots__ = ("src", "dst", "_functor", "_m")
+
+    def __init__(self, functor: "CartFunctor", m):
+        self.src = functor.obj(m.src)
+        self.dst = functor.obj(m.dst)
+        self._functor = functor
+        self._m = m
+
+    def __repr__(self):
+        return f"{self._functor.name}({self._m!r})"
+
+    def values(self, elements) -> list:
+        out = self._functor._values(self._m.values, elements)
+        carrier = self.dst.dom
+        if not carrier.includes(out):
+            y = next(y for y in out if y not in carrier)
+            raise FinSetError(f"image {y!r} of {self!r} not in {carrier}: "
+                              f"the triangle does not commute")
+        return out
 
 
 class SliceCategory(ComputableCategory):
@@ -149,16 +194,16 @@ class SliceCategory(ComputableCategory):
             raise CategoryError("non-composable slice morphisms")
         return SliceMor(f.src, g.dst, f.fn.then(g.fn))
 
-    def commutes(self, lhs: list[SliceMor], rhs: list[SliceMor]) -> bool:
+    def commutes(self, lhs: list, rhs: list) -> bool:
         """Pointwise: the paths share their endpoints and send each element
-        of the source to the same element, following the table of every
-        map; neither composite is built."""
+        of the source to the same element, following every step, a triangle
+        by its table and a ``SliceImage`` by its rule; neither composite is
+        built."""
         ends = path_ends(lhs, "slice morphisms")
         if path_ends(rhs, "slice morphisms") != ends:
             return False
         elements = ends[0].dom.elements
-        return (follow([m.fn for m in lhs], elements)
-                == follow([m.fn for m in rhs], elements))
+        return _along(lhs, elements) == _along(rhs, elements)
 
     def is_isomorphism(self, m: SliceMor) -> bool:
         """A commuting triangle is invertible exactly when its map is a
@@ -170,6 +215,13 @@ class SliceCategory(ComputableCategory):
         if follow([m.fn, m.dst], m.src.dom.elements) != [b for _, b in m.src.mapping]:
             raise CategoryError(f"{m!r} does not commute over the base")
         return m.fn.is_bijective()
+
+
+def _along(path: list, elements) -> list:
+    """The values at elements of the composite of path, step by step."""
+    for m in path:
+        elements = m.values(elements)
+    return elements
 
 
 def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
@@ -196,9 +248,22 @@ class CartFunctor(Functor):
     F(x) it pins every element of a (composite of) chosen pullback(s).
     ``tops(x)`` gives it as the path of maps it composes, in the order they
     apply (empty for the identity), so that it is followed, not built.
+
+    ``image(m)`` is F(m) as a ``SliceImage``, for a path that is only
+    followed; ``_values`` is the rule on morphisms that it follows, and
+    that ``ChangeOfBase.mor`` builds from.
     """
 
     def tops(self, x: FinFunction) -> list[FinFunction]:
+        raise NotImplementedError
+
+    def image(self, m) -> SliceImage:
+        return SliceImage(self, m)
+
+    def _values(self, of_m, elements) -> list:
+        """The images under F(m) of elements of F(m.src), not yet checked,
+        read off of_m, which gives the images under m of elements of
+        m.src (``SliceMor.values``)."""
         raise NotImplementedError
 
     def then(self, other: Functor) -> Functor:
@@ -211,10 +276,16 @@ class ComposedCartFunctor(ComposedFunctor, CartFunctor):
     def tops(self, x: FinFunction) -> list[FinFunction]:
         return self.second.tops(self.first.obj(x)) + self.first.tops(x)
 
+    def _values(self, of_m, elements) -> list:
+        return self.second._values(functools.partial(self.first._values, of_m), elements)
+
 
 class IdentityCartFunctor(IdentityFunctor, CartFunctor):
     def tops(self, x: FinFunction) -> list[FinFunction]:
         return []
+
+    def _values(self, of_m, elements) -> list:
+        return of_m(elements)
 
 
 class ChangeOfBase(CartFunctor):
@@ -246,14 +317,19 @@ class ChangeOfBase(CartFunctor):
     def tops(self, x: FinFunction) -> list[FinFunction]:
         return [self.top(x)]
 
+    def _values(self, of_m, elements) -> list:
+        """w |-> (m(top w), base w): an element of the chosen pullback is
+        the pair of its two legs."""
+        tops = of_m([w[0] for w in elements])
+        return [(v, w[1]) for v, w in zip(tops, elements)]
+
     def _on_mor(self, m: SliceMor) -> SliceMor:
-        """The mediating map w |-> (m(top(w)), base(w)) into the pullback of
-        m.dst, built from the two legs of w in one checked function: its
-        codomain check is the check that m commutes over the base."""
+        """The mediating map into the pullback of m.dst, built by the rule
+        of ``_values`` in one checked function: its codomain check is the
+        check that m commutes over the base."""
         fx, fy = self.obj(m.src), self.obj(m.dst)
-        legs = zip(self.top(m.src).mapping, fx.mapping)
-        fn = FinFunction(fx.dom, fy.dom,
-                         tuple((w, (m.fn(x), a)) for (w, x), (_, a) in legs))
+        elements = fx.dom.elements
+        fn = FinFunction(fx.dom, fy.dom, tuple(zip(elements, self._values(m.values, elements))))
         return SliceMor(fx, fy, fn)
 
 
@@ -271,6 +347,9 @@ class SigmaAlong(CartFunctor):
 
     def _on_mor(self, m: SliceMor) -> SliceMor:
         return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
+
+    def _values(self, of_m, elements) -> list:
+        return of_m(elements)
 
     def tops(self, x: FinFunction) -> list[FinFunction]:
         return []
@@ -352,12 +431,12 @@ class Adjunction:
         a, b = self.left.src, self.right.src
         for x in a.objects(bound):
             lx = self.left.obj(x)
-            if not b.commutes([self.left.mor(self.unit.at(x)), self.counit.at(lx)],
+            if not b.commutes([self.left.image(self.unit.at(x)), self.counit.at(lx)],
                               [b.identity(lx)]):
                 report.append(f"triangle (εL)(Lη) fails at {x}")
         for y in b.objects(bound):
             ry = self.right.obj(y)
-            if not a.commutes([self.unit.at(ry), self.right.mor(self.counit.at(y))],
+            if not a.commutes([self.unit.at(ry), self.right.image(self.counit.at(y))],
                               [a.identity(ry)]):
                 report.append(f"triangle (Rε)(ηR) fails at {y}")
         return report

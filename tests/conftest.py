@@ -1,7 +1,8 @@
 import pytest
 
 from descent_kit.descent import DescentDatum, canonicalize_datum, is_descent_datum
-from descent_kit.slices import slice_isos
+from descent_kit.slices import (IdentityCartFunctor, sigma_pullback_adjunction,
+                                slice_isos)
 
 
 def _raw_descent_data(fib, bound):
@@ -30,3 +31,42 @@ def raw_descent_data():
 @pytest.fixture
 def brute_descent_data():
     return _brute_descent_data
+
+
+def _cart_functors(fib):
+    """Every functor of the basic fibration fib that tracks tops: the
+    faces d, d0, d1, s0 and del0-2, the six level-3 composites, s0∘d0,
+    s0∘d1, d∘d0, d∘d1, the monad T = p*Σ_p with its Σ_p, and the identity."""
+    adj = sigma_pullback_adjunction(fib.d)
+    faces = [fib.d, fib.d0, fib.d1, fib.s0, fib.del0, fib.del1, fib.del2]
+    level3 = [face.then(face3) for face in (fib.d0, fib.d1)
+              for face3 in (fib.del0, fib.del1, fib.del2)]
+    return faces + level3 + [
+        fib.d0.then(fib.s0), fib.d1.then(fib.s0), fib.d.then(fib.d0),
+        fib.d.then(fib.d1), adj.left, adj.left.then(adj.right),
+        IdentityCartFunctor(fib.c1)]
+
+
+def _image_mismatches(fib, bound):
+    """(functor name, morphism) wherever ``image`` differs from the built
+    ``mor`` on a functor of ``_cart_functors``, over every generator and
+    every hom member between enumerated objects of its source; and how
+    many morphisms were compared."""
+    bad, compared = [], 0
+    for functor in _cart_functors(fib):
+        cat = functor.src
+        objs = cat.objects(bound)
+        for m in cat.generators(bound) + [m for x in objs for y in objs
+                                          for m in cat.hom(x, y)]:
+            view, built = functor.image(m), functor.mor(m)
+            if ((view.src, view.dst) != (built.src, built.dst)
+                    or view.values(view.src.dom.elements)
+                    != [y for _, y in built.fn.mapping]):
+                bad.append((functor.name, m))
+            compared += 1
+    return bad, compared
+
+
+@pytest.fixture
+def image_mismatches():
+    return _image_mismatches

@@ -5,7 +5,7 @@ import pytest
 
 from descent_kit import cosimplicial
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
-from descent_kit.fincat import CategoryError, NatTrans
+from descent_kit.fincat import CategoryError, Functor, NatTrans
 from descent_kit.finset import FinFunction, FinSetObj, canonical_set, all_functions
 from descent_kit.mutations import invert_theta, swap_face_convention
 from descent_kit.slices import SliceCategory, SliceMor
@@ -103,9 +103,10 @@ def test_gate_on_twisted_theta_over_small_maps():
 
 def test_gate_builds_no_composite(monkeypatch):
     """The gate decides every square and equation pointwise: with slice and
-    function composition refused, it gives the same reports on the 19 maps,
-    plain and with theta twisted, and raises the same error on the same
-    mis-typed diagrams of ``swap_face_convention``."""
+    function composition and functor images (``Functor.mor``) refused, it
+    gives the same reports on the 19 maps, plain and with theta twisted,
+    and raises the same error on the same mis-typed diagrams of
+    ``swap_face_convention``."""
 
     def diagrams():
         out = []
@@ -130,10 +131,22 @@ def test_gate_builds_no_composite(monkeypatch):
     built = diagrams()
     monkeypatch.setattr(SliceCategory, "compose", refuse)
     monkeypatch.setattr(FinFunction, "then", refuse)
+    monkeypatch.setattr(Functor, "mor", refuse)
     assert [outcome(d) for d in built] == want
     raising = [i for i, o in enumerate(want) if isinstance(o, str)]
     assert len(raising) == 12 and all(i % 3 == 2 for i in raising)
     assert {want[i] for i in raising} == {"raises non-composable slice morphisms"}
+
+
+def test_image_follows_the_built_mor_on_every_functor(image_mismatches):
+    # the view of each face, composite and T = p*Σ_p gives the values of
+    # the built mediating map, on the 19 maps at bound 2
+    total = 0
+    for p in SMALL_MAPS:
+        bad, compared = image_mismatches(basic_fibration(p, 2), 2)
+        assert bad == [], p
+        total += compared
+    assert total > 0
 
 
 @pytest.mark.parametrize("p", SMALL_MAPS, ids=repr)

@@ -205,6 +205,13 @@ def test_enumeration_and_homs_match_the_brute_reference_on_relabelled_maps(
             assert desc.hom(x, y) == desc._hom_generic(x, y)
 
 
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=relabelled_maps(), bound=st.integers(0, 2))
+def test_image_follows_the_built_mor_on_relabelled_maps(image_mismatches, p, bound):
+    assert image_mismatches(basic_fibration(p, bound), bound)[0] == []
+
+
 def test_enumeration_raises_on_a_datum_the_diagram_breaks():
     # twisting n0 breaks the identity equation for every w with a fiber of
     # two points; the enumeration names that w instead of dropping it

@@ -308,3 +308,11 @@ def test_em_commutes_forwards_to_the_base():
     id_x, id_y = em.identity(x), em.identity(y)
     assert em.monad.base.commutes([id_x.m], [id_y.m])
     assert not em.commutes([id_x], [id_y])
+
+
+def test_algebras_on_one_carrier_print_apart():
+    # over 2 -> 1 at bound 4 two of the four algebras share a carrier; each
+    # prints its structure map's table, so all four print apart
+    algs = benabou_roubaud(two_to_one(), 4).em.objects(4)
+    assert len(algs) == 4 and len({alg.x for alg in algs}) == 3
+    assert len({repr(alg) for alg in algs}) == 4

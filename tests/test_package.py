@@ -1,7 +1,8 @@
 """Packaging guards: declared entry points exist, the library never
 relies on ``assert``, which ``python -O`` strips, no library or test
 module imports a name it never uses, no library code compares composites
-built by ``compose``, no library code sorts labels
+built by ``compose`` or follows functor images built by ``mor``, no
+library code sorts labels
 (``test_library_never_sorts``), every public name is used or listed, the
 most numerous value classes stay slotted, a dropped diagram leaves no
 cyclic garbage, memo keys store their hash, and the benchmark can still
@@ -82,39 +83,49 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
-def _compared_composites(tree):
+def _built_to_compare(tree):
     """Lines where ``==`` or ``!=`` compares the result of a ``.compose(...)``
-    call, directly or through a name a function binds to one."""
+    call, or where an argument of a ``.commutes(...)`` call holds a
+    ``.mor(...)`` call; directly or through a name a function binds to one."""
 
-    def composite(node):
+    def call(node, attr):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "compose")
+                and node.func.attr == attr)
 
     found = set()
     for scope in ast.walk(tree):
         if not isinstance(scope, (ast.Module, ast.FunctionDef)):
             continue
-        bound = set() if isinstance(scope, ast.Module) else {
+        bound = {attr: set() if isinstance(scope, ast.Module) else {
             target.id for node in ast.walk(scope)
-            if isinstance(node, ast.Assign) and composite(node.value)
+            if isinstance(node, ast.Assign) and call(node.value, attr)
             for target in node.targets if isinstance(target, ast.Name)}
+            for attr in ("compose", "mor")}
+
+        def built(node, attr):
+            return call(node, attr) or isinstance(node, ast.Name) and node.id in bound[attr]
+
         for node in ast.walk(scope):
             if (isinstance(node, ast.Compare)
                     and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-                    and any(composite(side) or isinstance(side, ast.Name) and side.id in bound
-                            for side in (node.left, *node.comparators))):
+                    and any(built(side, "compose") for side in (node.left, *node.comparators))):
                 found.add(node.lineno)
+            if call(node, "commutes"):
+                found.update(inner.lineno for arg in node.args for inner in ast.walk(arg)
+                             if built(inner, "mor"))
     return sorted(found)
 
 
 def test_library_decides_commuting_diagrams_with_commutes():
     """A law or square is decided by ``Category.commutes``, which a slice
     category answers pointwise; comparing composites built by ``compose``
-    would build them only to compare them."""
+    would build them only to compare them, and a functor's image that is
+    only compared is asked for as ``image``, which change of base follows
+    without building, never as ``mor``."""
     found = []
     for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line}" for line in _compared_composites(tree)]
+        found += [f"{path.name}:{line}" for line in _built_to_compare(tree)]
     assert found == []
 
 

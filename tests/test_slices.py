@@ -232,6 +232,10 @@ def test_change_of_base_rejects_a_morphism_that_does_not_commute():
     m = SliceMor(over_x, over_y, FinFunction.of(over_x.dom, over_y.dom, {"p": "q"}))
     with pytest.raises(FinSetError):
         cob.mor(m)
+    # the view keeps the check: following the image raises the same way
+    view = cob.image(m)
+    with pytest.raises(FinSetError):
+        view.values(view.src.dom.elements)
 
 
 def test_is_isomorphism_rejects_a_triangle_that_does_not_commute():
