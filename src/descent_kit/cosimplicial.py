@@ -2,7 +2,7 @@
 
 A ``BasicFibration`` is the diagram of a finite-set function p: E -> B
 and nothing else: the augmentation c0 --d--> c1, three cosimplicial levels
-with face and degeneracy functors, and the seven constraint cells relating
+with face and degeneracy functors, and the six constraint cells relating
 composites of faces:
 
     sigma01 : del1∘d0 => del0∘d0        n0 : s0∘d0 => Id
@@ -34,7 +34,9 @@ object B0, so ``validate_coherence`` checks them by that same function.
 ``basic_fibration`` realizes the diagram of p: slices over B, E, E×_B E
 and E×_B E×_B E with change of base along p, the projections and the
 diagonal; every constraint is the canonical comparison of iterated chosen
-pullbacks.
+pullbacks.  The six cells are stated once, as the list ``_cells`` reads
+off the faces: ``basic_fibration`` builds each cell from it, and
+``constraint_types`` recomputes it from the current faces for the gate.
 """
 
 from __future__ import annotations
@@ -103,15 +105,26 @@ class BasicFibration:
     theta: NatTrans  # d1∘d => d0∘d
 
     def constraint_types(self):
-        """Each constraint with the composites it must relate."""
-        return [
-            ("sigma01", self.sigma01, self.d0.then(self.del1), self.d0.then(self.del0), self.c1),
-            ("sigma02", self.sigma02, self.d0.then(self.del2), self.d1.then(self.del0), self.c1),
-            ("sigma12", self.sigma12, self.d1.then(self.del2), self.d1.then(self.del1), self.c1),
-            ("n0", self.n0, self.d0.then(self.s0), IdentityCartFunctor(self.c1), self.c1),
-            ("n1", self.n1, self.d1.then(self.s0), IdentityCartFunctor(self.c1), self.c1),
-            ("theta", self.theta, self.d.then(self.d1), self.d.then(self.d0), self.c0),
-        ]
+        """Each constraint with the composites it must relate, read off the
+        current faces (``_cells``), so a cell built for other faces shows."""
+        return [(name, getattr(self, name), src, dst, index_cat)
+                for name, src, dst, index_cat in _cells(
+                    self.c0, self.c1, self.d, self.d0, self.d1, self.s0,
+                    self.del0, self.del1, self.del2)]
+
+
+def _cells(c0, c1, d, d0, d1, s0, del0, del1, del2) -> list[tuple]:
+    """The six constraint cells, each as (name, source composite, target
+    composite, index category), read off the faces: the one list that
+    ``basic_fibration`` builds the cells from and the gate types them by."""
+    return [
+        ("sigma01", d0.then(del1), d0.then(del0), c1),
+        ("sigma02", d0.then(del2), d1.then(del0), c1),
+        ("sigma12", d1.then(del2), d1.then(del1), c1),
+        ("n0", d0.then(s0), IdentityCartFunctor(c1), c1),
+        ("n1", d1.then(s0), IdentityCartFunctor(c1), c1),
+        ("theta", d.then(d1), d.then(d0), c0),
+    ]
 
 
 def is_descent_datum(diagram: BasicFibration, w: FinFunction,
@@ -226,12 +239,8 @@ def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
     del1 = ChangeOfBase(r1, c2, c3)
     del2 = ChangeOfBase(r2, c2, c3)
 
+    cells = {name: comparison_iso(src, dst, name)
+             for name, src, dst, _ in _cells(c0, c1, d, d0, d1, s0, del0, del1, del2)}
     return BasicFibration(
         c0=c0, c1=c1, c2=c2, c3=c3,
-        d=d, d0=d0, d1=d1, s0=s0, del0=del0, del1=del1, del2=del2,
-        sigma01=comparison_iso(d0.then(del1), d0.then(del0), "sigma01"),
-        sigma02=comparison_iso(d0.then(del2), d1.then(del0), "sigma02"),
-        sigma12=comparison_iso(d1.then(del2), d1.then(del1), "sigma12"),
-        n0=comparison_iso(d0.then(s0), IdentityCartFunctor(c1), "n0"),
-        n1=comparison_iso(d1.then(s0), IdentityCartFunctor(c1), "n1"),
-        theta=comparison_iso(d.then(d1), d.then(d0), "theta"))
+        d=d, d0=d0, d1=d1, s0=s0, del0=del0, del1=del1, del2=del2, **cells)

@@ -135,18 +135,15 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
 def _index_datum(diagram: BasicFibration, w: FinFunction) -> Optional[SliceMor]:
     """rho: d1(w) -> d0(w) matching the i-th point of w over e0 with the
     i-th point over e1 at each (e0, e1), or None when the fiber sizes of w
-    differ within a fiber of p.
+    differ within a fiber of p; both kinds of fiber are read off
+    ``FinFunction.fibers``.
 
     Read off the two top projections and the structure maps: an element u
     of d1(w) sits over t = d1(w)(u) and came from top1(u) in W.
     """
-    fibers: dict = {}
-    for v, e in w.mapping:
-        fibers.setdefault(e, []).append(v)
-    size_over: dict = {}
-    for e, b in diagram.d.u.mapping:
-        n = len(fibers.get(e, ()))
-        if size_over.setdefault(b, n) != n:
+    fibers = w.fibers()
+    for over_b in diagram.d.u.fibers().values():
+        if len({len(fibers.get(e, ())) for e in over_b}) > 1:
             return None
     index = {v: i for points in fibers.values() for i, v in enumerate(points)}
     d1w, d0w = diagram.d1.obj(w), diagram.d0.obj(w)
@@ -231,9 +228,7 @@ class DescCategory(ComputableCategory):
         for v, t, v2 in moves(self.diagram, x):
             out_x.setdefault(v, []).append((t, v2))
         wx, wy = x.w, y.w
-        fiber_y: dict = {}
-        for e, b in wy.mapping:
-            fiber_y.setdefault(b, []).append(e)
+        fiber_y = wy.fibers()
         elements = wx.dom.elements
         position = {v: i for i, v in enumerate(elements)}
 

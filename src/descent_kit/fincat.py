@@ -16,7 +16,9 @@ the key; a miss calls the callable once and stores what it returns, falsy
 values such as the empty set included.  A ``Functor`` subclass writes
 ``_on_obj`` / ``_on_mor`` as methods, the way a ``ComputableCategory``
 subclass writes ``_objects`` / ``_hom``, so no functor holds a reference
-to itself and each is freed as soon as it is dropped.
+to itself and each is freed as soon as it is dropped.  Every functor
+memoizes except two that only forward: ``ComposedFunctor`` hands out what
+its factors memoize, and ``IdentityFunctor`` hands back its argument.
 
 Every square and law is decided by ``Category.commutes(lhs, rhs)``: two
 paths of composable morphisms, each listed in the order its arrows apply,
@@ -362,15 +364,17 @@ class Functor:
 
 
 class ComposedFunctor(Functor):
+    """first, then second; it stores nothing, its factors memoize."""
+
     def __init__(self, first: Functor, second: Functor):
         super().__init__(first.src, second.dst, name=f"{second.name}∘{first.name}")
         self.first = first
         self.second = second
 
-    def _on_obj(self, x):
+    def obj(self, x):
         return self.second.obj(self.first.obj(x))
 
-    def _on_mor(self, m):
+    def mor(self, m):
         return self.second.mor(self.first.mor(m))
 
 
@@ -378,13 +382,14 @@ class IdentityFunctor(Functor):
     def __init__(self, cat: Category):
         super().__init__(cat, cat, name="Id")
 
-    def _on_obj(self, x):
+    def obj(self, x):
         return x
 
-    def _on_mor(self, m):
+    def mor(self, m):
         return m
 
     def image(self, m):
+        """m itself, ahead of ``CartFunctor.image`` in ``IdentityCartFunctor``."""
         return m
 
 

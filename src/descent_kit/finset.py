@@ -6,7 +6,8 @@ All constructions (pullback, quotient, coproduct) choose a canonical
 result, so iterated constructions compose up to canonical isomorphism,
 never on the nose.  An element of a chosen pullback is the
 Python tuple ``(x, y)`` of its two components, so iterated pullbacks nest
-tuples and a witness prints as Python's own repr of them.
+tuples and a witness prints as Python's own repr of them.  Every
+fiberwise algorithm groups a map by its image with ``FinFunction.fibers``.
 
 Every ``FinFunction`` is built by its one constructor, which checks it:
 composites and mediating maps included, since a codomain check is what
@@ -175,6 +176,15 @@ class FinFunction:
         # read only by perfbench/child.py, as the digest of each input map
         return (self.dom.elements, self.cod.elements, self.mapping)
 
+    def fibers(self) -> dict:
+        """Each point of the codomain that is hit, with the elements over it
+        in domain order; the points come in the order of their first
+        element."""
+        out: dict = {}
+        for x, y in self.mapping:
+            out.setdefault(y, []).append(x)
+        return out
+
     def image(self) -> FinSetObj:
         seen = set(self._table.values())
         return FinSetObj(tuple(l for l in self.cod.elements if l in seen))
@@ -221,15 +231,13 @@ def pullback(f: FinFunction, g: FinFunction) -> Pullback:
     """Chosen pullback of a cospan f: X -> Z <- Y : g.
 
     The carrier is the set of tuples (x, y) with f(x) = g(y), ordered
-    lexicographically in the (dom(f), dom(g)) element orders.  It is built
-    by fiber: dom(g) is indexed by image once, and each x is paired with
-    the fiber of g over f(x), in dom(g) order.
+    lexicographically in the (dom(f), dom(g)) element orders.  It is joined
+    by fiber: each x is paired with the fiber of g over f(x), read off
+    ``g.fibers()``, in dom(g) order.
     """
     if f.cod != g.cod:
         raise FinSetError(f"codomain mismatch: {f.cod} vs {g.cod}")
-    fiber_of: dict = {}
-    for y, z in g.mapping:
-        fiber_of.setdefault(z, []).append(y)
+    fiber_of = g.fibers()
     pairs = tuple((x, y) for x, z in f.mapping for y in fiber_of.get(z, ()))
     obj = FinSetObj(pairs)
     pr1 = FinFunction(obj, f.dom, tuple((t, t[0]) for t in pairs))

@@ -21,13 +21,7 @@ from .slices import Adjunction, SliceMor, slice_isos
 
 def _fiber_twist(obj: FinFunction) -> FinFunction:
     """Reverse each fiber of a slice object; nontrivial on fibers of size >= 2."""
-    by_fiber: dict = {}
-    for e in obj.dom.elements:
-        by_fiber.setdefault(obj(e), []).append(e)
-    table = {}
-    for fiber in by_fiber.values():
-        for a, b in zip(fiber, reversed(fiber)):
-            table[a] = b
+    table = {a: b for fiber in obj.fibers().values() for a, b in zip(fiber, reversed(fiber))}
     return FinFunction.of(obj.dom, obj.dom, table)
 
 

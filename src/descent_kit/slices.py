@@ -20,12 +20,14 @@ naturality is checked on them alone.
 
 ``SliceCategory.commutes`` decides whether two paths of triangles have
 equal composites pointwise: each element of the common source is pushed
-through every step of each path, a triangle by its table and a view by
-its rule, so a square or a law is checked without building a composite
-function, a triangle or a functor's image.
+through every step of each path by ``finset.follow``, a triangle by its
+table and a view by its rule, so a square or a law is checked without
+building a composite function, a triangle or a functor's image.
 
 Every functor built here tracks a "top" projection F(X) -> X, as the path
-of maps it composes (``CartFunctor.tops``).  Two composites of such
+of maps it composes (``CartFunctor.tops``).  By default a functor keeps
+the carrier, as Σ and the identity do: its top path is empty and F(m)
+has the values of m; change of base overrides both.  Two composites of such
 functors whose underlying base maps agree are pullbacks of the same
 cospan, so their values are canonically isomorphic by matching elements on
 (top, base), following each path pointwise; ``comparison_iso`` packages
@@ -174,17 +176,13 @@ class SliceCategory(ComputableCategory):
         return out
 
     def _hom(self, x: FinFunction, y: FinFunction) -> list[SliceMor]:
-        cands = []
-        for _, b in x.mapping:
-            fits = [d for d, c in y.mapping if c == b]
-            if not fits:
-                return []
-            cands.append(fits)
-        out = []
-        for choice in itertools.product(*cands):
-            fn = FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice)))
-            out.append(SliceMor(x, y, fn))
-        return out
+        """Each element of x to a point of y's fiber over its base point."""
+        fits = y.fibers()
+        cands = [fits.get(b) for _, b in x.mapping]
+        if None in cands:  # some element of x has an empty fiber to go to
+            return []
+        return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice))))
+                for choice in itertools.product(*cands)]
 
     def identity(self, x: FinFunction) -> SliceMor:
         return SliceMor(x, x, FinFunction.identity(x.dom))
@@ -196,14 +194,14 @@ class SliceCategory(ComputableCategory):
 
     def commutes(self, lhs: list, rhs: list) -> bool:
         """Pointwise: the paths share their endpoints and send each element
-        of the source to the same element, following every step, a triangle
-        by its table and a ``SliceImage`` by its rule; neither composite is
-        built."""
+        of the source to the same element, following every step with
+        ``finset.follow``, a triangle by its table and a ``SliceImage`` by
+        its rule; neither composite is built."""
         ends = path_ends(lhs, "slice morphisms")
         if path_ends(rhs, "slice morphisms") != ends:
             return False
         elements = ends[0].dom.elements
-        return _along(lhs, elements) == _along(rhs, elements)
+        return follow(lhs, elements) == follow(rhs, elements)
 
     def is_isomorphism(self, m: SliceMor) -> bool:
         """A commuting triangle is invertible exactly when its map is a
@@ -215,13 +213,6 @@ class SliceCategory(ComputableCategory):
         if follow([m.fn, m.dst], m.src.dom.elements) != [b for _, b in m.src.mapping]:
             raise CategoryError(f"{m!r} does not commute over the base")
         return m.fn.is_bijective()
-
-
-def _along(path: list, elements) -> list:
-    """The values at elements of the composite of path, step by step."""
-    for m in path:
-        elements = m.values(elements)
-    return elements
 
 
 def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
@@ -247,15 +238,16 @@ class CartFunctor(Functor):
     element of the value came from; together with the structure map of
     F(x) it pins every element of a (composite of) chosen pullback(s).
     ``tops(x)`` gives it as the path of maps it composes, in the order they
-    apply (empty for the identity), so that it is followed, not built.
+    apply, so that it is followed, not built.
 
     ``image(m)`` is F(m) as a ``SliceImage``, for a path that is only
     followed; ``_values`` is the rule on morphisms that it follows, and
-    that ``ChangeOfBase.mor`` builds from.
+    that ``ChangeOfBase.mor`` builds from.  Both default to a functor that
+    keeps the carrier: the top path is empty and F(m) has m's values.
     """
 
     def tops(self, x: FinFunction) -> list[FinFunction]:
-        raise NotImplementedError
+        return []
 
     def image(self, m) -> SliceImage:
         return SliceImage(self, m)
@@ -264,7 +256,7 @@ class CartFunctor(Functor):
         """The images under F(m) of elements of F(m.src), not yet checked,
         read off of_m, which gives the images under m of elements of
         m.src (``SliceMor.values``)."""
-        raise NotImplementedError
+        return of_m(elements)
 
     def then(self, other: Functor) -> Functor:
         if isinstance(other, CartFunctor):
@@ -281,11 +273,7 @@ class ComposedCartFunctor(ComposedFunctor, CartFunctor):
 
 
 class IdentityCartFunctor(IdentityFunctor, CartFunctor):
-    def tops(self, x: FinFunction) -> list[FinFunction]:
-        return []
-
-    def _values(self, of_m, elements) -> list:
-        return of_m(elements)
+    """The identity of a slice category, with the default (empty) tops."""
 
 
 class ChangeOfBase(CartFunctor):
@@ -348,23 +336,12 @@ class SigmaAlong(CartFunctor):
     def _on_mor(self, m: SliceMor) -> SliceMor:
         return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
 
-    def _values(self, of_m, elements) -> list:
-        return of_m(elements)
-
-    def tops(self, x: FinFunction) -> list[FinFunction]:
-        return []
-
 
 def slice_isos(x: FinFunction, y: FinFunction):
     """All isomorphisms x -> y over the base: fiberwise bijections, fiber
-    by fiber in the carrier order of x."""
-    by_fiber_x: dict = {}
-    for e, b in x.mapping:
-        by_fiber_x.setdefault(b, []).append(e)
-    by_fiber_y: dict = {}
-    for e, b in y.mapping:
-        by_fiber_y.setdefault(b, []).append(e)
-    if set(by_fiber_x) != set(by_fiber_y):
+    by fiber in the carrier order of x (``FinFunction.fibers``)."""
+    by_fiber_x, by_fiber_y = x.fibers(), y.fibers()
+    if by_fiber_x.keys() != by_fiber_y.keys():
         return
     if any(len(es) != len(by_fiber_y[b]) for b, es in by_fiber_x.items()):
         return
@@ -410,6 +387,7 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
         fx, gx = f.obj(x), g.obj(x)
         fn = match_by_legs(fx.dom, [f.tops(x), [fx]],
                            gx.dom, [g.tops(x), [gx]])
+        # the only test of components outside the gate's enumeration, and of all in glue
         if not fn.is_bijective():
             raise FinSetError(f"comparison {name} not invertible at {x}")
         return SliceMor(fx, gx, fn)

@@ -32,6 +32,18 @@ def test_pullback_carrier_is_matching_tuples(cospan):
     assert all(pb.pr1(t) == t[0] and pb.pr2(t) == t[1] for t in pb.obj)
 
 
+@given(cospans())
+def test_fibers_index_the_image_in_order_of_first_preimage(cospan):
+    f, _ = cospan
+    fibers = f.fibers()
+    assert set(fibers) == set(f.image())
+    assert list(fibers) == [f(x) for i, x in enumerate(f.dom)
+                            if f(x) not in [f(e) for e in f.dom.elements[:i]]]
+    # each list is the preimage of its point in domain order, and the points
+    # are the whole image, so the lists partition the domain
+    assert all(xs == [x for x in f.dom if f(x) == y] for y, xs in fibers.items())
+
+
 @given(st.lists(labels, max_size=4, unique=True),
        st.lists(labels, min_size=1, max_size=3, unique=True), st.data())
 def test_functions_from_the_same_data_are_equal_and_hash_equal(dom, cod, data):

@@ -2,11 +2,12 @@
 relies on ``assert``, which ``python -O`` strips, no library or test
 module imports a name it never uses, no library code compares composites
 built by ``compose`` or follows functor images built by ``mor``, no
-library code sorts labels
-(``test_library_never_sorts``), every public name is used or listed, the
-most numerous value classes stay slotted, a dropped diagram leaves no
-cyclic garbage, memo keys store their hash, and the benchmark can still
-drive the library."""
+library code sorts labels (``test_library_never_sorts``), no library code
+groups a map by its image outside ``FinFunction.fibers``
+(``test_library_groups_a_map_by_its_image_only_in_fibers``), every public
+name is used or listed, the most numerous value classes stay slotted, a
+dropped diagram leaves no cyclic garbage, memo keys store their hash, and
+the benchmark can still drive the library."""
 
 import ast
 import gc
@@ -126,6 +127,36 @@ def test_library_decides_commuting_diagrams_with_commutes():
     for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}" for line in _built_to_compare(tree)]
+    assert found == []
+
+
+def _hand_grouped(tree):
+    """Lines of ``for`` loops over a ``.mapping`` that call
+    ``.setdefault(..., [])``, outside ``FinFunction.fibers``."""
+    exempt = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "FinFunction"
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "fibers"
+              for node in ast.walk(fn)}
+
+    def groups(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setdefault" and len(node.args) == 2
+                and isinstance(node.args[1], ast.List) and not node.args[1].elts)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.For) and id(node) not in exempt
+            and isinstance(node.iter, ast.Attribute) and node.iter.attr == "mapping"
+            and any(groups(inner) for inner in ast.walk(node))]
+
+
+def test_library_groups_a_map_by_its_image_only_in_fibers():
+    """A map is grouped by its image in one place, ``FinFunction.fibers``;
+    a loop over its ``mapping`` that builds lists with ``setdefault`` is a
+    second copy of that index."""
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _hand_grouped(tree)]
     assert found == []
 
 
