@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
-                     EquivalenceReport, Functor, NatTrans, all_isomorphisms,
-                     is_equivalence)
+                     EquivalenceReport, Functor, NatTrans, is_equivalence)
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,10 @@ class PseudoPullbackCategory(ComputableCategory):
         self.g = g
 
     def _objects(self, bound):
-        out = []
-        for c in self.f.src.objects(bound):
-            fc = self.f.obj(c)
-            for d in self.g.src.objects(bound):
-                for phi, _ in all_isomorphisms(self.f.dst, fc, self.g.obj(d)):
-                    out.append(WedgeObj(c, d, phi))
-        return out
+        e = self.f.dst
+        return [WedgeObj(c, d, phi) for c in self.f.src.objects(bound)
+                for d in self.g.src.objects(bound)
+                for phi in e.hom(self.f.obj(c), self.g.obj(d)) if e.is_isomorphism(phi)]
 
     def _hom(self, x: WedgeObj, y: WedgeObj):
         e = self.f.dst

@@ -28,12 +28,14 @@ through the maps of both paths, so no composite is built just to be
 compared.  A functor's image that is only compared is asked for as
 ``Functor.image``, which is ``mor`` by default; the functors of ``slices``
 hand out a view that is followed, so no image is built just to be compared
-either.  A transformation is invertible when each component is:
-invertibility is checked (``Category.is_isomorphism``), never supplied as
-a second piece of data.  It is natural when its squares commute on the
-generators of the enumerated source (``Category.generators``), since
-functors preserve composition; ``naturality_failures`` is the one loop
-that decides it.
+either.  Invertibility is decided in one place, ``Category.is_isomorphism``:
+a search for a two-sided inverse by default, which table categories need,
+and a direct test where a category overrides it; ``find_isomorphism``
+filters one hom-set with it.  A transformation is invertible when each
+component is, checked, never supplied.  It is natural when its squares
+commute on the generators of the enumerated source
+(``Category.generators``), since functors preserve composition;
+``naturality_failures`` is the one loop that decides it.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -90,8 +92,11 @@ class Category:
         return _composite(self, lhs) == _composite(self, rhs)
 
     def is_isomorphism(self, m) -> bool:
-        """Whether m has a two-sided inverse, found by search of hom(cod m, dom m)."""
-        return two_sided_inverse(self, m, self.hom(m.dst, m.src)) is not None
+        """Whether m has a two-sided inverse, by search of hom(cod m, dom m);
+        a category that decides it without a search overrides this."""
+        id_src, id_dst = [self.identity(m.src)], [self.identity(m.dst)]
+        return any(self.commutes([m, g], id_src) and self.commutes([g, m], id_dst)
+                   for g in self.hom(m.dst, m.src))
 
     def generators(self, bound: Optional[int] = None) -> list:
         """Morphisms of the enumeration whose composites give every one of
@@ -523,30 +528,10 @@ def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
     return Decision(True, None, truncated)
 
 
-def two_sided_inverse(cat: Category, f, backward):
-    """The first g in backward (a listing of hom(cod f, dom f)) with
-    g∘f = id and f∘g = id, or None."""
-    id_src, id_dst = [cat.identity(f.src)], [cat.identity(f.dst)]
-    for g in backward:
-        if cat.commutes([f, g], id_src) and cat.commutes([g, f], id_dst):
-            return g
-    return None
-
-
 def find_isomorphism(cat: Category, x, y):
-    """First (in canonical enumeration order) two-sided inverse pair, or None."""
-    backward = cat.hom(y, x)
-    for f in cat.hom(x, y):
-        g = two_sided_inverse(cat, f, backward)
-        if g is not None:
-            return (f, g)
-    return None
-
-
-def all_isomorphisms(cat: Category, x, y):
-    backward = cat.hom(y, x)
-    pairs = ((f, two_sided_inverse(cat, f, backward)) for f in cat.hom(x, y))
-    return [(f, g) for f, g in pairs if g is not None]
+    """The first f in hom(x, y), in enumeration order, that
+    ``cat.is_isomorphism`` accepts, or None."""
+    return next((f for f in cat.hom(x, y) if cat.is_isomorphism(f)), None)
 
 
 def is_essentially_surjective(functor: Functor, bound: Optional[int] = None) -> Decision:
@@ -554,7 +539,7 @@ def is_essentially_surjective(functor: Functor, bound: Optional[int] = None) -> 
     truncated = src.bounded or dst.bounded
     images = [functor.obj(x) for x in src.objects(bound)]
     for y in dst.objects(bound):
-        if not any(find_isomorphism(dst, img, y) for img in images):
+        if all(find_isomorphism(dst, img, y) is None for img in images):
             return Decision(False, y, truncated)
     return Decision(True, None, truncated)
 

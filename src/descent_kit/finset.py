@@ -185,10 +185,6 @@ class FinFunction:
             out.setdefault(y, []).append(x)
         return out
 
-    def image(self) -> FinSetObj:
-        seen = set(self._table.values())
-        return FinSetObj(tuple(l for l in self.cod.elements if l in seen))
-
     def is_injective(self) -> bool:
         vals = [y for _, y in self.mapping]
         return len(set(vals)) == len(vals)
@@ -274,7 +270,7 @@ def quotient(x: FinSetObj, pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[
         return a
 
     for a, b in pairs:
-        if a not in parent or b not in parent:
+        if not x.includes((a, b)):  # an unhashable label included
             raise FinSetError(f"pair ({a!r},{b!r}) not drawn from {x}")
         ra, rb = find(a), find(b)
         if ra != rb:

@@ -18,7 +18,7 @@ from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
                      Decision, EquivalenceReport, Functor, NatTrans, find_isomorphism,
                      is_equivalence, naturality_failures, path_ends)
-from .finset import FinFunction, pullback
+from .finset import FinFunction, FinSetError, pullback
 from .cosimplicial import BasicFibration, basic_fibration
 from .descent import (DescCategory, DescMor, DescentDatum, comparison,
                       is_descent_datum)
@@ -294,10 +294,11 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     x = alg.x
     d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
     to_x = [_monad_to_d1(fib, monad, x).inverse(), alg.a.fn]
-    fn = match_by_legs(d1x.dom, [to_x, [d1x]],
-                       d0x.dom, [[fib.d0.top(x)], [d0x]])
-    if not fn.is_bijective():
-        raise TheoremViolation(f"algebra {alg} does not induce an invertible datum")
+    try:
+        fn = match_by_legs(d1x.dom, [to_x, [d1x]], d0x.dom, [[fib.d0.top(x)], [d0x]])
+    except FinSetError as exc:
+        raise TheoremViolation(f"algebra {alg} does not induce an invertible datum: "
+                               f"{exc}") from exc
     rho = SliceMor(d1x, d0x, fn)
     ok, which = is_descent_datum(fib, x, rho)
     if not ok:
@@ -324,8 +325,10 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
     Builds the canonical Desc(p) -> EM(T_p), datum by datum; verifies
     algebra laws, functoriality, the equivalence within bound, and that the
     descent and Eilenberg-Moore factorizations through C/E agree on the
-    nose.  An algebra whose datum ``find_isomorphism`` cannot connect to
-    the enumerated datum on its carrier fails essential surjectivity.
+    nose.  Each algebra is connected to the enumerated datum rep on its
+    carrier by ``find_isomorphism(desc, rep, datum)``, the first morphism
+    that Desc(p) decides invertible, and that morphism is mapped; an
+    algebra with no such morphism fails essential surjectivity.
     """
     fib = basic_fibration(p, bound)
     desc = DescCategory(fib, bound)
@@ -352,7 +355,7 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
             iso = None if rep is None else find_isomorphism(desc, rep, datum)
             if iso is None:
                 return Decision(False, alg, True)
-            functor.mor(iso[0])
+            functor.mor(iso)
         return Decision(True, None, True)
 
     report = is_equivalence(functor, bound, ess_surj=ess)

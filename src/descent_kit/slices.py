@@ -360,8 +360,11 @@ def _leg_values(carrier: FinSetObj, legs: list[list[FinFunction]]):
 
 
 def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunction:
-    """The unique map src -> dst commuting with the given (jointly monic)
-    legs, each a path of functions out of its carrier (see ``_leg_values``)."""
+    """The bijection src -> dst commuting with the given legs, each a path
+    of functions out of its carrier (see ``_leg_values``).  Raises
+    ``FinSetError`` when there is none: a value of dst's legs hit twice, a
+    value of src's legs with no match, or a matching that is not one to
+    one and onto.  Callers take its result as an isomorphism unchecked."""
     keyed = {}
     for e, k in _leg_values(dst, dst_legs):
         if k in keyed:
@@ -371,7 +374,10 @@ def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunc
         assignment = {e: keyed[k] for e, k in _leg_values(src, src_legs)}
     except KeyError as exc:
         raise FinSetError(f"no match for leg value {exc} in {dst}") from exc
-    return FinFunction.of(src, dst, assignment)
+    fn = FinFunction.of(src, dst, assignment)
+    if not fn.is_bijective():
+        raise FinSetError(f"legs match {src} with {dst} but not one to one")
+    return fn
 
 
 def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
@@ -379,18 +385,16 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     change-of-base functors whose underlying base maps agree.
 
     The component at x matches elements of F(x) and G(x) on (top, base),
-    following the tops of each composite's factors; it is a bijection, or
-    building it raises.
+    following the tops of each composite's factors, with ``match_by_legs``:
+    it is a bijection, or building it raises ``FinSetError``.  That is the
+    only test of components outside the gate's enumeration, and of all of
+    them in gluing.
     """
 
     def component(x: FinFunction) -> SliceMor:
         fx, gx = f.obj(x), g.obj(x)
-        fn = match_by_legs(fx.dom, [f.tops(x), [fx]],
-                           gx.dom, [g.tops(x), [gx]])
-        # the only test of components outside the gate's enumeration, and of all in glue
-        if not fn.is_bijective():
-            raise FinSetError(f"comparison {name} not invertible at {x}")
-        return SliceMor(fx, gx, fn)
+        return SliceMor(fx, gx, match_by_legs(fx.dom, [f.tops(x), [fx]],
+                                              gx.dom, [g.tops(x), [gx]]))
 
     return NatTrans(f, g, component, name=name)
 

@@ -33,6 +33,20 @@ def brute_descent_data():
     return _brute_descent_data
 
 
+def _two_sided_inverse(cat, f):
+    """The reference for ``Category.is_isomorphism`` and
+    ``find_isomorphism``: the first g in hom(cod f, dom f) whose built
+    composites with f are both identities, or None."""
+    return next((g for g in cat.hom(f.dst, f.src)
+                 if cat.compose(g, f) == cat.identity(f.src)
+                 and cat.compose(f, g) == cat.identity(f.dst)), None)
+
+
+@pytest.fixture
+def two_sided_inverse():
+    return _two_sided_inverse
+
+
 def _cart_functors(fib):
     """Every functor of the basic fibration fib that tracks tops: the
     faces d, d0, d1, s0 and del0-2, the six level-3 composites, s0∘d0,

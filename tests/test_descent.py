@@ -351,6 +351,24 @@ def test_canonicalize_datum_is_isomorphism_in_desc(raw_descent_data):
         assert iso.m.fn.is_bijective()
 
 
+def test_desc_is_isomorphism_agrees_with_the_inverse_search(two_sided_inverse):
+    """Desc(p) decides invertibility on the underlying slice morphism; the
+    reference searches the reverse hom-set for a two-sided inverse."""
+    mismatches, compared, isos = [], 0, 0
+    for p in small_maps():
+        for bound in (1, 2, 3):
+            desc = DescCategory(basic_fibration(p, bound), bound)
+            objs = desc.objects()
+            for f in (f for x in objs for y in objs for f in desc.hom(x, y)):
+                decided = desc.is_isomorphism(f)
+                if decided != (two_sided_inverse(desc, f) is not None):
+                    mismatches.append((p, bound, f))
+                compared += 1
+                isos += decided
+    assert mismatches == []
+    assert (compared, isos) == (1194, 265)
+
+
 def test_comparison_image_must_be_equivariant():
     # twisting theta is invisible on fibers of size 1, so the gate at bound 1
     # passes; the comparison still refuses the image of an inclusion 1 -> 2

@@ -18,7 +18,7 @@ from descent_kit.descent import (DescCategory, DescentDatum, classify, compariso
                                  descend, is_descent_datum)
 from descent_kit.fincat import (CategoryError, Functor, IdentityFunctor, NatTrans,
                                 TableFunctor, chain_category)
-from descent_kit.finset import FinFunction, FinSetError, FinSetObj
+from descent_kit.finset import FinFunction, FinSetError, FinSetObj, quotient
 from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
                                  pullback_square_bc)
 from descent_kit.mutations import invert_theta
@@ -180,6 +180,10 @@ def function_of_a_list():
     FinFunction.of(FinSetObj(("a",)), FinSetObj(("x",)), ["x"])
 
 
+def quotient_by_a_pair_with_an_unhashable_label():
+    quotient(FinSetObj(("a",)), [(["a"], "a")])
+
+
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
@@ -214,6 +218,8 @@ def function_of_a_list():
     (function_with_a_list_mapping, FinSetError, r"must be a tuple of \(element, image\) tuples"),
     (function_with_a_list_pair, FinSetError, r"must be a tuple of \(element, image\) tuples"),
     (function_of_a_list, FinSetError, r"a mapping or a callable, not \['x'\]"),
+    (quotient_by_a_pair_with_an_unhashable_label, FinSetError,
+     r"pair \(\['a'\],'a'\) not drawn from"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):

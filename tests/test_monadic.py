@@ -6,7 +6,7 @@ from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
 from descent_kit.descent import enumerate_descent_data
 from descent_kit.fincat import (EQUIVALENCE, FULLY_FAITHFUL_ONLY, Category, CategoryError,
-                                IdentityFunctor, validate_category)
+                                IdentityFunctor, find_isomorphism, validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
 from descent_kit.monadic import (Algebra, EMCategory, EMComparison, Monad,
                                  algebra_to_datum, benabou_roubaud,
@@ -110,10 +110,9 @@ def test_em_comparison_two_to_one_equivalence_within_bound():
     k = EMComparison(adj, em)
     assert is_faithful(k, 3).ok and is_full(k, 3).ok
     # p* is monadic here: every bounded algebra is hit up to iso
-    from descent_kit.fincat import find_isomorphism
     images = [k.obj(x) for x in adj.right.src.objects(2)]
     for alg in em.objects(2):
-        assert any(find_isomorphism(em, img, alg) for img in images)
+        assert any(find_isomorphism(em, img, alg) is not None for img in images)
 
 
 def test_mate_of_identity_square_is_identity():
@@ -282,6 +281,30 @@ def test_benabou_roubaud_sweep_is_equivalence_and_round_trips(raw_descent_data):
                 for datum in raw_descent_data(fib, 2):
                     alg = datum_to_algebra(fib, res.monad, datum)
                     assert algebra_to_datum(fib, res.monad, alg) == datum, (p, datum)
+
+
+def test_benabou_roubaud_connects_each_algebra_by_the_first_isomorphism(
+        two_sided_inverse):
+    """``find_isomorphism(desc, rep, datum)``, which ``benabou_roubaud``
+    maps for each algebra, is the first morphism of hom(rep, datum) that
+    has a two-sided inverse, found by the reference search."""
+    transported = 0
+    for m in range(4):
+        for n in range(1, 3):
+            for p in all_functions(FinSetObj(tuple("abc"[:m])), FinSetObj(tuple("xy"[:n]))):
+                for bound in (2, 3):
+                    res = benabou_roubaud(p, bound)
+                    desc, fib = res.desc, res.desc.diagram
+                    enumerated = {d.w: d for d in desc.objects()}
+                    for alg in res.em.objects(bound):
+                        datum = algebra_to_datum(fib, res.monad, alg)
+                        rep = enumerated[alg.x]
+                        want = next((f for f in desc.hom(rep, datum)
+                                     if two_sided_inverse(desc, f) is not None), None)
+                        assert want is not None, (p, bound, alg)
+                        assert find_isomorphism(desc, rep, datum) == want, (p, bound, alg)
+                        transported += 1
+    assert transported == 138
 
 
 def test_em_commutes_forwards_to_the_base():

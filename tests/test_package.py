@@ -4,7 +4,9 @@ module imports a name it never uses, no library code compares composites
 built by ``compose`` or follows functor images built by ``mor``, no
 library code sorts labels (``test_library_never_sorts``), no library code
 groups a map by its image outside ``FinFunction.fibers``
-(``test_library_groups_a_map_by_its_image_only_in_fibers``), every public
+(``test_library_groups_a_map_by_its_image_only_in_fibers``), no library
+code re-checks that a ``match_by_legs`` result is a bijection
+(``test_library_trusts_match_by_legs_to_be_a_bijection``), every public
 name is used or listed, the most numerous value classes stay slotted, a
 dropped diagram leaves no cyclic garbage, memo keys store their hash, and
 the benchmark can still drive the library."""
@@ -157,6 +159,40 @@ def test_library_groups_a_map_by_its_image_only_in_fibers():
     for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}" for line in _hand_grouped(tree)]
+    assert found == []
+
+
+def _bijectivity_rechecked(tree):
+    """Lines that call ``.is_bijective()`` on a ``match_by_legs(...)``
+    result, directly or through a name a function binds to one."""
+
+    def matched(node):
+        return (isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) == "match_by_legs")
+
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        bound = {target.id for node in ast.walk(scope)
+                 if isinstance(node, ast.Assign) and matched(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        found.update(node.lineno for node in ast.walk(scope)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "is_bijective"
+                     and (matched(node.func.value) or isinstance(node.func.value, ast.Name)
+                          and node.func.value.id in bound))
+    return sorted(found)
+
+
+def test_library_trusts_match_by_legs_to_be_a_bijection():
+    """``match_by_legs`` returns a bijection or raises ``FinSetError``, so
+    bijectivity is checked once, inside it; a caller that tests its result
+    again repeats that check."""
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _bijectivity_rechecked(tree)]
     assert found == []
 
 

@@ -6,10 +6,11 @@ from hypothesis import given, strategies as st
 from descent_kit.fincat import (Category, CategoryError, is_faithful,
                                 validate_category)
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
-                                canonical_set, mediating_map)
+                                canonical_set, follow, mediating_map)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor,
-                                comparison_iso, sigma_pullback_adjunction)
+                                comparison_iso, match_by_legs,
+                                sigma_pullback_adjunction)
 
 
 def slice_over(labels, bound=3):
@@ -249,6 +250,31 @@ def test_is_isomorphism_rejects_a_triangle_that_does_not_commute():
     over_x_too = map_over(b, {"q": "x"})
     fn = FinFunction.of(over_x.dom, over_x_too.dom, {"p": "q"})
     assert SliceCategory(b, 2).is_isomorphism(SliceMor(over_x, over_x_too, fn))
+
+
+def _legs(labels, values):
+    """A leg out of the set of labels: the map sending each to its value."""
+    dom = FinSetObj(tuple(labels))
+    return FinFunction.of(dom, FinSetObj(("1", "2", "3")), dict(zip(labels, values)))
+
+
+def test_match_by_legs_is_the_bijection_commuting_with_the_legs():
+    f, g = _legs("ab", "21"), _legs("xy", "12")
+    fn = match_by_legs(f.dom, [[f]], g.dom, [[g]])
+    assert fn.mapping == (("a", "y"), ("b", "x")) and fn.is_bijective()
+    assert follow([fn, g], f.dom.elements) == follow([f], f.dom.elements)
+
+
+@pytest.mark.parametrize("src, dst, match", [
+    (_legs("ab", "12"), _legs("xyz", "112"), "hit twice"),
+    (_legs("ab", "13"), _legs("xy", "12"), "no match"),
+    # the legs are injective, but y is matched with nothing
+    (_legs("a", "1"), _legs("xy", "12"), "not one to one"),
+    (_legs("ab", "11"), _legs("x", "1"), "not one to one"),
+], ids=["dst-key-hit-twice", "src-key-unmatched", "not-onto", "not-injective"])
+def test_match_by_legs_returns_a_bijection_or_raises(src, dst, match):
+    with pytest.raises(FinSetError, match=match):
+        match_by_legs(src.dom, [[src]], dst.dom, [[dst]])
 
 
 def test_is_isomorphism_rejects_a_triangle_across_two_bases():
