@@ -23,10 +23,12 @@ conjugate of any datum; no decision calls it).
 
 ``moves`` lists a datum as the groupoid acts: rho carries v, seen over a
 level-2 point t, to v2.  A morphism is fixed by where it sends the first
-element of each orbit of these moves, so ``DescCategory`` enumerates
-hom-sets as a product of per-orbit choices, in the carrier order of
-``_hom_generic`` (the brute equivariance filter, its reference), never
-comparing labels; ``descend`` glues along the same moves.
+element of each orbit of these moves, so a hom-set of ``DescCategory`` is
+a product of per-orbit choices: a ``HomSet`` counted as the product of
+the choice counts, deciding membership by ``is_descent_morphism``, and
+built on first read in the carrier order of ``_hom_generic`` (the brute
+equivariance filter, its reference), never comparing labels; ``descend``
+glues along the same moves.
 
 A ``DescCategory`` holds the one input of every descent decision: the
 diagram, the enumeration bound and an optional carrier predicate.
@@ -39,14 +41,17 @@ surjectivity is always decided by gluing, never by blind search over C/B.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
                      NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
-                     EquivalenceReport, FullSubcategory, Functor, is_equivalence)
+                     EquivalenceReport, FullSubcategory, Functor, HomSet,
+                     is_equivalence)
 from .finset import FinFunction, FinSetError, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
@@ -201,7 +206,7 @@ class DescCategory(ComputableCategory):
         return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)
                 if is_descent_morphism(self.diagram, x, y, m)]
 
-    def _hom(self, x, y):
+    def _hom(self, x, y) -> HomSet:
         """Morphisms by orbit: a product of choices, one per rho-orbit of x.w.
 
         An equivariant m is fixed by where it sends the first element of
@@ -214,11 +219,15 @@ class DescCategory(ComputableCategory):
         first element is its whole connected component.  Same answers as
         ``_hom_generic``.
 
-        In ``_hom_generic``'s order, by the carrier positions of the
-        images, element by element: orbits are met in the carrier order of
-        their first elements, so every element before the first of an orbit
-        lies in an earlier orbit, and two morphisms first differ at the
-        first element of the first orbit where their choices differ.  Each
+        The hom-set is counted, not built: its size is the product of the
+        orbits' choice counts.  Membership is ``_is_hom_member``: the right
+        ends, then ``is_descent_morphism``.  The members
+        are assembled by ``_hom_members`` on first read, in
+        ``_hom_generic``'s order, by the carrier positions of the images,
+        element by element: orbits are met in the carrier order of their
+        first elements, so every element before the first of an orbit lies
+        in an earlier orbit, and two morphisms first differ at the first
+        element of the first orbit where their choices differ.  Each
         orbit's choices come in the carrier order of y, in which that
         element's image is tried, so ``itertools.product`` yields the maps
         in order.
@@ -246,6 +255,7 @@ class DescCategory(ComputableCategory):
                         return None
             return assign
 
+        member = functools.partial(_is_hom_member, self.diagram, x, y)
         orbits = []
         reached: set = set()
         for first, b in wx.mapping:
@@ -254,18 +264,11 @@ class DescCategory(ComputableCategory):
             choices = [a for c in fiber_y.get(b, ())
                        if (a := follow(first, c)) is not None]
             if not choices:
-                return []
+                return HomSet(0, list, member)
             reached.update(choices[0])
             orbits.append([[(position[v], img) for v, img in a.items()] for a in choices])
-        out = []
-        for combo in itertools.product(*orbits):
-            images = [None] * len(elements)
-            for choice in combo:
-                for i, img in choice:
-                    images[i] = img
-            fn = FinFunction(wx.dom, wy.dom, tuple(zip(elements, images)))
-            out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
-        return out
+        return HomSet(math.prod(map(len, orbits)),
+                      functools.partial(_hom_members, x, y, orbits), member)
 
     def identity(self, x: DescentDatum) -> DescMor:
         return DescMor(x, x, self.diagram.c1.identity(x.w))
@@ -285,6 +288,38 @@ class DescCategory(ComputableCategory):
 
     def forgetful(self) -> Functor:
         return Functor(self, self.diagram.c1, lambda d: d.w, lambda m: m.m, name="U")
+
+
+def _hom_members(x: DescentDatum, y: DescentDatum, orbits: list) -> list[DescMor]:
+    """hom(x, y) in Desc(p), one morphism per combination of the orbits'
+    choices (see ``DescCategory._hom``), each a list of (carrier position,
+    image) pairs."""
+    wx, wy = x.w, y.w
+    elements = wx.dom.elements
+    out = []
+    for combo in itertools.product(*orbits):
+        images = [None] * len(elements)
+        for choice in combo:
+            for i, img in choice:
+                images[i] = img
+        fn = FinFunction(wx.dom, wy.dom, tuple(zip(elements, images)))
+        out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
+    return out
+
+
+def _is_hom_member(diagram: BasicFibration, x: DescentDatum, y: DescentDatum, f) -> bool:
+    """Whether f is a morphism x -> y of Desc(p): a ``DescMor`` between x
+    and y whose map runs from x.w to y.w and passes
+    ``is_descent_morphism``.  A map that is no triangle over E fails too:
+    the image of every element of x.w under d0(m) is checked
+    (``SliceImage.values``), and one off its fiber raises ``FinSetError``."""
+    if not (isinstance(f, DescMor) and f.src == x and f.dst == y
+            and isinstance(f.m, SliceMor) and f.m.src == x.w and f.m.dst == y.w):
+        return False
+    try:
+        return is_descent_morphism(diagram, x, y, f.m)
+    except FinSetError:
+        return False
 
 
 class _Comparison(Functor):

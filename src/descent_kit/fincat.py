@@ -9,6 +9,13 @@ class memoizes both, once per bound and once per pair.  Objects and
 morphisms are values: they are compared and hashed as themselves,
 component by component.
 
+A hom-set is a sequence of morphisms in enumeration order.  A table
+category lists it; a computable category whose hom-sets have a closed-form
+size hands out a ``HomSet``, which knows its length and decides membership
+with the category's own check before any member is built, and builds its
+members once, on first read.  So a decision that only counts, such as
+``is_full``, builds none.
+
 Functors (``obj``, ``mor``) and transformations (``at``) memoize their
 callables per key, so a value is built once and handed out identically
 ever after.  A memo hit costs one dictionary lookup, hence one hash of
@@ -45,6 +52,7 @@ a truncated enumeration as "within bound".
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -70,7 +78,7 @@ class Category:
     def objects(self, bound: Optional[int] = None) -> list:
         raise NotImplementedError
 
-    def hom(self, x, y) -> list:
+    def hom(self, x, y) -> Sequence:
         raise NotImplementedError
 
     def identity(self, x):
@@ -173,13 +181,59 @@ class FinCategory(Category):
             raise CategoryError(f"composition table missing ({g.name}, {f.name})")
 
 
+class HomSet(Sequence):
+    """A hom-set that is counted before it is built.
+
+    Its length is given in closed form, and ``in`` asks member, the
+    category's own check, with no list built.  Iteration and indexing call
+    build once, on first read, and keep the members it returns, in the
+    enumeration order of the category; a build that disagrees with the
+    count raises ``CategoryError``.  build and member are module-level
+    functions bound with ``functools.partial`` to what they read, never to
+    the category: a hom-set is memoized by its category, and a reference
+    back would make every memo a cycle that only the cyclic collector
+    frees.
+    """
+
+    __slots__ = ("_size", "_build", "_member", "_members")
+
+    def __init__(self, size: int, build: Callable[[], list], member: Callable[[Any], bool]):
+        self._size = size
+        self._build = build
+        self._member = member
+        self._members = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, m) -> bool:
+        return self._member(m)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self) -> list:
+        members = self._members
+        if members is None:
+            members = self._build()
+            if len(members) != self._size:
+                raise CategoryError(f"hom-set built {len(members)} members, "
+                                    f"counted {self._size}")
+            self._members, self._build = members, None
+        return members
+
+
 class ComputableCategory(Category):
     """Category whose objects are enumerated up to a size bound.
 
     ``objects`` memoizes ``_objects(bound)`` and hands out a copy;
-    ``hom`` memoizes ``_hom(x, y)`` and hands out the memoized list.  A
-    bound that is not an integer raises, and so does a negative one: every
-    enumeration would be empty, and each answer drawn from it vacuous.
+    ``hom`` memoizes ``_hom(x, y)``, a list or a ``HomSet``, and hands out
+    the memoized hom-set.  A bound that is not an integer raises, and so
+    does a negative one: every enumeration would be empty, and each answer
+    drawn from it vacuous.
     """
 
     bounded = True
@@ -213,7 +267,7 @@ class ComputableCategory(Category):
     def _objects(self, bound: int) -> list:
         raise NotImplementedError
 
-    def _hom(self, x, y) -> list:
+    def _hom(self, x, y) -> Sequence:
         raise NotImplementedError
 
 
@@ -516,15 +570,23 @@ def is_faithful(functor: Functor, bound: Optional[int] = None) -> Decision:
 
 
 def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
-    """Surjectivity of the morphism map onto hom(F x, F y) for enumerated x, y."""
+    """Surjectivity of the morphism map onto hom(F x, F y) for enumerated
+    x, y, by counting: F is full at (x, y) when as many distinct images as
+    hom(F x, F y) has members lie in it, each checked by the hom-set's
+    ``in``, so a ``HomSet`` target is never built.  Only where the counts
+    differ is the target walked, in its order, for the first member that
+    no image hits: the witness."""
     src, dst = functor.src, functor.dst
     truncated = src.bounded or dst.bounded
     for x in src.objects(bound):
         for y in src.objects(bound):
             hit = {functor.mor(f) for f in src.hom(x, y)}
-            for g in dst.hom(functor.obj(x), functor.obj(y)):
-                if g not in hit:
-                    return Decision(False, g, truncated)
+            target = dst.hom(functor.obj(x), functor.obj(y))
+            if len(hit) >= len(target) and sum(g in target for g in hit) == len(target):
+                continue
+            missed = next((g for g in target if g not in hit), None)
+            if missed is not None:
+                return Decision(False, missed, truncated)
     return Decision(True, None, truncated)
 
 

@@ -189,6 +189,10 @@ class FinFunction:
         vals = [y for _, y in self.mapping]
         return len(set(vals)) == len(vals)
 
+    def hits(self, points: Iterable[Hashable]) -> bool:
+        """Whether every one of points is the image of some element."""
+        return set(self._table.values()).issuperset(points)
+
     def is_surjective(self) -> bool:
         return self.cod._members.issubset(self._table.values())
 

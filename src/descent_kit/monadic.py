@@ -121,6 +121,13 @@ class EMCategory(ComputableCategory):
     def identity(self, x: Algebra):
         return AlgMor(x, x, self.monad.base.identity(x.x))
 
+    def is_isomorphism(self, f: AlgMor) -> bool:
+        """Whether f's underlying map is: the forgetful functor to the base
+        reflects isomorphisms.  Applying T to h⁻¹ turns h ∘ a = b ∘ T(h)
+        into h⁻¹ ∘ b = a ∘ T(h⁻¹), so the inverse of an algebra morphism
+        is one, and no inverse is searched for."""
+        return self.monad.base.is_isomorphism(f.m)
+
     def compose(self, g: AlgMor, f: AlgMor):
         if f.dst != g.src:
             raise CategoryError("non-composable algebra morphisms")

@@ -13,8 +13,10 @@ the mediating map into the chosen pullback by that rule, one checked
 function whose codomain check is the check that the triangle commutes,
 and caches it.  ``image(m)`` is a ``SliceImage``: the ends of the image
 and the rule, followed where a path is only compared, never built and
-never stored, with the same codomain check on every value it gives.  The
-enumerated C/B also lists generators (transpositions, merges and
+never stored, with the same codomain check on every value it gives.  A
+hom-set of C/B is a ``HomSet``: counted off the fibers of its target,
+tested for membership by ``_is_slice_morphism`` and built on first read.
+The enumerated C/B also lists generators (transpositions, merges and
 inclusions of fibers) whose composites give every morphism, so
 naturality is checked on them alone.
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,7 +51,7 @@ from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
                      all_functions, canonical_set, follow, mediating_map,
                      pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
-                     Functor, IdentityFunctor, NatTrans, path_ends)
+                     Functor, HomSet, IdentityFunctor, NatTrans, path_ends)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,14 +178,19 @@ class SliceCategory(ComputableCategory):
                     out.append(_relabel(x, grown, {}))
         return out
 
-    def _hom(self, x: FinFunction, y: FinFunction) -> list[SliceMor]:
-        """Each element of x to a point of y's fiber over its base point."""
+    def _hom(self, x: FinFunction, y: FinFunction) -> HomSet:
+        """Each element of x to a point of y's fiber over its base point:
+        the product over b of |y_b|^|x_b| triangles.  A base point of x
+        that y misses gives the empty hom-set before any fiber is listed.
+        Membership is ``_is_slice_morphism``; ``_slice_members`` builds the
+        members."""
+        member = functools.partial(_is_slice_morphism, x, y)
+        if not y.hits(b for _, b in x.mapping):
+            return HomSet(0, list, member)
         fits = y.fibers()
-        cands = [fits.get(b) for _, b in x.mapping]
-        if None in cands:  # some element of x has an empty fiber to go to
-            return []
-        return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice))))
-                for choice in itertools.product(*cands)]
+        cands = [fits[b] for _, b in x.mapping]
+        return HomSet(math.prod(map(len, cands)),
+                      functools.partial(_slice_members, x, y, cands), member)
 
     def identity(self, x: FinFunction) -> SliceMor:
         return SliceMor(x, x, FinFunction.identity(x.dom))
@@ -210,9 +218,27 @@ class SliceCategory(ComputableCategory):
         checks only that fn runs between the carriers."""
         if m.src.cod != m.dst.cod:
             raise CategoryError(f"{m!r} spans two bases, {m.src.cod} and {m.dst.cod}")
-        if follow([m.fn, m.dst], m.src.dom.elements) != [b for _, b in m.src.mapping]:
+        if not _commutes_over_base(m):
             raise CategoryError(f"{m!r} does not commute over the base")
         return m.fn.is_bijective()
+
+
+def _slice_members(x: FinFunction, y: FinFunction, cands: list) -> list[SliceMor]:
+    """hom(x, y) in C/B: each element of x, in carrier order, to each of
+    its candidates, the points of y's fiber over its base point."""
+    return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice))))
+            for choice in itertools.product(*cands)]
+
+
+def _is_slice_morphism(x: FinFunction, y: FinFunction, m) -> bool:
+    """Whether m is a morphism x -> y of C/B: a ``SliceMor`` between them
+    whose triangle commutes; ``SliceMor`` itself checks only that its map
+    runs between the carriers."""
+    return isinstance(m, SliceMor) and m.src == x and m.dst == y and _commutes_over_base(m)
+
+
+def _commutes_over_base(m: SliceMor) -> bool:
+    return follow([m.fn, m.dst], m.src.dom.elements) == [b for _, b in m.src.mapping]
 
 
 def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:

@@ -1,8 +1,34 @@
 import pytest
 
 from descent_kit.descent import DescentDatum, canonicalize_datum, is_descent_datum
-from descent_kit.slices import (IdentityCartFunctor, sigma_pullback_adjunction,
-                                slice_isos)
+from descent_kit.fincat import Decision
+from descent_kit.finset import FinSetObj, all_functions
+from descent_kit.slices import (IdentityCartFunctor, SliceMor,
+                                sigma_pullback_adjunction, slice_isos)
+
+
+def _small_maps(e_labels=("e0", "e1", "e2"), b_labels=("b0", "b1")):
+    """The 19 maps m -> n with m <= 3 and 1 <= n <= 2, on the first m of
+    e_labels and the first n of b_labels, by m, then n, then in the order
+    of ``all_functions``."""
+    return [p for m in range(4) for n in range(1, 3)
+            for p in all_functions(FinSetObj(tuple(e_labels[:m])),
+                                   FinSetObj(tuple(b_labels[:n])))]
+
+
+SMALL_MAPS = _small_maps()
+
+
+@pytest.fixture
+def small_maps():
+    """The 19 maps; called with two label tuples, the same maps on those."""
+    return _small_maps
+
+
+def pytest_generate_tests(metafunc):
+    """A test that takes ``small_map`` runs once on each of the 19 maps."""
+    if "small_map" in metafunc.fixturenames:
+        metafunc.parametrize("small_map", SMALL_MAPS, ids=repr)
 
 
 def _raw_descent_data(fib, bound):
@@ -45,6 +71,39 @@ def _two_sided_inverse(cat, f):
 @pytest.fixture
 def two_sided_inverse():
     return _two_sided_inverse
+
+
+def _brute_slice_hom(x, y):
+    """The reference for hom-sets of a slice category: every function
+    between the carriers of x and y, in the order of ``all_functions``,
+    whose triangle commutes, checked element by element."""
+    return [SliceMor(x, y, f) for f in all_functions(x.dom, y.dom)
+            if all(y(f(e)) == x(e) for e in x.dom)]
+
+
+@pytest.fixture
+def brute_slice_hom():
+    return _brute_slice_hom
+
+
+def _full_by_walk(functor, bound):
+    """The reference for ``is_full``: the first member of the first target
+    hom-set, in enumeration order, that no image hits; every target is
+    walked, none counted."""
+    src, dst = functor.src, functor.dst
+    truncated = src.bounded or dst.bounded
+    for x in src.objects(bound):
+        for y in src.objects(bound):
+            hit = {functor.mor(f) for f in src.hom(x, y)}
+            for g in dst.hom(functor.obj(x), functor.obj(y)):
+                if g not in hit:
+                    return Decision(False, g, truncated)
+    return Decision(True, None, truncated)
+
+
+@pytest.fixture
+def full_by_walk():
+    return _full_by_walk
 
 
 def _cart_functors(fib):

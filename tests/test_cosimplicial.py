@@ -1,18 +1,12 @@
 import collections
 import dataclasses
 
-import pytest
-
 from descent_kit import cosimplicial
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.fincat import CategoryError, Functor, NatTrans
 from descent_kit.finset import FinFunction, FinSetObj, canonical_set, all_functions
 from descent_kit.mutations import invert_theta, swap_face_convention
 from descent_kit.slices import SliceCategory, SliceMor
-
-# every map m -> n with m <= 3 and 1 <= n <= 2
-SMALL_MAPS = [p for m in range(4) for n in range(1, 3)
-              for p in all_functions(canonical_set(m, "e"), canonical_set(n, "b"))]
 
 
 def fn(dom, cod, mapping):
@@ -90,18 +84,18 @@ def test_tampered_theta_detected():
                for f in rep.failures)
 
 
-def test_gate_on_twisted_theta_over_small_maps():
+def test_gate_on_twisted_theta_over_small_maps(small_maps):
     # at bound 1 no fiber has two elements to swap; at bound 2 only theta's
     # naturality breaks, reported at the generators whose squares fail
-    assert len(SMALL_MAPS) == 19
+    assert len(small_maps()) == 19
     for bound, want in [(1, {}), (2, {"theta: naturality": 25})]:
         seen = collections.Counter(
-            f.equation for p in SMALL_MAPS
+            f.equation for p in small_maps()
             for f in validate_coherence(invert_theta(basic_fibration(p, bound)), bound).failures)
         assert dict(seen) == want, bound
 
 
-def test_gate_builds_no_composite(monkeypatch):
+def test_gate_builds_no_composite(monkeypatch, small_maps):
     """The gate decides every square and equation pointwise: with slice and
     function composition and functor images (``Functor.mor``) refused, it
     gives the same reports on the 19 maps, plain and with theta twisted,
@@ -110,7 +104,7 @@ def test_gate_builds_no_composite(monkeypatch):
 
     def diagrams():
         out = []
-        for p in SMALL_MAPS:
+        for p in small_maps():
             fib = basic_fibration(p, 2)
             twisted = invert_theta(fib)
             for b0 in fib.c0.objects(2):
@@ -138,22 +132,21 @@ def test_gate_builds_no_composite(monkeypatch):
     assert {want[i] for i in raising} == {"raises non-composable slice morphisms"}
 
 
-def test_image_follows_the_built_mor_on_every_functor(image_mismatches):
+def test_image_follows_the_built_mor_on_every_functor(image_mismatches, small_maps):
     # the view of each face, composite and T = p*Σ_p gives the values of
     # the built mediating map, on the 19 maps at bound 2
     total = 0
-    for p in SMALL_MAPS:
+    for p in small_maps():
         bad, compared = image_mismatches(basic_fibration(p, 2), 2)
         assert bad == [], p
         total += compared
     assert total > 0
 
 
-@pytest.mark.parametrize("p", SMALL_MAPS, ids=repr)
-def test_faces_and_their_composites_preserve_composition(p):
+def test_faces_and_their_composites_preserve_composition(small_map):
     # deciding naturality on generators needs both functors of each square
     # to preserve identities and composition
-    fib = basic_fibration(p, 2)
+    fib = basic_fibration(small_map, 2)
     functors = [fib.d] + [f for _, _, src_f, dst_f, _ in fib.constraint_types()
                           for f in (src_f, dst_f)]
     assert len(functors) == 13
@@ -181,9 +174,9 @@ def _gate(p, mutate, bound):
     return out
 
 
-def test_gate_on_generators_agrees_with_every_square(monkeypatch):
+def test_gate_on_generators_agrees_with_every_square(monkeypatch, small_maps):
     mutations = [lambda fib: fib, invert_theta, swap_face_convention]
-    cases = [(p, mutate, bound) for p in SMALL_MAPS for mutate in mutations
+    cases = [(p, mutate, bound) for p in small_maps() for mutate in mutations
              for bound in (1, 2, 3)]
     assert len(cases) == 171
     on_generators = [_gate(*case) for case in cases]

@@ -9,14 +9,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
 from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
-                                 DescCategory, DescentDatum,
+                                 DescCategory, DescentDatum, DescMor,
                                  canonicalize_datum, classify, comparison,
                                  descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, is_equivalence,
-                                validate_category)
+from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, HomSet, is_equivalence,
+                                is_full, validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
-from descent_kit.slices import slice_isos
+from descent_kit.slices import SliceMor, slice_isos
 
 
 def fn(dom, cod, mapping):
@@ -127,13 +127,6 @@ def test_desc_category_passes_validate_category():
         assert validate_category(desc, 3) == []
 
 
-def small_maps():
-    """The 19 maps m -> n with m <= 3 and 1 <= n <= 2."""
-    for m in range(4):
-        for n in range(1, 3):
-            yield from all_functions(FinSetObj(tuple("abc"[:m])), FinSetObj(tuple("xy"[:n])))
-
-
 def _vectors_within(fiber_sizes, room):
     """How many vectors (n_c) have sum of fiber_sizes[c] * n_c <= room."""
     if not fiber_sizes:
@@ -142,7 +135,7 @@ def _vectors_within(fiber_sizes, room):
     return sum(_vectors_within(rest, room - size * n) for n in range(room // size + 1))
 
 
-def test_descent_data_count_matches_objects_over_the_image():
+def test_descent_data_count_matches_objects_over_the_image(small_maps):
     # Galois: Desc(p) is C/im(p), so its objects up to isomorphism with
     # level-1 carrier within b are the fiber-size vectors (n_c) over im(p)
     # whose pullback, of size sum |p^-1(c)| n_c, is within b
@@ -153,7 +146,7 @@ def test_descent_data_count_matches_objects_over_the_image():
             assert len(desc.objects()) == _vectors_within(fiber_sizes, bound), (p, bound)
 
 
-def test_desc_homs_fast_path_agrees_with_generic_filter():
+def test_desc_homs_fast_path_agrees_with_generic_filter(small_maps):
     from descent_kit.mutations import descent_category_without_cocycle
     cases = [DescCategory(basic_fibration(p, 3), 3) for p in small_maps()]
     # the cocycle mutant's objects include a 4-point non-datum
@@ -162,10 +155,11 @@ def test_desc_homs_fast_path_agrees_with_generic_filter():
         objs = desc.objects()
         for x in objs:
             for y in objs:
-                assert desc.hom(x, y) == desc._hom_generic(x, y), (x, y)
+                assert list(desc.hom(x, y)) == desc._hom_generic(x, y), (x, y)
 
 
-def test_enumeration_matches_the_brute_reference_on_small_maps(brute_descent_data):
+def test_enumeration_matches_the_brute_reference_on_small_maps(brute_descent_data,
+                                                              small_maps):
     for p in small_maps():
         for bound in range(5):
             fib = basic_fibration(p, bound)
@@ -202,7 +196,7 @@ def test_enumeration_and_homs_match_the_brute_reference_on_relabelled_maps(
     assert desc.objects() == brute_descent_data(fib, bound, pred)
     for x in desc.objects():
         for y in desc.objects():
-            assert desc.hom(x, y) == desc._hom_generic(x, y)
+            assert list(desc.hom(x, y)) == desc._hom_generic(x, y)
 
 
 @settings(max_examples=25, deadline=None,
@@ -241,10 +235,10 @@ def test_desc_homs_follow_the_carrier_order_of_a_hand_made_datum(labels):
     datum = DescentDatum(w, rho)
     generic = desc._hom_generic(point, datum)
     assert [m.m.fn(("x", 0)) for m in generic] == list(labels)
-    assert desc.hom(point, datum) == generic
+    assert list(desc.hom(point, datum)) == generic
 
 
-def test_desc_hom_counts_match_glued_homs():
+def test_desc_hom_counts_match_glued_homs(small_maps):
     # Galois: descend is an equivalence onto its image, so each hom-set of
     # Desc counts the maps over B between the glued objects
     pairs = 0
@@ -258,6 +252,86 @@ def test_desc_hom_counts_match_glued_homs():
                 assert len(desc.hom(x, y)) == len(fib.c0.hom(glued[x], glued[y])), (p, x, y)
                 pairs += 1
     assert pairs == 490
+
+
+def test_hom_sets_are_counted_listed_and_decided_as_the_brute_references(
+        small_maps, brute_slice_hom):
+    """On the 19 maps at bounds 1-3, and on 2 -> 1 at bound 4, every
+    hom-set of Desc(p) and of C/E is a ``HomSet`` whose count, taken
+    before any member is built, is the length of its list; it lists its
+    members in the order of the brute reference (``_hom_generic``,
+    ``brute_slice_hom``); and its ``in`` agrees with the brute filter on
+    every function between the carriers: a commuting triangle for C/E, and
+    one that is also equivariant for Desc(p), so every slice morphism of
+    c1.hom(x.w, y.w) is decided.  Below bound 4 every triangle between
+    enumerated data is equivariant; 2 -> 1 at bound 4 has some that are
+    not."""
+    counted = {"desc": 0, "slice": 0}
+    decided = {"desc": collections.Counter(), "slice": collections.Counter()}
+    cases = [(p, bound) for p in small_maps() for bound in (1, 2, 3)]
+    for p, bound in cases + [(two_to_one(), 4)]:
+        fib = basic_fibration(p, bound)
+        desc, c1 = DescCategory(fib, bound), fib.c1
+        pairs = [("desc", desc, x, y, x.w, y.w)
+                 for x in desc.objects() for y in desc.objects()]
+        pairs += [("slice", c1, x, y, x, y)
+                  for x in c1.objects(bound) for y in c1.objects(bound)]
+        for kind, cat, x, y, wx, wy in pairs:
+            hom = cat.hom(x, y)
+            assert isinstance(hom, HomSet)
+            size = len(hom)
+            members = list(hom)
+            assert size == len(members) == len(hom), (p, bound, x, y)
+            if kind == "desc":
+                assert members == desc._hom_generic(x, y), (p, bound, x, y)
+            else:
+                assert members == brute_slice_hom(x, y), (p, bound, x, y)
+            counted[kind] += size
+            for f in all_functions(wx.dom, wy.dom):
+                m = SliceMor(wx, wy, f)
+                triangle = want = all(wy(f(e)) == wx(e) for e in wx.dom)
+                if kind == "desc":
+                    assert m not in hom  # a triangle is no descent morphism
+                    want = triangle and is_descent_morphism(fib, x, y, m)
+                    m = DescMor(x, y, m)
+                assert (m in hom) == want, (p, bound, m)
+                decided[kind][triangle, want] += 1
+    assert counted == {"desc": 1205, "slice": 6866}
+    # (commutes over E, member)
+    assert decided == {"desc": {(False, False): 2508, (True, False): 14, (True, True): 1205},
+                       "slice": {(False, False): 46641, (True, True): 6866}}
+
+
+def test_full_by_counting_agrees_with_the_walk(small_maps, full_by_walk):
+    """``is_full`` counts each target hom-set and walks one only where the
+    counts differ; the reference walks them all.  The same decision and
+    witness for Phi of every map at bounds 1-3, with and without the even
+    predicate, and for the comparison onto the mutant that drops the hom
+    condition, whose extra morphisms no image hits."""
+    from descent_kit.mutations import descent_category_without_hom_condition
+
+    def even(carrier):
+        return len(carrier) % 2 == 0
+
+    outcomes = collections.Counter()
+    for p in small_maps():
+        for bound in (1, 2, 3):
+            for pred in (None, even):
+                phi = classify(p, bound, carrier_pred=pred).phi
+                got = is_full(phi, bound)
+                assert got == full_by_walk(phi, bound), (p, bound, pred)
+                outcomes[got.ok] += 1
+    assert outcomes == {True: 74, False: 40}
+    mutant = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2), 2)
+    phi = comparison(mutant)
+    got = is_full(phi, 2)
+    assert not got.ok and got == full_by_walk(phi, 2)
+    # the map that sends the point over a to copy 0 and the point over b to
+    # copy 1, which rho does not respect
+    witness = got.witness
+    assert (len(witness.src.w.dom), len(witness.dst.w.dom)) == (2, 4)
+    assert witness.m.values(witness.src.w.dom.elements) == [(("*", 0), "a"), (("*", 1), "b")]
+    assert not is_descent_morphism(mutant.diagram, witness.src, witness.dst, witness.m)
 
 
 def test_comparison_factorization_strict():
@@ -351,7 +425,7 @@ def test_canonicalize_datum_is_isomorphism_in_desc(raw_descent_data):
         assert iso.m.fn.is_bijective()
 
 
-def test_desc_is_isomorphism_agrees_with_the_inverse_search(two_sided_inverse):
+def test_desc_is_isomorphism_agrees_with_the_inverse_search(two_sided_inverse, small_maps):
     """Desc(p) decides invertibility on the underlying slice morphism; the
     reference searches the reverse hom-set for a two-sided inverse."""
     mismatches, compared, isos = [], 0, 0
@@ -462,12 +536,8 @@ def test_classify_takes_labels_of_mixed_type():
             assert (verdict == EFFECTIVE) == p.is_surjective()
 
 
-def test_classify_sweep_effective_iff_surjective():
+def test_classify_sweep_effective_iff_surjective(small_maps):
     # labels built from the characters a string pair codec would escape
-    e_labels, b_labels = ("\\", "(,)", ",\\("), ("(", "),")
-    for m in range(4):
-        for n in range(1, 3):
-            e, b = FinSetObj(e_labels[:m]), FinSetObj(b_labels[:n])
-            for p in all_functions(e, b):
-                verdict = classify(p, 2).verdict
-                assert (verdict == EFFECTIVE) == p.is_surjective(), (p, verdict)
+    for p in small_maps(("\\", "(,)", ",\\("), ("(", "),")):
+        verdict = classify(p, 2).verdict
+        assert (verdict == EFFECTIVE) == p.is_surjective(), (p, verdict)

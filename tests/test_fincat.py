@@ -6,7 +6,7 @@ import pytest
 
 from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, CategoryError,
                                 ComputableCategory,
-                                FinCategory, FullSubcategory, Functor, IdentityFunctor,
+                                FinCategory, FullSubcategory, Functor, HomSet, IdentityFunctor,
                                 NatTrans, TableFunctor, chain_category,
                                 discrete_category, find_isomorphism,
                                 is_equivalence, is_essentially_surjective,
@@ -308,3 +308,22 @@ def test_commutes_composes_both_paths_by_default():
         c.commutes([m("m02")], [m("m01"), m("m01")])
     pair = parallel_pair_category()
     assert not pair.commutes([pair.mor("f")], [pair.mor("g")])
+
+
+def test_hom_set_counts_and_decides_before_it_builds():
+    """A ``HomSet`` answers ``len`` and ``in`` without building, builds
+    once on first read, and refuses a build that disagrees with its count."""
+    builds = []
+
+    def build():
+        builds.append(1)
+        return ["f", "g"]
+
+    hom = HomSet(2, build, lambda m: m in ("f", "g"))
+    assert len(hom) == 2 and "g" in hom and "h" not in hom and builds == []
+    assert list(hom) == ["f", "g"] and hom[1] == "g" and hom[-1] == "g"
+    assert list(hom) == ["f", "g"] and builds == [1]
+    miscounted = HomSet(3, build, lambda m: False)
+    assert len(miscounted) == 3
+    with pytest.raises(CategoryError, match="built 2 members, counted 3"):
+        list(miscounted)
