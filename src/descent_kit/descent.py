@@ -25,10 +25,11 @@ conjugate of any datum; no decision calls it).
 level-2 point t, to v2.  A morphism is fixed by where it sends the first
 element of each orbit of these moves, so a hom-set of ``DescCategory`` is
 a product of per-orbit choices: a ``HomSet`` counted as the product of
-the choice counts, deciding membership by ``is_descent_morphism``, and
-built on first read in the carrier order of ``_hom_generic`` (the brute
-equivariance filter, its reference), never comparing labels; ``descend``
-glues along the same moves.
+the choice counts and built on first read in the carrier order of the
+brute equivariance filter, never comparing labels; ``descend`` glues
+along the same moves.  Membership is decided by the category's own
+check, ``is_descent_morphism``, where a morphism is made (``comparison``,
+``descend``); no hom-set is asked.
 
 A ``DescCategory`` holds the one input of every descent decision: the
 diagram, the enumeration bound and an optional carrier predicate.
@@ -201,11 +202,6 @@ class DescCategory(ComputableCategory):
         return enumerate_descent_data(self.diagram, bound,
                                       carrier_pred=self.carrier_pred)
 
-    def _hom_generic(self, x, y):
-        """The brute filter: every slice morphism that is equivariant."""
-        return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)
-                if is_descent_morphism(self.diagram, x, y, m)]
-
     def _hom(self, x, y) -> HomSet:
         """Morphisms by orbit: a product of choices, one per rho-orbit of x.w.
 
@@ -217,20 +213,20 @@ class DescCategory(ComputableCategory):
         can be undone by a chain of moves (rho is a fiberwise bijection and
         each element has its diagonal move), so an orbit reached from its
         first element is its whole connected component.  Same answers as
-        ``_hom_generic``.
+        the brute filter of every equivariant slice morphism.
 
         The hom-set is counted, not built: its size is the product of the
-        orbits' choice counts.  Membership is ``_is_hom_member``: the right
-        ends, then ``is_descent_morphism``.  The members
-        are assembled by ``_hom_members`` on first read, in
-        ``_hom_generic``'s order, by the carrier positions of the images,
-        element by element: orbits are met in the carrier order of their
-        first elements, so every element before the first of an orbit lies
-        in an earlier orbit, and two morphisms first differ at the first
-        element of the first orbit where their choices differ.  Each
-        orbit's choices come in the carrier order of y, in which that
-        element's image is tried, so ``itertools.product`` yields the maps
-        in order.
+        orbits' choice counts.  Membership is decided by the category's
+        own check, ``is_descent_morphism``, where a morphism is made, and
+        ``in`` compares with the built members.  The members are assembled
+        by ``_hom_members`` on first read, in the brute filter's order, by
+        the carrier positions of the images, element by element: orbits are
+        met in the carrier order of their first elements, so every element
+        before the first of an orbit lies in an earlier orbit, and two
+        morphisms first differ at the first element of the first orbit
+        where their choices differ.  Each orbit's choices come in the
+        carrier order of y, in which that element's image is tried, so
+        ``itertools.product`` yields the maps in order.
         """
         step = {(v, t): v2 for v, t, v2 in moves(self.diagram, y)}
         out_x: dict = {}
@@ -255,7 +251,6 @@ class DescCategory(ComputableCategory):
                         return None
             return assign
 
-        member = functools.partial(_is_hom_member, self.diagram, x, y)
         orbits = []
         reached: set = set()
         for first, b in wx.mapping:
@@ -264,11 +259,11 @@ class DescCategory(ComputableCategory):
             choices = [a for c in fiber_y.get(b, ())
                        if (a := follow(first, c)) is not None]
             if not choices:
-                return HomSet(0, list, member)
+                return HomSet(0, list)
             reached.update(choices[0])
             orbits.append([[(position[v], img) for v, img in a.items()] for a in choices])
         return HomSet(math.prod(map(len, orbits)),
-                      functools.partial(_hom_members, x, y, orbits), member)
+                      functools.partial(_hom_members, x, y, orbits))
 
     def identity(self, x: DescentDatum) -> DescMor:
         return DescMor(x, x, self.diagram.c1.identity(x.w))
@@ -305,21 +300,6 @@ def _hom_members(x: DescentDatum, y: DescentDatum, orbits: list) -> list[DescMor
         fn = FinFunction(wx.dom, wy.dom, tuple(zip(elements, images)))
         out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
     return out
-
-
-def _is_hom_member(diagram: BasicFibration, x: DescentDatum, y: DescentDatum, f) -> bool:
-    """Whether f is a morphism x -> y of Desc(p): a ``DescMor`` between x
-    and y whose map runs from x.w to y.w and passes
-    ``is_descent_morphism``.  A map that is no triangle over E fails too:
-    the image of every element of x.w under d0(m) is checked
-    (``SliceImage.values``), and one off its fiber raises ``FinSetError``."""
-    if not (isinstance(f, DescMor) and f.src == x and f.dst == y
-            and isinstance(f.m, SliceMor) and f.m.src == x.w and f.m.dst == y.w):
-        return False
-    try:
-        return is_descent_morphism(diagram, x, y, f.m)
-    except FinSetError:
-        return False
 
 
 class _Comparison(Functor):

@@ -11,10 +11,11 @@ component by component.
 
 A hom-set is a sequence of morphisms in enumeration order.  A table
 category lists it; a computable category whose hom-sets have a closed-form
-size hands out a ``HomSet``, which knows its length and decides membership
-with the category's own check before any member is built, and builds its
-members once, on first read.  So a decision that only counts, such as
-``is_full``, builds none.
+size hands out a ``HomSet``, which knows its length and builds its members
+once, on first read, so a decision that only counts builds none.  A
+hom-set is counted or built, never asked whether it holds a morphism:
+membership is decided by the category's own check where a morphism is
+made, and ``in`` compares with the built members.
 
 Functors (``obj``, ``mor``) and transformations (``at``) memoize their
 callables per key, so a value is built once and handed out identically
@@ -184,30 +185,27 @@ class FinCategory(Category):
 class HomSet(Sequence):
     """A hom-set that is counted before it is built.
 
-    Its length is given in closed form, and ``in`` asks member, the
-    category's own check, with no list built.  Iteration and indexing call
-    build once, on first read, and keep the members it returns, in the
+    Its length is given in closed form.  Iteration and indexing call build
+    once, on first read, and keep the members it returns, in the
     enumeration order of the category; a build that disagrees with the
-    count raises ``CategoryError``.  build and member are module-level
-    functions bound with ``functools.partial`` to what they read, never to
+    count raises ``CategoryError``.  ``in`` is ``Sequence``'s: it compares
+    with the built members, so membership is decided by the category's own
+    check, the one its members were built with.  build is a module-level
+    function bound with ``functools.partial`` to what it reads, never to
     the category: a hom-set is memoized by its category, and a reference
     back would make every memo a cycle that only the cyclic collector
     frees.
     """
 
-    __slots__ = ("_size", "_build", "_member", "_members")
+    __slots__ = ("_size", "_build", "_members")
 
-    def __init__(self, size: int, build: Callable[[], list], member: Callable[[Any], bool]):
+    def __init__(self, size: int, build: Callable[[], list]):
         self._size = size
         self._build = build
-        self._member = member
         self._members = None
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, m) -> bool:
-        return self._member(m)
 
     def __getitem__(self, i):
         return self._built()[i]
@@ -571,19 +569,14 @@ def is_faithful(functor: Functor, bound: Optional[int] = None) -> Decision:
 
 def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
     """Surjectivity of the morphism map onto hom(F x, F y) for enumerated
-    x, y, by counting: F is full at (x, y) when as many distinct images as
-    hom(F x, F y) has members lie in it, each checked by the hom-set's
-    ``in``, so a ``HomSet`` target is never built.  Only where the counts
-    differ is the target walked, in its order, for the first member that
-    no image hits: the witness."""
+    x, y: the first member of the first target, in enumeration order, that
+    no image hits is the witness."""
     src, dst = functor.src, functor.dst
     truncated = src.bounded or dst.bounded
     for x in src.objects(bound):
         for y in src.objects(bound):
             hit = {functor.mor(f) for f in src.hom(x, y)}
             target = dst.hom(functor.obj(x), functor.obj(y))
-            if len(hit) >= len(target) and sum(g in target for g in hit) == len(target):
-                continue
             missed = next((g for g in target if g not in hit), None)
             if missed is not None:
                 return Decision(False, missed, truncated)

@@ -61,7 +61,12 @@ class FinSetObj:
         object.__setattr__(self, "_hash", hash(self.elements))
 
     def __contains__(self, label: Hashable) -> bool:
-        return label in self._members
+        """Whether label is an element, at one hash; an unhashable label
+        lies in no set."""
+        try:
+            return label in self._members
+        except TypeError:
+            return False
 
     def includes(self, labels: Iterable[Hashable]) -> bool:
         """Whether every one of labels is an element, at one hash each; an
@@ -138,17 +143,19 @@ class FinFunction:
     def __call__(self, x: Hashable) -> Hashable:
         try:
             return self._table[x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise FinSetError(f"{x!r} is not in the domain {self.dom}") from None
 
     def values(self, elements: Iterable[Hashable]) -> list:
         """The image of each of elements, read off the table; one outside
-        the domain raises ``FinSetError``."""
+        the domain, an unhashable one included, raises ``FinSetError``."""
         table = self._table
         try:
             return [table[x] for x in elements]
         except KeyError as exc:
             raise FinSetError(f"{exc.args[0]!r} is not in the domain {self.dom}") from None
+        except TypeError:
+            raise FinSetError(f"an unhashable label is not in the domain {self.dom}") from None
 
     def __hash__(self):
         # equal functions have equal mappings, so the hash of the tuple of

@@ -14,8 +14,9 @@ function whose codomain check is the check that the triangle commutes,
 and caches it.  ``image(m)`` is a ``SliceImage``: the ends of the image
 and the rule, followed where a path is only compared, never built and
 never stored, with the same codomain check on every value it gives.  A
-hom-set of C/B is a ``HomSet``: counted off the fibers of its target,
-tested for membership by ``_is_slice_morphism`` and built on first read.
+hom-set of C/B is a ``HomSet``: counted off the fibers of its target and
+built on first read; membership is the category's own check, that the
+triangle commutes, which its members are built to pass.
 The enumerated C/B also lists generators (transpositions, merges and
 inclusions of fibers) whose composites give every morphism, so
 naturality is checked on them alone.
@@ -182,15 +183,14 @@ class SliceCategory(ComputableCategory):
         """Each element of x to a point of y's fiber over its base point:
         the product over b of |y_b|^|x_b| triangles.  A base point of x
         that y misses gives the empty hom-set before any fiber is listed.
-        Membership is ``_is_slice_morphism``; ``_slice_members`` builds the
-        members."""
-        member = functools.partial(_is_slice_morphism, x, y)
+        ``_slice_members`` builds the members, each a commuting triangle,
+        so ``in`` compares with them."""
         if not y.hits(b for _, b in x.mapping):
-            return HomSet(0, list, member)
+            return HomSet(0, list)
         fits = y.fibers()
         cands = [fits[b] for _, b in x.mapping]
         return HomSet(math.prod(map(len, cands)),
-                      functools.partial(_slice_members, x, y, cands), member)
+                      functools.partial(_slice_members, x, y, cands))
 
     def identity(self, x: FinFunction) -> SliceMor:
         return SliceMor(x, x, FinFunction.identity(x.dom))
@@ -228,13 +228,6 @@ def _slice_members(x: FinFunction, y: FinFunction, cands: list) -> list[SliceMor
     its candidates, the points of y's fiber over its base point."""
     return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice))))
             for choice in itertools.product(*cands)]
-
-
-def _is_slice_morphism(x: FinFunction, y: FinFunction, m) -> bool:
-    """Whether m is a morphism x -> y of C/B: a ``SliceMor`` between them
-    whose triangle commutes; ``SliceMor`` itself checks only that its map
-    runs between the carriers."""
-    return isinstance(m, SliceMor) and m.src == x and m.dst == y and _commutes_over_base(m)
 
 
 def _commutes_over_base(m: SliceMor) -> bool:

@@ -1,7 +1,7 @@
 import pytest
 
-from descent_kit.descent import DescentDatum, canonicalize_datum, is_descent_datum
-from descent_kit.fincat import Decision
+from descent_kit.descent import (DescentDatum, DescMor, canonicalize_datum,
+                                 is_descent_datum, is_descent_morphism)
 from descent_kit.finset import FinSetObj, all_functions
 from descent_kit.slices import (IdentityCartFunctor, SliceMor,
                                 sigma_pullback_adjunction, slice_isos)
@@ -86,24 +86,17 @@ def brute_slice_hom():
     return _brute_slice_hom
 
 
-def _full_by_walk(functor, bound):
-    """The reference for ``is_full``: the first member of the first target
-    hom-set, in enumeration order, that no image hits; every target is
-    walked, none counted."""
-    src, dst = functor.src, functor.dst
-    truncated = src.bounded or dst.bounded
-    for x in src.objects(bound):
-        for y in src.objects(bound):
-            hit = {functor.mor(f) for f in src.hom(x, y)}
-            for g in dst.hom(functor.obj(x), functor.obj(y)):
-                if g not in hit:
-                    return Decision(False, g, truncated)
-    return Decision(True, None, truncated)
+def _brute_desc_hom(desc, x, y):
+    """The reference for hom-sets of a descent category: every triangle
+    between the carriers of x and y (``_brute_slice_hom``), in its order,
+    that is equivariant."""
+    return [DescMor(x, y, m) for m in _brute_slice_hom(x.w, y.w)
+            if is_descent_morphism(desc.diagram, x, y, m)]
 
 
 @pytest.fixture
-def full_by_walk():
-    return _full_by_walk
+def brute_desc_hom():
+    return _brute_desc_hom
 
 
 def _cart_functors(fib):

@@ -90,6 +90,14 @@ def call_outside_domain():
     FinFunction.identity(FinSetObj(("a",)))("z")
 
 
+def call_on_an_unhashable_label():
+    FinFunction.identity(FinSetObj(("a",)))(["a"])
+
+
+def values_of_an_unhashable_label():
+    FinFunction.identity(FinSetObj(("a",))).values(["a", ["a"]])
+
+
 def identity_of_unknown_object():
     chain_category(2).identity("2")
 
@@ -196,6 +204,8 @@ def quotient_by_a_pair_with_an_unhashable_label():
     (non_composable_algebra_morphisms, CategoryError, "non-composable"),
     (non_commuting_bc_square, CategoryError, "does not commute"),
     (call_outside_domain, FinSetError, "not in the domain"),
+    (call_on_an_unhashable_label, FinSetError, r"\['a'\] is not in the domain"),
+    (values_of_an_unhashable_label, FinSetError, "unhashable label is not in the domain"),
     (identity_of_unknown_object, CategoryError, "missing identity for object '2'"),
     (unknown_table_morphism, CategoryError, "unknown morphism 'm10'"),
     (table_functor_missing_a_morphism, CategoryError,
@@ -224,3 +234,8 @@ def quotient_by_a_pair_with_an_unhashable_label():
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):
         bad()
+
+
+def test_an_unhashable_label_lies_in_no_set():
+    carrier = FinSetObj(("a",))
+    assert ["a"] not in carrier and not carrier.includes([["a"]])

@@ -310,20 +310,24 @@ def test_commutes_composes_both_paths_by_default():
     assert not pair.commutes([pair.mor("f")], [pair.mor("g")])
 
 
-def test_hom_set_counts_and_decides_before_it_builds():
-    """A ``HomSet`` answers ``len`` and ``in`` without building, builds
-    once on first read, and refuses a build that disagrees with its count."""
+def test_hom_set_counts_before_it_builds_and_decides_from_its_members():
+    """A ``HomSet`` answers ``len`` without building, builds once on first
+    read, answers ``in`` from the members it built, and refuses a build
+    that disagrees with its count."""
     builds = []
 
     def build():
         builds.append(1)
         return ["f", "g"]
 
-    hom = HomSet(2, build, lambda m: m in ("f", "g"))
-    assert len(hom) == 2 and "g" in hom and "h" not in hom and builds == []
+    hom = HomSet(2, build)
+    assert len(hom) == 2 and builds == []
+    assert "g" in hom and "h" not in hom and builds == [1]
     assert list(hom) == ["f", "g"] and hom[1] == "g" and hom[-1] == "g"
-    assert list(hom) == ["f", "g"] and builds == [1]
-    miscounted = HomSet(3, build, lambda m: False)
-    assert len(miscounted) == 3
+    assert list(hom) == ["f", "g"] and "f" in hom and builds == [1]
+    miscounted = HomSet(3, build)
+    assert len(miscounted) == 3 and builds == [1]
     with pytest.raises(CategoryError, match="built 2 members, counted 3"):
         list(miscounted)
+    with pytest.raises(CategoryError, match="built 2 members, counted 3"):
+        "f" in miscounted

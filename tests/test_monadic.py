@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -301,7 +302,9 @@ def test_datum_algebra_maps_need_a_top_tracking_monad():
 def test_benabou_roubaud_sweep_is_equivalence_and_round_trips(raw_descent_data, small_maps):
     # the paper's oracle on every map m -> n (m <= 3, 1 <= n <= 2), including
     # the empty, non-surjective and bijective classes; labels as in
-    # test_classify_sweep_effective_iff_surjective
+    # test_classify_sweep_effective_iff_surjective.  T_p is idempotent (every
+    # mu_x invertible) exactly when p is injective.
+    idempotent = collections.Counter()
     for p in small_maps(("\\", "(,)", ",\\("), ("(", "),")):
         res = benabou_roubaud(p, 2)
         assert res.verdict == EQUIVALENCE and res.factorizations_agree, p
@@ -309,6 +312,11 @@ def test_benabou_roubaud_sweep_is_equivalence_and_round_trips(raw_descent_data, 
         for datum in raw_descent_data(fib, 2):
             alg = datum_to_algebra(fib, res.monad, datum)
             assert algebra_to_datum(fib, res.monad, alg) == datum, (p, datum)
+        base = res.monad.base
+        idem = all(base.is_isomorphism(res.monad.mu.at(x)) for x in base.objects(2))
+        assert idem == p.is_injective(), p
+        idempotent[idem] += 1
+    assert idempotent == {True: 7, False: 12}
 
 
 def test_benabou_roubaud_connects_each_algebra_by_the_first_isomorphism(

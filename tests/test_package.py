@@ -6,7 +6,9 @@ library code sorts labels (``test_library_never_sorts``), no library code
 groups a map by its image outside ``FinFunction.fibers``
 (``test_library_groups_a_map_by_its_image_only_in_fibers``), no library
 code re-checks that a ``match_by_legs`` result is a bijection
-(``test_library_trusts_match_by_legs_to_be_a_bijection``), every public
+(``test_library_trusts_match_by_legs_to_be_a_bijection``), no library
+code asks a hom-set whether it holds a morphism
+(``test_library_never_asks_a_hom_set_for_membership``), every public
 name is used or listed, the most numerous value classes stay slotted, a
 dropped diagram leaves no cyclic garbage, memo keys store their hash, and
 the benchmark can still drive the library."""
@@ -193,6 +195,42 @@ def test_library_trusts_match_by_legs_to_be_a_bijection():
     for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}" for line in _bijectivity_rechecked(tree)]
+    assert found == []
+
+
+def _hom_membership_asked(tree):
+    """Lines of an ``in`` or ``not in`` whose right side is a ``.hom(...)``
+    call, directly or through a name a function binds to one."""
+
+    def hom_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "hom")
+
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        bound = {target.id for node in ast.walk(scope)
+                 if isinstance(node, ast.Assign) and hom_call(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        found.update(node.lineno for node in ast.walk(scope)
+                     if isinstance(node, ast.Compare)
+                     for op, right in zip(node.ops, node.comparators)
+                     if isinstance(op, (ast.In, ast.NotIn))
+                     and (hom_call(right) or isinstance(right, ast.Name)
+                          and right.id in bound))
+    return sorted(found)
+
+
+def test_library_never_asks_a_hom_set_for_membership():
+    """A hom-set is counted or built, never asked ``in``: whether a
+    morphism lies in it is decided by the category's own check where the
+    morphism is made, and ``in`` on a ``HomSet`` would build it only to
+    compare."""
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _hom_membership_asked(tree)]
     assert found == []
 
 
