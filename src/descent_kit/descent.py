@@ -15,21 +15,25 @@ every two points of E are joined by exactly one arrow of Eq(p), so a
 level-1 object w: W -> E carries a datum exactly when its fiber sizes are
 constant along each fiber of p, and then every datum on w is conjugate to
 every other under a relabelling of W.  ``enumerate_descent_data``
-therefore builds one datum per such canonical w and tries no candidate
-rho: it keeps the one that matches the i-th point over e0 with the i-th
-point over e1, which on a canonical carrier is the conjugate least in the
-element order of d0(w) (``canonicalize_datum`` walks Aut(w) for that
-conjugate of any datum; no decision calls it).
+therefore builds only those canonical w, walking the fiber-size vectors
+constant on the fibers of p (``SliceCategory.objects_constant_on``), and
+one datum on each; it tries no candidate rho.  It keeps the one that
+matches the i-th point over e0 with the i-th point over e1, which on a
+canonical carrier is the conjugate least in the element order of d0(w)
+(``canonicalize_datum`` walks Aut(w) for that conjugate of any datum; no
+decision calls it).
 
 ``moves`` lists a datum as the groupoid acts: rho carries v, seen over a
-level-2 point t, to v2.  A morphism is fixed by where it sends the first
-element of each orbit of these moves, so a hom-set of ``DescCategory`` is
-a product of per-orbit choices: a ``HomSet`` counted as the product of
-the choice counts and built on first read in the carrier order of the
-brute equivariance filter, never comparing labels; ``descend`` glues
-along the same moves.  Membership is decided by the category's own
-check, ``is_descent_morphism``, where a morphism is made (``comparison``,
-``descend``); no hom-set is asked.
+level-2 point t, to v2, each read off the pairs of rho's table.  A
+morphism is fixed by where it sends the first element of each orbit of
+these moves, so a hom-set of ``DescCategory`` is a product of per-orbit
+choices: a ``HomSet`` counted as the product of the choice counts and
+built on first read in the carrier order of the brute equivariance
+filter, never comparing labels.  ``DescCategory`` tabulates each datum's
+moves once, beside its hom memo, and every hom-set reads the tables of
+its two ends; ``descend`` glues along the same moves.  Membership is
+decided by the category's own check, ``is_descent_morphism``, where a
+morphism is made (``comparison``, ``descend``); no hom-set is asked.
 
 A ``DescCategory`` holds the one input of every descent decision: the
 diagram, the enumeration bound and an optional carrier predicate.
@@ -46,7 +50,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
@@ -91,18 +95,17 @@ def is_descent_morphism(diagram: BasicFibration, x: DescentDatum,
     return diagram.c2.commutes([x.rho, diagram.d0.image(m)], [diagram.d1.image(m), y.rho])
 
 
-def moves(diagram: BasicFibration, datum: DescentDatum) -> list[tuple]:
+def moves(datum: DescentDatum) -> list[tuple]:
     """How rho moves elements: (top1(u), base(u), top0(rho(u))) for each u
     in d1(w), in carrier order.
 
     A move (v, t, v2) says rho carries v, seen over the level-2 point t,
-    to v2.  The orbits of ``DescCategory._hom`` and the classes that
-    ``descend`` glues are both read off these triples.
+    to v2.  An element of a chosen pullback is the pair (top, base), so
+    both tops are read off the pairs of rho's table.  The orbits of
+    ``DescCategory._hom`` and the classes that ``descend`` glues are both
+    read off these triples.
     """
-    w = datum.w
-    d1w = diagram.d1.obj(w)
-    top1, top0 = diagram.d1.top(w), diagram.d0.top(w)
-    return [(top1(u), t, top0(datum.rho.fn(u))) for u, t in d1w.mapping]
+    return [(v, t, u2[0]) for (v, t), u2 in datum.rho.fn.mapping]
 
 
 def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
@@ -114,22 +117,23 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
     A canonical w: W -> E carries a datum exactly when its fiber sizes are
     constant along each fiber of p, and then all data on w are conjugate
     under relabellings of W (see the module docstring), so each such w
-    gives one datum and no candidate rho is tried.  The one kept is
-    ``_index_datum``: over each point (e0, e1) of E×_B E, rho sends the
-    i-th point of w over e0 to the i-th point over e1, in carrier order.
-    On a canonical carrier this is the conjugate least in the element
-    order of d0(w), the one ``canonicalize_datum`` picks.  Each datum is
-    still checked by ``is_descent_datum``; one that fails means the diagram
-    is not the basic fibration it claims to be, and raises
+    gives one datum and no candidate rho is tried.  Only those carriers
+    are built: ``SliceCategory.objects_constant_on`` walks the fiber-size
+    vectors constant on the fibers of p, in the order of ``objects``.  The
+    datum kept is ``_index_datum``: over each point (e0, e1) of E×_B E,
+    rho sends the i-th point of w over e0 to the i-th point over e1, in
+    carrier order.  On a canonical carrier this is the conjugate least in
+    the element order of d0(w), the one ``canonicalize_datum`` picks.  Each
+    datum is still checked by ``is_descent_datum``; one that fails means
+    the diagram is not the basic fibration it claims to be, and raises
     ``TheoremViolation`` rather than dropping the object.
     """
     out = []
-    for w in diagram.c1.objects(bound):
+    blocks = diagram.d.u.fibers().values()
+    for w in diagram.c1.objects_constant_on(blocks, bound):
         if carrier_pred is not None and not carrier_pred(w.dom):
             continue
         rho = _index_datum(diagram, w)
-        if rho is None:
-            continue
         ok, which = is_descent_datum(diagram, w, rho)
         if not ok:
             raise TheoremViolation(f"the index-matching datum on {w!r} fails "
@@ -138,26 +142,21 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
     return out
 
 
-def _index_datum(diagram: BasicFibration, w: FinFunction) -> Optional[SliceMor]:
+def _index_datum(diagram: BasicFibration, w: FinFunction) -> SliceMor:
     """rho: d1(w) -> d0(w) matching the i-th point of w over e0 with the
-    i-th point over e1 at each (e0, e1), or None when the fiber sizes of w
-    differ within a fiber of p; both kinds of fiber are read off
-    ``FinFunction.fibers``.
+    i-th point over e1 at each (e0, e1), the points of each fiber of w in
+    carrier order (``FinFunction.fibers``).  w's fiber sizes must be
+    constant along each fiber of p, as ``enumerate_descent_data`` chooses
+    them, so that every point has its match.
 
-    Read off the two top projections and the structure maps: an element u
-    of d1(w) sits over t = d1(w)(u) and came from top1(u) in W.
+    An element of d0(w) or d1(w) is the pair (v, t) of its top v in W and
+    the level-2 point t it lies over, so both are read off the pairs.
     """
-    fibers = w.fibers()
-    for over_b in diagram.d.u.fibers().values():
-        if len({len(fibers.get(e, ())) for e in over_b}) > 1:
-            return None
-    index = {v: i for points in fibers.values() for i, v in enumerate(points)}
+    index = {v: i for points in w.fibers().values() for i, v in enumerate(points)}
     d1w, d0w = diagram.d1.obj(w), diagram.d0.obj(w)
-    target = {(t, index[v]): u
-              for (u, v), (_, t) in zip(diagram.d0.top(w).mapping, d0w.mapping)}
+    target = {(u[1], index[u[0]]): u for u in d0w.dom.elements}
     fn = FinFunction(d1w.dom, d0w.dom, tuple(
-        (u, target[t, index[v]])
-        for (u, v), (_, t) in zip(diagram.d1.top(w).mapping, d1w.mapping)))
+        (u, target[u[1], index[u[0]]]) for u in d1w.dom.elements))
     return SliceMor(d1w, d0w, fn)
 
 
@@ -188,19 +187,43 @@ def canonicalize_datum(diagram: BasicFibration,
     return best, DescMor(datum, best, best_g)
 
 
+class _MoveTable(NamedTuple):
+    """What ``DescCategory._hom`` reads of one datum, from one ``moves``."""
+
+    out: dict       # v -> the moves (t, v2) out of v, in carrier order
+    step: dict      # (v, t) -> v2
+    position: dict  # v -> its position in the carrier of w
+    fibers: dict    # w.fibers()
+
+
 class DescCategory(ComputableCategory):
     """The descent data of a basic fibration with level-1 carrier within
-    the bound, and only those whose carrier passes carrier_pred if given."""
+    the bound, and only those whose carrier passes carrier_pred if given.
+    Beside the hom memo it keeps each datum's move table (``_table``)."""
 
     def __init__(self, diagram: BasicFibration, bound: int = 4,
                  carrier_pred: Optional[Callable[[FinSetObj], bool]] = None):
         super().__init__(bound)
         self.diagram = diagram
         self.carrier_pred = carrier_pred
+        self._tables: dict = {}
 
     def _objects(self, bound):
         return enumerate_descent_data(self.diagram, bound,
                                       carrier_pred=self.carrier_pred)
+
+    def _table(self, x: DescentDatum) -> _MoveTable:
+        """x's moves tabulated once, however many hom-sets read them."""
+        table = self._tables.get(x)
+        if table is None:
+            out: dict = {}
+            step = {}
+            for v, t, v2 in moves(x):
+                out.setdefault(v, []).append((t, v2))
+                step[v, t] = v2
+            position = {v: i for i, v in enumerate(x.w.dom.elements)}
+            table = self._tables[x] = _MoveTable(out, step, position, x.w.fibers())
+        return table
 
     def _hom(self, x, y) -> HomSet:
         """Morphisms by orbit: a product of choices, one per rho-orbit of x.w.
@@ -213,7 +236,9 @@ class DescCategory(ComputableCategory):
         can be undone by a chain of moves (rho is a fiberwise bijection and
         each element has its diagonal move), so an orbit reached from its
         first element is its whole connected component.  Same answers as
-        the brute filter of every equivariant slice morphism.
+        the brute filter of every equivariant slice morphism.  The moves
+        out of x, the steps of y, x's carrier positions and y's fibers are
+        read off the two move tables, each built once per datum.
 
         The hom-set is counted, not built: its size is the product of the
         orbits' choice counts.  Membership is decided by the category's
@@ -228,14 +253,9 @@ class DescCategory(ComputableCategory):
         carrier order of y, in which that element's image is tried, so
         ``itertools.product`` yields the maps in order.
         """
-        step = {(v, t): v2 for v, t, v2 in moves(self.diagram, y)}
-        out_x: dict = {}
-        for v, t, v2 in moves(self.diagram, x):
-            out_x.setdefault(v, []).append((t, v2))
-        wx, wy = x.w, y.w
-        fiber_y = wy.fibers()
-        elements = wx.dom.elements
-        position = {v: i for i, v in enumerate(elements)}
+        tx, ty = self._table(x), self._table(y)
+        out_x, position = tx.out, tx.position
+        step, fiber_y = ty.step, ty.fibers
 
         def follow(first, cand) -> Optional[dict]:
             assign = {first: cand}
@@ -253,7 +273,7 @@ class DescCategory(ComputableCategory):
 
         orbits = []
         reached: set = set()
-        for first, b in wx.mapping:
+        for first, b in x.w.mapping:
             if first in reached:
                 continue
             choices = [a for c in fiber_y.get(b, ())
@@ -362,7 +382,7 @@ def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
         raise CategoryError(f"invalid descent datum: {which} equation fails")
     p = fib.d.u
     w = datum.w
-    pairs = [(v, v2) for v, _, v2 in moves(fib, datum)]
+    pairs = [(v, v2) for v, _, v2 in moves(datum)]
     q, proj = quotient(w.dom, pairs)
 
     glued = FinFunction.of(q, p.cod, lambda cls: p(w(cls)))
@@ -372,7 +392,7 @@ def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
     # a class over two base points leaves an element of w unmatched
     pg = fib.d.obj(glued)
     try:
-        fn = match_by_legs(pg.dom, [[fib.d.top(glued)], [pg]], w.dom, [[proj], [w]])
+        fn = match_by_legs(pg.dom, [fib.d.tops(glued), [pg]], w.dom, [[proj], [w]])
     except FinSetError as exc:
         raise TheoremViolation(f"datum {datum} does not glue: {exc}") from exc
     iso = DescMor(DescentDatum(pg, fib.theta.at(glued)), datum, SliceMor(pg, w, fn))

@@ -245,15 +245,21 @@ class ComputableCategory(Category):
         bound = self.default_bound if bound is None else bound
         out = self._objects_memo.get(bound)
         if out is None:
-            try:
-                negative = operator.index(bound) < 0
-            except TypeError:
-                raise CategoryError(
-                    f"enumeration bound must be an integer, not {bound!r}") from None
-            if negative:
-                raise CategoryError(f"negative enumeration bound {bound}")
-            out = self._objects_memo[bound] = self._objects(bound)
+            out = self._objects_memo[bound] = self._objects(self._bound(bound))
         return list(out)
+
+    def _bound(self, bound) -> int:
+        """bound, or the default bound for None, checked: an enumeration
+        reads its bound through here."""
+        bound = self.default_bound if bound is None else bound
+        try:
+            negative = operator.index(bound) < 0
+        except TypeError:
+            raise CategoryError(
+                f"enumeration bound must be an integer, not {bound!r}") from None
+        if negative:
+            raise CategoryError(f"negative enumeration bound {bound}")
+        return bound
 
     def hom(self, x, y):
         key = (x, y)
@@ -569,8 +575,11 @@ def is_faithful(functor: Functor, bound: Optional[int] = None) -> Decision:
 
 def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
     """Surjectivity of the morphism map onto hom(F x, F y) for enumerated
-    x, y: the first member of the first target, in enumeration order, that
-    no image hits is the witness."""
+    x, y.  The witness is (x, y, missed): the first pair, in enumeration
+    order, whose target has a member that no image of hom(x, y) hits, and
+    the first such member.  The pair is part of the witness because missed
+    alone does not show the miss: another pair with the same images may
+    hit it."""
     src, dst = functor.src, functor.dst
     truncated = src.bounded or dst.bounded
     for x in src.objects(bound):
@@ -579,7 +588,7 @@ def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
             target = dst.hom(functor.obj(x), functor.obj(y))
             missed = next((g for g in target if g not in hit), None)
             if missed is not None:
-                return Decision(False, missed, truncated)
+                return Decision(False, (x, y, missed), truncated)
     return Decision(True, None, truncated)
 
 

@@ -6,7 +6,10 @@ All constructions (pullback, quotient, coproduct) choose a canonical
 result, so iterated constructions compose up to canonical isomorphism,
 never on the nose.  An element of a chosen pullback is the
 Python tuple ``(x, y)`` of its two components, so iterated pullbacks nest
-tuples and a witness prints as Python's own repr of them.  Every
+tuples and a witness prints as Python's own repr of them.  A ``Pullback``
+builds its second projection, the object of a slice that change of base
+hands out, and builds its first only when read; a path that only follows
+the first projection reads it off the pairs (``FirstProjection``).  Every
 fiberwise algorithm groups a map by its image with ``FinFunction.fibers``.
 
 Every ``FinFunction`` is built by its one constructor, which checks it:
@@ -228,10 +231,48 @@ def follow(path: Iterable[FinFunction], elements: Iterable[Hashable]) -> list:
     return values
 
 
-class Pullback(NamedTuple):
-    obj: FinSetObj
-    pr1: FinFunction
-    pr2: FinFunction
+class Pullback:
+    """A chosen pullback of f: X -> Z <- Y : g: its carrier obj, a set of
+    pairs (x, y), and the projection pr2 to Y.  The projection pr1 to X is
+    built on first read, with the checked constructor, and kept; a reader
+    that only follows it reads it off the pairs (``FirstProjection``)."""
+
+    __slots__ = ("obj", "pr2", "_factor1", "_pr1")
+
+    def __init__(self, obj: FinSetObj, pr2: FinFunction, factor1: FinSetObj):
+        self.obj = obj
+        self.pr2 = pr2
+        self._factor1 = factor1  # X, the codomain of pr1
+        self._pr1 = None
+
+    @property
+    def pr1(self) -> FinFunction:
+        pr1 = self._pr1
+        if pr1 is None:
+            pr1 = self._pr1 = FinFunction(self.obj, self._factor1,
+                                          tuple((t, t[0]) for t in self.obj.elements))
+        return pr1
+
+
+class FirstProjection:
+    """(x, y) |-> x on the carrier of a chosen pullback, read off the pairs
+    and never tabulated.  ``values`` keeps the domain check of
+    ``FinFunction.values``, so a path through it is followed
+    (``follow``) as through the built pr1."""
+
+    __slots__ = ("dom",)
+
+    def __init__(self, dom: FinSetObj):
+        self.dom = dom
+
+    def values(self, elements: list) -> list:
+        # the carrier itself, in order, lies in the carrier with no hash
+        # taken: a path's first step is followed from it
+        dom = self.dom
+        if tuple(elements) != dom.elements and not dom.includes(elements):
+            x = next(x for x in elements if x not in dom)
+            raise FinSetError(f"{x!r} is not in the domain {dom}")
+        return [t[0] for t in elements]
 
 
 def pullback(f: FinFunction, g: FinFunction) -> Pullback:
@@ -240,16 +281,14 @@ def pullback(f: FinFunction, g: FinFunction) -> Pullback:
     The carrier is the set of tuples (x, y) with f(x) = g(y), ordered
     lexicographically in the (dom(f), dom(g)) element orders.  It is joined
     by fiber: each x is paired with the fiber of g over f(x), read off
-    ``g.fibers()``, in dom(g) order.
+    ``g.fibers()``, in dom(g) order.  Only pr2 is built here.
     """
     if f.cod != g.cod:
         raise FinSetError(f"codomain mismatch: {f.cod} vs {g.cod}")
     fiber_of = g.fibers()
     pairs = tuple((x, y) for x, z in f.mapping for y in fiber_of.get(z, ()))
     obj = FinSetObj(pairs)
-    pr1 = FinFunction(obj, f.dom, tuple((t, t[0]) for t in pairs))
-    pr2 = FinFunction(obj, g.dom, tuple((t, t[1]) for t in pairs))
-    return Pullback(obj, pr1, pr2)
+    return Pullback(obj, FinFunction(obj, g.dom, tuple((t, t[1]) for t in pairs)), f.dom)
 
 
 def mediating_map(pb: Pullback, q1: FinFunction, q2: FinFunction) -> FinFunction:
@@ -262,7 +301,7 @@ def mediating_map(pb: Pullback, q1: FinFunction, q2: FinFunction) -> FinFunction
     """
     if q1.dom != q2.dom:
         raise FinSetError("cone legs must share a domain")
-    if q1.cod != pb.pr1.cod or q2.cod != pb.pr2.cod:
+    if q1.cod != pb._factor1 or q2.cod != pb.pr2.cod:
         raise FinSetError("cone legs must land in the factors of the pullback")
     return FinFunction(q1.dom, pb.obj, tuple((w, (q1(w), q2(w))) for w in q1.dom.elements))
 

@@ -275,7 +275,7 @@ def _monad_to_d1(fib: BasicFibration, monad: Monad, w) -> FinFunction:
     tw, d1w = monad.t.obj(w), fib.d1.obj(w)
     return match_by_legs(
         tw.dom, [monad.t.tops(w), [tw]],
-        d1w.dom, [[fib.d1.top(w)], [d1w, fib.d0.u]])
+        d1w.dom, [fib.d1.tops(w), [d1w, fib.d0.u]])
 
 
 def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> Algebra:
@@ -302,7 +302,7 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
     to_x = [_monad_to_d1(fib, monad, x).inverse(), alg.a.fn]
     try:
-        fn = match_by_legs(d1x.dom, [to_x, [d1x]], d0x.dom, [[fib.d0.top(x)], [d0x]])
+        fn = match_by_legs(d1x.dom, [to_x, [d1x]], d0x.dom, [fib.d0.tops(x), [d0x]])
     except FinSetError as exc:
         raise TheoremViolation(f"algebra {alg} does not induce an invertible datum: "
                                f"{exc}") from exc

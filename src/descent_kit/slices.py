@@ -4,9 +4,13 @@ An object of C/B is its structure map: a ``FinFunction`` X -> B, whose
 domain X is the carrier.  A morphism is a commuting triangle, a
 ``SliceMor``; it stores its hash at construction, as ``FinFunction``
 does, since the memos of functors and transformations hash them on every
-lookup.  Change of base along p: E -> B is pullback along p, with the
-chosen pullbacks of finset; each functor caches its values so repeated
-applications return identical (not merely isomorphic) results.  A
+lookup.  The canonical objects of C/B are listed by fiber-size vector,
+and ``objects_constant_on`` lists only those whose fiber sizes are equal
+over each of given blocks of base points, by the same vector-to-object
+rule and in the same order.  Change of base along p: E -> B is pullback
+along p, with the chosen pullbacks of finset; each functor caches its
+values so repeated applications return identical (not merely isomorphic)
+results.  A
 morphism m has its image two ways, by one per-element rule,
 w |-> (m(top w), base w) (``ChangeOfBase._values``).  ``mor(m)`` builds
 the mediating map into the chosen pullback by that rule, one checked
@@ -30,7 +34,11 @@ building a composite function, a triangle or a functor's image.
 Every functor built here tracks a "top" projection F(X) -> X, as the path
 of maps it composes (``CartFunctor.tops``).  By default a functor keeps
 the carrier, as Σ and the identity do: its top path is empty and F(m)
-has the values of m; change of base overrides both.  Two composites of such
+has the values of m; change of base overrides both.  Its top is read off
+the pair (top, base) that an element of a chosen pullback is
+(``finset.FirstProjection``), so a path that follows it builds no
+projection table; ``ChangeOfBase.top`` builds one for a reader that
+needs the function itself.  Two composites of such
 functors whose underlying base maps agree are pullbacks of the same
 cospan, so their values are canonically isomorphic by matching elements on
 (top, base), following each path pointwise; ``comparison_iso`` packages
@@ -48,9 +56,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .finset import (FinFunction, FinSetObj, FinSetError, Pullback,
-                     all_functions, canonical_set, follow, mediating_map,
-                     pullback)
+from .finset import (FinFunction, FinSetObj, FinSetError, FirstProjection,
+                     Pullback, all_functions, canonical_set, follow,
+                     mediating_map, pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
                      Functor, HomSet, IdentityFunctor, NatTrans, path_ends)
 
@@ -129,17 +137,38 @@ class SliceCategory(ComputableCategory):
         self._generators_memo: dict = {}
 
     def _objects(self, bound: int) -> list[FinFunction]:
-        """Canonical objects: one per fiber-size vector with total <= bound.
+        """Canonical objects: one per fiber-size vector with total <= bound,
+        the vectors in lexicographic order (``objects_constant_on`` with no
+        blocks)."""
+        return list(self.objects_constant_on((), bound))
 
-        The object with fibers (n_b) has carrier labels (b, i), i < n_b.
+    def objects_constant_on(self, blocks, bound: Optional[int] = None):
+        """The canonical objects within bound whose fiber sizes are equal
+        over the points of each of blocks, disjoint nonempty lists of base
+        points, in the order of ``objects`` and one at a time.
+
+        Only those objects are built: a fiber-size vector is chosen entry by
+        entry in base order, and the entry of a point that is not the first
+        of its block copies the first's, whose choice is charged for the
+        whole block.  A vector is fixed by its free entries, so choosing
+        them in increasing order keeps the lexicographic order of
+        ``objects``, with nothing sorted.  The object with fibers (n_b) has
+        carrier labels (b, i), i < n_b.
         """
-        out = []
-        base_elems = self.base.elements
-        for vec in _vectors(len(base_elems), bound):
-            mapping = tuple(((b, i), b) for b, n in zip(base_elems, vec) for i in range(n))
-            carrier = FinSetObj(tuple(lbl for lbl, _ in mapping))
-            out.append(FinFunction(carrier, self.base, mapping))
-        return out
+        bound = self._bound(bound)
+        base = self.base
+        position = {b: i for i, b in enumerate(base.elements)}
+        ties = list(range(len(position)))
+        costs = [1] * len(ties)
+        for block in blocks:
+            at = [position[b] for b in block]
+            first = min(at)
+            for i in at:
+                ties[i] = first
+            costs[first] = len(at)
+        for vec in _vectors(bound, ties, costs):
+            mapping = tuple(((b, i), b) for b, n in zip(base.elements, vec) for i in range(n))
+            yield FinFunction(FinSetObj(tuple(lbl for lbl, _ in mapping)), base, mapping)
 
     def generators(self, bound: Optional[int] = None) -> list[SliceMor]:
         """Three kinds of morphism between the canonical objects, by source
@@ -164,7 +193,8 @@ class SliceCategory(ComputableCategory):
 
     def _generators(self, bound: int) -> list[SliceMor]:
         base_elems = self.base.elements
-        by_vec = dict(zip(_vectors(len(base_elems), bound), self.objects(bound)))
+        k = len(base_elems)
+        by_vec = dict(zip(_vectors(bound, range(k), [1] * k), self.objects(bound)))
         out = []
         for vec, x in by_vec.items():
             room = sum(vec) < bound
@@ -240,14 +270,18 @@ def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
         (e, moved.get(e, e)) for e in x.dom.elements)))
 
 
-def _vectors(k: int, total: int):
-    """All k-vectors of naturals with sum <= total, lexicographically."""
-    if k == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in _vectors(k - 1, total - head):
-            yield (head,) + tail
+def _vectors(room: int, ties, costs, head: tuple = ()):
+    """The vectors of naturals that extend head, lexicographically: entry i
+    copies entry ties[i] where ties[i] < i, and is otherwise free and costs
+    costs[i] per unit out of room."""
+    i = len(head)
+    if i == len(ties):
+        yield head
+    elif ties[i] < i:
+        yield from _vectors(room, ties, costs, head + (head[ties[i]],))
+    else:
+        for n in range(room // costs[i] + 1):
+            yield from _vectors(room - n * costs[i], ties, costs, head + (n,))
 
 
 class CartFunctor(Functor):
@@ -265,7 +299,7 @@ class CartFunctor(Functor):
     keeps the carrier: the top path is empty and F(m) has m's values.
     """
 
-    def tops(self, x: FinFunction) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list:
         return []
 
     def image(self, m) -> SliceImage:
@@ -284,7 +318,7 @@ class CartFunctor(Functor):
 
 
 class ComposedCartFunctor(ComposedFunctor, CartFunctor):
-    def tops(self, x: FinFunction) -> list[FinFunction]:
+    def tops(self, x: FinFunction) -> list:
         return self.second.tops(self.first.obj(x)) + self.first.tops(x)
 
     def _values(self, of_m, elements) -> list:
@@ -319,10 +353,15 @@ class ChangeOfBase(CartFunctor):
             return self._pullbacks[x]
 
     def top(self, x: FinFunction) -> FinFunction:
+        """The top projection obj(x) -> x, built: the pullback's pr1."""
         return self.pullback_of(x).pr1
 
-    def tops(self, x: FinFunction) -> list[FinFunction]:
-        return [self.top(x)]
+    def tops(self, x: FinFunction) -> list:
+        """The top projection as a path that is only followed: an element
+        of the chosen pullback is the pair (top, base), so its top is read
+        off the pair and no pr1 table is built; an element outside the
+        carrier raises ``FinSetError``."""
+        return [FirstProjection(self.pullback_of(x).obj)]
 
     def _values(self, of_m, elements) -> list:
         """w |-> (m(top w), base w): an element of the chosen pullback is

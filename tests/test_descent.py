@@ -10,8 +10,8 @@ from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
 from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  DescCategory, DescentDatum, DescMor,
-                                 canonicalize_datum, classify, comparison,
-                                 descend, enumerate_descent_data,
+                                 _index_datum, canonicalize_datum, classify,
+                                 comparison, descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
 from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, HomSet, is_equivalence,
                                 is_full, validate_category)
@@ -166,6 +166,63 @@ def test_enumeration_matches_the_brute_reference_on_small_maps(brute_descent_dat
             assert enumerate_descent_data(fib, bound) == brute_descent_data(fib, bound), (p, bound)
 
 
+def test_enumeration_builds_only_the_carriers_that_carry_a_datum(small_maps):
+    """Over the 19 maps at bounds 0-5, with and without the even predicate,
+    Desc(p) lists the data of the route that lists every canonical object
+    of C/E: those whose fiber sizes are constant on each fiber of p, each
+    with its index-matching rho, in the same order; and it finds them
+    without enumerating C/E."""
+
+    def even(carrier):
+        return len(carrier) % 2 == 0
+
+    listed = 0
+    for p in small_maps():
+        blocks = list(p.fibers().values())
+        for bound in range(6):
+            for pred in (None, even):
+                fib = basic_fibration(p, bound)
+                data = DescCategory(fib, bound, carrier_pred=pred).objects()
+                assert fib.c1._objects_memo == {}, (p, bound)
+                want = [DescentDatum(w, _index_datum(fib, w)) for w in fib.c1.objects(bound)
+                        if (pred is None or pred(w.dom))
+                        and all(len({len(w.fibers().get(e, ())) for e in block}) == 1
+                                for block in blocks)]
+                assert data == want, (p, bound, pred)
+                listed += len(data)
+    assert listed == 732
+
+
+def test_hom_counts_tabulate_each_datum_once(monkeypatch):
+    # glue's 3to2_21 at bound 5: 12 data and 6238 morphisms over 144 pairs,
+    # each datum's moves listed once, in the order the pairs first meet it
+    from descent_kit import descent
+    desc = DescCategory(basic_fibration(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 5), 5)
+    data = desc.objects()
+    listed = []
+    moves = descent.moves
+
+    def counting(datum):
+        listed.append(datum)
+        return moves(datum)
+
+    monkeypatch.setattr(descent, "moves", counting)
+    assert sum(len(desc.hom(x, y)) for x in data for y in data) == 6238
+    assert listed == data and len(data) == 12
+
+
+def test_classify_follows_no_top_table():
+    # the comparison cells and gluing read tops off the pairs of each
+    # chosen pullback, so no change of base builds its first projection
+    p = fn("abc", "xy", {"a": "x", "b": "x", "c": "y"})
+    res = classify(p, 2)
+    assert res.verdict == EFFECTIVE
+    faces = [res.fib.d, res.fib.d0, res.fib.d1, res.fib.s0,
+             res.fib.del0, res.fib.del1, res.fib.del2]
+    pullbacks = [pb for face in faces for pb in face._pullbacks.values()]
+    assert pullbacks and all(pb._pr1 is None for pb in pullbacks)
+
+
 @st.composite
 def relabelled_maps(draw):
     """A map with at most three points over at most three, relabelled and
@@ -304,22 +361,21 @@ def test_hom_sets_are_counted_listed_and_decided_as_the_brute_references(
 
 def test_is_full_splits_the_small_maps_and_names_an_unhit_witness(small_maps):
     """``is_full`` on Phi of every map at bounds 1-3, with and without the
-    even predicate: 74 full and 40 not, each witness a member of the
-    hom-set between its ends that no image of hom(x, y) hits, for some x
-    and y that Phi sends to those ends; and on the comparison onto the
-    mutant that drops the hom condition, whose extra morphisms no image
-    hits, the first of them."""
+    even predicate: 74 full and 40 not, each witness (x, y, missed) a pair
+    of enumerated objects and a member of hom(Phi x, Phi y) that no image
+    of hom(x, y) hits; and on the comparison onto the mutant that drops the
+    hom condition, whose extra morphisms no image hits, the first of them."""
     from descent_kit.mutations import descent_category_without_hom_condition
 
     def even(carrier):
         return len(carrier) % 2 == 0
 
     def unhit(phi, bound, witness):
+        x, y, missed = witness
         objs = phi.src.objects(bound)
-        return witness in phi.dst.hom(witness.src, witness.dst) and any(
-            all(phi.mor(f) != witness for f in phi.src.hom(x, y))
-            for x in objs for y in objs
-            if (phi.obj(x), phi.obj(y)) == (witness.src, witness.dst))
+        return (x in objs and y in objs
+                and missed in phi.dst.hom(phi.obj(x), phi.obj(y))
+                and all(phi.mor(f) != missed for f in phi.src.hom(x, y)))
 
     outcomes = collections.Counter()
     for p in small_maps():
@@ -337,7 +393,7 @@ def test_is_full_splits_the_small_maps_and_names_an_unhit_witness(small_maps):
     assert not got.ok and unhit(phi, 2, got.witness)
     # the map that sends the point over a to copy 0 and the point over b to
     # copy 1, which rho does not respect
-    witness = got.witness
+    _, _, witness = got.witness
     assert (len(witness.src.w.dom), len(witness.dst.w.dom)) == (2, 4)
     assert witness.m.values(witness.src.w.dom.elements) == [(("*", 0), "a"), (("*", 1), "b")]
     assert not is_descent_morphism(mutant.diagram, witness.src, witness.dst, witness.m)
@@ -479,9 +535,22 @@ def test_classify_singletons_over_a_non_surjection_is_almost():
     # datum of the point over x that no map over B gives: Phi is not full
     res = classify(fn("e", "xy", {"e": "x"}), 2, carrier_pred=lambda c: len(c) == 1)
     assert res.verdict == ALMOST and res.exit_code == 4
-    witness = res.report.full.witness
-    assert not res.report.full.ok and witness is not None
-    assert len(witness.src.w.dom) == 0 and len(witness.dst.w.dom) == 1
+    assert not res.report.full.ok
+    x, y, missed = res.report.full.witness
+    assert (res.phi.obj(x), res.phi.obj(y)) == (missed.src, missed.dst)
+    assert len(missed.src.w.dom) == 0 and len(missed.dst.w.dom) == 1
+
+
+def test_full_witness_names_the_pair_that_misses():
+    # Phi sends both objects over {b0} within bound 1 to the empty datum;
+    # the identity of that datum is hit at (∅, ∅) and missed at (the point
+    # over b0, ∅), which have no map between them
+    res = classify(fn("", ("b0",), {}), 1)
+    assert res.verdict == ALMOST and res.exit_code == 4
+    empty, point = res.phi.src.objects()
+    x, y, missed = res.report.full.witness
+    assert (x, y) == (point, empty)
+    assert missed == res.desc.identity(res.phi.obj(empty))
 
 
 def test_classify_even_carriers_over_a_predicate_not_closed_under_pullback():
@@ -528,7 +597,7 @@ def test_almost_rung_witness_names_its_data():
     desc = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2), 2)
     report = is_equivalence(comparison(desc), 2)
     assert report.level == FAITHFUL_ONLY and not report.full.ok
-    witness = report.full.witness
+    _, _, witness = report.full.witness
     assert repr(witness.src) in repr(witness) and repr(witness.dst) in repr(witness)
 
 

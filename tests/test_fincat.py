@@ -91,7 +91,8 @@ def test_full_identity_and_non_full_inclusion():
     incl = TableFunctor(disc, cat, {"0": "0", "1": "1"},
                         {"id_0": "m00", "id_1": "m11"})
     d = is_full(incl)
-    assert not d.ok and d.witness.name == "m01"
+    # the pair ("0", "1") has no morphism in the discrete category
+    assert not d.ok and d.witness == ("0", "1", cat.mor("m01"))
 
 
 def test_essentially_surjective_and_missing_class():

@@ -33,6 +33,15 @@ def test_pullback_carrier_is_matching_tuples(cospan):
 
 
 @given(cospans())
+def test_pullback_builds_pr1_on_first_read_and_keeps_it(cospan):
+    f, g = cospan
+    pb = pullback(f, g)
+    eager = FinFunction(pb.obj, f.dom, tuple((t, t[0]) for t in pb.obj))
+    first = pb.pr1
+    assert first == eager and pb.pr1 is first
+
+
+@given(cospans())
 def test_fibers_index_the_image_in_order_of_first_preimage(cospan):
     f, _ = cospan
     fibers = f.fibers()

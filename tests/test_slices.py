@@ -103,6 +103,44 @@ def test_change_of_base_hands_out_its_values():
         assert sig.obj(w) == w.then(p)
 
 
+def test_change_of_base_builds_one_function_per_object(monkeypatch):
+    # obj(x) is the chosen pullback's pr2; its pr1 is left unbuilt, and the
+    # top path a comparison follows reads tops off the pairs
+    e, b = FinSetObj(("a", "b", "c")), FinSetObj(("x", "y"))
+    p = FinFunction.of(e, b, {"a": "x", "b": "x", "c": "y"})
+    cb = SliceCategory(b, 3)
+    cob = ChangeOfBase(p, cb, SliceCategory(e, 3))
+    objs = cb.objects()
+    built = []
+    check = FinFunction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FinFunction, "__post_init__", counting)
+    images = [cob.obj(x) for x in objs]
+    assert built == images and len(images) == len(objs) == 10
+    for x, fx in zip(objs, images):
+        (view,) = cob.tops(x)
+        assert follow([view], fx.dom.elements) == [t[0] for t in fx.dom.elements]
+    assert len(built) == len(objs)
+    for x, fx in zip(objs, images):
+        assert follow(cob.tops(x), fx.dom.elements) == follow([cob.top(x)], fx.dom.elements)
+
+
+def test_top_view_refuses_an_element_outside_the_carrier():
+    e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
+    p = FinFunction.of(e, b, lambda _: "*")
+    cob = ChangeOfBase(p, SliceCategory(b), SliceCategory(e))
+    x = cob.src.objects(2)[1]
+    (view,) = cob.tops(x)
+    with pytest.raises(FinSetError, match="not in the domain"):
+        view.values([(("*", 0), "a"), ("a", "stranger")])
+    with pytest.raises(FinSetError, match="not in the domain"):
+        view.values([["unhashable"]])
+
+
 def test_change_of_base_caches_identical_results():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
