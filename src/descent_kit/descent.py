@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import TheoremViolation
@@ -65,10 +65,27 @@ from .slices import SliceMor, match_by_legs, slice_isos
 
 @dataclass(frozen=True, slots=True)
 class DescentDatum:
-    """A level-1 object with a gluing isomorphism between its two pullbacks."""
+    """A level-1 object with a gluing isomorphism between its two pullbacks.
+    It stores its hash and compares as ``SliceMor`` does: every memo of
+    ``DescCategory`` and of the comparison functor is keyed by data."""
 
     w: FinFunction
     rho: SliceMor  # d1(w) -> d0(w)
+
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.w, self.rho)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.rho == other.rho and self.w == other.w
 
     @property
     def key(self):
@@ -81,9 +98,28 @@ class DescentDatum:
 
 @dataclass(frozen=True, slots=True)
 class DescMor:
+    """An equivariant m between two data; hashed and compared as
+    ``DescentDatum`` is."""
+
     src: DescentDatum
     dst: DescentDatum
     m: SliceMor
+
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.m)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.m == other.m
+                and self.src == other.src and self.dst == other.dst)
 
     def __repr__(self):
         return f"{self.m.fn!r}:{self.src!r}→{self.dst!r}"

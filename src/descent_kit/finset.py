@@ -10,7 +10,10 @@ tuples and a witness prints as Python's own repr of them.  A ``Pullback``
 builds its second projection, the object of a slice that change of base
 hands out, and builds its first only when read; a path that only follows
 the first projection reads it off the pairs (``FirstProjection``).  Every
-fiberwise algorithm groups a map by its image with ``FinFunction.fibers``.
+fiberwise algorithm groups a map by its image with ``FinFunction.fibers``,
+which groups each function once, on first call, and hands the grouping
+out read-only, each fiber a tuple, so no caller can grow it: a pullback
+along a fixed map reads the same grouping on every call.
 
 Every ``FinFunction`` is built by its one constructor, which checks it:
 composites and mediating maps included, since a codomain check is what
@@ -24,10 +27,15 @@ test the constructor makes.  The checks are set operations: a
 ``FinSetObj`` keeps its elements as a frozenset, so membership costs one
 hash.  Both classes take their hash once, at construction, because every
 memo of the library hashes its keys through them: an object of a slice
-category in ``slices`` is a ``FinFunction`` itself.  Both are slotted, so
-the stored hash and set cost no per-instance dictionary.  Both take
-tuples only: a list or a string where a tuple belongs raises
-``FinSetError``.
+category in ``slices`` is a ``FinFunction`` itself.  A ``FinSetObj``
+takes it from its frozenset, which has hashed every element already; a
+``FinFunction`` from its tuple of pairs.  Equality tries identity first,
+then the stored hashes, and compares fields only when those agree.  Both
+classes are slotted, so the stored hash and set cost no per-instance
+dictionary.  Both take tuples only: a list or a string where a tuple
+belongs raises ``FinSetError``.  ``FinFunction.values`` handed the domain
+itself, in order, reads the table with no hash taken, and ``follow``
+hands its first step the elements it is given.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Hashable, Iterable, NamedTuple
 
 
@@ -61,7 +70,7 @@ class FinSetObj:
         if len(members) != len(self.elements):
             raise FinSetError(f"duplicate labels in {self.elements}")
         object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_hash", hash(self.elements))
+        object.__setattr__(self, "_hash", hash(members))
 
     def __contains__(self, label: Hashable) -> bool:
         """Whether label is an element, at one hash; an unhashable label
@@ -81,6 +90,13 @@ class FinSetObj:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.elements == other.elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -105,6 +121,7 @@ class FinFunction:
 
     _table: dict = field(init=False, repr=False, compare=False, hash=False)
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
+    _fibers: object = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         # the one constructor: every function, composites included, is
@@ -125,23 +142,25 @@ class FinFunction:
                               f"{self.mapping!r}") from None
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_hash", mapping_hash)
+        object.__setattr__(self, "_fibers", None)
 
     @staticmethod
     def of(dom: FinSetObj, cod: FinSetObj, assignment) -> "FinFunction":
         """Build from a mapping (a dict) or a callable on labels."""
         if isinstance(assignment, Mapping):
             try:
-                pairs = tuple((x, assignment[x]) for x in dom.elements)
+                images = [assignment[x] for x in dom.elements]
             except KeyError as exc:
                 raise FinSetError(f"the assignment gives no image of {exc.args[0]!r}") from None
-            return FinFunction(dom, cod, pairs)
+            return FinFunction(dom, cod, tuple(zip(dom.elements, images)))
         if not callable(assignment):
             raise FinSetError(f"an assignment is a mapping or a callable, not {assignment!r}")
-        return FinFunction(dom, cod, tuple((x, assignment(x)) for x in dom.elements))
+        images = [assignment(x) for x in dom.elements]
+        return FinFunction(dom, cod, tuple(zip(dom.elements, images)))
 
     @staticmethod
     def identity(s: FinSetObj) -> "FinFunction":
-        return FinFunction(s, s, tuple((x, x) for x in s.elements))
+        return FinFunction(s, s, tuple(zip(s.elements, s.elements)))
 
     def __call__(self, x: Hashable) -> Hashable:
         try:
@@ -151,8 +170,12 @@ class FinFunction:
 
     def values(self, elements: Iterable[Hashable]) -> list:
         """The image of each of elements, read off the table; one outside
-        the domain, an unhashable one included, raises ``FinSetError``."""
+        the domain, an unhashable one included, raises ``FinSetError``.
+        Handed the domain's own elements, it reads the table in order,
+        taking no hash."""
         table = self._table
+        if elements is self.dom.elements:
+            return list(table.values())
         try:
             return [table[x] for x in elements]
         except KeyError as exc:
@@ -164,6 +187,14 @@ class FinFunction:
         # equal functions have equal mappings, so the hash of the tuple of
         # pairs, taken once at construction, serves every memo lookup
         return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.mapping == other.mapping
+                and self.dom == other.dom and self.cod == other.cod)
 
     # dom/cod aliases so a FinFunction can act as a morphism of FinSetCategory
     @property
@@ -178,22 +209,28 @@ class FinFunction:
         """Diagrammatic composition: self first, then other."""
         if self.cod != other.dom:
             raise FinSetError("non-composable functions")
-        return FinFunction(self.dom, other.cod,
-                           tuple((x, other._table[y]) for x, y in self.mapping))
+        table = other._table
+        return FinFunction(self.dom, other.cod, tuple(zip(
+            self.dom.elements, [table[y] for y in self._table.values()])))
 
     @property
     def key(self):
         # read only by perfbench/child.py, as the digest of each input map
         return (self.dom.elements, self.cod.elements, self.mapping)
 
-    def fibers(self) -> dict:
-        """Each point of the codomain that is hit, with the elements over it
-        in domain order; the points come in the order of their first
-        element."""
-        out: dict = {}
-        for x, y in self.mapping:
-            out.setdefault(y, []).append(x)
-        return out
+    def fibers(self) -> Mapping:
+        """Each point of the codomain that is hit, with the tuple of the
+        elements over it in domain order; the points come in the order of
+        their first element.  Grouped on the first call and kept: every
+        call hands out the same read-only mapping."""
+        fibers = self._fibers
+        if fibers is None:
+            out: dict = {}
+            for x, y in self.mapping:
+                out.setdefault(y, []).append(x)
+            fibers = MappingProxyType({y: tuple(xs) for y, xs in out.items()})
+            object.__setattr__(self, "_fibers", fibers)
+        return fibers
 
     def is_injective(self) -> bool:
         vals = [y for _, y in self.mapping]
@@ -224,11 +261,13 @@ def follow(path: Iterable[FinFunction], elements: Iterable[Hashable]) -> list:
     """The value at each of elements of the composite of path, its functions
     listed in the order they apply, read off their tables: the composite
     itself is never built.  An empty path is the identity.  A value outside
-    the domain of the next function raises ``FinSetError``."""
-    values = list(elements)
+    the domain of the next function raises ``FinSetError``.  The first step
+    is handed elements as given, so a domain's own elements are read in
+    order with no hash taken."""
+    values = elements
     for fn in path:
         values = fn.values(values)
-    return values
+    return list(values) if values is elements else values
 
 
 class Pullback:
@@ -249,8 +288,9 @@ class Pullback:
     def pr1(self) -> FinFunction:
         pr1 = self._pr1
         if pr1 is None:
+            pairs = self.obj.elements
             pr1 = self._pr1 = FinFunction(self.obj, self._factor1,
-                                          tuple((t, t[0]) for t in self.obj.elements))
+                                          tuple(zip(pairs, [t[0] for t in pairs])))
         return pr1
 
 
@@ -265,11 +305,11 @@ class FirstProjection:
     def __init__(self, dom: FinSetObj):
         self.dom = dom
 
-    def values(self, elements: list) -> list:
-        # the carrier itself, in order, lies in the carrier with no hash
-        # taken: a path's first step is followed from it
+    def values(self, elements) -> list:
+        # the carrier itself lies in the carrier with no hash taken: a
+        # path's first step is followed from it (``follow``)
         dom = self.dom
-        if tuple(elements) != dom.elements and not dom.includes(elements):
+        if elements is not dom.elements and not dom.includes(elements):
             x = next(x for x in elements if x not in dom)
             raise FinSetError(f"{x!r} is not in the domain {dom}")
         return [t[0] for t in elements]
@@ -286,9 +326,10 @@ def pullback(f: FinFunction, g: FinFunction) -> Pullback:
     if f.cod != g.cod:
         raise FinSetError(f"codomain mismatch: {f.cod} vs {g.cod}")
     fiber_of = g.fibers()
-    pairs = tuple((x, y) for x, z in f.mapping for y in fiber_of.get(z, ()))
+    pairs = tuple([(x, y) for x, z in f.mapping for y in fiber_of.get(z, ())])
     obj = FinSetObj(pairs)
-    return Pullback(obj, FinFunction(obj, g.dom, tuple((t, t[1]) for t in pairs)), f.dom)
+    return Pullback(obj, FinFunction(obj, g.dom, tuple(zip(pairs, [t[1] for t in pairs]))),
+                    f.dom)
 
 
 def mediating_map(pb: Pullback, q1: FinFunction, q2: FinFunction) -> FinFunction:
@@ -303,7 +344,9 @@ def mediating_map(pb: Pullback, q1: FinFunction, q2: FinFunction) -> FinFunction
         raise FinSetError("cone legs must share a domain")
     if q1.cod != pb._factor1 or q2.cod != pb.pr2.cod:
         raise FinSetError("cone legs must land in the factors of the pullback")
-    return FinFunction(q1.dom, pb.obj, tuple((w, (q1(w), q2(w))) for w in q1.dom.elements))
+    elements = q1.dom.elements
+    return FinFunction(q1.dom, pb.obj, tuple(zip(
+        elements, zip(q1.values(elements), q2.values(elements)))))
 
 
 def quotient(x: FinSetObj, pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[FinSetObj, FinFunction]:
@@ -319,7 +362,11 @@ def quotient(x: FinSetObj, pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[
             a = parent[a]
         return a
 
-    for a, b in pairs:
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise FinSetError(f"{pair!r} is not a pair of labels") from None
         if not x.includes((a, b)):  # an unhashable label included
             raise FinSetError(f"pair ({a!r},{b!r}) not drawn from {x}")
         ra, rb = find(a), find(b)

@@ -2,12 +2,12 @@
 
 An object of C/B is its structure map: a ``FinFunction`` X -> B, whose
 domain X is the carrier.  A morphism is a commuting triangle, a
-``SliceMor``; it stores its hash at construction, as ``FinFunction``
-does, since the memos of functors and transformations hash them on every
-lookup.  The canonical objects of C/B are listed by fiber-size vector,
-and ``objects_constant_on`` lists only those whose fiber sizes are equal
-over each of given blocks of base points, by the same vector-to-object
-rule and in the same order.  Change of base along p: E -> B is pullback
+``SliceMor``; it stores its hash at construction and compares as
+``FinFunction`` does, since the memos of functors and transformations
+hash them on every lookup.  The canonical objects of C/B are listed by
+fiber-size vector, and ``objects_constant_on`` lists only those whose
+fiber sizes are equal over each of given blocks of base points, by the
+same vector-to-object rule and in the same order.  Change of base along p: E -> B is pullback
 along p, with the chosen pullbacks of finset; each functor caches its
 values so repeated applications return identical (not merely isomorphic)
 results.  A
@@ -40,12 +40,20 @@ the pair (top, base) that an element of a chosen pullback is
 projection table; ``ChangeOfBase.top`` builds one for a reader that
 needs the function itself.  Two composites of such
 functors whose underlying base maps agree are pullbacks of the same
-cospan, so their values are canonically isomorphic by matching elements on
-(top, base), following each path pointwise; ``comparison_iso`` packages
-that matching as a natural transformation whose components are
-bijections, which is what ``SliceCategory.is_isomorphism`` tests.  These
-comparisons are exactly the constraint cells of the cosimplicial diagram
-of a morphism.
+cospan, so their values are canonically isomorphic: by the universal
+property, an element of G(x) is fixed by its top in x and its base
+point, so each element of F(x) goes to the element of G(x) with its own
+top and base.  ``CartFunctor._lift`` computes that element from the two
+legs, with no search: change of base pairs them, a composite lifts
+through its first factor over the base points pushed down its second's
+base map (``_down``) and then through its second, and a functor that
+keeps the carrier returns the tops once its object is checked to send
+them to the base points.  ``comparison_iso`` builds each component from
+the lifted elements with the checked constructor, whose codomain check
+is the check that an element with those legs exists, and checks that
+the component is a bijection, which is what
+``SliceCategory.is_isomorphism`` tests.  These comparisons are exactly
+the constraint cells of the cosimplicial diagram of a morphism.
 """
 
 from __future__ import annotations
@@ -83,6 +91,14 @@ class SliceMor:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.fn == other.fn
+                and self.src == other.src and self.dst == other.dst)
 
     def __repr__(self):
         return f"{self.fn!r}:{self.src!r}→{self.dst!r}"
@@ -145,7 +161,9 @@ class SliceCategory(ComputableCategory):
     def objects_constant_on(self, blocks, bound: Optional[int] = None):
         """The canonical objects within bound whose fiber sizes are equal
         over the points of each of blocks, disjoint nonempty lists of base
-        points, in the order of ``objects`` and one at a time.
+        points, in the order of ``objects`` and one at a time.  A block
+        that is empty, holds a point outside the base or meets an earlier
+        block raises ``FinSetError``.
 
         Only those objects are built: a fiber-size vector is chosen entry by
         entry in base order, and the entry of a point that is not the first
@@ -160,15 +178,21 @@ class SliceCategory(ComputableCategory):
         position = {b: i for i, b in enumerate(base.elements)}
         ties = list(range(len(position)))
         costs = [1] * len(ties)
+        claimed: set = set()
         for block in blocks:
+            if not base.includes(block):
+                raise FinSetError(f"block {block!r} is not drawn from the base {base}")
             at = [position[b] for b in block]
+            if not at or not claimed.isdisjoint(at) or len(set(at)) < len(at):
+                raise FinSetError(f"blocks must be disjoint and nonempty: {block!r}")
+            claimed.update(at)
             first = min(at)
             for i in at:
                 ties[i] = first
             costs[first] = len(at)
         for vec in _vectors(bound, ties, costs):
-            mapping = tuple(((b, i), b) for b, n in zip(base.elements, vec) for i in range(n))
-            yield FinFunction(FinSetObj(tuple(lbl for lbl, _ in mapping)), base, mapping)
+            labels = tuple([(b, i) for b, n in zip(base.elements, vec) for i in range(n)])
+            yield FinFunction(FinSetObj(labels), base, tuple(zip(labels, [b for b, _ in labels])))
 
     def generators(self, bound: Optional[int] = None) -> list[SliceMor]:
         """Three kinds of morphism between the canonical objects, by source
@@ -295,12 +319,31 @@ class CartFunctor(Functor):
 
     ``image(m)`` is F(m) as a ``SliceImage``, for a path that is only
     followed; ``_values`` is the rule on morphisms that it follows, and
-    that ``ChangeOfBase.mor`` builds from.  Both default to a functor that
-    keeps the carrier: the top path is empty and F(m) has m's values.
+    that ``ChangeOfBase.mor`` builds from.  ``_lift`` finds the elements
+    of F(x) from their two legs, and ``_down`` pushes points of the target
+    base down the base map.  All default to a functor that keeps the
+    carrier over its base: the top path is empty, F(m) has m's values, an
+    element is its top and the base map is the identity.
     """
 
     def tops(self, x: FinFunction) -> list:
         return []
+
+    def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
+        """The elements of obj(x) with the given tops, elements of the
+        carrier of x, over the given points of the target base, one for
+        each pair: here the tops themselves, once obj(x) is checked to send
+        each to its base point; a pair it does not fit raises
+        ``FinSetError``.  An override may return elements outside obj(x),
+        which the caller's checked constructor refuses."""
+        if self.obj(x).values(tops) != bases:
+            raise FinSetError(f"{self.name}({x!r}) does not send the tops to their base points")
+        return tops
+
+    def _down(self, bases: list) -> list:
+        """The image of each of bases, points of the target base, under the
+        base map into the source base."""
+        return bases
 
     def image(self, m) -> SliceImage:
         return SliceImage(self, m)
@@ -323,6 +366,17 @@ class ComposedCartFunctor(ComposedFunctor, CartFunctor):
 
     def _values(self, of_m, elements) -> list:
         return self.second._values(functools.partial(self.first._values, of_m), elements)
+
+    def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
+        """Through first over the bases pushed down second's base map, then
+        through second: an element of second(first(x)) has for top the
+        element of first(x) with the same top and the pushed-down base."""
+        first, second = self.first, self.second
+        middle = first._lift(x, tops, second._down(bases))
+        return second._lift(first.obj(x), middle, bases)
+
+    def _down(self, bases: list) -> list:
+        return self.first._down(self.second._down(bases))
 
 
 class IdentityCartFunctor(IdentityFunctor, CartFunctor):
@@ -369,6 +423,14 @@ class ChangeOfBase(CartFunctor):
         tops = of_m([w[0] for w in elements])
         return [(v, w[1]) for v, w in zip(tops, elements)]
 
+    def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
+        """The pairs (top, base), unchecked: an element of the chosen
+        pullback is the pair of its legs, if it is one at all."""
+        return list(zip(tops, bases))
+
+    def _down(self, bases: list) -> list:
+        return self.u.values(bases)
+
     def _on_mor(self, m: SliceMor) -> SliceMor:
         """The mediating map into the pullback of m.dst, built by the rule
         of ``_values`` in one checked function: its codomain check is the
@@ -393,6 +455,10 @@ class SigmaAlong(CartFunctor):
 
     def _on_mor(self, m: SliceMor) -> SliceMor:
         return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
+
+    def _down(self, bases: list) -> list:
+        raise CategoryError(f"{self.name} has no base map from {self.dst.base} "
+                            f"to {self.src.base}")
 
 
 def slice_isos(x: FinFunction, y: FinFunction):
@@ -442,17 +508,26 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     """Canonical natural isomorphism F => G between composites of
     change-of-base functors whose underlying base maps agree.
 
-    The component at x matches elements of F(x) and G(x) on (top, base),
-    following the tops of each composite's factors, with ``match_by_legs``:
-    it is a bijection, or building it raises ``FinSetError``.  That is the
-    only test of components outside the gate's enumeration, and of all of
-    them in gluing.
+    The component at x sends each element of F(x) to the element of G(x)
+    with the same legs: its top in x, following F's tops, and its base
+    point, read off F(x).  ``G._lift`` computes that element from the legs;
+    nothing is searched.  The component is built with the checked
+    constructor, whose codomain check is the check that G(x) has an
+    element with those legs, and it is a bijection exactly when F(x) and
+    G(x) have as many elements and the images are distinct.  Where base
+    maps disagree, or a check fails, building it raises ``FinSetError``.
+    That is the only test of components outside the gate's enumeration,
+    and of all of them in gluing.
     """
 
     def component(x: FinFunction) -> SliceMor:
         fx, gx = f.obj(x), g.obj(x)
-        return SliceMor(fx, gx, match_by_legs(fx.dom, [f.tops(x), [fx]],
-                                              gx.dom, [g.tops(x), [gx]]))
+        elements = fx.dom.elements
+        images = g._lift(x, follow(f.tops(x), elements), fx.values(elements))
+        fn = FinFunction(fx.dom, gx.dom, tuple(zip(elements, images)))
+        if len(elements) != len(gx.dom) or len(set(images)) < len(images):
+            raise FinSetError(f"{name or 'comparison'} at {x!r}: {fn!r} is not a bijection")
+        return SliceMor(fx, gx, fn)
 
     return NatTrans(f, g, component, name=name)
 

@@ -1,12 +1,16 @@
 import collections
 import dataclasses
 
+import pytest
+
 from descent_kit import cosimplicial
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.fincat import CategoryError, Functor, NatTrans
-from descent_kit.finset import FinFunction, FinSetObj, canonical_set, all_functions
+from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, canonical_set,
+                                all_functions)
 from descent_kit.mutations import invert_theta, swap_face_convention
-from descent_kit.slices import SliceCategory, SliceMor
+from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory, SliceMor,
+                                comparison_iso, match_by_legs)
 
 
 def fn(dom, cod, mapping):
@@ -141,6 +145,71 @@ def test_image_follows_the_built_mor_on_every_functor(image_mismatches, small_ma
         assert bad == [], p
         total += compared
     assert total > 0
+
+
+def _matched(f, g, x):
+    """The reference component of the comparison f => g at x: the elements
+    of f(x) and g(x) matched on their (top, base) legs."""
+    fx, gx = f.obj(x), g.obj(x)
+    return match_by_legs(fx.dom, [f.tops(x), [fx]], gx.dom, [g.tops(x), [gx]])
+
+
+def test_lifted_cells_equal_the_leg_matching_reference(small_maps):
+    """Each of the six cells, at every object of its index category and
+    at every d(B0), where the presentation equations read the level-1
+    cells, lifts each element along its legs to the component that
+    matching the legs gives, on the 19 maps at bounds 1 to 3."""
+    checked = 0
+    for bound in (1, 2, 3):
+        for p in small_maps():
+            fib = basic_fibration(p, bound)
+            glued = [fib.d.obj(b0) for b0 in fib.c0.objects(bound)]
+            for name, cell, src_f, dst_f, index_cat in fib.constraint_types():
+                at = index_cat.objects(bound) + (glued if index_cat is fib.c1 else [])
+                for x in at:
+                    assert cell.at(x).fn == _matched(src_f, dst_f, x), (p, name, x)
+                    checked += 1
+    assert checked > 0
+
+
+def test_comparison_between_disagreeing_base_maps_raises(small_maps):
+    """d0 and d1 pull back along the two projections of E×_B E, which
+    differ on a non-injective p: an element (t, (e', e)) of d0(x) has no
+    match in d1(x) when e' != e, so the comparison raises exactly at the
+    objects whose carrier meets a fiber of p with two points, and is a
+    bijection elsewhere."""
+    raised = 0
+    for p in small_maps():
+        if p.is_injective():
+            continue
+        fib = basic_fibration(p, 2)
+        iso = comparison_iso(fib.d0, fib.d1)
+        shared = {e for fiber in p.fibers().values() if len(fiber) > 1 for e in fiber}
+        for x in fib.c1.objects(2):
+            if shared.isdisjoint(e for _, e in x.mapping):
+                assert iso.at(x).fn.is_bijective(), (p, x)
+            else:
+                with pytest.raises(FinSetError, match="not in codomain"):
+                    iso.at(x)
+                raised += 1
+    assert raised > 0
+
+
+def test_carrier_keeping_end_refuses_tops_off_their_bases():
+    """Pulling back along a transposition u of E is not the identity: an
+    element (t, a) of u*(x) lies over a, but its top lies over u(a), so
+    the identity, which keeps the carrier, has no element with those legs
+    wherever u moves a point of the carrier's image."""
+    e = FinSetObj(("e0", "e1", "e2"))
+    swap = FinFunction.of(e, e, {"e0": "e1", "e1": "e0", "e2": "e2"})
+    c1 = SliceCategory(e, 2)
+    iso = comparison_iso(ChangeOfBase(swap, c1, c1), IdentityCartFunctor(c1))
+    for x in c1.objects():
+        if {b for _, b in x.mapping} <= {"e2"}:
+            assert iso.at(x).fn.is_bijective(), x
+        else:
+            with pytest.raises(FinSetError, match="does not send the tops"):
+                iso.at(x)
 
 
 def test_faces_and_their_composites_preserve_composition(small_map):

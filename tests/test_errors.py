@@ -22,7 +22,7 @@ from descent_kit.finset import FinFunction, FinSetError, FinSetObj, quotient
 from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
                                  pullback_square_bc)
 from descent_kit.mutations import invert_theta
-from descent_kit.slices import sigma_pullback_adjunction, slice_isos
+from descent_kit.slices import SliceCategory, sigma_pullback_adjunction, slice_isos
 
 
 def fn(dom, cod, mapping):
@@ -192,6 +192,26 @@ def quotient_by_a_pair_with_an_unhashable_label():
     quotient(FinSetObj(("a",)), [(["a"], "a")])
 
 
+def quotient_by_a_pair_that_is_no_pair():
+    quotient(FinSetObj(("x",)), [("x",)])
+
+
+def blocks(*blocks):
+    list(SliceCategory(FinSetObj(("a", "b")), 2).objects_constant_on(blocks))
+
+
+def block_with_a_point_off_the_base():
+    blocks(["a", "z"])
+
+
+def empty_block():
+    blocks([])
+
+
+def overlapping_blocks():
+    blocks(["a", "b"], ["b"])
+
+
 @pytest.mark.parametrize("bad, error, match", [
     (rho_of_wrong_type, CategoryError, "wrong type"),
     (non_composable_descent_morphisms, CategoryError, "non-composable"),
@@ -230,6 +250,10 @@ def quotient_by_a_pair_with_an_unhashable_label():
     (function_of_a_list, FinSetError, r"a mapping or a callable, not \['x'\]"),
     (quotient_by_a_pair_with_an_unhashable_label, FinSetError,
      r"pair \(\['a'\],'a'\) not drawn from"),
+    (quotient_by_a_pair_that_is_no_pair, FinSetError, r"\('x',\) is not a pair"),
+    (block_with_a_point_off_the_base, FinSetError, "not drawn from the base"),
+    (empty_block, FinSetError, "disjoint and nonempty"),
+    (overlapping_blocks, FinSetError, "disjoint and nonempty"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_bad_input_raises_a_typed_error(bad, error, match):
     with pytest.raises(error, match=match):

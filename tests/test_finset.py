@@ -48,9 +48,13 @@ def test_fibers_index_the_image_in_order_of_first_preimage(cospan):
     assert set(fibers) == {f(x) for x in f.dom}
     assert list(fibers) == [f(x) for i, x in enumerate(f.dom)
                             if f(x) not in [f(e) for e in f.dom.elements[:i]]]
-    # each list is the preimage of its point in domain order, and the points
-    # are the whole image, so the lists partition the domain
-    assert all(xs == [x for x in f.dom if f(x) == y] for y, xs in fibers.items())
+    # each tuple is the preimage of its point in domain order, and the points
+    # are the whole image, so the tuples partition the domain
+    assert all(xs == tuple(x for x in f.dom if f(x) == y) for y, xs in fibers.items())
+    # grouped once and handed out read-only: no caller can grow a fiber
+    assert f.fibers() is fibers
+    with pytest.raises(TypeError):
+        fibers["new point"] = ()
 
 
 @given(st.lists(labels, max_size=4, unique=True),

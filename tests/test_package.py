@@ -6,7 +6,9 @@ library code sorts labels (``test_library_never_sorts``), no library code
 groups a map by its image outside ``FinFunction.fibers``
 (``test_library_groups_a_map_by_its_image_only_in_fibers``), no library
 code re-checks that a ``match_by_legs`` result is a bijection
-(``test_library_trusts_match_by_legs_to_be_a_bijection``), no library
+(``test_library_trusts_match_by_legs_to_be_a_bijection``), the
+constraint cells never match legs
+(``test_constraint_cells_lift_and_never_match_legs``), no library
 code asks a hom-set whether it holds a morphism
 (``test_library_never_asks_a_hom_set_for_membership``), every public
 name is used or listed, the most numerous value classes stay slotted, a
@@ -22,7 +24,7 @@ import sys
 import pytest
 
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
-from descent_kit.descent import DescCategory, classify
+from descent_kit.descent import DescCategory, DescentDatum, DescMor, classify
 from descent_kit.finset import FinFunction, FinSetObj
 from descent_kit.monadic import benabou_roubaud
 from descent_kit.mutations import invert_theta
@@ -198,6 +200,28 @@ def test_library_trusts_match_by_legs_to_be_a_bijection():
     assert found == []
 
 
+def _legs_matched(node):
+    """Lines under node that call ``match_by_legs``."""
+    return sorted(inner.lineno for inner in ast.walk(node)
+                  if isinstance(inner, ast.Call) and getattr(
+                      inner.func, "id", getattr(inner.func, "attr", None)) == "match_by_legs")
+
+
+def test_constraint_cells_lift_and_never_match_legs():
+    """The constraint cells are built by lifting each element along its
+    legs (``CartFunctor._lift``): neither ``comparison_iso`` nor any code
+    of ``cosimplicial`` builds a leg table with ``match_by_legs``."""
+    slices = ast.parse((ROOT / "src" / "descent_kit" / "slices.py").read_text())
+    (comparison_iso,) = [node for node in slices.body if isinstance(node, ast.FunctionDef)
+                         and node.name == "comparison_iso"]
+    cosimplicial = ast.parse((ROOT / "src" / "descent_kit" / "cosimplicial.py").read_text())
+    assert _legs_matched(comparison_iso) == []
+    assert _legs_matched(cosimplicial) == []
+    # the guard sees the calls that remain, in gluing
+    descent = ast.parse((ROOT / "src" / "descent_kit" / "descent.py").read_text())
+    assert _legs_matched(descent) != []
+
+
 def _hom_membership_asked(tree):
     """Lines of an ``in`` or ``not in`` whose right side is a ``.hom(...)``
     call, directly or through a name a function binds to one."""
@@ -327,7 +351,9 @@ def test_dropped_diagram_leaves_no_cyclic_garbage():
 def test_memo_key_values_store_their_hash():
     """Every memo lookup hashes its key; the value classes used as keys
     return a hash stored at construction instead of hashing their fields
-    through a generated __hash__, and equal values still hash equal."""
+    through a generated __hash__, and equal values still hash equal.  Each
+    compares with its own __eq__ (identity, then the stored hash, then the
+    fields), not a generated one that builds two field tuples."""
 
     def build():
         carrier = FinSetObj(tuple(["u", "v"]))
@@ -335,18 +361,24 @@ def test_memo_key_values_store_their_hash():
                           tuple([("u", "x"), ("v", "y")]))
         mor = SliceMor(obj, obj, FinFunction(carrier, FinSetObj(tuple(["u", "v"])),
                                              tuple([("u", "u"), ("v", "v")])))
-        return obj, mor
+        datum = DescentDatum(obj, mor)
+        return obj.dom, obj, mor, datum, DescMor(datum, datum, mor)
 
-    (obj, mor), (obj2, mor2) = build(), build()
-    assert obj == obj2 and hash(obj) == hash(obj2)
-    assert mor == mor2 and hash(mor) == hash(mor2)
-    for value in (obj.dom, obj, mor):
+    values, twins = build(), build()
+    for value, twin in zip(values, twins):
         cls = type(value)
-        hash_fn = cls.__dict__.get("__hash__")
-        assert hash_fn is not None, cls.__name__
-        defined_in = pathlib.Path(hash_fn.__code__.co_filename)
-        assert defined_in == pathlib.Path(sys.modules[cls.__module__].__file__), cls.__name__
+        assert value == twin and hash(value) == hash(twin), cls.__name__
+        for method in ("__hash__", "__eq__"):
+            fn = cls.__dict__.get(method)
+            assert fn is not None, (cls.__name__, method)
+            defined_in = pathlib.Path(fn.__code__.co_filename)
+            assert defined_in == pathlib.Path(sys.modules[cls.__module__].__file__), \
+                (cls.__name__, method)
         assert "_hash" in cls.__slots__ and hash(value) == value._hash, cls.__name__
+    # values that differ in a field are unequal
+    obj = values[1]
+    other = FinFunction(obj.dom, obj.cod, tuple([("u", "y"), ("v", "x")]))
+    assert obj != other and values[3] != DescentDatum(other, values[2])
 
 
 def test_benchmark_still_drives_the_library(monkeypatch):

@@ -235,6 +235,21 @@ def test_comparison_iso_between_composite_and_single_pullback():
     assert iso.check_iso(2) == []
 
 
+def test_comparison_lifts_through_sigma_first_but_not_second():
+    # Σ_p keeps the carrier, so it lifts as the first factor of p*Σ_p;
+    # as the second factor of Σ_p p* it has no base map from B back to E
+    # to push the base points down, and says so
+    e, b = FinSetObj(("a", "b", "c")), FinSetObj(("x", "y"))
+    p = FinFunction.of(e, b, {"a": "x", "b": "x", "c": "y"})
+    cb, ce = SliceCategory(b, 2), SliceCategory(e, 2)
+    cob, sig = ChangeOfBase(p, cb, ce), SigmaAlong(p, ce, cb)
+    monad = sig.then(cob)
+    x = ce.objects()[-1]
+    assert comparison_iso(monad, monad).at(x).fn == FinFunction.identity(monad.obj(x).dom)
+    with pytest.raises(CategoryError, match="no base map"):
+        comparison_iso(IdentityCartFunctor(cb), cob.then(sig)).at(cb.objects()[-1])
+
+
 def test_slice_mor_between_wrong_carriers_is_rejected():
     one, two = slice_over(["*"], bound=2).objects()[1:]
     with pytest.raises(CategoryError):
