@@ -20,8 +20,8 @@ constant on the fibers of p (``SliceCategory.objects_constant_on``), and
 one datum on each; it tries no candidate rho.  It keeps the one that
 matches the i-th point over e0 with the i-th point over e1, which on a
 canonical carrier is the conjugate least in the element order of d0(w)
-(``canonicalize_datum`` walks Aut(w) for that conjugate of any datum; no
-decision calls it).
+(``canonicalize_datum`` walks Aut(w) for that conjugate of any datum;
+only the tests call it, as the reference for this choice).
 
 ``moves`` lists a datum as the groupoid acts: rho carries v, seen over a
 level-2 point t, to v2, each read off the pairs of rho's table.  A
@@ -206,7 +206,7 @@ def canonicalize_datum(diagram: BasicFibration,
     to the conjugate.  Every conjugate shares w and the source and target
     of rho, so they are ordered by the positions of rho's images in d0(w),
     never by label; the datum and its isomorphism are built once, for the
-    least.  Only ``mutations`` and the tests call it.
+    least.  Only the tests call it.
     """
     c2 = diagram.c2
     position = {u: i for i, u in enumerate(datum.rho.dst.dom.elements)}

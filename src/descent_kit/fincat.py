@@ -43,7 +43,9 @@ filters one hom-set with it.  A transformation is invertible when each
 component is, checked, never supplied.  It is natural when its squares
 commute on the generators of the enumerated source
 (``Category.generators``), since functors preserve composition;
-``naturality_failures`` is the one loop that decides it.
+``naturality_failures`` is the one loop that decides it.  ``iso_failures``
+is the one natural-isomorphism check: ``NatTrans.check_iso`` formats its
+failures and the coherence gate of ``cosimplicial`` reports them.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -242,10 +244,10 @@ class ComputableCategory(Category):
         self._hom_memo: dict = {}
 
     def objects(self, bound=None):
-        bound = self.default_bound if bound is None else bound
+        bound = self._bound(bound)
         out = self._objects_memo.get(bound)
         if out is None:
-            out = self._objects_memo[bound] = self._objects(self._bound(bound))
+            out = self._objects_memo[bound] = self._objects(bound)
         return list(out)
 
     def _bound(self, bound) -> int:
@@ -498,6 +500,39 @@ def naturality_failures(source: Functor, target: Functor, at: Callable,
             if not cat.commutes([source.image(f), at(f.dst)], [at(f.src), target.image(f)])]
 
 
+MISTYPED = ("wrong source", "wrong target")
+
+
+def iso_failures(source: Functor, target: Functor, at: Callable,
+                 bound: Optional[int] = None) -> list[tuple]:
+    """Why at is no natural isomorphism source => target on the enumerated
+    source, as (what, where, found, wanted) tuples.  Each object x gives at
+    most one: "wrong source" or "wrong target", with found and wanted the
+    ends (``MISTYPED``); else "does not commute" where ``is_isomorphism``
+    raises ``CategoryError``, or "not invertible".  Then "naturality" at
+    each failing generator (``naturality_failures``), unless a component
+    was mistyped, since its squares do not compose.
+    """
+    cat = source.dst
+    out = []
+    for x in source.src.objects(bound):
+        c, want_src, want_dst = at(x), source.obj(x), target.obj(x)
+        if c.src != want_src:
+            out.append(("wrong source", x, c.src, want_src))
+        elif c.dst != want_dst:
+            out.append(("wrong target", x, c.dst, want_dst))
+        else:
+            try:
+                if not cat.is_isomorphism(c):
+                    out.append(("not invertible", x, None, None))
+            except CategoryError:
+                out.append(("does not commute", x, None, None))
+    if not any(what in MISTYPED for what, *_ in out):
+        out += [("naturality", f, None, None)
+                for f in naturality_failures(source, target, at, bound)]
+    return out
+
+
 class NatTrans:
     """Natural transformation between parallel functors, component by component."""
 
@@ -517,33 +552,14 @@ class NatTrans:
             out = self._cache[x] = self._component(x)
             return out
 
-    def check_endpoints(self, x) -> list[str]:
-        c = self.at(x)
-        report = []
-        if c.src != self.source.obj(x):
-            report.append(f"{self.name}: component at {x} has wrong domain")
-        if c.dst != self.target.obj(x):
-            report.append(f"{self.name}: component at {x} has wrong codomain")
-        return report
-
-    def check_naturality(self, bound: Optional[int] = None) -> list[str]:
-        report = []
-        for x in self.source.src.objects(bound):
-            report.extend(self.check_endpoints(x))
-        if report:
-            return report
-        return [f"{self.name}: naturality fails at {f}"
-                for f in naturality_failures(self.source, self.target, self.at, bound)]
-
     def check_iso(self, bound: Optional[int] = None) -> list[str]:
-        """Naturality, then invertibility of each component; the inverse
-        components then form a natural transformation too."""
-        report = self.check_naturality(bound)
-        cat = self.source.dst
-        for x in self.source.src.objects(bound):
-            if not cat.is_isomorphism(self.at(x)):
-                report.append(f"{self.name}: component at {x} is not invertible")
-        return report
+        """The failures of ``iso_failures``, one line each; empty exactly
+        when the transformation is a natural isomorphism on the enumerated
+        source, whose inverse components then form one too."""
+        return [f"{self.name}: {what} at {where}"
+                + (f": {found} ≠ {wanted}" if found is not None else "")
+                for what, where, found, wanted in
+                iso_failures(self.source, self.target, self.at, bound)]
 
 
 @dataclass

@@ -13,10 +13,9 @@ import dataclasses
 from .fincat import NatTrans
 from .finset import FinFunction
 from .cosimplicial import BasicFibration
-from .descent import (DescCategory, DescentDatum, DescMor, canonicalize_datum,
-                      is_descent_datum)
+from .descent import DescCategory, DescentDatum, DescMor
 from .monadic import Monad
-from .slices import Adjunction, SliceMor, slice_isos
+from .slices import Adjunction, SliceMor
 
 
 def _fiber_twist(obj: FinFunction) -> FinFunction:
@@ -56,21 +55,23 @@ def swap_face_convention(fib: BasicFibration) -> BasicFibration:
 class _WithoutCocycle(DescCategory):
     def _objects(self, bound):
         out = []
-        for w in self.diagram.c1.objects(bound):
-            for rho in slice_isos(self.diagram.d1.obj(w), self.diagram.d0.obj(w)):
-                # is_descent_datum tests the identity equation first
-                _, failed = is_descent_datum(self.diagram, w, rho)
-                if failed == "identity":
-                    continue
-                datum = DescentDatum(w, rho)
-                rep, _ = canonicalize_datum(self.diagram, datum)
-                if rep == datum:
-                    out.append(datum)
+        for datum in super()._objects(bound):
+            out.append(datum)
+            rho = datum.rho
+            over = next((points for (e0, e1), points in rho.src.fibers().items()
+                         if e0 != e1 and len(points) >= 2), None)
+            if over is not None:
+                table = dict(rho.fn.mapping)
+                table.update(zip(over, reversed(rho.values(over))))
+                fn = FinFunction.of(rho.src.dom, rho.dst.dom, table)
+                out.append(DescentDatum(datum.w, SliceMor(rho.src, rho.dst, fn)))
         return out
 
 
 def descent_category_without_cocycle(fib: BasicFibration, bound: int) -> DescCategory:
-    """Enumerate 'descent data' filtered by the identity equation only."""
+    """Desc(p) with, after each datum, its rho reversed over the first point
+    (e0, e1) of E×_B E, e0 != e1, with two or more points above it: the
+    identity equation, read over the diagonal, holds; the cocycle fails."""
     return _WithoutCocycle(fib, bound)
 
 

@@ -209,7 +209,7 @@ class SliceCategory(ComputableCategory):
         before any inclusion, no intermediate object is larger than x or y.
         Memoized per bound, as ``objects`` is.
         """
-        bound = self.default_bound if bound is None else bound
+        bound = self._bound(bound)
         out = self._generators_memo.get(bound)
         if out is None:
             out = self._generators_memo[bound] = self._generators(bound)
@@ -584,12 +584,11 @@ def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
 class FinSetCategory(ComputableCategory):
     """The category of finite sets, enumerated by canonical sets of size <= bound."""
 
-    def __init__(self, bound: int = 3, prefix: str = "e"):
+    def __init__(self, bound: int = 3):
         super().__init__(bound)
-        self.prefix = prefix
 
     def _objects(self, bound: int) -> list[FinSetObj]:
-        return [canonical_set(n, self.prefix) for n in range(bound + 1)]
+        return [canonical_set(n) for n in range(bound + 1)]
 
     def _hom(self, x: FinSetObj, y: FinSetObj) -> list[FinFunction]:
         return list(all_functions(x, y))

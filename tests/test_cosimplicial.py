@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from descent_kit import cosimplicial
+from descent_kit import fincat
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.fincat import CategoryError, Functor, NatTrans
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, canonical_set,
@@ -102,9 +102,9 @@ def test_gate_on_twisted_theta_over_small_maps(small_maps):
 def test_gate_builds_no_composite(monkeypatch, small_maps):
     """The gate decides every square and equation pointwise: with slice and
     function composition and functor images (``Functor.mor``) refused, it
-    gives the same reports on the 19 maps, plain and with theta twisted,
-    and raises the same error on the same mis-typed diagrams of
-    ``swap_face_convention``."""
+    gives the same reports on the 19 maps, plain, with theta twisted and
+    with the faces swapped.  It raises on none, and reports the mis-typed
+    cells of ``swap_face_convention`` on each non-injective map."""
 
     def diagrams():
         out = []
@@ -131,9 +131,12 @@ def test_gate_builds_no_composite(monkeypatch, small_maps):
     monkeypatch.setattr(FinFunction, "then", refuse)
     monkeypatch.setattr(Functor, "mor", refuse)
     assert [outcome(d) for d in built] == want
-    raising = [i for i, o in enumerate(want) if isinstance(o, str)]
-    assert len(raising) == 12 and all(i % 3 == 2 for i in raising)
-    assert {want[i] for i in raising} == {"raises non-composable slice morphisms"}
+    assert [o for o in want if isinstance(o, str)] == []
+    swapped = [want[3 * i + 2] for i, p in enumerate(small_maps()) if not p.is_injective()]
+    assert len(swapped) == 12
+    for failures in swapped:
+        assert failures and all(": wrong source at " in f or ": wrong target at " in f
+                                for f in failures), failures
 
 
 def test_image_follows_the_built_mor_on_every_functor(image_mismatches, small_maps):
@@ -164,8 +167,8 @@ def test_lifted_cells_equal_the_leg_matching_reference(small_maps):
         for p in small_maps():
             fib = basic_fibration(p, bound)
             glued = [fib.d.obj(b0) for b0 in fib.c0.objects(bound)]
-            for name, cell, src_f, dst_f, index_cat in fib.constraint_types():
-                at = index_cat.objects(bound) + (glued if index_cat is fib.c1 else [])
+            for name, cell, src_f, dst_f in fib.constraint_types():
+                at = src_f.src.objects(bound) + (glued if src_f.src is fib.c1 else [])
                 for x in at:
                     assert cell.at(x).fn == _matched(src_f, dst_f, x), (p, name, x)
                     checked += 1
@@ -216,7 +219,7 @@ def test_faces_and_their_composites_preserve_composition(small_map):
     # deciding naturality on generators needs both functors of each square
     # to preserve identities and composition
     fib = basic_fibration(small_map, 2)
-    functors = [fib.d] + [f for _, _, src_f, dst_f, _ in fib.constraint_types()
+    functors = [fib.d] + [f for _, _, src_f, dst_f in fib.constraint_types()
                           for f in (src_f, dst_f)]
     assert len(functors) == 13
     for functor in functors:
@@ -249,9 +252,9 @@ def test_gate_on_generators_agrees_with_every_square(monkeypatch, small_maps):
              for bound in (1, 2, 3)]
     assert len(cases) == 171
     on_generators = [_gate(*case) for case in cases]
-    monkeypatch.setattr(cosimplicial, "naturality_failures", _every_square)
+    monkeypatch.setattr(fincat, "naturality_failures", _every_square)
     on_every_square = [_gate(*case) for case in cases]
-    raised = 0
+    raised = fewer = 0
     for case, got, want in zip(cases, on_generators, on_every_square):
         if isinstance(want, tuple):
             raised += 1
@@ -261,9 +264,35 @@ def test_gate_on_generators_agrees_with_every_square(monkeypatch, small_maps):
         for equation, witnesses in got.items():
             if equation.endswith(": naturality"):
                 assert set(witnesses) <= set(want[equation]), (case, equation)
+                fewer += len(witnesses) < len(want[equation])
             else:
                 assert witnesses == want[equation], (case, equation)
-    assert raised == 36
+    assert raised == 0
+    # the reference took effect: some failing square is no generator's
+    assert fewer > 0
+
+
+def test_component_over_the_wrong_base_is_reported_not_raised():
+    """n0 with each component's target moved over another base: where
+    ``is_isomorphism`` raises "spans two bases", ``NatTrans.check_iso``
+    and the gate report a wrong target at every object, and the gate
+    stops at that cell."""
+    fib = basic_fibration(fn("ab", "*", lambda _: "*"), 2)
+    good, elsewhere = fib.n0, FinSetObj(("z",))
+
+    def moved(x):
+        c = good.at(x)
+        return SliceMor(c.src, FinFunction.of(c.dst.dom, elsewhere, lambda _: "z"), c.fn)
+
+    cell = NatTrans(good.source, good.target, moved, name="n0")
+    objs = fib.c1.objects(2)
+    with pytest.raises(CategoryError, match="spans two bases"):
+        fib.c1.is_isomorphism(cell.at(objs[1]))
+    assert cell.check_iso(2) == [f"n0: wrong target at {x}: {cell.at(x).dst} ≠ {x}"
+                                 for x in objs]
+    report = validate_coherence(dataclasses.replace(fib, n0=cell), 2)
+    assert [(f.equation, f.witness, f.lhs, f.rhs) for f in report.failures] == [
+        ("n0: wrong target", x, cell.at(x).dst, x) for x in objs]
 
 
 def test_gate_reports_non_invertible_cell():

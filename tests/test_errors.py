@@ -155,6 +155,19 @@ def classify_at_a_string_bound():
     classify(fn("ab", "*", lambda _: "*"), "2")
 
 
+def objects_at_a_float_bound_after_its_integer():
+    # 2.0 == 2 and they hash alike: the memo of objects(2) must not answer it
+    cat = SliceCategory(FinSetObj(("x",)), 2)
+    cat.objects(2)
+    cat.objects(2.0)
+
+
+def generators_at_a_float_bound_after_its_integer():
+    cat = SliceCategory(FinSetObj(("x",)), 2)
+    cat.generators(2)
+    cat.generators(2.0)
+
+
 def set_with_an_unhashable_label():
     FinSetObj(([1],))
 
@@ -240,6 +253,10 @@ def overlapping_blocks():
     (classify_at_no_bound, CategoryError, "bound must be an integer, not None"),
     (classify_at_a_fractional_bound, CategoryError, "bound must be an integer, not 2.5"),
     (classify_at_a_string_bound, CategoryError, "bound must be an integer, not '2'"),
+    (objects_at_a_float_bound_after_its_integer, CategoryError,
+     "bound must be an integer, not 2.0"),
+    (generators_at_a_float_bound_after_its_integer, CategoryError,
+     "bound must be an integer, not 2.0"),
     (set_with_an_unhashable_label, FinSetError, "must be hashable"),
     (function_with_a_malformed_pair, FinSetError, r"\(element, image\) pairs"),
     (function_of_a_number, FinSetError, "a mapping or a callable, not 5"),

@@ -10,7 +10,8 @@ from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, CategoryEr
                                 NatTrans, TableFunctor, chain_category,
                                 discrete_category, find_isomorphism,
                                 is_equivalence, is_essentially_surjective,
-                                is_faithful, is_full, parallel_pair_category,
+                                is_faithful, is_full, iso_failures,
+                                parallel_pair_category,
                                 validate_category)
 from descent_kit.finset import EMPTY, FinSetObj, canonical_set
 from descent_kit.slices import FinSetCategory
@@ -196,13 +197,14 @@ def test_functor_composition_associative_and_unital():
 def test_nattrans_naturality_checked():
     cat = parallel_pair_category()
     ident = IdentityFunctor(cat)
-    assert NatTrans(ident, ident, lambda x: cat.identity(x)).check_naturality() == []
+    assert NatTrans(ident, ident, lambda x: cat.identity(x)).check_iso() == []
 
-    # swap the two parallel arrows: a functor with no transformation from Id
+    # swap the two parallel arrows: a functor with no transformation from Id;
+    # every component is an identity, so only the squares of f and g fail
     swap = Functor(cat, cat, lambda x: x,
                    lambda m: cat.mor({"f": "g", "g": "f"}.get(m.name, m.name)))
-    bad = NatTrans(ident, swap, lambda x: cat.identity(x))
-    assert any("naturality" in v for v in bad.check_naturality())
+    bad = NatTrans(ident, swap, lambda x: cat.identity(x), name="bad")
+    assert bad.check_iso() == [f"bad: naturality at {cat.mor(n)}" for n in ("f", "g")]
 
 
 def test_natiso_requires_two_sided_inverse():
@@ -218,9 +220,9 @@ def test_check_iso_searches_for_inverses():
     const = {x: Functor(cat, cat, lambda _, x=x: x, lambda _, x=x: cat.identity(x))
              for x in cat.objects()}
     arrow = NatTrans(const["0"], const["1"], lambda _: cat.mor("m01"), name="arrow")
-    assert arrow.check_naturality() == []
-    assert arrow.check_iso() == [f"arrow: component at {x} is not invertible"
-                                 for x in cat.objects()]
+    assert iso_failures(arrow.source, arrow.target, arrow.at) == [
+        ("not invertible", x, None, None) for x in cat.objects()]
+    assert arrow.check_iso() == [f"arrow: not invertible at {x}" for x in cat.objects()]
 
 
 @dataclass(frozen=True)

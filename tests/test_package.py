@@ -274,6 +274,7 @@ UNUSED_PUBLIC_NAMES = {
     "fincat.discrete_category": "fixture",
     "fincat.parallel_pair_category": "fixture",
     "slices.FinSetCategory": "fixture",
+    "descent.canonicalize_datum": "the tests' reference for the datum Desc(p) keeps",
 }
 
 
