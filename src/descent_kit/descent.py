@@ -60,7 +60,7 @@ from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
 from .finset import FinFunction, FinSetError, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
-from .slices import SliceMor, match_by_legs, slice_isos
+from .slices import SliceMor, slice_isos
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,12 +423,13 @@ def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
 
     glued = FinFunction.of(q, p.cod, lambda cls: p(w(cls)))
 
-    # the canonical iso comparison(glued) -> datum: (class, e) |-> the unique
-    # representative of the class in the fiber over e, matched on both legs;
-    # a class over two base points leaves an element of w unmatched
+    # the canonical iso comparison(glued) -> datum inverts v |-> (class of
+    # v, w(v)), lifted from its legs: the lift refuses a class over two base
+    # points, the inverse a class that misses a fiber or meets one twice
     pg = fib.d.obj(glued)
+    elements = w.dom.elements
     try:
-        fn = match_by_legs(pg.dom, [fib.d.tops(glued), [pg]], w.dom, [[proj], [w]])
+        fn = fib.d.lift(glued, w.dom, proj.values(elements), w.values(elements)).inverse()
     except FinSetError as exc:
         raise TheoremViolation(f"datum {datum} does not glue: {exc}") from exc
     iso = DescMor(DescentDatum(pg, fib.theta.at(glued)), datum, SliceMor(pg, w, fn))

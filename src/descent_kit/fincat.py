@@ -12,7 +12,9 @@ component by component.
 A hom-set is a sequence of morphisms in enumeration order.  A table
 category lists it; a computable category whose hom-sets have a closed-form
 size hands out a ``HomSet``, which knows its length and builds its members
-once, on first read, so a decision that only counts builds none.  A
+once, on first read, so a decision that only counts builds none.  The
+Eilenberg-Moore category of ``monadic`` lists its hom-sets: a filter by
+the algebra law has no closed-form count to hand a ``HomSet``.  A
 hom-set is counted or built, never asked whether it holds a morphism:
 membership is decided by the category's own check where a morphism is
 made, and ``in`` compares with the built members.

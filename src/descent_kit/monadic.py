@@ -7,6 +7,9 @@ d of the basic fibration itself (Phi, T_p and K share it), checks it is an
 equivalence within the bound, and verifies the descent and Eilenberg-Moore
 factorizations through C/E agree.  Any law failure is raised as a
 TheoremViolation: on the basic fibration it is expected never.
+A datum and an algebra on one carrier determine each other through the
+identification T W ≅ d1(W); both directions lift each element along its
+legs (``slices.CartFunctor.lift``), as the universal property gives it.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
                      Decision, EquivalenceReport, Functor, NatTrans, find_isomorphism,
                      is_equivalence, naturality_failures, path_ends)
-from .finset import FinFunction, FinSetError, pullback
+from .finset import FinFunction, FinSetError, follow, pullback
 from .cosimplicial import BasicFibration, basic_fibration
 from .descent import (DescCategory, DescMor, DescentDatum, comparison,
                       is_descent_datum)
 from .slices import (Adjunction, CartFunctor, ChangeOfBase, SliceCategory,
-                     SliceMor, comparison_iso, match_by_legs,
-                     sigma_pullback_adjunction)
+                     SliceMor, comparison_iso, sigma_pullback_adjunction)
 
 
 @dataclass
@@ -267,26 +269,21 @@ class BRResult:
         return self.verdict == EQUIVALENCE
 
 
-def _monad_to_d1(fib: BasicFibration, monad: Monad, w) -> FinFunction:
-    """The identification T W ≅ d1(W): (w, e) |-> the element of d1(W)
-    with top w whose base pair (e0, e1) has e1 = e."""
-    if not isinstance(monad.t, CartFunctor):
-        raise CategoryError("monad endofunctor must track tops")
-    tw, d1w = monad.t.obj(w), fib.d1.obj(w)
-    return match_by_legs(
-        tw.dom, [monad.t.tops(w), [tw]],
-        d1w.dom, [fib.d1.tops(w), [d1w, fib.d0.u]])
-
-
 def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> Algebra:
     """The algebra structure a datum induces on its carrier.
 
-    a: T W -> W sends (w, e) through the identification T W ≅ d1(W), then
-    through rho, then the projection of d0(W) to W.
+    a: T W -> W sends (v, e) to the element of d1(W) with top v over
+    (w(v), e), a lift, then through rho, then to its top in d0(W).
     """
-    w = datum.w
-    fn = _monad_to_d1(fib, monad, w).then(datum.rho.fn).then(fib.d0.top(w))
-    a = SliceMor(monad.t.obj(w), w, fn)
+    t, w = monad.t, datum.w
+    if not isinstance(t, CartFunctor):
+        raise CategoryError("monad endofunctor must track tops")
+    tw = t.obj(w)
+    elements = tw.dom.elements
+    tops = follow(t.tops(w), elements)
+    to_d1 = fib.d1.lift(w, tw.dom, tops, list(zip(w.values(tops), tw.values(elements))))
+    a = SliceMor(tw, w, FinFunction(tw.dom, w.dom, tuple(zip(elements, follow(
+        [to_d1, datum.rho.fn, *fib.d0.tops(w)], elements)))))
     if not algebra_laws_hold(monad, w, a):
         raise TheoremViolation(f"datum {datum} does not induce an algebra")
     return Algebra(w, a)
@@ -295,18 +292,24 @@ def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> 
 def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> DescentDatum:
     """The gluing isomorphism an algebra induces; inverse of datum_to_algebra.
 
-    rho sends u in d1(X) to the element of d0(X) over the same base pair
-    whose top is a applied to the element of T X identified with u.
+    rho lifts u = (v, (e0, e1)) in d1(X) through T to (v, e1), applies a,
+    and lifts the result through d0 over the same base pair (e0, e1).
     """
-    x = alg.x
-    d1x, d0x = fib.d1.obj(x), fib.d0.obj(x)
-    to_x = [_monad_to_d1(fib, monad, x).inverse(), alg.a.fn]
+    t, x = monad.t, alg.x
+    if not isinstance(t, CartFunctor):
+        raise CategoryError("monad endofunctor must track tops")
+    d1x = fib.d1.obj(x)
+    elements = d1x.dom.elements
+    pairs = d1x.values(elements)
     try:
-        fn = match_by_legs(d1x.dom, [to_x, [d1x]], d0x.dom, [fib.d0.tops(x), [d0x]])
+        to_t = t.lift(x, d1x.dom, follow(fib.d1.tops(x), elements), fib.d0.u.values(pairs))
+        fn = fib.d0.lift(x, d1x.dom, follow([to_t, alg.a.fn], elements), pairs)
+        if not fn.is_bijective():
+            raise FinSetError(f"{fn!r} is not a bijection")
     except FinSetError as exc:
         raise TheoremViolation(f"algebra {alg} does not induce an invertible datum: "
                                f"{exc}") from exc
-    rho = SliceMor(d1x, d0x, fn)
+    rho = SliceMor(d1x, fib.d0.obj(x), fn)
     ok, which = is_descent_datum(fib, x, rho)
     if not ok:
         raise TheoremViolation(f"algebra {alg} induces a datum failing {which}")

@@ -37,23 +37,24 @@ the carrier, as Σ and the identity do: its top path is empty and F(m)
 has the values of m; change of base overrides both.  Its top is read off
 the pair (top, base) that an element of a chosen pullback is
 (``finset.FirstProjection``), so a path that follows it builds no
-projection table; ``ChangeOfBase.top`` builds one for a reader that
-needs the function itself.  Two composites of such
-functors whose underlying base maps agree are pullbacks of the same
-cospan, so their values are canonically isomorphic: by the universal
-property, an element of G(x) is fixed by its top in x and its base
-point, so each element of F(x) goes to the element of G(x) with its own
-top and base.  ``CartFunctor._lift`` computes that element from the two
-legs, with no search: change of base pairs them, a composite lifts
-through its first factor over the base points pushed down its second's
-base map (``_down``) and then through its second, and a functor that
-keeps the carrier returns the tops once its object is checked to send
-them to the base points.  ``comparison_iso`` builds each component from
-the lifted elements with the checked constructor, whose codomain check
-is the check that an element with those legs exists, and checks that
-the component is a bijection, which is what
-``SliceCategory.is_isomorphism`` tests.  These comparisons are exactly
-the constraint cells of the cosimplicial diagram of a morphism.
+projection table.  By the universal property an element of a chosen
+pullback is fixed by its top and its base point, and ``CartFunctor._lift``
+computes it from those two legs, with no search: change of base pairs
+them, a composite lifts through its first factor over the base points
+pushed down its second's base map (``_down``) and then through its
+second, and a functor that keeps the carrier returns the tops once its
+object is checked to send them to the base points.  That is the one way
+the library builds a map into a chosen pullback from legs:
+``CartFunctor.lift`` tabulates the lifted elements with the checked
+constructor, whose codomain check is the check that each exists, for the
+unit of Σ_u ⊣ u*, gluing (``descent.descend``) and ``monadic``.  Two
+composites of such functors whose base maps agree are pullbacks of one
+cospan, and ``comparison_iso`` sends each element of F(x) to the element
+of G(x) lifted from its own legs, tabulated in place, checking that the
+component is a bijection (``SliceCategory.is_isomorphism``'s test).
+These comparisons are the constraint cells of the cosimplicial diagram
+of a morphism.  ``match_by_legs`` matches two tables of leg values; no
+library code calls it: it is the tests' reference for the lifted maps.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .finset import (FinFunction, FinSetObj, FinSetError, FirstProjection,
-                     Pullback, all_functions, canonical_set, follow,
-                     mediating_map, pullback)
+                     all_functions, canonical_set, follow, pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
                      Functor, HomSet, IdentityFunctor, NatTrans, path_ends)
 
@@ -320,8 +320,9 @@ class CartFunctor(Functor):
     ``image(m)`` is F(m) as a ``SliceImage``, for a path that is only
     followed; ``_values`` is the rule on morphisms that it follows, and
     that ``ChangeOfBase.mor`` builds from.  ``_lift`` finds the elements
-    of F(x) from their two legs, and ``_down`` pushes points of the target
-    base down the base map.  All default to a functor that keeps the
+    of F(x) from their two legs, ``lift`` tabulates them as a checked map
+    into F(x), and ``_down`` pushes points of the target base down the
+    base map.  All default to a functor that keeps the
     carrier over its base: the top path is empty, F(m) has m's values, an
     element is its top and the base map is the identity.
     """
@@ -339,6 +340,13 @@ class CartFunctor(Functor):
         if self.obj(x).values(tops) != bases:
             raise FinSetError(f"{self.name}({x!r}) does not send the tops to their base points")
         return tops
+
+    def lift(self, x: FinFunction, carrier: FinSetObj, tops: list, bases: list) -> FinFunction:
+        """The checked map from carrier into obj(x) sending the i-th element
+        to the element lifted (``_lift``) from the i-th of tops and bases:
+        its codomain check is the check that each such element exists."""
+        return FinFunction(carrier, self.obj(x).dom, tuple(zip(
+            carrier.elements, self._lift(x, tops, bases))))
 
     def _down(self, bases: list) -> list:
         """The image of each of bases, points of the target base, under the
@@ -391,31 +399,14 @@ class ChangeOfBase(CartFunctor):
             raise CategoryError("change of base must go from C/cod(u) to C/dom(u)")
         super().__init__(src, dst, name=f"({u!r})*")
         self.u = u
-        self._pullbacks: dict = {}
 
     def _on_obj(self, x: FinFunction) -> FinFunction:
-        pb = pullback(x, self.u)
-        self._pullbacks[x] = pb
-        return pb.pr2
-
-    def pullback_of(self, x: FinFunction) -> Pullback:
-        """The chosen pullback of x and u; obj(x) is its pr2."""
-        try:
-            return self._pullbacks[x]
-        except KeyError:
-            self.obj(x)
-            return self._pullbacks[x]
-
-    def top(self, x: FinFunction) -> FinFunction:
-        """The top projection obj(x) -> x, built: the pullback's pr1."""
-        return self.pullback_of(x).pr1
+        return pullback(x, self.u).pr2
 
     def tops(self, x: FinFunction) -> list:
-        """The top projection as a path that is only followed: an element
-        of the chosen pullback is the pair (top, base), so its top is read
-        off the pair and no pr1 table is built; an element outside the
-        carrier raises ``FinSetError``."""
-        return [FirstProjection(self.pullback_of(x).obj)]
+        """The top projection, read off each pair (top, base) with no pr1
+        table built; an element outside the carrier raises ``FinSetError``."""
+        return [FirstProjection(self.obj(x).dom)]
 
     def _values(self, of_m, elements) -> list:
         """w |-> (m(top w), base w): an element of the chosen pullback is
@@ -488,7 +479,8 @@ def match_by_legs(src: FinSetObj, src_legs, dst: FinSetObj, dst_legs) -> FinFunc
     of functions out of its carrier (see ``_leg_values``).  Raises
     ``FinSetError`` when there is none: a value of dst's legs hit twice, a
     value of src's legs with no match, or a matching that is not one to
-    one and onto.  Callers take its result as an isomorphism unchecked."""
+    one and onto.  No library code calls it: it is the tests' reference
+    for the maps that ``CartFunctor.lift`` builds."""
     keyed = {}
     for e, k in _leg_values(dst, dst_legs):
         if k in keyed:
@@ -560,21 +552,22 @@ class Adjunction:
 def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
     """The adjunction Σ_u ⊣ u* on the given change of base u*: C/B -> C/A.
 
-    right is used as is, so the adjunction shares its pullbacks and memo
-    with every other reader of that functor.
+    right is used as is, sharing its memo with every other reader.  The
+    unit lifts v to the element of u*(Σ_u w) with top v over w(v); the
+    counit follows the top projection ``right.tops``.
     """
     left = SigmaAlong(right.u, right.dst, right.src)
 
     def unit_at(w: FinFunction) -> SliceMor:
+        elements = w.dom.elements
         lw = left.obj(w)
-        rlw = right.obj(lw)
-        fn = mediating_map(right.pullback_of(lw), FinFunction.identity(w.dom), w)
-        return SliceMor(w, rlw, fn)
+        return SliceMor(w, right.obj(lw), right.lift(lw, w.dom, elements, w.values(elements)))
 
     def counit_at(x: FinFunction) -> SliceMor:
         rx = right.obj(x)
-        lrx = left.obj(rx)
-        return SliceMor(lrx, x, right.top(x))
+        elements = rx.dom.elements
+        return SliceMor(left.obj(rx), x, FinFunction(rx.dom, x.dom, tuple(zip(
+            elements, follow(right.tops(x), elements)))))
 
     unit = NatTrans(IdentityFunctor(right.dst), left.then(right), unit_at, name="η")
     counit = NatTrans(right.then(left), IdentityFunctor(right.src), counit_at, name="ε")

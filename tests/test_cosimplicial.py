@@ -5,12 +5,14 @@ import pytest
 
 from descent_kit import fincat
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
+from descent_kit.descent import descend, moves
 from descent_kit.fincat import CategoryError, Functor, NatTrans
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, canonical_set,
-                                all_functions)
+                                all_functions, mediating_map, pullback, quotient)
+from descent_kit.monadic import algebra_to_datum, datum_to_algebra, induced_monad
 from descent_kit.mutations import invert_theta, swap_face_convention
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory, SliceMor,
-                                comparison_iso, match_by_legs)
+                                comparison_iso, match_by_legs, sigma_pullback_adjunction)
 
 
 def fn(dom, cod, mapping):
@@ -173,6 +175,48 @@ def test_lifted_cells_equal_the_leg_matching_reference(small_maps):
                     assert cell.at(x).fn == _matched(src_f, dst_f, x), (p, name, x)
                     checked += 1
     assert checked > 0
+
+
+def test_lifted_maps_equal_the_leg_matching_reference(raw_descent_data, small_maps):
+    """Every other canonical map the library lifts along its legs
+    (``CartFunctor.lift``) equals its reference, on the 19 maps at bounds
+    1 to 3: gluing's iso and both directions between data and algebras
+    equal what matching the legs gives, the unit of Σ_p ⊣ p* equals the
+    mediating map into the chosen pullback, and the counit its pr1."""
+    checked = collections.Counter()
+    for bound in (1, 2, 3):
+        for p in small_maps():
+            fib = basic_fibration(p, bound)
+            adj = sigma_pullback_adjunction(fib.d)
+            for w in fib.c1.objects(bound):
+                pb = pullback(w.then(p), p)
+                assert adj.unit.at(w).fn == mediating_map(
+                    pb, FinFunction.identity(w.dom), w), (p, w)
+                checked["unit"] += 1
+            for x in fib.c0.objects(bound):
+                assert adj.counit.at(x).fn == pullback(x, p).pr1, (p, x)
+                checked["counit"] += 1
+            monad = induced_monad(adj, bound)
+            t = monad.t
+            for datum in raw_descent_data(fib, bound):
+                w = datum.w
+                _, proj = quotient(w.dom, [(v, v2) for v, _, v2 in moves(datum)])
+                res = descend(fib, datum)
+                pg = res.iso.m.src
+                assert res.iso.m.fn == match_by_legs(
+                    pg.dom, [fib.d.tops(res.glued), [pg]], w.dom, [[proj], [w]]), (p, datum)
+                tw, d1w, d0w = t.obj(w), fib.d1.obj(w), fib.d0.obj(w)
+                to_d1 = match_by_legs(tw.dom, [t.tops(w), [tw]],
+                                      d1w.dom, [fib.d1.tops(w), [d1w, fib.d0.u]])
+                alg = datum_to_algebra(fib, monad, datum)
+                assert alg.a.fn == to_d1.then(datum.rho.fn).then(
+                    pullback(w, fib.d0.u).pr1), (p, datum)
+                rho = algebra_to_datum(fib, monad, alg).rho
+                assert rho.fn == match_by_legs(
+                    d1w.dom, [[to_d1.inverse(), alg.a.fn], [d1w]],
+                    d0w.dom, [fib.d0.tops(w), [d0w]]), (p, datum)
+                checked["datum"] += 1
+    assert min(checked.values()) > 0, checked
 
 
 def test_comparison_between_disagreeing_base_maps_raises(small_maps):

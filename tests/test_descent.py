@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from descent_kit import finset
 from descent_kit.cosimplicial import basic_fibration
 from descent_kit.errors import TheoremViolation
 from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
@@ -211,16 +212,24 @@ def test_hom_counts_tabulate_each_datum_once(monkeypatch):
     assert listed == data and len(data) == 12
 
 
-def test_classify_follows_no_top_table():
+def test_classify_follows_no_top_table(monkeypatch):
     # the comparison cells and gluing read tops off the pairs of each
-    # chosen pullback, so no change of base builds its first projection
+    # chosen pullback, so no change of base builds its first projection:
+    # pr1 is built only for E×_B E and E×_B E×_B E, which basic_fibration
+    # projects
     p = fn("abc", "xy", {"a": "x", "b": "x", "c": "y"})
+    built = []
+    pr1 = finset.Pullback.pr1
+
+    def watched(pb):
+        if pb._pr1 is None:
+            built.append(pb.obj)
+        return pr1.fget(pb)
+
+    monkeypatch.setattr(finset.Pullback, "pr1", property(watched))
     res = classify(p, 2)
     assert res.verdict == EFFECTIVE
-    faces = [res.fib.d, res.fib.d0, res.fib.d1, res.fib.s0,
-             res.fib.del0, res.fib.del1, res.fib.del2]
-    pullbacks = [pb for face in faces for pb in face._pullbacks.values()]
-    assert pullbacks and all(pb._pr1 is None for pb in pullbacks)
+    assert built == [res.fib.c2.base, res.fib.c3.base]
 
 
 @st.composite

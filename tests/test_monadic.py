@@ -14,7 +14,7 @@ from descent_kit.monadic import (Algebra, EMCategory, EMComparison, Monad,
                                  chosen_pullback_bc_square, datum_to_algebra,
                                  induced_monad, is_beck_chevalley, mate,
                                  pullback_square_bc)
-from descent_kit.slices import sigma_pullback_adjunction
+from descent_kit.slices import SliceMor, sigma_pullback_adjunction
 
 
 def fn(dom, cod, mapping):
@@ -197,6 +197,20 @@ def test_datum_algebra_round_trip(raw_descent_data):
         alg = datum_to_algebra(fib, monad, datum)
         back = algebra_to_datum(fib, monad, alg)
         assert back == datum
+
+
+def test_structure_map_that_forgets_the_top_induces_no_datum():
+    # over 2 -> 1, x with two points over each of a and b; a sends each
+    # (v, e) of T x to the first point over e, so the induced rho sends
+    # (v, (e0, e1)) to the first point over e1 whatever v is: not one to one
+    fib, adj = adjunction_for(two_to_one(), 2)
+    monad = induced_monad(adj, 2)
+    x = fn([(e, i) for e in "ab" for i in range(2)], "ab", lambda v: v[0])
+    tx = monad.t.obj(x)
+    a = SliceMor(tx, x, FinFunction.of(tx.dom, x.dom, lambda ve: (ve[1], 0)))
+    with pytest.raises(TheoremViolation,
+                       match="does not induce an invertible datum: .* is not a bijection"):
+        algebra_to_datum(fib, monad, Algebra(x, a))
 
 
 def test_benabou_roubaud_identity():

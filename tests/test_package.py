@@ -5,11 +5,9 @@ built by ``compose`` or follows functor images built by ``mor``, no
 library code sorts labels (``test_library_never_sorts``), no library code
 groups a map by its image outside ``FinFunction.fibers``
 (``test_library_groups_a_map_by_its_image_only_in_fibers``), no library
-code re-checks that a ``match_by_legs`` result is a bijection
-(``test_library_trusts_match_by_legs_to_be_a_bijection``), the
-constraint cells never match legs
-(``test_constraint_cells_lift_and_never_match_legs``), no library
-code asks a hom-set whether it holds a morphism
+code matches leg tables and only the basic fibration builds a mediating
+map (``test_library_lifts_and_never_matches_legs``), no library code
+asks a hom-set whether it holds a morphism
 (``test_library_never_asks_a_hom_set_for_membership``), every public
 name is used or listed, the most numerous value classes stay slotted, a
 dropped diagram leaves no cyclic garbage, memo keys store their hash, and
@@ -166,60 +164,32 @@ def test_library_groups_a_map_by_its_image_only_in_fibers():
     assert found == []
 
 
-def _bijectivity_rechecked(tree):
-    """Lines that call ``.is_bijective()`` on a ``match_by_legs(...)``
-    result, directly or through a name a function binds to one."""
-
-    def matched(node):
-        return (isinstance(node, ast.Call) and getattr(
-            node.func, "id", getattr(node.func, "attr", None)) == "match_by_legs")
-
-    found = set()
-    for scope in ast.walk(tree):
-        if not isinstance(scope, ast.FunctionDef):
-            continue
-        bound = {target.id for node in ast.walk(scope)
-                 if isinstance(node, ast.Assign) and matched(node.value)
-                 for target in node.targets if isinstance(target, ast.Name)}
-        found.update(node.lineno for node in ast.walk(scope)
-                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                     and node.func.attr == "is_bijective"
-                     and (matched(node.func.value) or isinstance(node.func.value, ast.Name)
-                          and node.func.value.id in bound))
-    return sorted(found)
+def _calls(node, name):
+    """The calls under node of a function or method called name."""
+    return [inner for inner in ast.walk(node)
+            if isinstance(inner, ast.Call) and getattr(
+                inner.func, "id", getattr(inner.func, "attr", None)) == name]
 
 
-def test_library_trusts_match_by_legs_to_be_a_bijection():
-    """``match_by_legs`` returns a bijection or raises ``FinSetError``, so
-    bijectivity is checked once, inside it; a caller that tests its result
-    again repeats that check."""
-    found = []
+def test_library_lifts_and_never_matches_legs():
+    """A map into a chosen pullback is built by lifting each element along
+    its legs (``CartFunctor._lift``): no library module builds a leg table
+    with ``match_by_legs``, and only ``basic_fibration`` calls
+    ``mediating_map``, for the projections between its levels."""
+    found, allowed = [], set()
     for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line}" for line in _bijectivity_rechecked(tree)]
+        allowed.update(id(call) for node in tree.body if isinstance(node, ast.FunctionDef)
+                       and node.name == "basic_fibration"
+                       for call in _calls(node, "mediating_map"))
+        found += [f"{path.name}:{call.lineno} {name}"
+                  for name in ("match_by_legs", "mediating_map")
+                  for call in _calls(tree, name) if id(call) not in allowed]
     assert found == []
-
-
-def _legs_matched(node):
-    """Lines under node that call ``match_by_legs``."""
-    return sorted(inner.lineno for inner in ast.walk(node)
-                  if isinstance(inner, ast.Call) and getattr(
-                      inner.func, "id", getattr(inner.func, "attr", None)) == "match_by_legs")
-
-
-def test_constraint_cells_lift_and_never_match_legs():
-    """The constraint cells are built by lifting each element along its
-    legs (``CartFunctor._lift``): neither ``comparison_iso`` nor any code
-    of ``cosimplicial`` builds a leg table with ``match_by_legs``."""
-    slices = ast.parse((ROOT / "src" / "descent_kit" / "slices.py").read_text())
-    (comparison_iso,) = [node for node in slices.body if isinstance(node, ast.FunctionDef)
-                         and node.name == "comparison_iso"]
-    cosimplicial = ast.parse((ROOT / "src" / "descent_kit" / "cosimplicial.py").read_text())
-    assert _legs_matched(comparison_iso) == []
-    assert _legs_matched(cosimplicial) == []
-    # the guard sees the calls that remain, in gluing
-    descent = ast.parse((ROOT / "src" / "descent_kit" / "descent.py").read_text())
-    assert _legs_matched(descent) != []
+    # the guard sees the calls that remain: the fibration's projections,
+    # and the tests' leg-matching reference
+    tests = ast.parse((ROOT / "tests" / "test_cosimplicial.py").read_text())
+    assert allowed and _calls(tests, "match_by_legs") != []
 
 
 def _hom_membership_asked(tree):
@@ -275,6 +245,7 @@ UNUSED_PUBLIC_NAMES = {
     "fincat.parallel_pair_category": "fixture",
     "slices.FinSetCategory": "fixture",
     "descent.canonicalize_datum": "the tests' reference for the datum Desc(p) keeps",
+    "slices.match_by_legs": "the tests' leg-matching reference for the maps the library lifts",
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from descent_kit.fincat import (Category, CategoryError, is_faithful,
                                 validate_category)
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
-                                canonical_set, follow, mediating_map)
+                                canonical_set, follow, mediating_map, pullback)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor,
                                 comparison_iso, match_by_legs,
@@ -98,7 +98,7 @@ def test_change_of_base_hands_out_its_values():
     assert len(objs) == 6
     assert all(isinstance(x, FinFunction) and x.cod == b for x in objs)
     for x in objs:
-        assert cob.obj(x) is cob.pullback_of(x).pr2
+        assert cob.obj(x) == pullback(x, p).pr2 and cob.obj(x) is cob.obj(x)
     for w in ce.objects():
         assert sig.obj(w) == w.then(p)
 
@@ -126,7 +126,7 @@ def test_change_of_base_builds_one_function_per_object(monkeypatch):
         assert follow([view], fx.dom.elements) == [t[0] for t in fx.dom.elements]
     assert len(built) == len(objs)
     for x, fx in zip(objs, images):
-        assert follow(cob.tops(x), fx.dom.elements) == follow([cob.top(x)], fx.dom.elements)
+        assert follow(cob.tops(x), fx.dom.elements) == pullback(x, p).pr1.values(fx.dom.elements)
 
 
 def test_top_view_refuses_an_element_outside_the_carrier():
@@ -267,8 +267,8 @@ def test_change_of_base_on_morphisms_is_the_mediating_map(small_maps):
         for x in cb.objects():
             for y in cb.objects():
                 for m in cb.hom(x, y):
-                    expected = mediating_map(cob.pullback_of(m.dst), cob.top(m.src).then(m.fn),
-                                             cob.obj(m.src))
+                    pb = pullback(m.src, u)
+                    expected = mediating_map(pullback(m.dst, u), pb.pr1.then(m.fn), pb.pr2)
                     assert cob.mor(m).fn == expected, (u, m)
                     checked += 1
     assert checked > 0
