@@ -12,7 +12,11 @@ composites of faces:
 Each map of finite sets lives in exactly one functor, as its ``u``.
 Each cell is a plain ``NatTrans``; that it is a natural isomorphism of
 the composites the faces give it, ``validate_coherence`` checks with the
-one natural-isomorphism check, ``fincat.iso_failures``.
+one natural-isomorphism check, ``fincat.iso_failures``.  Every composite
+of faces tracks tops, so naturality is decided by legs: a cell whose
+components keep each element's top and base point is natural, with no
+square checked, and the squares on generators run only for a cell whose
+legs fail somewhere, to report where.
 
 Face indexing follows the usual cosimplicial convention: the face with
 index i forgets coordinate i, so d0 is change of base along the projection
@@ -158,8 +162,10 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     equations of the augmentation.
 
     A cell is checked by ``fincat.iso_failures``, as ``NatTrans.check_iso``
-    is: typing and invertibility on every enumerated object, naturality on
-    the generators of its index category.  Each failure is reported as
+    is: typing and invertibility on every enumerated object, then
+    naturality, by legs on every enumerated object (the faces track tops)
+    and, only where legs fail, by squares on the generators of its index
+    category, each failing one reported.  Each failure is reported as
     "<cell>: <what>" at its object or generator, a mistyped component with
     the ends it has and should have as lhs and rhs; a component that does
     not commute over the base is reported, not raised.  A cell with a

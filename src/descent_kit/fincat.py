@@ -47,7 +47,12 @@ commute on the generators of the enumerated source
 (``Category.generators``), since functors preserve composition;
 ``naturality_failures`` is the one loop that decides it.  ``iso_failures``
 is the one natural-isomorphism check: ``NatTrans.check_iso`` formats its
-failures and the coherence gate of ``cosimplicial`` reports them.
+failures and the coherence gate of ``cosimplicial`` reports them.  Where
+both functors track legs (``Functor.legs``: an element of F(x) is fixed by
+its legs and its base point, and F(m) applies m to the legs), a
+transformation whose every component keeps legs is natural by that
+universal property, and ``iso_failures`` checks no square; where a
+component does not, or a functor tracks none, the squares run.
 
 Decision procedures (faithful / full / essentially surjective / equivalence)
 always return a witness with a negative answer, and flag results obtained on
@@ -401,6 +406,15 @@ class Functor:
         without building it returns a view with src, dst and values."""
         return self.mor(m)
 
+    def legs(self, x, via=None) -> Optional[list]:
+        """The legs that fix the elements of obj(x) over their base points,
+        or None, the default, for a functor that tracks none.  Given via, a
+        morphism into obj(x), the legs of the image of each element of its
+        source.  A functor that returns legs promises that F(m) sends each
+        element to the one whose legs are m applied to its legs, over the
+        same base point; ``iso_failures`` decides naturality by them."""
+        return None
+
     def then(self, other: "Functor") -> "Functor":
         """Diagrammatic composite: apply self first, then other."""
         if self.dst != other.src:
@@ -514,9 +528,20 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
     raises ``CategoryError``, or "not invertible".  Then "naturality" at
     each failing generator (``naturality_failures``), unless a component
     was mistyped, since its squares do not compose.
+
+    Where both functors track legs (``Functor.legs``), each component that
+    ``is_isomorphism`` accepts as a morphism, so one that keeps base
+    points, is asked to keep legs too: if every one does, at is natural
+    with no square checked.  For f: x -> y the two paths around the square
+    of f send an element z of source(x) to elements of target(y) over the
+    base point of z, both with f applied to the legs of z as legs, and an
+    element is fixed by its legs and its base point.  Otherwise, or where
+    either functor tracks none, the squares run, so a transformation that
+    fails is reported at its failing generators, as ever.
     """
     cat = source.dst
     out = []
+    by_legs = True
     for x in source.src.objects(bound):
         c, want_src, want_dst = at(x), source.obj(x), target.obj(x)
         if c.src != want_src:
@@ -529,7 +554,13 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
                     out.append(("not invertible", x, None, None))
             except CategoryError:
                 out.append(("does not commute", x, None, None))
-    if not any(what in MISTYPED for what, *_ in out):
+                by_legs = False
+            else:
+                legs = source.legs(x) if by_legs else None
+                by_legs = legs is not None and target.legs(x, c) == legs
+    if any(what in MISTYPED for what, *_ in out):
+        return out
+    if not by_legs:
         out += [("naturality", f, None, None)
                 for f in naturality_failures(source, target, at, bound)]
     return out

@@ -23,7 +23,7 @@ built on first read; membership is the category's own check, that the
 triangle commutes, which its members are built to pass.
 The enumerated C/B also lists generators (transpositions, merges and
 inclusions of fibers) whose composites give every morphism, so
-naturality is checked on them alone.
+naturality squares, where they run, are checked on them alone.
 
 ``SliceCategory.commutes`` decides whether two paths of triangles have
 equal composites pointwise: each element of the common source is pushed
@@ -38,13 +38,14 @@ has the values of m; change of base overrides both.  Its top is read off
 the pair (top, base) that an element of a chosen pullback is
 (``finset.FirstProjection``), so a path that follows it builds no
 projection table.  By the universal property an element of a chosen
-pullback is fixed by its top and its base point, and ``CartFunctor._lift``
-computes it from those two legs, with no search: change of base pairs
-them, a composite lifts through its first factor over the base points
-pushed down its second's base map (``_down``) and then through its
-second, and a functor that keeps the carrier returns the tops once its
-object is checked to send them to the base points.  That is the one way
-the library builds a map into a chosen pullback from legs:
+pullback is fixed by its top and its base point, which is how the
+coherence gate decides naturality (``CartFunctor.legs``), and
+``CartFunctor._lift`` computes it from those two legs, with no search:
+change of base pairs them, a composite lifts through its first factor
+over the base points pushed down its second's base map (``_down``) and
+then through its second, and a functor that keeps the carrier returns the
+tops once its object is checked to send them to the base points.  That
+is the one way the library builds a map into a chosen pullback from legs:
 ``CartFunctor.lift`` tabulates the lifted elements with the checked
 constructor, whose codomain check is the check that each exists, for the
 unit of Σ_u ⊣ u*, gluing (``descent.descend``) and ``monadic``.  Two
@@ -106,6 +107,13 @@ class SliceMor:
     def values(self, elements) -> list:
         """The images of elements under fn, read off its table."""
         return self.fn.values(elements)
+
+    def commutes_over_base(self) -> bool:
+        """Whether fn sends each element of src to one over the same base
+        point: the construction checks only that fn runs between the
+        carriers."""
+        return follow([self.fn, self.dst], self.src.dom.elements) == [
+            b for _, b in self.src.mapping]
 
 
 class SliceImage:
@@ -272,7 +280,7 @@ class SliceCategory(ComputableCategory):
         checks only that fn runs between the carriers."""
         if m.src.cod != m.dst.cod:
             raise CategoryError(f"{m!r} spans two bases, {m.src.cod} and {m.dst.cod}")
-        if not _commutes_over_base(m):
+        if not m.commutes_over_base():
             raise CategoryError(f"{m!r} does not commute over the base")
         return m.fn.is_bijective()
 
@@ -282,10 +290,6 @@ def _slice_members(x: FinFunction, y: FinFunction, cands: list) -> list[SliceMor
     its candidates, the points of y's fiber over its base point."""
     return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice))))
             for choice in itertools.product(*cands)]
-
-
-def _commutes_over_base(m: SliceMor) -> bool:
-    return follow([m.fn, m.dst], m.src.dom.elements) == [b for _, b in m.src.mapping]
 
 
 def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
@@ -325,7 +329,21 @@ class CartFunctor(Functor):
     base map.  All default to a functor that keeps the
     carrier over its base: the top path is empty, F(m) has m's values, an
     element is its top and the base map is the identity.
+
+    The contract every override keeps: an element of F(x) is fixed by its
+    top and its base point, and F(m) sends an element to the one whose top
+    is the image under m of its top, over the same base point.  ``legs``
+    gives the tops, so a transformation between two such functors whose
+    components keep tops and base points is natural (``fincat.iso_failures``).
     """
+
+    def legs(self, x: FinFunction, via: Optional[SliceMor] = None) -> list:
+        """The top of each element of obj(x), following ``tops``; given
+        via, a morphism into obj(x), the top of the image of each element
+        of its source."""
+        if via is None:
+            return follow(self.tops(x), self.obj(x).dom.elements)
+        return follow([via, *self.tops(x)], via.src.dom.elements)
 
     def tops(self, x: FinFunction) -> list:
         return []

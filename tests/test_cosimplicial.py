@@ -316,6 +316,57 @@ def test_gate_on_generators_agrees_with_every_square(monkeypatch, small_maps):
     assert fewer > 0
 
 
+def test_cells_whose_legs_hold_have_no_failing_square(small_maps):
+    """The theorem the gate decides naturality by: a cell between functors
+    that track tops, each of whose components keeps base points and tops,
+    is natural.  Over every well-typed cell of the gate's 171 cases,
+    ``naturality_failures``, called directly, finds no failing square
+    where the legs hold; where they fail the gate runs the squares."""
+    held = failed = 0
+    for p in small_maps():
+        for mutate in (lambda fib: fib, invert_theta, swap_face_convention):
+            for bound in (1, 2, 3):
+                fib = mutate(basic_fibration(p, bound))
+                for name, cell, src_f, dst_f in fib.constraint_types():
+                    objs = src_f.src.objects(bound)
+                    if any((cell.at(x).src, cell.at(x).dst) != (src_f.obj(x), dst_f.obj(x))
+                           for x in objs):
+                        continue
+                    if all(cell.at(x).commutes_over_base()
+                           and dst_f.legs(x, cell.at(x)) == src_f.legs(x) for x in objs):
+                        held += 1
+                        assert fincat.naturality_failures(src_f, dst_f, cell.at, bound) == [], (
+                            p, name, bound)
+                    else:
+                        failed += 1
+    assert (held, failed) == (848, 34)
+
+
+def test_gate_checks_squares_only_where_legs_fail(monkeypatch, small_maps):
+    """Plain diagrams pass the gate, and theta ``check_iso``, with no
+    square checked; with theta twisted, only theta's squares are."""
+    real, seen = fincat.naturality_failures, []
+
+    def counted(source, target, at, bound=None):
+        seen.append(at)
+        return real(source, target, at, bound)
+
+    monkeypatch.setattr(fincat, "naturality_failures", counted)
+    twisted_calls = 0
+    for p in small_maps():
+        for bound in (1, 2, 3):
+            fib = basic_fibration(p, bound)
+            assert validate_coherence(fib, bound).is_empty()
+            assert fib.theta.check_iso(bound) == []
+            assert seen == [], (p, bound)
+            twisted = invert_theta(fib)
+            validate_coherence(twisted, bound)
+            assert all(at == twisted.theta.at for at in seen), (p, bound)
+            twisted_calls += len(seen)
+            seen.clear()
+    assert twisted_calls > 0
+
+
 def test_component_over_the_wrong_base_is_reported_not_raised():
     """n0 with each component's target moved over another base: where
     ``is_isomorphism`` raises "spans two bases", ``NatTrans.check_iso``
