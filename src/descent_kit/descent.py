@@ -249,9 +249,15 @@ class DescCategory(ComputableCategory):
                                       carrier_pred=self.carrier_pred)
 
     def _table(self, x: DescentDatum) -> _MoveTable:
-        """x's moves tabulated once, however many hom-sets read them."""
+        """x's moves tabulated once, however many hom-sets read them.  A
+        datum of another fibration, whose w lies over another E or whose
+        rho does not run from d1(w) to d0(w), raises ``CategoryError``."""
         table = self._tables.get(x)
         if table is None:
+            fib, w = self.diagram, x.w
+            if (w.cod != fib.c1.base or x.rho.src != fib.d1.obj(w)
+                    or x.rho.dst != fib.d0.obj(w)):
+                raise CategoryError(f"{x!r} is no descent datum of this fibration")
             out: dict = {}
             step = {}
             for v, t, v2 in moves(x):

@@ -406,13 +406,13 @@ class Functor:
         without building it returns a view with src, dst and values."""
         return self.mor(m)
 
-    def legs(self, x, via=None) -> Optional[list]:
-        """The legs that fix the elements of obj(x) over their base points,
-        or None, the default, for a functor that tracks none.  Given via, a
-        morphism into obj(x), the legs of the image of each element of its
-        source.  A functor that returns legs promises that F(m) sends each
-        element to the one whose legs are m applied to its legs, over the
-        same base point; ``iso_failures`` decides naturality by them."""
+    def legs(self, x, elements=None) -> Optional[list]:
+        """The legs of the given elements of obj(x), or of every element:
+        with its base point, an element's legs fix it.  None here, for a
+        functor that tracks none.  A functor that returns legs promises
+        that F(m) sends each element to the one whose legs are m applied to
+        its legs, over the same base point; ``iso_failures`` decides
+        naturality by them."""
         return None
 
     def then(self, other: "Functor") -> "Functor":
@@ -531,11 +531,13 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
 
     Where both functors track legs (``Functor.legs``), each component that
     ``is_isomorphism`` accepts as a morphism, so one that keeps base
-    points, is asked to keep legs too: if every one does, at is natural
-    with no square checked.  For f: x -> y the two paths around the square
-    of f send an element z of source(x) to elements of target(y) over the
-    base point of z, both with f applied to the legs of z as legs, and an
-    element is fixed by its legs and its base point.  Otherwise, or where
+    points, is asked to keep legs too: the target's legs of its images
+    must be the source's legs of the elements of source(x).  If every one
+    does, at is natural with no square checked.  For f: x -> y the two
+    paths around the square of f send an element z of source(x) to
+    elements of target(y) over the base point of z, both with f applied
+    to the legs of z as legs, and an element is fixed by its legs and its
+    base point.  Otherwise, or where
     either functor tracks none, the squares run, so a transformation that
     fails is reported at its failing generators, as ever.
     """
@@ -557,7 +559,8 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
                 by_legs = False
             else:
                 legs = source.legs(x) if by_legs else None
-                by_legs = legs is not None and target.legs(x, c) == legs
+                by_legs = legs is not None and target.legs(
+                    x, c.values(c.src.dom.elements)) == legs
     if any(what in MISTYPED for what, *_ in out):
         return out
     if not by_legs:

@@ -8,12 +8,13 @@ never on the nose.  An element of a chosen pullback is the
 Python tuple ``(x, y)`` of its two components, so iterated pullbacks nest
 tuples and a witness prints as Python's own repr of them.  A ``Pullback``
 builds its second projection, the object of a slice that change of base
-hands out, and builds its first only when read; a path that only follows
-the first projection reads it off the pairs (``FirstProjection``).  Every
-fiberwise algorithm groups a map by its image with ``FinFunction.fibers``,
-which groups each function once, on first call, and hands the grouping
-out read-only, each fiber a tuple, so no caller can grow it: a pullback
-along a fixed map reads the same grouping on every call.
+hands out, and builds its first only when read; a reader that only needs
+the first component of some pairs reads it off the pairs themselves
+(``slices.ChangeOfBase.legs``).  Every fiberwise algorithm groups a map
+by its image with ``FinFunction.fibers``, which groups each function
+once, on first call, and hands the grouping out read-only, each fiber a
+tuple, so no caller can grow it: a pullback along a fixed map reads the
+same grouping on every call.
 
 Every ``FinFunction`` is built by its one constructor, which checks it:
 composites and mediating maps included, since a codomain check is what
@@ -274,7 +275,7 @@ class Pullback:
     """A chosen pullback of f: X -> Z <- Y : g: its carrier obj, a set of
     pairs (x, y), and the projection pr2 to Y.  The projection pr1 to X is
     built on first read, with the checked constructor, and kept; a reader
-    that only follows it reads it off the pairs (``FirstProjection``)."""
+    that only needs the first components reads them off the pairs."""
 
     __slots__ = ("obj", "pr2", "_factor1", "_pr1")
 
@@ -292,27 +293,6 @@ class Pullback:
             pr1 = self._pr1 = FinFunction(self.obj, self._factor1,
                                           tuple(zip(pairs, [t[0] for t in pairs])))
         return pr1
-
-
-class FirstProjection:
-    """(x, y) |-> x on the carrier of a chosen pullback, read off the pairs
-    and never tabulated.  ``values`` keeps the domain check of
-    ``FinFunction.values``, so a path through it is followed
-    (``follow``) as through the built pr1."""
-
-    __slots__ = ("dom",)
-
-    def __init__(self, dom: FinSetObj):
-        self.dom = dom
-
-    def values(self, elements) -> list:
-        # the carrier itself lies in the carrier with no hash taken: a
-        # path's first step is followed from it (``follow``)
-        dom = self.dom
-        if elements is not dom.elements and not dom.includes(elements):
-            x = next(x for x in elements if x not in dom)
-            raise FinSetError(f"{x!r} is not in the domain {dom}")
-        return [t[0] for t in elements]
 
 
 def pullback(f: FinFunction, g: FinFunction) -> Pullback:

@@ -284,10 +284,10 @@ def datum_to_algebra(fib: BasicFibration, monad: Monad, datum: DescentDatum) -> 
         raise CategoryError("monad endofunctor must track tops")
     tw = t.obj(w)
     elements = tw.dom.elements
-    tops = follow(t.tops(w), elements)
+    tops = t.legs(w)
     to_d1 = fib.d1.lift(w, tw.dom, tops, list(zip(w.values(tops), tw.values(elements))))
-    a = SliceMor(tw, w, FinFunction(tw.dom, w.dom, tuple(zip(elements, follow(
-        [to_d1, datum.rho.fn, *fib.d0.tops(w)], elements)))))
+    a = SliceMor(tw, w, FinFunction(tw.dom, w.dom, tuple(zip(elements, fib.d0.legs(
+        w, follow([to_d1, datum.rho.fn], elements))))))
     if not algebra_laws_hold(monad, w, a):
         raise TheoremViolation(f"datum {datum} does not induce an algebra")
     return Algebra(w, a)
@@ -310,7 +310,7 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     elements = d1x.dom.elements
     pairs = d1x.values(elements)
     try:
-        to_t = t.lift(x, d1x.dom, follow(fib.d1.tops(x), elements), fib.d0.u.values(pairs))
+        to_t = t.lift(x, d1x.dom, fib.d1.legs(x), fib.d0.u.values(pairs))
         fn = fib.d0.lift(x, d1x.dom, follow([to_t, alg.a.fn], elements), pairs)
         if not fn.is_bijective():
             raise FinSetError(f"{fn!r} is not a bijection")

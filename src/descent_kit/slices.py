@@ -7,20 +7,20 @@ domain X is the carrier.  A morphism is a commuting triangle, a
 hash them on every lookup.  The canonical objects of C/B are listed by
 fiber-size vector, and ``objects_constant_on`` lists only those whose
 fiber sizes are equal over each of given blocks of base points, by the
-same vector-to-object rule and in the same order.  Change of base along p: E -> B is pullback
-along p, with the chosen pullbacks of finset; each functor caches its
-values so repeated applications return identical (not merely isomorphic)
-results.  A
-morphism m has its image two ways, by one per-element rule,
-w |-> (m(top w), base w) (``ChangeOfBase._values``).  ``mor(m)`` builds
-the mediating map into the chosen pullback by that rule, one checked
-function whose codomain check is the check that the triangle commutes,
-and caches it.  ``image(m)`` is a ``SliceImage``: the ends of the image
-and the rule, followed where a path is only compared, never built and
-never stored, with the same codomain check on every value it gives.  A
-hom-set of C/B is a ``HomSet``: counted off the fibers of its target and
-built on first read; membership is the category's own check, that the
-triangle commutes, which its members are built to pass.
+same vector-to-object rule and in the same order.  Change of base along
+p: E -> B is pullback along p, with the chosen pullbacks of finset; each
+functor caches its values so repeated applications return identical (not
+merely isomorphic) results.  A morphism m has its image two ways, by one
+per-element rule: w goes to the element whose top is m(top w), over the
+base point of w.  ``mor(m)`` lifts each element by that rule
+(``CartFunctor.lift``), one checked function whose codomain check is the
+check that the triangle commutes, and caches it.  ``image(m)`` is a
+``SliceImage``: the ends of the image and the rule
+(``CartFunctor._values``), followed where a path is only compared, never
+built and never stored, with the same codomain check on every value it
+gives.  A hom-set of C/B is a ``HomSet``: counted off the fibers of its
+target and built on first read; membership is the category's own check,
+that the triangle commutes, which its members are built to pass.
 The enumerated C/B also lists generators (transpositions, merges and
 inclusions of fibers) whose composites give every morphism, so
 naturality squares, where they run, are checked on them alone.
@@ -31,31 +31,32 @@ through every step of each path by ``finset.follow``, a triangle by its
 table and a view by its rule, so a square or a law is checked without
 building a composite function, a triangle or a functor's image.
 
-Every functor built here tracks a "top" projection F(X) -> X, as the path
-of maps it composes (``CartFunctor.tops``).  By default a functor keeps
-the carrier, as Σ and the identity do: its top path is empty and F(m)
-has the values of m; change of base overrides both.  Its top is read off
-the pair (top, base) that an element of a chosen pullback is
-(``finset.FirstProjection``), so a path that follows it builds no
-projection table.  By the universal property an element of a chosen
-pullback is fixed by its top and its base point, which is how the
-coherence gate decides naturality (``CartFunctor.legs``), and
-``CartFunctor._lift`` computes it from those two legs, with no search:
-change of base pairs them, a composite lifts through its first factor
-over the base points pushed down its second's base map (``_down``) and
-then through its second, and a functor that keeps the carrier returns the
-tops once its object is checked to send them to the base points.  That
-is the one way the library builds a map into a chosen pullback from legs:
+Every functor built here reads the top of each element of F(X), the
+element of X it came from, as a plain value (``CartFunctor.legs``).  By
+default a functor keeps the carrier, as Σ and the identity do: an
+element is its own top.  Change of base reads the top off the pair
+(top, base) that an element of a chosen pullback is, with no projection
+table built, and a composite reads it through its second factor, then
+its first.  By the universal property an element of a chosen pullback
+is fixed by its top and its base point, which is how the coherence gate
+decides naturality (``fincat.iso_failures``), and ``CartFunctor._lift``
+computes it from those two legs, with no search: change of base pairs
+them, a composite lifts through its first factor over the base points
+pushed down its second's base map (``_down``) and then through its
+second, and a functor that keeps the carrier returns the tops once its
+object is checked to send them to the base points.  That is the one way
+the library builds a map into a chosen pullback from legs:
 ``CartFunctor.lift`` tabulates the lifted elements with the checked
-constructor, whose codomain check is the check that each exists, for the
-unit of Σ_u ⊣ u*, gluing (``descent.descend``) and ``monadic``.  Two
-composites of such functors whose base maps agree are pullbacks of one
-cospan, and ``comparison_iso`` sends each element of F(x) to the element
-of G(x) lifted from its own legs, tabulated in place, checking that the
-component is a bijection (``SliceCategory.is_isomorphism``'s test).
-These comparisons are the constraint cells of the cosimplicial diagram
-of a morphism.  ``match_by_legs`` matches two tables of leg values; no
-library code calls it: it is the tests' reference for the lifted maps.
+constructor, whose codomain check is the check that each exists, for
+F(m) itself, the unit of Σ_u ⊣ u*, gluing (``descent.descend``) and
+``monadic``.  Two composites of such functors whose base maps agree are
+pullbacks of one cospan, and ``comparison_iso`` sends each element of
+F(x) to the element of G(x) lifted from its own legs, tabulated in place,
+checking that the component is a bijection
+(``SliceCategory.is_isomorphism``'s test).  These comparisons are the
+constraint cells of the cosimplicial diagram of a morphism.
+``match_by_legs`` matches two tables of leg values; no library code
+calls it: it is the tests' reference for the lifted maps.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .finset import (FinFunction, FinSetObj, FinSetError, FirstProjection,
-                     all_functions, canonical_set, follow, pullback)
+from .finset import (FinFunction, FinSetObj, FinSetError, all_functions,
+                     canonical_set, follow, pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
                      Functor, HomSet, IdentityFunctor, NatTrans, path_ends)
 
@@ -158,7 +159,6 @@ class SliceCategory(ComputableCategory):
     def __init__(self, base: FinSetObj, bound: int = 4):
         super().__init__(bound)
         self.base = base
-        self._generators_memo: dict = {}
 
     def _objects(self, bound: int) -> list[FinFunction]:
         """Canonical objects: one per fiber-size vector with total <= bound,
@@ -215,15 +215,9 @@ class SliceCategory(ComputableCategory):
         by fiber, f is a permutation, then merges onto its image, then
         inclusions, then a permutation; doing the merges of every fiber
         before any inclusion, no intermediate object is larger than x or y.
-        Memoized per bound, as ``objects`` is.
+        Built on each call: no caller asks twice for one bound.
         """
         bound = self._bound(bound)
-        out = self._generators_memo.get(bound)
-        if out is None:
-            out = self._generators_memo[bound] = self._generators(bound)
-        return out
-
-    def _generators(self, bound: int) -> list[SliceMor]:
         base_elems = self.base.elements
         k = len(base_elems)
         by_vec = dict(zip(_vectors(bound, range(k), [1] * k), self.objects(bound)))
@@ -313,40 +307,35 @@ def _vectors(room: int, ties, costs, head: tuple = ()):
 
 
 class CartFunctor(Functor):
-    """A functor between slice categories carrying a top projection.
+    """A functor between slice categories whose elements have legs.
 
-    The top projection F(x).dom -> x.dom identifies where each
-    element of the value came from; together with the structure map of
-    F(x) it pins every element of a (composite of) chosen pullback(s).
-    ``tops(x)`` gives it as the path of maps it composes, in the order they
-    apply, so that it is followed, not built.
+    The top of an element of F(x) is the element of x it came from;
+    together with its base point it pins every element of a (composite
+    of) chosen pullback(s).  ``legs(x, elements)`` reads the tops of given
+    elements of F(x), or of all of them, as plain values.
 
-    ``image(m)`` is F(m) as a ``SliceImage``, for a path that is only
-    followed; ``_values`` is the rule on morphisms that it follows, and
-    that ``ChangeOfBase.mor`` builds from.  ``_lift`` finds the elements
-    of F(x) from their two legs, ``lift`` tabulates them as a checked map
-    into F(x), and ``_down`` pushes points of the target base down the
-    base map.  All default to a functor that keeps the
-    carrier over its base: the top path is empty, F(m) has m's values, an
-    element is its top and the base map is the identity.
+    ``_lift`` finds the elements of F(x) from their two legs, ``lift``
+    tabulates them as a checked map into F(x), and ``_down`` pushes points
+    of the target base down the base map.  F(m) is built by lifting
+    (``_on_mor``); ``image(m)`` is F(m) as a ``SliceImage``, for a path that
+    is only followed, and ``_values`` is the rule on morphisms that it
+    follows.  All default to a functor that keeps the carrier over its
+    base: an element is its own top, F(m) has m's values and the base map
+    is the identity.
 
     The contract every override keeps: an element of F(x) is fixed by its
     top and its base point, and F(m) sends an element to the one whose top
-    is the image under m of its top, over the same base point.  ``legs``
-    gives the tops, so a transformation between two such functors whose
-    components keep tops and base points is natural (``fincat.iso_failures``).
+    is the image under m of its top, over the same base point.  So a
+    transformation between two such functors whose components keep tops
+    and base points is natural (``fincat.iso_failures``).
     """
 
-    def legs(self, x: FinFunction, via: Optional[SliceMor] = None) -> list:
-        """The top of each element of obj(x), following ``tops``; given
-        via, a morphism into obj(x), the top of the image of each element
-        of its source."""
-        if via is None:
-            return follow(self.tops(x), self.obj(x).dom.elements)
-        return follow([via, *self.tops(x)], via.src.dom.elements)
-
-    def tops(self, x: FinFunction) -> list:
-        return []
+    def legs(self, x: FinFunction, elements=None) -> list:
+        """The top in x of each of elements of obj(x), or of every element
+        of obj(x) by default: here the elements themselves."""
+        if elements is None:
+            return list(self.obj(x).dom.elements)
+        return elements
 
     def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
         """The elements of obj(x) with the given tops, elements of the
@@ -371,6 +360,15 @@ class CartFunctor(Functor):
         base map into the source base."""
         return bases
 
+    def _on_mor(self, m: SliceMor) -> SliceMor:
+        """The map into obj(m.dst) lifted from legs: each element of
+        obj(m.src) to the one whose top is the image under m of its top,
+        over the same base point.  The lift's codomain check is the check
+        that m commutes over the base."""
+        fx = self.obj(m.src)
+        fn = self.lift(m.dst, fx.dom, m.values(self.legs(m.src)), fx.values(fx.dom.elements))
+        return SliceMor(fx, self.obj(m.dst), fn)
+
     def image(self, m) -> SliceImage:
         return SliceImage(self, m)
 
@@ -387,8 +385,9 @@ class CartFunctor(Functor):
 
 
 class ComposedCartFunctor(ComposedFunctor, CartFunctor):
-    def tops(self, x: FinFunction) -> list:
-        return self.second.tops(self.first.obj(x)) + self.first.tops(x)
+    def legs(self, x: FinFunction, elements=None) -> list:
+        first = self.first
+        return first.legs(x, self.second.legs(first.obj(x), elements))
 
     def _values(self, of_m, elements) -> list:
         return self.second._values(functools.partial(self.first._values, of_m), elements)
@@ -406,7 +405,7 @@ class ComposedCartFunctor(ComposedFunctor, CartFunctor):
 
 
 class IdentityCartFunctor(IdentityFunctor, CartFunctor):
-    """The identity of a slice category, with the default (empty) tops."""
+    """The identity of a slice category: each element is its own top."""
 
 
 class ChangeOfBase(CartFunctor):
@@ -421,10 +420,16 @@ class ChangeOfBase(CartFunctor):
     def _on_obj(self, x: FinFunction) -> FinFunction:
         return pullback(x, self.u).pr2
 
-    def tops(self, x: FinFunction) -> list:
-        """The top projection, read off each pair (top, base) with no pr1
+    def legs(self, x: FinFunction, elements=None) -> list:
+        """The top of each pair (top, base), read off the pair with no pr1
         table built; an element outside the carrier raises ``FinSetError``."""
-        return [FirstProjection(self.obj(x).dom)]
+        carrier = self.obj(x).dom
+        if elements is None:
+            elements = carrier.elements
+        elif not carrier.includes(elements):
+            w = next(w for w in elements if w not in carrier)
+            raise FinSetError(f"{w!r} is not in the domain {carrier}")
+        return [w[0] for w in elements]
 
     def _values(self, of_m, elements) -> list:
         """w |-> (m(top w), base w): an element of the chosen pullback is
@@ -440,15 +445,6 @@ class ChangeOfBase(CartFunctor):
     def _down(self, bases: list) -> list:
         return self.u.values(bases)
 
-    def _on_mor(self, m: SliceMor) -> SliceMor:
-        """The mediating map into the pullback of m.dst, built by the rule
-        of ``_values`` in one checked function: its codomain check is the
-        check that m commutes over the base."""
-        fx, fy = self.obj(m.src), self.obj(m.dst)
-        elements = fx.dom.elements
-        fn = FinFunction(fx.dom, fy.dom, tuple(zip(elements, self._values(m.values, elements))))
-        return SliceMor(fx, fy, fn)
-
 
 class SigmaAlong(CartFunctor):
     """Post-composition with u: A -> B, as a functor C/A -> C/B."""
@@ -461,9 +457,6 @@ class SigmaAlong(CartFunctor):
 
     def _on_obj(self, x: FinFunction) -> FinFunction:
         return x.then(self.u)
-
-    def _on_mor(self, m: SliceMor) -> SliceMor:
-        return SliceMor(self.obj(m.src), self.obj(m.dst), m.fn)
 
     def _down(self, bases: list) -> list:
         raise CategoryError(f"{self.name} has no base map from {self.dst.base} "
@@ -519,12 +512,12 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     change-of-base functors whose underlying base maps agree.
 
     The component at x sends each element of F(x) to the element of G(x)
-    with the same legs: its top in x, following F's tops, and its base
-    point, read off F(x).  ``G._lift`` computes that element from the legs;
-    nothing is searched.  The component is built with the checked
-    constructor, whose codomain check is the check that G(x) has an
-    element with those legs, and it is a bijection exactly when F(x) and
-    G(x) have as many elements and the images are distinct.  Where base
+    with the same legs: its top in x (``F.legs``) and its base point, read
+    off F(x).  ``G._lift`` computes that element from the legs; nothing is
+    searched.  The component is built with the checked constructor, whose
+    codomain check is the check that G(x) has an element with those legs,
+    and it is a bijection exactly when F(x) and G(x) have as many elements
+    and the images are distinct.  Where base
     maps disagree, or a check fails, building it raises ``FinSetError``.
     That is the only test of components outside the gate's enumeration,
     and of all of them in gluing.
@@ -533,7 +526,7 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     def component(x: FinFunction) -> SliceMor:
         fx, gx = f.obj(x), g.obj(x)
         elements = fx.dom.elements
-        images = g._lift(x, follow(f.tops(x), elements), fx.values(elements))
+        images = g._lift(x, f.legs(x), fx.values(elements))
         fn = FinFunction(fx.dom, gx.dom, tuple(zip(elements, images)))
         if len(elements) != len(gx.dom) or len(set(images)) < len(images):
             raise FinSetError(f"{name or 'comparison'} at {x!r}: {fn!r} is not a bijection")
@@ -572,7 +565,7 @@ def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
 
     right is used as is, sharing its memo with every other reader.  The
     unit lifts v to the element of u*(Σ_u w) with top v over w(v); the
-    counit follows the top projection ``right.tops``.
+    counit sends each element of u*(x) to its top (``right.legs``).
     """
     left = SigmaAlong(right.u, right.dst, right.src)
 
@@ -583,9 +576,8 @@ def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
 
     def counit_at(x: FinFunction) -> SliceMor:
         rx = right.obj(x)
-        elements = rx.dom.elements
         return SliceMor(left.obj(rx), x, FinFunction(rx.dom, x.dom, tuple(zip(
-            elements, follow(right.tops(x), elements)))))
+            rx.dom.elements, right.legs(x)))))
 
     unit = NatTrans(IdentityFunctor(right.dst), left.then(right), unit_at, name="η")
     counit = NatTrans(right.then(left), IdentityFunctor(right.src), counit_at, name="ε")

@@ -113,6 +113,11 @@ def _cart_functors(fib):
         IdentityCartFunctor(fib.c1)]
 
 
+@pytest.fixture
+def cart_functors():
+    return _cart_functors
+
+
 def _image_mismatches(fib, bound):
     """(functor name, morphism) wherever ``image`` differs from the built
     ``mor`` on a functor of ``_cart_functors``, over every generator and

@@ -14,8 +14,8 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  _index_datum, canonicalize_datum, classify,
                                  comparison, descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, HomSet, is_equivalence,
-                                is_full, validate_category)
+from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, HomSet, find_isomorphism,
+                                is_equivalence, is_full, validate_category)
 from descent_kit.finset import FinFunction, FinSetObj, all_functions
 from descent_kit.slices import SliceMor, slice_isos
 
@@ -210,6 +210,25 @@ def test_hom_counts_tabulate_each_datum_once(monkeypatch):
     monkeypatch.setattr(descent, "moves", counting)
     assert sum(len(desc.hom(x, y)) for x in data for y in data) == 6238
     assert listed == data and len(data) == 12
+
+
+def test_hom_refuses_a_datum_of_another_fibration():
+    # Q lies over the same E as P, but E×_B E differs, so rho runs between
+    # other pullbacks; R lies over another E.  Each is refused once, where
+    # its moves are tabulated, rather than read as if it were P's
+    p = fn("ab", "x", lambda _: "x")
+    q = fn("ab", "xy", {"a": "x", "b": "y"})
+    r = fn("ac", "x", lambda _: "x")
+    dp = DescCategory(basic_fibration(p, 2), 2)
+    P = dp.objects()
+    Q = DescCategory(basic_fibration(q, 2), 2).objects()
+    R = DescCategory(basic_fibration(r, 2), 2).objects()
+    for call in (lambda: dp.hom(P[1], Q[-1]), lambda: dp.hom(Q[-1], P[1]),
+                 lambda: dp.hom(P[1], R[1]), lambda: dp.hom(R[1], P[1]),
+                 lambda: find_isomorphism(dp, P[1], R[1])):
+        with pytest.raises(CategoryError, match="no descent datum of this fibration"):
+            call()
+    assert len(dp.hom(P[1], P[1])) == 1
 
 
 def test_classify_follows_no_top_table(monkeypatch):
