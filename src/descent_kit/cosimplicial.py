@@ -140,8 +140,7 @@ def is_descent_datum(diagram: BasicFibration, w: FinFunction,
     The identity equation is checked first; the failing one is named.
     The cocycle is stated without inverses, as in the module docstring.
     The faces of rho are followed as views (``CartFunctor.image``), never
-    built; a rho that does not commute over E×_B E raises ``FinSetError``
-    when a face of it is followed.
+    built: rho commutes over E×_B E, as its constructor checked.
     """
     c1, c3 = diagram.c1, diagram.c3
     if rho.src != diagram.d1.obj(w) or rho.dst != diagram.d0.obj(w):
@@ -167,9 +166,9 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     and, only where legs fail, by squares on the generators of its index
     category, each failing one reported.  Each failure is reported as
     "<cell>: <what>" at its object or generator, a mistyped component with
-    the ends it has and should have as lhs and rhs; a component that does
-    not commute over the base is reported, not raised.  A cell with a
-    mistyped component ends the check at once.
+    the ends it has and should have as lhs and rhs, and one whose triangle
+    its constructor refuses as "does not commute", not raised.  A cell
+    with such a component ends the check at once.
 
     Once the constraints pass, ``is_descent_datum`` on (d B0, theta_B0)
     checks the presentation equations: the first that fails is recorded

@@ -193,7 +193,7 @@ def _index_datum(diagram: BasicFibration, w: FinFunction) -> SliceMor:
     target = {(u[1], index[u[0]]): u for u in d0w.dom.elements}
     fn = FinFunction(d1w.dom, d0w.dom, tuple(
         (u, target[u[1], index[u[0]]]) for u in d1w.dom.elements))
-    return SliceMor(d1w, d0w, fn)
+    return SliceMor._commuting(d1w, d0w, fn)
 
 
 def canonicalize_datum(diagram: BasicFibration,
@@ -350,7 +350,7 @@ class DescCategory(ComputableCategory):
 def _hom_members(x: DescentDatum, y: DescentDatum, orbits: list) -> list[DescMor]:
     """hom(x, y) in Desc(p), one morphism per combination of the orbits'
     choices (see ``DescCategory._hom``), each a list of (carrier position,
-    image) pairs."""
+    image) pairs, each image over its element's base point."""
     wx, wy = x.w, y.w
     elements = wx.dom.elements
     out = []
@@ -360,7 +360,7 @@ def _hom_members(x: DescentDatum, y: DescentDatum, orbits: list) -> list[DescMor
             for i, img in choice:
                 images[i] = img
         fn = FinFunction(wx.dom, wy.dom, tuple(zip(elements, images)))
-        out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
+        out.append(DescMor(x, y, SliceMor._commuting(wx, wy, fn)))
     return out
 
 

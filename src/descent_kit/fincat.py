@@ -516,23 +516,23 @@ def naturality_failures(source: Functor, target: Functor, at: Callable,
             if not cat.commutes([source.image(f), at(f.dst)], [at(f.src), target.image(f)])]
 
 
-MISTYPED = ("wrong source", "wrong target")
+MISTYPED = ("does not commute", "wrong source", "wrong target")
 
 
 def iso_failures(source: Functor, target: Functor, at: Callable,
                  bound: Optional[int] = None) -> list[tuple]:
     """Why at is no natural isomorphism source => target on the enumerated
     source, as (what, where, found, wanted) tuples.  Each object x gives at
-    most one: "wrong source" or "wrong target", with found and wanted the
-    ends (``MISTYPED``); else "does not commute" where ``is_isomorphism``
-    raises ``CategoryError``, or "not invertible".  Then "naturality" at
-    each failing generator (``naturality_failures``), unless a component
-    was mistyped, since its squares do not compose.
+    most one: "does not commute" where at(x) raises ``CategoryError``, as
+    a triangle's constructor does; "wrong source" or "wrong target", with
+    found and wanted the ends; else "not invertible".  Then "naturality"
+    at each failing generator (``naturality_failures``), unless one is in
+    ``MISTYPED``, since the squares of such a component do not compose.
 
-    Where both functors track legs (``Functor.legs``), each component that
-    ``is_isomorphism`` accepts as a morphism, so one that keeps base
-    points, is asked to keep legs too: the target's legs of its images
-    must be the source's legs of the elements of source(x).  If every one
+    Where both functors track legs (``Functor.legs``), each component, a
+    morphism and so one that keeps base points, is asked to keep legs
+    too: the target's legs of its images must be the source's legs of the
+    elements of source(x).  If every one
     does, at is natural with no square checked.  For f: x -> y the two
     paths around the square of f send an element z of source(x) to
     elements of target(y) over the base point of z, both with f applied
@@ -545,22 +545,22 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
     out = []
     by_legs = True
     for x in source.src.objects(bound):
-        c, want_src, want_dst = at(x), source.obj(x), target.obj(x)
+        try:
+            c = at(x)
+        except CategoryError:
+            out.append(("does not commute", x, None, None))
+            continue
+        want_src, want_dst = source.obj(x), target.obj(x)
         if c.src != want_src:
             out.append(("wrong source", x, c.src, want_src))
         elif c.dst != want_dst:
             out.append(("wrong target", x, c.dst, want_dst))
         else:
-            try:
-                if not cat.is_isomorphism(c):
-                    out.append(("not invertible", x, None, None))
-            except CategoryError:
-                out.append(("does not commute", x, None, None))
-                by_legs = False
-            else:
-                legs = source.legs(x) if by_legs else None
-                by_legs = legs is not None and target.legs(
-                    x, c.values(c.src.dom.elements)) == legs
+            if not cat.is_isomorphism(c):
+                out.append(("not invertible", x, None, None))
+            legs = source.legs(x) if by_legs else None
+            by_legs = legs is not None and target.legs(
+                x, c.values(c.src.dom.elements)) == legs
     if any(what in MISTYPED for what, *_ in out):
         return out
     if not by_legs:

@@ -23,8 +23,8 @@ makes ``mediating_map`` a commutation check.  Change of base in
 the two legs, with that same one constructor and so the same check.  A
 check that only compares composites or images builds none: ``follow``
 reads values off the tables of the factors, and an image that is only
-followed checks its values with ``FinSetObj.includes``, the membership
-test the constructor makes.  The checks are set operations: a
+followed checks none: it follows a triangle, checked where it is built
+(``slices.SliceMor``).  The checks are set operations: a
 ``FinSetObj`` keeps its elements as a frozenset, so membership costs one
 hash.  Both classes take their hash once, at construction, because every
 memo of the library hashes its keys through them: an object of a slice

@@ -88,10 +88,9 @@ class AlgMor:
 
 
 def algebra_laws_hold(monad: Monad, x, a) -> bool:
-    """Whether a: T x -> x, a morphism of the base (of C/E, a triangle that
-    commutes over E), satisfies the unit and multiplication laws.  That a
-    is a morphism is not checked: the members of a hom-set are, and
-    ``algebra_to_datum`` checks the structure map it is handed."""
+    """Whether a: T x -> x, a morphism of the base, satisfies the unit and
+    multiplication laws.  That a is a morphism is its constructor's check:
+    over C/E, a triangle that does not commute over E is never built."""
     cat = monad.base
     if not cat.commutes([monad.eta.at(x), a], [cat.identity(x)]):
         return False
@@ -297,15 +296,13 @@ def algebra_to_datum(fib: BasicFibration, monad: Monad, alg: Algebra) -> Descent
     """The gluing isomorphism an algebra induces; inverse of datum_to_algebra.
 
     rho lifts u = (v, (e0, e1)) in d1(X) through T to (v, e1), applies a,
-    and lifts the result through d0 over the same base pair (e0, e1).  A
-    structure map that does not commute over E raises ``CategoryError``
-    before anything is lifted.
+    and lifts the result through d0 over the same base pair (e0, e1).  The
+    structure map is a triangle, so it commutes over E: ``SliceMor``
+    refuses one that does not where it is built.
     """
     t, x = monad.t, alg.x
     if not isinstance(t, CartFunctor):
         raise CategoryError("monad endofunctor must track tops")
-    if not alg.a.commutes_over_base():
-        raise CategoryError(f"structure map {alg.a!r} does not commute over E")
     d1x = fib.d1.obj(x)
     elements = d1x.dom.elements
     pairs = d1x.values(elements)

@@ -2,28 +2,28 @@
 
 An object of C/B is its structure map: a ``FinFunction`` X -> B, whose
 domain X is the carrier.  A morphism is a commuting triangle, a
-``SliceMor``; it stores its hash at construction and compares as
-``FinFunction`` does, since the memos of functors and transformations
-hash them on every lookup.  The canonical objects of C/B are listed by
-fiber-size vector, and ``objects_constant_on`` lists only those whose
-fiber sizes are equal over each of given blocks of base points, by the
-same vector-to-object rule and in the same order.  Change of base along
-p: E -> B is pullback along p, with the chosen pullbacks of finset; each
-functor caches its values so repeated applications return identical (not
-merely isomorphic) results.  A morphism m has its image two ways, by one
-per-element rule: w goes to the element whose top is m(top w), over the
-base point of w.  ``mor(m)`` lifts each element by that rule
-(``CartFunctor.lift``), one checked function whose codomain check is the
-check that the triangle commutes, and caches it.  ``image(m)`` is a
-``SliceImage``: the ends of the image and the rule
-(``CartFunctor._values``), followed where a path is only compared, never
-built and never stored, with the same codomain check on every value it
-gives.  A hom-set of C/B is a ``HomSet``: counted off the fibers of its
-target and built on first read; membership is the category's own check,
-that the triangle commutes, which its members are built to pass.
-The enumerated C/B also lists generators (transpositions, merges and
-inclusions of fibers) whose composites give every morphism, so
-naturality squares, where they run, are checked on them alone.
+``SliceMor``, whose constructor checks that it commutes, so nothing
+downstream asks again; only builders whose triangles commute by
+construction skip the check (``SliceMor._commuting``).  It stores its
+hash at construction and compares as ``FinFunction`` does, since the
+memos of functors and transformations hash them on every lookup.  The
+canonical objects of C/B are listed by fiber-size vector, and
+``objects_constant_on`` lists only those whose fiber sizes are equal
+over each of given blocks of base points, by the same vector-to-object
+rule and in the same order.  Change of base along p: E -> B is pullback
+along p, with the chosen pullbacks of finset; each functor caches its
+values so repeated applications return identical (not merely isomorphic)
+results.  A morphism m has its image two ways, by one per-element rule:
+w goes to the element whose top is m(top w), over the base point of w.
+``mor(m)`` lifts each element by that rule (``CartFunctor.lift``) into
+one checked function, and caches it.  ``image(m)`` is a ``SliceImage``:
+the ends of the image and the rule (``CartFunctor._values``), followed
+where a path is only compared, never built and never stored.  A hom-set
+of C/B is a ``HomSet``: counted off the fibers of its target and built
+on first read.  The enumerated C/B also lists generators
+(transpositions, merges and inclusions of fibers) whose composites give
+every morphism, so naturality squares, where they run, are checked on
+them alone.
 
 ``SliceCategory.commutes`` decides whether two paths of triangles have
 equal composites pointwise: each element of the common source is pushed
@@ -77,7 +77,8 @@ from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
 class SliceMor:
     """A commuting triangle x -> y between objects of C/B, each its map to
     the base: fn runs between their domains.  fn alone does not fix y,
-    whose structure map the triangle keeps."""
+    whose structure map the triangle keeps.  The constructor raises
+    ``CategoryError`` unless x and y lie over one base and y ∘ fn = x."""
 
     src: FinFunction
     dst: FinFunction
@@ -86,10 +87,26 @@ class SliceMor:
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        if self.fn.dom != self.src.dom or self.fn.cod != self.dst.dom:
-            raise CategoryError(f"{self.fn!r} does not run between the carriers "
-                                f"of {self.src!r} and {self.dst!r}")
-        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.fn)))
+        src, dst, fn = self.src, self.dst, self.fn
+        if fn.dom != src.dom or fn.cod != dst.dom:
+            raise CategoryError(f"{fn!r} does not run between the carriers "
+                                f"of {src!r} and {dst!r}")
+        if src.cod != dst.cod:
+            raise CategoryError(f"{self!r} spans two bases, {src.cod} and {dst.cod}")
+        elements = src.dom.elements
+        if dst.values(fn.values(elements)) != src.values(elements):
+            raise CategoryError(f"{self!r} does not commute over the base")
+        object.__setattr__(self, "_hash", hash((src, dst, fn)))
+
+    @classmethod
+    def _commuting(cls, src: FinFunction, dst: FinFunction, fn: FinFunction) -> "SliceMor":
+        """The triangle of fn from src to dst, built with no check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "src", src)
+        object.__setattr__(m, "dst", dst)
+        object.__setattr__(m, "fn", fn)
+        object.__setattr__(m, "_hash", hash((src, dst, fn)))
+        return m
 
     def __hash__(self):
         return self._hash
@@ -109,25 +126,14 @@ class SliceMor:
         """The images of elements under fn, read off its table."""
         return self.fn.values(elements)
 
-    def commutes_over_base(self) -> bool:
-        """Whether fn sends each element of src to one over the same base
-        point: the construction checks only that fn runs between the
-        carriers."""
-        return follow([self.fn, self.dst], self.src.dom.elements) == [
-            b for _, b in self.src.mapping]
-
 
 class SliceImage:
     """F(m) for a ``CartFunctor`` F, followed and never built.
 
     src and dst are F(m.src) and F(m.dst), so a path types through a view
     as through a triangle.  ``values`` reads images off m by the rule of F
-    on morphisms (``CartFunctor._values``) and keeps the codomain check of
-    the built F(m): a value outside the carrier of dst raises
-    ``FinSetError``, so a triangle that does not commute is never compared.
-    For a composite F the one check covers every factor: an element of a
-    chosen pullback pairs an element of the carrier pulled back with a
-    point of the new base.  Views are made where they are followed and not
+    on morphisms (``CartFunctor._values``); m commutes, so each lies in
+    the carrier of dst.  Views are made where they are followed and not
     stored.
     """
 
@@ -143,13 +149,7 @@ class SliceImage:
         return f"{self._functor.name}({self._m!r})"
 
     def values(self, elements) -> list:
-        out = self._functor._values(self._m.values, elements)
-        carrier = self.dst.dom
-        if not carrier.includes(out):
-            y = next(y for y in out if y not in carrier)
-            raise FinSetError(f"image {y!r} of {self!r} not in {carrier}: "
-                              f"the triangle does not commute")
-        return out
+        return self._functor._values(self._m.values, elements)
 
 
 class SliceCategory(ComputableCategory):
@@ -249,12 +249,12 @@ class SliceCategory(ComputableCategory):
                       functools.partial(_slice_members, x, y, cands))
 
     def identity(self, x: FinFunction) -> SliceMor:
-        return SliceMor(x, x, FinFunction.identity(x.dom))
+        return SliceMor._commuting(x, x, FinFunction.identity(x.dom))
 
     def compose(self, g: SliceMor, f: SliceMor) -> SliceMor:
         if f.dst != g.src:
             raise CategoryError("non-composable slice morphisms")
-        return SliceMor(f.src, g.dst, f.fn.then(g.fn))
+        return SliceMor._commuting(f.src, g.dst, f.fn.then(g.fn))
 
     def commutes(self, lhs: list, rhs: list) -> bool:
         """Pointwise: the paths share their endpoints and send each element
@@ -268,27 +268,25 @@ class SliceCategory(ComputableCategory):
         return follow(lhs, elements) == follow(rhs, elements)
 
     def is_isomorphism(self, m: SliceMor) -> bool:
-        """A commuting triangle is invertible exactly when its map is a
-        bijection.  A triangle across two bases, or one that does not
-        commute, is no morphism and raises ``CategoryError``: ``SliceMor``
-        checks only that fn runs between the carriers."""
-        if m.src.cod != m.dst.cod:
-            raise CategoryError(f"{m!r} spans two bases, {m.src.cod} and {m.dst.cod}")
-        if not m.commutes_over_base():
-            raise CategoryError(f"{m!r} does not commute over the base")
+        """A triangle is invertible exactly when its map is a bijection.
+        A triangle over a base other than this category's is no morphism
+        of it and raises ``CategoryError``."""
+        if m.src.cod != self.base:
+            raise CategoryError(f"{m!r} lies over {m.src.cod}, not over {self.base}")
         return m.fn.is_bijective()
 
 
 def _slice_members(x: FinFunction, y: FinFunction, cands: list) -> list[SliceMor]:
     """hom(x, y) in C/B: each element of x, in carrier order, to each of
     its candidates, the points of y's fiber over its base point."""
-    return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(x.dom.elements, choice))))
+    elements = x.dom.elements
+    return [SliceMor._commuting(x, y, FinFunction(x.dom, y.dom, tuple(zip(elements, choice))))
             for choice in itertools.product(*cands)]
 
 
 def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
     """The map x -> y sending each label to itself, or where moved says."""
-    return SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(
+    return SliceMor._commuting(x, y, FinFunction(x.dom, y.dom, tuple(
         (e, moved.get(e, e)) for e in x.dom.elements)))
 
 
@@ -363,11 +361,11 @@ class CartFunctor(Functor):
     def _on_mor(self, m: SliceMor) -> SliceMor:
         """The map into obj(m.dst) lifted from legs: each element of
         obj(m.src) to the one whose top is the image under m of its top,
-        over the same base point.  The lift's codomain check is the check
-        that m commutes over the base."""
+        over the same base point.  m commutes, so each such element exists
+        and the triangle commutes by construction."""
         fx = self.obj(m.src)
         fn = self.lift(m.dst, fx.dom, m.values(self.legs(m.src)), fx.values(fx.dom.elements))
-        return SliceMor(fx, self.obj(m.dst), fn)
+        return SliceMor._commuting(fx, self.obj(m.dst), fn)
 
     def image(self, m) -> SliceImage:
         return SliceImage(self, m)
@@ -514,7 +512,7 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     The component at x sends each element of F(x) to the element of G(x)
     with the same legs: its top in x (``F.legs``) and its base point, read
     off F(x).  ``G._lift`` computes that element from the legs; nothing is
-    searched.  The component is built with the checked constructor, whose
+    searched.  The map is built with the checked constructor, whose
     codomain check is the check that G(x) has an element with those legs,
     and it is a bijection exactly when F(x) and G(x) have as many elements
     and the images are distinct.  Where base
@@ -530,7 +528,7 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
         fn = FinFunction(fx.dom, gx.dom, tuple(zip(elements, images)))
         if len(elements) != len(gx.dom) or len(set(images)) < len(images):
             raise FinSetError(f"{name or 'comparison'} at {x!r}: {fn!r} is not a bijection")
-        return SliceMor(fx, gx, fn)
+        return SliceMor._commuting(fx, gx, fn)
 
     return NatTrans(f, g, component, name=name)
 

@@ -231,6 +231,58 @@ def test_hom_refuses_a_datum_of_another_fibration():
     assert len(dp.hom(P[1], P[1])) == 1
 
 
+def test_is_isomorphism_refuses_a_morphism_of_another_fibration():
+    """Desc(p) decides invertibility through C/E, which refuses a triangle
+    over another base: a descent morphism of a fibration over another E
+    raises there, as its moves do in ``_table``, and is decided by its
+    own category."""
+    p, r = fn("ab", "x", lambda _: "x"), fn("ac", "x", lambda _: "x")
+    dp, dr = DescCategory(basic_fibration(p, 2), 2), DescCategory(basic_fibration(r, 2), 2)
+    datum = dr.objects()[1]
+    with pytest.raises(CategoryError, match="not over"):
+        dp.is_isomorphism(dr.identity(datum))
+    assert dr.is_isomorphism(dr.identity(datum))
+
+
+def test_triangles_built_unchecked_commute(small_maps, is_triangle):
+    """Every kind of triangle the library builds with no check
+    (``SliceMor._commuting``) commutes by the tests' own check
+    (``is_triangle``), over the 19
+    maps at bounds 1-3: identities, hom members and generators of c0-c2,
+    the composites of composable generator pairs, the image under each
+    face of every generator of its source, every component of the six
+    constraint cells, every hom member of Desc(p) and each enumerated
+    rho."""
+    checked = collections.Counter()
+    for bound in (1, 2, 3):
+        for p in small_maps():
+            fib = basic_fibration(p, bound)
+            built = collections.defaultdict(list)
+            for cat in (fib.c0, fib.c1, fib.c2):
+                objs = cat.objects(bound)
+                gens = cat.generators(bound)
+                out_of = collections.defaultdict(list)
+                for g in gens:
+                    out_of[g.src].append(g)
+                built["identity"] += [cat.identity(x) for x in objs]
+                built["hom"] += [m for x in objs for y in objs for m in cat.hom(x, y)]
+                built["generator"] += gens
+                built["composite"] += [cat.compose(g, f) for f in gens for g in out_of[f.dst]]
+            for face in (fib.d, fib.d0, fib.d1, fib.s0, fib.del0, fib.del1, fib.del2):
+                built["face"] += [face.mor(m) for m in face.src.generators(bound)]
+            for _, cell, src_f, _ in fib.constraint_types():
+                built["cell"] += [cell.at(x) for x in src_f.src.objects(bound)]
+            desc = DescCategory(fib, bound)
+            data = desc.objects()
+            built["desc hom"] += [f.m for x in data for y in data for f in desc.hom(x, y)]
+            built["rho"] += [d.rho for d in data]
+            for kind, triangles in built.items():
+                bad = [m for m in triangles if not is_triangle(m.src, m.dst, m.fn)]
+                assert bad == [], (p, bound, kind, bad[:1])
+                checked[kind] += len(triangles)
+    assert len(checked) == 8 and min(checked.values()) > 0, checked
+
+
 def test_classify_follows_no_top_table(monkeypatch):
     # the comparison cells and gluing read tops off the pairs of each
     # chosen pullback, so no change of base builds its first projection:
@@ -348,7 +400,8 @@ def test_hom_sets_are_counted_listed_and_decided_as_the_brute_references(
     ``brute_slice_hom``); and its ``in`` agrees with the brute filter on
     every function between the carriers: a commuting triangle for C/E, and
     one that is also equivariant for Desc(p), so every slice morphism of
-    c1.hom(x.w, y.w) is decided.  Below bound 4 every triangle between
+    c1.hom(x.w, y.w) is decided; a function whose triangle does not commute
+    is refused by ``SliceMor`` where it is built.  Below bound 4 every triangle between
     enumerated data is equivariant; 2 -> 1 at bound 4 has some that are
     not."""
     counted = {"desc": 0, "slice": 0}
@@ -373,8 +426,13 @@ def test_hom_sets_are_counted_listed_and_decided_as_the_brute_references(
                 assert members == brute_slice_hom(x, y), (p, bound, x, y)
             counted[kind] += size
             for f in all_functions(wx.dom, wy.dom):
-                m = SliceMor(wx, wy, f)
                 triangle = want = all(wy(f(e)) == wx(e) for e in wx.dom)
+                if not triangle:  # refused where it is built, so in no hom-set
+                    with pytest.raises(CategoryError, match="does not commute"):
+                        SliceMor(wx, wy, f)
+                    decided[kind][triangle, want] += 1
+                    continue
+                m = SliceMor(wx, wy, f)
                 if kind == "desc":
                     assert m not in hom  # a triangle is no descent morphism
                     want = triangle and is_descent_morphism(fib, x, y, m)

@@ -4,25 +4,33 @@ given a value of the wrong Python type says so: ``basic_fibration``, and
 with it ``classify`` and ``benabou_roubaud``, on a p that is no
 ``FinFunction``, and ``descend`` on a datum that is no ``DescentDatum``.
 Values of the wrong Python type handed to internal constructors are out of
-scope.
+scope.  Well-typed values with wrong contents (a triangle that does not
+commute or spans two bases, a map into the wrong base, a datum of another
+fibration, a cell with the wrong source) raise one of the two errors or
+give a failing report, and never a wrong answer
+(``test_wrong_contents_raise_or_fail_and_never_answer_wrong``).
 
 Labels that Python cannot order are not bad input: no code of the library
 compares labels, and ``tests/test_descent.py`` and ``tests/test_monadic.py``
 check ``classify`` and ``benabou_roubaud`` on such maps."""
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from descent_kit.bilimits import PsSquare, is_pseudopullback_square
-from descent_kit.cosimplicial import basic_fibration, validate_coherence
+from descent_kit.cosimplicial import CoherenceReport, basic_fibration, validate_coherence
 from descent_kit.descent import (DescCategory, DescentDatum, classify, comparison,
                                  descend, is_descent_datum)
 from descent_kit.fincat import (CategoryError, Functor, IdentityFunctor, NatTrans,
                                 TableFunctor, chain_category)
-from descent_kit.finset import FinFunction, FinSetError, FinSetObj, quotient
+from descent_kit.finset import FinFunction, FinSetError, FinSetObj, all_functions, quotient
 from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
                                  pullback_square_bc)
 from descent_kit.mutations import invert_theta
-from descent_kit.slices import SliceCategory, sigma_pullback_adjunction, slice_isos
+from descent_kit.slices import (ChangeOfBase, SliceCategory, SliceMor,
+                                sigma_pullback_adjunction, slice_isos)
 
 
 def fn(dom, cod, mapping):
@@ -280,3 +288,89 @@ def test_bad_input_raises_a_typed_error(bad, error, match):
 def test_an_unhashable_label_lies_in_no_set():
     carrier = FinSetObj(("a",))
     assert ["a"] not in carrier and not carrier.includes([["a"]])
+
+
+# the 19 maps m -> n, m <= 3, 1 <= n <= 2; maps with one E and one kernel
+# pair but different bases share every level above c0
+MAPS = [p for m in range(4) for n in (1, 2)
+        for p in all_functions(FinSetObj(tuple(f"e{i}" for i in range(m))),
+                               FinSetObj(tuple(f"b{i}" for i in range(n))))]
+CELLS = ("sigma01", "sigma02", "sigma12", "n0", "n1", "theta")
+
+
+def _outcome(call):
+    """What call returns, or the typed error it raises; any other
+    exception escapes and fails the test."""
+    try:
+        return call()
+    except (FinSetError, CategoryError) as exc:
+        return exc
+
+
+def _shifted(cell, objs):
+    """cell with each component moved to the next object of objs: a
+    component with the wrong source wherever neighbours differ."""
+    step = {x: objs[(i + 1) % len(objs)] for i, x in enumerate(objs)}
+    return NatTrans(cell.source, cell.target, lambda x: cell.at(step.get(x, x)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(p=st.sampled_from(MAPS), q=st.sampled_from(MAPS), data=st.data())
+def test_wrong_contents_raise_or_fail_and_never_answer_wrong(is_triangle, p, q, data):
+    """The public constructors and decisions, given well-typed values with
+    wrong contents, raise ``FinSetError`` or ``CategoryError`` or give a
+    failing report; whatever they return is checked against the test's
+    own answer."""
+    fp, fq = basic_fibration(p, 2), basic_fibration(q, 2)
+
+    # a triangle between any two objects over B or E, of p or of q
+    objs = fp.c0.objects() + fp.c1.objects() + fq.c1.objects()
+    x, y = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+    fns = list(all_functions(x.dom, y.dom))
+    if fns:
+        f = data.draw(st.sampled_from(fns))
+        m = _outcome(lambda: SliceMor(x, y, f))
+        assert isinstance(m, SliceMor if is_triangle(x, y, f) else CategoryError), (x, y, f)
+        if isinstance(m, SliceMor):
+            bijective = len(x.dom) == len(y.dom) == len(set(f.values(x.dom.elements)))
+            for cat in (fp.c0, fp.c1):
+                decided = _outcome(lambda: cat.is_isomorphism(m))
+                assert decided == bijective if cat.base == x.cod else (
+                    isinstance(decided, CategoryError)), (cat.base, m)
+
+    # a map into the wrong base: an object over B where one over E belongs
+    over_b = data.draw(st.sampled_from(fp.c0.objects()))
+    assert isinstance(_outcome(lambda: fp.d0.obj(over_b)), FinSetError)
+    assert isinstance(_outcome(lambda: ChangeOfBase(p, fp.c1, fp.c0)), CategoryError)
+
+    # a datum of q handed to the decisions of p: refused, unless p and q
+    # share E and its kernel pair, when the answers are q's own
+    dq = DescCategory(fq, 2)
+    datum = data.draw(st.sampled_from(dq.objects()))
+    dp = DescCategory(fp, 2)
+    shared = fp.c1.base == fq.c1.base and fp.c2.base == fq.c2.base
+    ok = _outcome(lambda: is_descent_datum(fp, datum.w, datum.rho))
+    glued = _outcome(lambda: descend(fp, datum))
+    homs = _outcome(lambda: len(dp.hom(datum, datum)))
+    if shared:
+        assert ok == (True, None)
+        assert glued.glued.cod == p.cod and glued.iso.dst == datum
+        assert glued.iso.m.fn.is_bijective()
+        assert homs == len(dq.hom(datum, datum))
+    else:
+        assert all(isinstance(out, (FinSetError, CategoryError)) for out in (ok, glued, homs))
+
+    # a cell with the wrong source: another cell of p, the same cell of q,
+    # or the cell with its components shifted; the gate passes only where
+    # the cell in place has the components of the one it replaced
+    name = data.draw(st.sampled_from(CELLS))
+    src_f = next(src for cell, _, src, _ in fp.constraint_types() if cell == name)
+    objs = src_f.src.objects(2)
+    good = getattr(fp, name)
+    cell = data.draw(st.sampled_from(
+        [getattr(fp, other) for other in CELLS if other != name]
+        + [getattr(fq, name), _shifted(good, objs)]))
+    report = _outcome(lambda: validate_coherence(dataclasses.replace(fp, **{name: cell}), 2))
+    if isinstance(report, CoherenceReport) and report.is_empty():
+        assert all(cell.at(x) == good.at(x) for x in objs), (name, p, q)

@@ -279,26 +279,29 @@ def test_change_of_base_rejects_a_morphism_that_does_not_commute():
     u = FinFunction.of(FinSetObj(("a", "b")), b, {"a": "x", "b": "y"})
     cob = ChangeOfBase(u, SliceCategory(b, 2), SliceCategory(u.dom, 2))
     over_x, over_y = map_over(b, {"p": "x"}), map_over(b, {"q": "y"})
-    # the carriers fit, so SliceMor accepts it, but p over x lands on q over y
-    m = SliceMor(over_x, over_y, FinFunction.of(over_x.dom, over_y.dom, {"p": "q"}))
-    with pytest.raises(FinSetError):
-        cob.mor(m)
-    # the view keeps the check: following the image raises the same way
-    view = cob.image(m)
-    with pytest.raises(FinSetError):
-        view.values(view.src.dom.elements)
+    # the carriers fit, but p over x lands on q over y: the triangle is
+    # refused where it is built, so neither mor nor the view is handed it
+    with pytest.raises(CategoryError, match="does not commute"):
+        SliceMor(over_x, over_y, FinFunction.of(over_x.dom, over_y.dom, {"p": "q"}))
+    # the same map onto a point over x commutes; the view follows it to
+    # the values of the built image
+    over_x_too = map_over(b, {"q": "x"})
+    m = SliceMor(over_x, over_x_too, FinFunction.of(over_x.dom, over_x_too.dom, {"p": "q"}))
+    view, built = cob.image(m), cob.mor(m)
+    elements = view.src.dom.elements
+    assert view.values(elements) == built.values(elements) == [("q", "a")]
 
 
 def test_sigma_rejects_a_morphism_that_does_not_commute():
-    # Σ_u keeps the carrier, so Σ_u(m) has m's values; it is lifted from
-    # its legs, and the lift checks that it commutes over the new base
+    # Σ_u keeps the carrier, so Σ_u(m) and its view have m's values, which
+    # lie in the carrier of Σ_u(m.dst) whether or not m commutes; so m is
+    # refused where it is built, before Σ or its view can be handed it
     a, b = FinSetObj(("a", "b")), FinSetObj(("x", "y"))
     u = FinFunction.of(a, b, {"a": "x", "b": "y"})
     sig = SigmaAlong(u, SliceCategory(a, 2), SliceCategory(b, 2))
     over_a, over_b = map_over(a, {"p": "a"}), map_over(a, {"q": "b"})
-    m = SliceMor(over_a, over_b, FinFunction.of(over_a.dom, over_b.dom, {"p": "q"}))
-    with pytest.raises(FinSetError, match="does not send the tops"):
-        sig.mor(m)
+    with pytest.raises(CategoryError, match="does not commute"):
+        SliceMor(over_a, over_b, FinFunction.of(over_a.dom, over_b.dom, {"p": "q"}))
     # the same map between two objects over one point of A commutes
     over_a_too = map_over(a, {"q": "a"})
     fn = FinFunction.of(over_a.dom, over_a_too.dom, {"p": "q"})
@@ -306,12 +309,14 @@ def test_sigma_rejects_a_morphism_that_does_not_commute():
 
 
 def test_is_isomorphism_rejects_a_triangle_that_does_not_commute():
+    # a bijection between the carriers that moves p over x to q over y is
+    # no triangle: it is refused where it is built, never decided
     b = FinSetObj(("x", "y"))
     over_x, over_y = map_over(b, {"p": "x"}), map_over(b, {"q": "y"})
-    m = SliceMor(over_x, over_y, FinFunction.of(over_x.dom, over_y.dom, {"p": "q"}))
-    assert m.fn.is_bijective()
+    fn = FinFunction.of(over_x.dom, over_y.dom, {"p": "q"})
+    assert fn.is_bijective()
     with pytest.raises(CategoryError, match="does not commute"):
-        SliceCategory(b, 2).is_isomorphism(m)
+        SliceMor(over_x, over_y, fn)
     # the same carriers over one point of the base do commute
     over_x_too = map_over(b, {"q": "x"})
     fn = FinFunction.of(over_x.dom, over_x_too.dom, {"p": "q"})
@@ -344,10 +349,16 @@ def test_match_by_legs_returns_a_bijection_or_raises(src, dst, match):
 
 
 def test_is_isomorphism_rejects_a_triangle_across_two_bases():
+    # a triangle across two bases is refused where it is built; one over
+    # a single base is refused by the slice over any other base
     over_x = map_over(FinSetObj(("x", "y")), {"p": "x"})
     over_z = map_over(FinSetObj(("x", "z")), {"q": "z"})
-    m = SliceMor(over_x, over_z, FinFunction.of(over_x.dom, over_z.dom, {"p": "q"}))
     with pytest.raises(CategoryError, match="spans two bases"):
+        SliceMor(over_x, over_z, FinFunction.of(over_x.dom, over_z.dom, {"p": "q"}))
+    over_z_too = map_over(over_z.cod, {"r": "z"})
+    m = SliceMor(over_z, over_z_too, FinFunction.of(over_z.dom, over_z_too.dom, {"q": "r"}))
+    assert SliceCategory(over_z.cod, 2).is_isomorphism(m)
+    with pytest.raises(CategoryError, match="not over"):
         SliceCategory(over_x.cod, 2).is_isomorphism(m)
 
 
