@@ -193,7 +193,7 @@ def _index_datum(diagram: BasicFibration, w: FinFunction) -> SliceMor:
     target = {(u[1], index[u[0]]): u for u in d0w.dom.elements}
     fn = FinFunction(d1w.dom, d0w.dom, tuple(
         (u, target[u[1], index[u[0]]]) for u in d1w.dom.elements))
-    return SliceMor._commuting(d1w, d0w, fn)
+    return SliceMor(d1w, d0w, fn)
 
 
 def canonicalize_datum(diagram: BasicFibration,
@@ -360,7 +360,7 @@ def _hom_members(x: DescentDatum, y: DescentDatum, orbits: list) -> list[DescMor
             for i, img in choice:
                 images[i] = img
         fn = FinFunction(wx.dom, wy.dom, tuple(zip(elements, images)))
-        out.append(DescMor(x, y, SliceMor._commuting(wx, wy, fn)))
+        out.append(DescMor(x, y, SliceMor(wx, wy, fn)))
     return out
 
 

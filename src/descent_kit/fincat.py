@@ -71,6 +71,11 @@ class CategoryError(ValueError):
     pass
 
 
+class NotCommuting(CategoryError):
+    """A morphism refused where it is built because its diagram does not
+    commute, as a slice triangle's constructor refuses one."""
+
+
 @dataclass(frozen=True)
 class TableMor:
     """Morphism of a table-backed category."""
@@ -523,7 +528,7 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
                  bound: Optional[int] = None) -> list[tuple]:
     """Why at is no natural isomorphism source => target on the enumerated
     source, as (what, where, found, wanted) tuples.  Each object x gives at
-    most one: "does not commute" where at(x) raises ``CategoryError``, as
+    most one: "does not commute" where at(x) raises ``NotCommuting``, as
     a triangle's constructor does; "wrong source" or "wrong target", with
     found and wanted the ends; else "not invertible".  Then "naturality"
     at each failing generator (``naturality_failures``), unless one is in
@@ -547,7 +552,7 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
     for x in source.src.objects(bound):
         try:
             c = at(x)
-        except CategoryError:
+        except NotCommuting:
             out.append(("does not commute", x, None, None))
             continue
         want_src, want_dst = source.obj(x), target.obj(x)

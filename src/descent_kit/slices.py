@@ -2,9 +2,9 @@
 
 An object of C/B is its structure map: a ``FinFunction`` X -> B, whose
 domain X is the carrier.  A morphism is a commuting triangle, a
-``SliceMor``, whose constructor checks that it commutes, so nothing
-downstream asks again; only builders whose triangles commute by
-construction skip the check (``SliceMor._commuting``).  It stores its
+``SliceMor``, whose one constructor checks that it commutes, so
+nothing downstream asks again; every builder goes through it, those
+whose triangles commute by construction included.  It stores its
 hash at construction and compares as ``FinFunction`` does, since the
 memos of functors and transformations hash them on every lookup.  The
 canonical objects of C/B are listed by fiber-size vector, and
@@ -70,7 +70,8 @@ from typing import Optional
 from .finset import (FinFunction, FinSetObj, FinSetError, all_functions,
                      canonical_set, follow, pullback)
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
-                     Functor, HomSet, IdentityFunctor, NatTrans, path_ends)
+                     Functor, HomSet, IdentityFunctor, NatTrans, NotCommuting,
+                     path_ends)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +79,9 @@ class SliceMor:
     """A commuting triangle x -> y between objects of C/B, each its map to
     the base: fn runs between their domains.  fn alone does not fix y,
     whose structure map the triangle keeps.  The constructor raises
-    ``CategoryError`` unless x and y lie over one base and y ∘ fn = x."""
+    ``CategoryError`` unless fn runs between the carriers, and its
+    subclass ``NotCommuting`` unless x and y lie over one base and
+    y ∘ fn = x, read off the tables in carrier order."""
 
     src: FinFunction
     dst: FinFunction
@@ -92,21 +95,10 @@ class SliceMor:
             raise CategoryError(f"{fn!r} does not run between the carriers "
                                 f"of {src!r} and {dst!r}")
         if src.cod != dst.cod:
-            raise CategoryError(f"{self!r} spans two bases, {src.cod} and {dst.cod}")
-        elements = src.dom.elements
-        if dst.values(fn.values(elements)) != src.values(elements):
-            raise CategoryError(f"{self!r} does not commute over the base")
+            raise NotCommuting(f"{self!r} spans two bases, {src.cod} and {dst.cod}")
+        if dst.values(fn.values(fn.dom.elements)) != src.values(src.dom.elements):
+            raise NotCommuting(f"{self!r} does not commute over the base")
         object.__setattr__(self, "_hash", hash((src, dst, fn)))
-
-    @classmethod
-    def _commuting(cls, src: FinFunction, dst: FinFunction, fn: FinFunction) -> "SliceMor":
-        """The triangle of fn from src to dst, built with no check."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "src", src)
-        object.__setattr__(m, "dst", dst)
-        object.__setattr__(m, "fn", fn)
-        object.__setattr__(m, "_hash", hash((src, dst, fn)))
-        return m
 
     def __hash__(self):
         return self._hash
@@ -249,12 +241,12 @@ class SliceCategory(ComputableCategory):
                       functools.partial(_slice_members, x, y, cands))
 
     def identity(self, x: FinFunction) -> SliceMor:
-        return SliceMor._commuting(x, x, FinFunction.identity(x.dom))
+        return SliceMor(x, x, FinFunction.identity(x.dom))
 
     def compose(self, g: SliceMor, f: SliceMor) -> SliceMor:
         if f.dst != g.src:
             raise CategoryError("non-composable slice morphisms")
-        return SliceMor._commuting(f.src, g.dst, f.fn.then(g.fn))
+        return SliceMor(f.src, g.dst, f.fn.then(g.fn))
 
     def commutes(self, lhs: list, rhs: list) -> bool:
         """Pointwise: the paths share their endpoints and send each element
@@ -270,7 +262,8 @@ class SliceCategory(ComputableCategory):
     def is_isomorphism(self, m: SliceMor) -> bool:
         """A triangle is invertible exactly when its map is a bijection.
         A triangle over a base other than this category's is no morphism
-        of it and raises ``CategoryError``."""
+        of it and raises ``CategoryError``; its constructor saw both ends
+        lie over one base, so one end is compared."""
         if m.src.cod != self.base:
             raise CategoryError(f"{m!r} lies over {m.src.cod}, not over {self.base}")
         return m.fn.is_bijective()
@@ -280,13 +273,13 @@ def _slice_members(x: FinFunction, y: FinFunction, cands: list) -> list[SliceMor
     """hom(x, y) in C/B: each element of x, in carrier order, to each of
     its candidates, the points of y's fiber over its base point."""
     elements = x.dom.elements
-    return [SliceMor._commuting(x, y, FinFunction(x.dom, y.dom, tuple(zip(elements, choice))))
+    return [SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(zip(elements, choice))))
             for choice in itertools.product(*cands)]
 
 
 def _relabel(x: FinFunction, y: FinFunction, moved: dict) -> SliceMor:
     """The map x -> y sending each label to itself, or where moved says."""
-    return SliceMor._commuting(x, y, FinFunction(x.dom, y.dom, tuple(
+    return SliceMor(x, y, FinFunction(x.dom, y.dom, tuple(
         (e, moved.get(e, e)) for e in x.dom.elements)))
 
 
@@ -341,7 +334,7 @@ class CartFunctor(Functor):
         each pair: here the tops themselves, once obj(x) is checked to send
         each to its base point; a pair it does not fit raises
         ``FinSetError``.  An override may return elements outside obj(x),
-        which the caller's checked constructor refuses."""
+        which the codomain check of the caller's ``FinFunction`` refuses."""
         if self.obj(x).values(tops) != bases:
             raise FinSetError(f"{self.name}({x!r}) does not send the tops to their base points")
         return tops
@@ -362,18 +355,19 @@ class CartFunctor(Functor):
         """The map into obj(m.dst) lifted from legs: each element of
         obj(m.src) to the one whose top is the image under m of its top,
         over the same base point.  m commutes, so each such element exists
-        and the triangle commutes by construction."""
+        and the triangle commutes; the constructors of the map and of the
+        triangle check both."""
         fx = self.obj(m.src)
         fn = self.lift(m.dst, fx.dom, m.values(self.legs(m.src)), fx.values(fx.dom.elements))
-        return SliceMor._commuting(fx, self.obj(m.dst), fn)
+        return SliceMor(fx, self.obj(m.dst), fn)
 
     def image(self, m) -> SliceImage:
         return SliceImage(self, m)
 
     def _values(self, of_m, elements) -> list:
-        """The images under F(m) of elements of F(m.src), not yet checked,
-        read off of_m, which gives the images under m of elements of
-        m.src (``SliceMor.values``)."""
+        """The images under F(m) of elements of F(m.src), read off of_m,
+        which gives the images under m of elements of m.src
+        (``SliceMor.values``); m commutes, so no check runs."""
         return of_m(elements)
 
     def then(self, other: Functor) -> Functor:
@@ -516,9 +510,10 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     codomain check is the check that G(x) has an element with those legs,
     and it is a bijection exactly when F(x) and G(x) have as many elements
     and the images are distinct.  Where base
-    maps disagree, or a check fails, building it raises ``FinSetError``.
-    That is the only test of components outside the gate's enumeration,
-    and of all of them in gluing.
+    maps disagree, or a check fails, building it raises ``FinSetError``,
+    or ``NotCommuting`` from the triangle's constructor where F(x) and
+    G(x) lie over two bases.  That is the only test of components outside
+    the gate's enumeration, and of all of them in gluing.
     """
 
     def component(x: FinFunction) -> SliceMor:
@@ -528,7 +523,7 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
         fn = FinFunction(fx.dom, gx.dom, tuple(zip(elements, images)))
         if len(elements) != len(gx.dom) or len(set(images)) < len(images):
             raise FinSetError(f"{name or 'comparison'} at {x!r}: {fn!r} is not a bijection")
-        return SliceMor._commuting(fx, gx, fn)
+        return SliceMor(fx, gx, fn)
 
     return NatTrans(f, g, component, name=name)
 

@@ -6,14 +6,14 @@ import pytest
 from descent_kit import fincat
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.descent import descend, moves
-from descent_kit.fincat import CategoryError, Functor, NatTrans
+from descent_kit.fincat import CategoryError, Functor, NatTrans, NotCommuting
 from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, canonical_set,
                                 all_functions, follow, mediating_map, pullback, quotient)
 from descent_kit.monadic import algebra_to_datum, datum_to_algebra, induced_monad
 from descent_kit.mutations import invert_theta, swap_face_convention
 from descent_kit.slices import (ChangeOfBase, ComposedCartFunctor, IdentityCartFunctor,
-                                SliceCategory, SliceMor, comparison_iso, match_by_legs,
-                                sigma_pullback_adjunction)
+                                SigmaAlong, SliceCategory, SliceMor, comparison_iso,
+                                match_by_legs, sigma_pullback_adjunction)
 
 
 def fn(dom, cod, mapping):
@@ -432,6 +432,38 @@ def test_component_over_the_wrong_base_is_reported_not_raised():
     report = validate_coherence(dataclasses.replace(fib, n0=cell), 2)
     assert [(f.equation, f.witness, f.lhs, f.rhs) for f in report.failures] == [
         ("n0: does not commute", x, None, None) for x in objs]
+
+
+def test_comparison_between_two_bases_is_refused_as_not_commuting():
+    """Change of base along u: {0} -> {x,y} and along u': {0,1} -> {x,y},
+    which extends u: over an x with no point over y, F(x) and G(x) have
+    one carrier over two bases, so the component's triangle is refused as
+    spanning two bases and reported as not commuting; over a point of y,
+    G(x) is larger and the component is no bijection."""
+    u, wide = fn("0", "xy", {"0": "x"}), fn("01", "xy", {"0": "x", "1": "y"})
+    cb = SliceCategory(u.cod, 2)
+    iso = comparison_iso(ChangeOfBase(u, cb, SliceCategory(u.dom, 2)),
+                         ChangeOfBase(wide, cb, SliceCategory(wide.dom, 2)), "n")
+    assert iso.check_iso(0) == ["n: does not commute at []"]
+    for x in cb.objects(2):
+        over_y = "y" in x.values(x.dom.elements)
+        with pytest.raises(FinSetError if over_y else NotCommuting,
+                           match="not a bijection" if over_y else "spans two bases"):
+            iso.at(x)
+
+
+def test_a_component_that_cannot_be_built_raises_its_own_error():
+    """Only a triangle its constructor refuses is reported as not
+    commuting: a comparison into Σ_p after p* lifts through Σ_p, which has
+    no base map to push base points down, and that error escapes the check
+    under its own name."""
+    p = fn("abc", "xy", {"a": "x", "b": "x", "c": "y"})
+    cb, ce = SliceCategory(p.cod, 2), SliceCategory(p.dom, 2)
+    cob, sig = ChangeOfBase(p, cb, ce), SigmaAlong(p, ce, cb)
+    iso = comparison_iso(IdentityCartFunctor(cb), cob.then(sig))
+    with pytest.raises(CategoryError, match="has no base map") as raised:
+        iso.check_iso(2)
+    assert not isinstance(raised.value, NotCommuting)
 
 
 def test_gate_reports_non_invertible_cell():

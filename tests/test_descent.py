@@ -244,45 +244,6 @@ def test_is_isomorphism_refuses_a_morphism_of_another_fibration():
     assert dr.is_isomorphism(dr.identity(datum))
 
 
-def test_triangles_built_unchecked_commute(small_maps, is_triangle):
-    """Every kind of triangle the library builds with no check
-    (``SliceMor._commuting``) commutes by the tests' own check
-    (``is_triangle``), over the 19
-    maps at bounds 1-3: identities, hom members and generators of c0-c2,
-    the composites of composable generator pairs, the image under each
-    face of every generator of its source, every component of the six
-    constraint cells, every hom member of Desc(p) and each enumerated
-    rho."""
-    checked = collections.Counter()
-    for bound in (1, 2, 3):
-        for p in small_maps():
-            fib = basic_fibration(p, bound)
-            built = collections.defaultdict(list)
-            for cat in (fib.c0, fib.c1, fib.c2):
-                objs = cat.objects(bound)
-                gens = cat.generators(bound)
-                out_of = collections.defaultdict(list)
-                for g in gens:
-                    out_of[g.src].append(g)
-                built["identity"] += [cat.identity(x) for x in objs]
-                built["hom"] += [m for x in objs for y in objs for m in cat.hom(x, y)]
-                built["generator"] += gens
-                built["composite"] += [cat.compose(g, f) for f in gens for g in out_of[f.dst]]
-            for face in (fib.d, fib.d0, fib.d1, fib.s0, fib.del0, fib.del1, fib.del2):
-                built["face"] += [face.mor(m) for m in face.src.generators(bound)]
-            for _, cell, src_f, _ in fib.constraint_types():
-                built["cell"] += [cell.at(x) for x in src_f.src.objects(bound)]
-            desc = DescCategory(fib, bound)
-            data = desc.objects()
-            built["desc hom"] += [f.m for x in data for y in data for f in desc.hom(x, y)]
-            built["rho"] += [d.rho for d in data]
-            for kind, triangles in built.items():
-                bad = [m for m in triangles if not is_triangle(m.src, m.dst, m.fn)]
-                assert bad == [], (p, bound, kind, bad[:1])
-                checked[kind] += len(triangles)
-    assert len(checked) == 8 and min(checked.values()) > 0, checked
-
-
 def test_classify_follows_no_top_table(monkeypatch):
     # the comparison cells and gluing read tops off the pairs of each
     # chosen pullback, so no change of base builds its first projection:

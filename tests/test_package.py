@@ -6,9 +6,7 @@ library code sorts labels (``test_library_never_sorts``), no library code
 groups a map by its image outside ``FinFunction.fibers``
 (``test_library_groups_a_map_by_its_image_only_in_fibers``), no library
 code matches leg tables and only the basic fibration builds a mediating
-map (``test_library_lifts_and_never_matches_legs``), only the listed
-builders build a triangle unchecked
-(``test_only_the_listed_builders_build_triangles_unchecked``), no library code
+map (``test_library_lifts_and_never_matches_legs``), no library code
 asks a hom-set whether it holds a morphism
 (``test_library_never_asks_a_hom_set_for_membership``), every public
 name is used or listed, the most numerous value classes stay slotted, a
@@ -192,49 +190,6 @@ def test_library_lifts_and_never_matches_legs():
     # and the tests' leg-matching reference
     tests = ast.parse((ROOT / "tests" / "test_cosimplicial.py").read_text())
     assert allowed and _calls(tests, "match_by_legs") != []
-
-
-# The builders whose triangles commute by construction, by module and
-# qualified name: the only callers of ``SliceMor._commuting``.
-UNCHECKED_BUILDERS = {
-    "slices.py": {"_slice_members", "_relabel", "SliceCategory.identity",
-                  "SliceCategory.compose", "CartFunctor._on_mor", "comparison_iso"},
-    "descent.py": {"_hom_members", "_index_datum"},
-}
-
-
-def _functions(tree):
-    """Each module-level function and each method, with its qualified name."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{item.name}", item) for item in node.body
-                        if isinstance(item, ast.FunctionDef))
-
-
-def test_only_the_listed_builders_build_triangles_unchecked():
-    """A triangle skips its constructor's check (``SliceMor._commuting``)
-    only in a builder of ``UNCHECKED_BUILDERS``, whose triangles commute
-    by construction; ``test_triangles_built_unchecked_commute`` checks
-    what they build."""
-    found, allowed = [], {}
-    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        listed = UNCHECKED_BUILDERS.get(path.name, set())
-        inside = set()
-        for name, node in _functions(tree):
-            if name in listed:
-                calls = _calls(node, "_commuting")
-                allowed[path.name, name] = len(calls)
-                inside.update(id(call) for call in calls)
-        found += [f"{path.name}:{call.lineno}" for call in _calls(tree, "_commuting")
-                  if id(call) not in inside]
-    assert found == []
-    # the list names no stale builder: each is still there and builds unchecked
-    assert set(allowed) == {(module, name) for module, names in UNCHECKED_BUILDERS.items()
-                            for name in names}
-    assert all(allowed.values()), allowed
 
 
 def _hom_membership_asked(tree):
