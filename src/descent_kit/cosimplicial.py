@@ -160,15 +160,22 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     composites the current faces give it, then the two presentation
     equations of the augmentation.
 
-    A cell is checked by ``fincat.iso_failures``, as ``NatTrans.check_iso``
-    is: typing and invertibility on every enumerated object, then
-    naturality, by legs on every enumerated object (the faces track tops)
-    and, only where legs fail, by squares on the generators of its index
-    category, each failing one reported.  Each failure is reported as
-    "<cell>: <what>" at its object or generator, a mistyped component with
-    the ends it has and should have as lhs and rhs, and one whose triangle
-    its constructor refuses as "does not commute", not raised.  A cell
-    with such a component ends the check at once.
+    A cell is first asked for the base it is indexed over: one indexed
+    over a base other than the one the current faces index it by, as
+    theta in the place of a cell indexed by c1, is reported as "<cell>:
+    wrong index" with the two bases as lhs and rhs, before any component
+    is built, and ends the check.  Bases are compared, not categories, so
+    a cell of another fibration of an equal map is checked as any other.
+    Then the cell is checked by ``fincat.iso_failures``, as
+    ``NatTrans.check_iso`` is: typing and invertibility on every
+    enumerated object, then naturality, by legs on every enumerated object
+    (the faces track tops) and, only where legs fail, by squares on the
+    generators of its index category, each failing one reported.  Each
+    failure is reported as "<cell>: <what>" at its object or generator, a
+    mistyped component with the ends it has and should have as lhs and
+    rhs, and one whose triangle its constructor refuses as "does not
+    commute", not raised.  A cell with such a component ends the check at
+    once.
 
     Once the constraints pass, ``is_descent_datum`` on (d B0, theta_B0)
     checks the presentation equations: the first that fails is recorded
@@ -180,6 +187,9 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     """
     report = CoherenceReport()
     for name, cell, src_f, dst_f in diagram.constraint_types():
+        if cell.source.src.base != src_f.src.base:
+            report.add(f"{name}: wrong index", None, cell.source.src.base, src_f.src.base)
+            return report
         failures = iso_failures(src_f, dst_f, cell.at, bound)
         for what, where, found, wanted in failures:
             report.add(f"{name}: {what}", where, found, wanted)

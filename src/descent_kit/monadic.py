@@ -145,9 +145,6 @@ class EMCategory(ComputableCategory):
             return False
         return self.monad.base.commutes([f.m for f in lhs], [f.m for f in rhs])
 
-    def forgetful(self) -> Functor:
-        return Functor(self, self.monad.base, lambda alg: alg.x, lambda m: m.m, name="U")
-
 
 class EMComparison(Functor):
     """The canonical functor K into the algebras em of the monad of adj:
@@ -377,28 +374,18 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
 
     phi = comparison(desc)
     kcomp = EMComparison(adj, em)
-    factor_ok = _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound)
+    factor_ok = _factorizations_agree(fib, em, functor, phi, kcomp, bound)
     return BRResult(report, functor, desc, em, monad, factor_ok)
 
 
-def _factorizations_agree(fib, desc, em, functor, phi, kcomp, bound) -> bool:
-    """Desc and EM factorizations of p* through C/E match on the nose.
-
-    Forgetfuls commute with the canonical functor F, and F∘Phi equals the
-    comparison K: on every object, and on morphisms by the naturality of
-    the identity components F∘Phi => K, checked on the generators of C/B.
-    """
-    u_desc, u_em = desc.forgetful(), em.forgetful()
-    c0 = fib.c0
-    for x in c0.objects(bound):
-        if u_desc.obj(phi.obj(x)) != fib.d.obj(x):
-            return False
-        if u_em.obj(kcomp.obj(x)) != fib.d.obj(x):
-            return False
-    for datum in desc.objects(bound):
-        if u_em.obj(functor.obj(datum)) != u_desc.obj(datum):
-            return False
-    for x in c0.objects(bound):
+def _factorizations_agree(fib, em, functor, phi, kcomp, bound) -> bool:
+    """Desc and EM factorizations of p* through C/E match on the nose:
+    F∘Phi equals the comparison K on every object, and on morphisms by the
+    naturality of the identity components F∘Phi => K, checked on the
+    generators of C/B.  That the forgetfuls commute with Phi, K and F holds
+    by construction: Phi(x) is a datum on d(x), K's R is ``fib.d`` itself,
+    and F sends a datum on w to an algebra on w."""
+    for x in fib.c0.objects(bound):
         if functor.obj(phi.obj(x)) != kcomp.obj(x):
             return False
     return not naturality_failures(phi.then(functor), kcomp,

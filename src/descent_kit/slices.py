@@ -13,14 +13,14 @@ over each of given blocks of base points, by the same vector-to-object
 rule and in the same order.  Change of base along p: E -> B is pullback
 along p, with the chosen pullbacks of finset; each functor caches its
 values so repeated applications return identical (not merely isomorphic)
-results.  A morphism m has its image two ways, by one per-element rule:
-w goes to the element whose top is m(top w), over the base point of w.
-``mor(m)`` lifts each element by that rule (``CartFunctor.lift``) into
-one checked function, and caches it.  ``image(m)`` is a ``SliceImage``:
-the ends of the image and the rule (``CartFunctor._values``), followed
-where a path is only compared, never built and never stored.  A hom-set
-of C/B is a ``HomSet``: counted off the fibers of its target and built
-on first read.  The enumerated C/B also lists generators
+results.  A functor has one rule on the elements of the image of a
+morphism m, its lift (``CartFunctor._lift``): w goes to the element whose
+top is m(top w), over the base point of w.  ``mor(m)`` tabulates the rule
+(``CartFunctor.lift``) into one checked function, and caches it;
+``image(m)`` is a ``SliceImage``, the ends of the image and the same rule,
+followed where a path is only compared, never built and never stored.  A
+hom-set of C/B is a ``HomSet``: counted off the fibers of its target and
+built on first read.  The enumerated C/B also lists generators
 (transpositions, merges and inclusions of fibers) whose composites give
 every morphism, so naturality squares, where they run, are checked on
 them alone.
@@ -43,13 +43,14 @@ decides naturality (``fincat.iso_failures``), and ``CartFunctor._lift``
 computes it from those two legs, with no search: change of base pairs
 them, a composite lifts through its first factor over the base points
 pushed down its second's base map (``_down``) and then through its
-second, and a functor that keeps the carrier returns the tops once its
-object is checked to send them to the base points.  That is the one way
-the library builds a map into a chosen pullback from legs:
-``CartFunctor.lift`` tabulates the lifted elements with the checked
+second, and a functor that keeps the carrier returns the tops.  No lift
+checks what it returns; every built map ends in a checked constructor.
+That is the one way the library builds a map into a chosen pullback from
+legs: ``CartFunctor.lift`` tabulates the lifted elements with the checked
 constructor, whose codomain check is the check that each exists, for
 F(m) itself, the unit of Σ_u ⊣ u*, gluing (``descent.descend``) and
-``monadic``.  Two composites of such functors whose base maps agree are
+``monadic``; the triangle built from it checks that each lies over its
+base point.  Two composites of such functors whose base maps agree are
 pullbacks of one cospan, and ``comparison_iso`` sends each element of
 F(x) to the element of G(x) lifted from its own legs, tabulated in place,
 checking that the component is a bijection
@@ -123,10 +124,11 @@ class SliceImage:
     """F(m) for a ``CartFunctor`` F, followed and never built.
 
     src and dst are F(m.src) and F(m.dst), so a path types through a view
-    as through a triangle.  ``values`` reads images off m by the rule of F
-    on morphisms (``CartFunctor._values``); m commutes, so each lies in
-    the carrier of dst.  Views are made where they are followed and not
-    stored.
+    as through a triangle.  ``values`` lifts (``CartFunctor._lift``) m
+    applied to the legs of the given elements over their base points, the
+    rule that builds F(m); m commutes, as its constructor checked, so each
+    image lies in the carrier of dst.  Views are made where they are
+    followed and not stored.
     """
 
     __slots__ = ("src", "dst", "_functor", "_m")
@@ -141,7 +143,9 @@ class SliceImage:
         return f"{self._functor.name}({self._m!r})"
 
     def values(self, elements) -> list:
-        return self._functor._values(self._m.values, elements)
+        functor, m = self._functor, self._m
+        return functor._lift(m.dst, m.values(functor.legs(m.src, elements)),
+                             self.src.values(elements))
 
 
 class SliceCategory(ComputableCategory):
@@ -305,14 +309,14 @@ class CartFunctor(Functor):
     of) chosen pullback(s).  ``legs(x, elements)`` reads the tops of given
     elements of F(x), or of all of them, as plain values.
 
-    ``_lift`` finds the elements of F(x) from their two legs, ``lift``
-    tabulates them as a checked map into F(x), and ``_down`` pushes points
-    of the target base down the base map.  F(m) is built by lifting
-    (``_on_mor``); ``image(m)`` is F(m) as a ``SliceImage``, for a path that
-    is only followed, and ``_values`` is the rule on morphisms that it
-    follows.  All default to a functor that keeps the carrier over its
-    base: an element is its own top, F(m) has m's values and the base map
-    is the identity.
+    The hooks are ``legs``, ``_lift`` and ``_down``.  ``_lift`` finds the
+    elements of F(x) from their two legs, and ``_down`` pushes points of
+    the target base down the base map.  ``lift`` tabulates ``_lift`` as a
+    checked map into F(x); F(m) is built by lifting (``_on_mor``), and
+    ``image(m)`` is F(m) as a ``SliceImage``, which follows the same lift,
+    for a path that is only compared.  All default to a functor that keeps
+    the carrier over its base: an element is its own top, F(m) has m's
+    values and the base map is the identity.
 
     The contract every override keeps: an element of F(x) is fixed by its
     top and its base point, and F(m) sends an element to the one whose top
@@ -331,12 +335,13 @@ class CartFunctor(Functor):
     def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
         """The elements of obj(x) with the given tops, elements of the
         carrier of x, over the given points of the target base, one for
-        each pair: here the tops themselves, once obj(x) is checked to send
-        each to its base point; a pair it does not fit raises
-        ``FinSetError``.  An override may return elements outside obj(x),
-        which the codomain check of the caller's ``FinFunction`` refuses."""
-        if self.obj(x).values(tops) != bases:
-            raise FinSetError(f"{self.name}({x!r}) does not send the tops to their base points")
+        each pair: here the tops themselves.  No lift checks what it
+        returns.  The map the caller builds refuses an element outside
+        obj(x) by its codomain check (``lift``, ``comparison_iso``), and
+        the triangle built from it refuses one over another base point, as
+        a top here may be, by its commute check (``SliceMor``).  A view
+        (``SliceImage``) follows only a triangle that commutes, whose lifts
+        are elements."""
         return tops
 
     def lift(self, x: FinFunction, carrier: FinSetObj, tops: list, bases: list) -> FinFunction:
@@ -364,12 +369,6 @@ class CartFunctor(Functor):
     def image(self, m) -> SliceImage:
         return SliceImage(self, m)
 
-    def _values(self, of_m, elements) -> list:
-        """The images under F(m) of elements of F(m.src), read off of_m,
-        which gives the images under m of elements of m.src
-        (``SliceMor.values``); m commutes, so no check runs."""
-        return of_m(elements)
-
     def then(self, other: Functor) -> Functor:
         if isinstance(other, CartFunctor):
             return ComposedCartFunctor(self, other)
@@ -380,9 +379,6 @@ class ComposedCartFunctor(ComposedFunctor, CartFunctor):
     def legs(self, x: FinFunction, elements=None) -> list:
         first = self.first
         return first.legs(x, self.second.legs(first.obj(x), elements))
-
-    def _values(self, of_m, elements) -> list:
-        return self.second._values(functools.partial(self.first._values, of_m), elements)
 
     def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
         """Through first over the bases pushed down second's base map, then
@@ -414,20 +410,16 @@ class ChangeOfBase(CartFunctor):
 
     def legs(self, x: FinFunction, elements=None) -> list:
         """The top of each pair (top, base), read off the pair with no pr1
-        table built; an element outside the carrier raises ``FinSetError``."""
+        table built; an element outside the carrier raises ``FinSetError``.
+        Handed the carrier's own elements, as ``FinFunction.values`` is, it
+        tests no membership."""
         carrier = self.obj(x).dom
         if elements is None:
             elements = carrier.elements
-        elif not carrier.includes(elements):
+        elif elements is not carrier.elements and not carrier.includes(elements):
             w = next(w for w in elements if w not in carrier)
             raise FinSetError(f"{w!r} is not in the domain {carrier}")
         return [w[0] for w in elements]
-
-    def _values(self, of_m, elements) -> list:
-        """w |-> (m(top w), base w): an element of the chosen pullback is
-        the pair of its two legs."""
-        tops = of_m([w[0] for w in elements])
-        return [(v, w[1]) for v, w in zip(tops, elements)]
 
     def _lift(self, x: FinFunction, tops: list, bases: list) -> list:
         """The pairs (top, base), unchecked: an element of the chosen
@@ -509,10 +501,11 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     searched.  The map is built with the checked constructor, whose
     codomain check is the check that G(x) has an element with those legs,
     and it is a bijection exactly when F(x) and G(x) have as many elements
-    and the images are distinct.  Where base
-    maps disagree, or a check fails, building it raises ``FinSetError``,
-    or ``NotCommuting`` from the triangle's constructor where F(x) and
-    G(x) lie over two bases.  That is the only test of components outside
+    and the images are distinct.  Where base maps disagree, or a check
+    fails, building it raises ``FinSetError``, or ``NotCommuting`` from
+    the triangle's constructor where F(x) and G(x) lie over two bases or
+    an image lies over another base point, as a top does under a G that
+    keeps the carrier.  That is the only test of components outside
     the gate's enumeration, and of all of them in gluing.
     """
 

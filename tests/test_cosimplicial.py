@@ -284,17 +284,22 @@ def test_carrier_keeping_end_refuses_tops_off_their_bases():
     """Pulling back along a transposition u of E is not the identity: an
     element (t, a) of u*(x) lies over a, but its top lies over u(a), so
     the identity, which keeps the carrier, has no element with those legs
-    wherever u moves a point of the carrier's image."""
+    wherever u moves a point of the carrier's image.  Its lift returns the
+    tops unchecked, and the component's triangle refuses them as not
+    commuting over the base, which the check reports at those objects."""
     e = FinSetObj(("e0", "e1", "e2"))
     swap = FinFunction.of(e, e, {"e0": "e1", "e1": "e0", "e2": "e2"})
     c1 = SliceCategory(e, 2)
-    iso = comparison_iso(ChangeOfBase(swap, c1, c1), IdentityCartFunctor(c1))
+    iso = comparison_iso(ChangeOfBase(swap, c1, c1), IdentityCartFunctor(c1), "swap")
+    moved = []
     for x in c1.objects():
         if {b for _, b in x.mapping} <= {"e2"}:
             assert iso.at(x).fn.is_bijective(), x
         else:
-            with pytest.raises(FinSetError, match="does not send the tops"):
+            with pytest.raises(NotCommuting, match="does not commute over the base"):
                 iso.at(x)
+            moved.append(x)
+    assert moved and iso.check_iso(2) == [f"swap: does not commute at {x}" for x in moved]
 
 
 def test_faces_and_their_composites_preserve_composition(small_map):
@@ -450,6 +455,47 @@ def test_comparison_between_two_bases_is_refused_as_not_commuting():
         with pytest.raises(FinSetError if over_y else NotCommuting,
                            match="not a bijection" if over_y else "spans two bases"):
             iso.at(x)
+
+
+def test_a_cell_indexed_by_the_other_level_is_reported_not_raised(small_maps):
+    """Every single-cell substitution over the 19 maps at bound 2: theta,
+    indexed over B, in the place of a cell indexed over E, or the reverse,
+    is reported as a wrong index before any component is built; every other
+    substitution is checked as usual.  Nothing raises, and an empty report
+    means the cell in place has the components of the one it replaced."""
+    counts = collections.Counter()
+    for p in small_maps():
+        fib = basic_fibration(p, 2)
+        types = fib.constraint_types()
+        for name, good, src_f, _ in types:
+            for other, cell, *_ in types:
+                if other == name:
+                    continue
+                report = validate_coherence(dataclasses.replace(fib, **{name: cell}), 2)
+                whats = tuple(sorted({f.equation.split(": ", 1)[1] for f in report.failures}))
+                counts[whats] += 1
+                if whats == ("wrong index",):
+                    [failure] = report.failures
+                    assert (failure.lhs, failure.rhs) == (cell.source.src.base, src_f.src.base)
+                if not whats:
+                    assert all(cell.at(x) == good.at(x) for x in src_f.src.objects(2))
+    assert counts == {("wrong index",): 190, ("wrong source",): 276, (): 104}
+
+
+def test_the_view_of_sigma_after_a_change_of_base_has_no_base_map():
+    """The view of u*;Σ_u follows the lift, which pushes base points down Σ's
+    base map, and Σ has none; F(m) itself is built through the factors'
+    own images."""
+    p = fn("abc", "xy", {"a": "x", "b": "x", "c": "y"})
+    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(p.cod, 2),
+                                                 SliceCategory(p.dom, 2)))
+    functor = adj.right.then(adj.left)
+    m = next(m for m in adj.right.src.generators(2) if len(m.src.dom))
+    built = functor.mor(m)
+    assert (built.src, built.dst) == (functor.obj(m.src), functor.obj(m.dst))
+    view = functor.image(m)
+    with pytest.raises(CategoryError, match="has no base map"):
+        view.values(view.src.dom.elements)
 
 
 def test_a_component_that_cannot_be_built_raises_its_own_error():
