@@ -10,14 +10,13 @@ one is an equivalence (within the bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
                      EquivalenceReport, Functor, NatTrans, is_equivalence)
 
 
-@dataclass(frozen=True)
-class WedgeObj:
+class WedgeObj(NamedTuple):
     """(c, d, phi: F c -> G d); phi is stored, not an equivalence class."""
 
     c: object
@@ -28,8 +27,7 @@ class WedgeObj:
         return f"({self.c!r}, {self.d!r}, {self.phi!r})"
 
 
-@dataclass(frozen=True)
-class WedgeMor:
+class WedgeMor(NamedTuple):
     src: WedgeObj
     dst: WedgeObj
     u: object  # morphism c -> c'
@@ -85,8 +83,7 @@ class PseudoPullbackCategory(ComputableCategory):
                         lambda x: x.phi, name="filler")
 
 
-@dataclass
-class PsSquare:
+class PsSquare(NamedTuple):
     """A candidate pseudopullback square.
 
         corner --p1--> C

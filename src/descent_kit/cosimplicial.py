@@ -45,8 +45,7 @@ off the faces: ``basic_fibration`` builds each cell from it, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .finset import FinFunction, FinSetError, mediating_map, pullback
 from .fincat import MISTYPED, CategoryError, NatTrans, iso_failures
@@ -54,8 +53,7 @@ from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
                      comparison_iso)
 
 
-@dataclass
-class CoherenceFailure:
+class CoherenceFailure(NamedTuple):
     equation: str
     witness: object
     lhs: object = None
@@ -67,9 +65,16 @@ class CoherenceFailure:
         return f"{self.equation}{at}{detail}"
 
 
-@dataclass
 class CoherenceReport:
-    failures: list[CoherenceFailure] = field(default_factory=list)
+    """The failures ``validate_coherence`` found, in the order found."""
+
+    __slots__ = ("failures",)
+
+    def __init__(self):
+        self.failures: list[CoherenceFailure] = []
+
+    def __repr__(self):
+        return f"CoherenceReport(failures={self.failures!r})"
 
     def is_empty(self):
         return not self.failures
@@ -83,8 +88,7 @@ class CoherenceReport:
         return "\n".join(str(f) for f in self.failures)
 
 
-@dataclass
-class BasicFibration:
+class BasicFibration(NamedTuple):
     """The cosimplicial diagram of slices of a function p: E -> B,
     augmented by c0 = C/B --d = p*--> c1 = C/E.  p is d.u; c2 and c3 lie
     over E2 = E×_B E and E3 = E×_B E×_B E; d_i and del_i pull back along

@@ -7,7 +7,11 @@ the identity and associativity equations that ``cosimplicial`` states
 and checks (``is_descent_datum``, imported here).  A morphism
 (W, rho) -> (X, rho') is m: W -> X with d0(m) ∘ rho = rho' ∘ d1(m),
 checked by ``is_descent_morphism``: the comparison functor and
-``descend`` use that one check.
+``descend`` use that one check.  A datum (``DescentDatum``) and a
+morphism (``DescMor``) are plain slotted values, as ``SliceMor`` is: each
+hashes once, at construction, since every memo of ``DescCategory`` is
+keyed by them, and each is immutable by contract, not enforced at run
+time.  The results of ``descend`` and ``classify`` are named tuples.
 
 Over finite sets a datum is an action of the kernel-pair groupoid Eq(p),
 a functor Eq(p) -> FinSet (the Galois theorem).  Within a fiber of p
@@ -49,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import TheoremViolation
@@ -63,19 +66,18 @@ from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
 from .slices import SliceMor, slice_isos
 
 
-@dataclass(frozen=True, slots=True)
 class DescentDatum:
     """A level-1 object with a gluing isomorphism between its two pullbacks.
     It stores its hash and compares as ``SliceMor`` does: every memo of
-    ``DescCategory`` and of the comparison functor is keyed by data."""
+    ``DescCategory`` and of the comparison functor is keyed by data.
+    Immutable by contract: its slots are written once, by the constructor."""
 
-    w: FinFunction
-    rho: SliceMor  # d1(w) -> d0(w)
+    __slots__ = ("w", "rho", "_hash")
 
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.w, self.rho)))
+    def __init__(self, w: FinFunction, rho: SliceMor):  # rho: d1(w) -> d0(w)
+        self.w = w
+        self.rho = rho
+        self._hash = hash((w, rho))
 
     def __hash__(self):
         return self._hash
@@ -96,19 +98,17 @@ class DescentDatum:
         return f"Datum({self.w!r}, {self.rho.fn!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class DescMor:
     """An equivariant m between two data; hashed and compared as
-    ``DescentDatum`` is."""
+    ``DescentDatum`` is, and immutable by the same contract."""
 
-    src: DescentDatum
-    dst: DescentDatum
-    m: SliceMor
+    __slots__ = ("src", "dst", "m", "_hash")
 
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.m)))
+    def __init__(self, src: DescentDatum, dst: DescentDatum, m: SliceMor):
+        self.src = src
+        self.dst = dst
+        self.m = m
+        self._hash = hash((src, dst, m))
 
     def __hash__(self):
         return self._hash
@@ -343,9 +343,6 @@ class DescCategory(ComputableCategory):
             raise CategoryError("non-composable descent morphisms")
         return DescMor(f.src, g.dst, self.diagram.c1.compose(g.m, f.m))
 
-    def forgetful(self) -> Functor:
-        return Functor(self, self.diagram.c1, lambda d: d.w, lambda m: m.m, name="U")
-
 
 def _hom_members(x: DescentDatum, y: DescentDatum, orbits: list) -> list[DescMor]:
     """hom(x, y) in Desc(p), one morphism per combination of the orbits'
@@ -401,8 +398,7 @@ def comparison(desc: DescCategory) -> Functor:
     return _Comparison(dom, desc, name="Phi")
 
 
-@dataclass
-class DescendResult:
+class DescendResult(NamedTuple):
     glued: FinFunction              # object of C/B
     iso: DescMor                    # comparison(glued) -> datum, in Desc
     partial: bool                   # p not surjective: glued lives over im(p)
@@ -452,8 +448,7 @@ NOT_ALMOST = "NotAlmost"
 _EXIT_CODES = {EFFECTIVE: 0, DESCENT: 3, ALMOST: 4, NOT_ALMOST: 5}
 
 
-@dataclass
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     verdict: str
     report: EquivalenceReport
     fib: BasicFibration

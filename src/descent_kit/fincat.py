@@ -63,8 +63,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class CategoryError(ValueError):
@@ -76,8 +75,7 @@ class NotCommuting(CategoryError):
     commute, as a slice triangle's constructor refuses one."""
 
 
-@dataclass(frozen=True)
-class TableMor:
+class TableMor(NamedTuple):
     """Morphism of a table-backed category."""
 
     name: str
@@ -603,8 +601,7 @@ class NatTrans:
                 iso_failures(self.source, self.target, self.at, bound)]
 
 
-@dataclass
-class Decision:
+class Decision(NamedTuple):
     """Outcome of a yes/no check with an auditable witness on failure."""
 
     ok: bool
@@ -671,8 +668,7 @@ FAITHFUL_ONLY = "FaithfulOnly"
 NOT_FAITHFUL = "None"
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     level: str
     faithful: Decision
     full: Decision
@@ -728,34 +724,3 @@ class FullSubcategory(Category):
 
     def inclusion(self) -> Functor:
         return Functor(self, self.ambient, lambda x: x, lambda m: m, name=f"incl {self.name}")
-
-
-def chain_category(n: int) -> FinCategory:
-    """The linear order 0 -> 1 -> ... -> n-1 as a table category."""
-    objs = [str(i) for i in range(n)]
-    mors = []
-    table = {}
-    for i in range(n):
-        for j in range(i, n):
-            mors.append((f"m{i}{j}", str(i), str(j)))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                table[(f"m{j}{k}", f"m{i}{j}")] = f"m{i}{k}"
-    idents = {str(i): f"m{i}{i}" for i in range(n)}
-    return FinCategory(objs, mors, idents, table)
-
-
-def discrete_category(labels) -> FinCategory:
-    labels = list(labels)
-    return FinCategory(labels, [(f"id_{x}", x, x) for x in labels],
-                       {x: f"id_{x}" for x in labels}, {})
-
-
-def parallel_pair_category() -> FinCategory:
-    """Two objects with two parallel nonidentity arrows."""
-    return FinCategory(
-        ["0", "1"],
-        [("id0", "0", "0"), ("id1", "1", "1"), ("f", "0", "1"), ("g", "0", "1")],
-        {"0": "id0", "1": "id1"},
-        {})

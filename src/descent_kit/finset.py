@@ -32,8 +32,12 @@ category in ``slices`` is a ``FinFunction`` itself.  A ``FinSetObj``
 takes it from its frozenset, which has hashed every element already; a
 ``FinFunction`` from its tuple of pairs.  Equality tries identity first,
 then the stored hashes, and compares fields only when those agree.  Both
-classes are slotted, so the stored hash and set cost no per-instance
-dictionary.  Both take tuples only: a list or a string where a tuple
+classes are plain slotted classes whose constructors write their slots
+directly, so the stored hash and set cost no per-instance dictionary and
+no import of ``dataclasses`` at start-up.  Both are immutable by
+contract, which nothing enforces at run time: no code writes a slot after
+construction, except ``FinFunction.fibers``, which fills its cache once.
+Both take tuples only: a list or a string where a tuple
 belongs raises ``FinSetError``.  ``FinFunction.values`` handed the domain
 itself, in order, reads the table with no hash taken, and ``follow``
 hands its first step the elements it is given.
@@ -41,9 +45,7 @@ hands its first step the elements it is given.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, NamedTuple
 
@@ -52,26 +54,24 @@ class FinSetError(ValueError):
     """Raised on malformed finite-set data (duplicate labels, non-total maps...)."""
 
 
-@dataclass(frozen=True, slots=True)
 class FinSetObj:
-    """A finite set: a duplicate-free tuple of element labels."""
+    """A finite set: a duplicate-free tuple of element labels.  Immutable
+    by contract: its slots are written once, by the constructor."""
 
-    elements: tuple[Hashable, ...]
+    __slots__ = ("elements", "_members", "_hash")
 
-    _members: frozenset = field(init=False, repr=False, compare=False, hash=False)
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        if not isinstance(self.elements, tuple):
-            raise FinSetError(f"elements must be a tuple of labels, not {self.elements!r}")
+    def __init__(self, elements: tuple[Hashable, ...]):
+        if not isinstance(elements, tuple):
+            raise FinSetError(f"elements must be a tuple of labels, not {elements!r}")
         try:
-            members = frozenset(self.elements)
+            members = frozenset(elements)
         except TypeError:
-            raise FinSetError(f"elements must be hashable labels: {self.elements!r}") from None
-        if len(members) != len(self.elements):
-            raise FinSetError(f"duplicate labels in {self.elements}")
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_hash", hash(members))
+            raise FinSetError(f"elements must be hashable labels: {elements!r}") from None
+        if len(members) != len(elements):
+            raise FinSetError(f"duplicate labels in {elements}")
+        self.elements = elements
+        self._members = members
+        self._hash = hash(members)
 
     def __contains__(self, label: Hashable) -> bool:
         """Whether label is an element, at one hash; an unhashable label
@@ -112,21 +112,24 @@ class FinSetObj:
 EMPTY = FinSetObj(())
 
 
-@dataclass(frozen=True, slots=True)
 class FinFunction:
-    """A total function between finite sets, given by an explicit mapping."""
+    """A total function between finite sets, given by an explicit mapping.
+    Immutable by contract: its slots are written by the constructor, and
+    ``_fibers`` once more, by the first call of ``fibers``."""
 
-    dom: FinSetObj
-    cod: FinSetObj
-    mapping: tuple[tuple[Hashable, Hashable], ...]  # ordered as dom.elements
+    __slots__ = ("dom", "cod", "mapping", "_table", "_hash", "_fibers")
 
-    _table: dict = field(init=False, repr=False, compare=False, hash=False)
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
-    _fibers: object = field(init=False, repr=False, compare=False, hash=False)
+    def __init__(self, dom: FinSetObj, cod: FinSetObj,
+                 mapping: tuple[tuple[Hashable, Hashable], ...]):
+        self.dom = dom
+        self.cod = cod
+        self.mapping = mapping  # ordered as dom.elements
+        self.__post_init__()  # the check, by which perfbench counts constructions
 
     def __post_init__(self):
-        # the one constructor: every function, composites included, is
-        # checked here, with set operations rather than scans of the tuples
+        # the one check: every function, composites included, is checked
+        # here, with set operations rather than scans of the tuples, and
+        # then its table, hash and fibers slot are written
         try:
             table = dict(self.mapping)
         except (TypeError, ValueError):
@@ -141,9 +144,9 @@ class FinFunction:
         except TypeError:  # a list where a tuple belongs
             raise FinSetError(f"mapping must be a tuple of (element, image) tuples: "
                               f"{self.mapping!r}") from None
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_hash", mapping_hash)
-        object.__setattr__(self, "_fibers", None)
+        self._table = table
+        self._hash = mapping_hash
+        self._fibers = None
 
     @staticmethod
     def of(dom: FinSetObj, cod: FinSetObj, assignment) -> "FinFunction":
@@ -197,7 +200,8 @@ class FinFunction:
         return (self._hash == other._hash and self.mapping == other.mapping
                 and self.dom == other.dom and self.cod == other.cod)
 
-    # dom/cod aliases so a FinFunction can act as a morphism of FinSetCategory
+    # dom/cod aliases so a FinFunction can act as a morphism of a category
+    # of finite sets
     @property
     def src(self) -> FinSetObj:
         return self.dom
@@ -230,7 +234,7 @@ class FinFunction:
             for x, y in self.mapping:
                 out.setdefault(y, []).append(x)
             fibers = MappingProxyType({y: tuple(xs) for y, xs in out.items()})
-            object.__setattr__(self, "_fibers", fibers)
+            self._fibers = fibers
         return fibers
 
     def is_injective(self) -> bool:
@@ -375,16 +379,3 @@ def coproduct(x: FinSetObj, y: FinSetObj) -> Coproduct:
     in1 = FinFunction(x, obj, tuple(zip(x.elements, lx)))
     in2 = FinFunction(y, obj, tuple(zip(y.elements, ly)))
     return Coproduct(obj, in1, in2)
-
-
-def all_functions(x: FinSetObj, y: FinSetObj):
-    """Every function x -> y, in deterministic (product) order."""
-    if len(x) == 0:
-        yield FinFunction(x, y, ())
-        return
-    for images in itertools.product(y.elements, repeat=len(x)):
-        yield FinFunction(x, y, tuple(zip(x.elements, images)))
-
-
-def canonical_set(n: int, prefix: str = "e") -> FinSetObj:
-    return FinSetObj(tuple(f"{prefix}{i}" for i in range(n)))

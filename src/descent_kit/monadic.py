@@ -14,8 +14,7 @@ legs (``slices.CartFunctor.lift``), as the universal property gives it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
@@ -29,8 +28,7 @@ from .slices import (Adjunction, CartFunctor, ChangeOfBase, SliceCategory,
                      SliceMor, comparison_iso, sigma_pullback_adjunction)
 
 
-@dataclass
-class Monad:
+class Monad(NamedTuple):
     """An endofunctor with unit and multiplication."""
 
     t: Functor
@@ -69,8 +67,7 @@ def induced_monad(adj: Adjunction, bound: Optional[int] = None) -> Monad:
     return monad
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(NamedTuple):
     """An object with a structure map T(X) -> X satisfying the two laws."""
 
     x: object
@@ -80,8 +77,7 @@ class Algebra:
         return f"Alg({self.x!r}, {self.a.fn!r})"
 
 
-@dataclass(frozen=True)
-class AlgMor:
+class AlgMor(NamedTuple):
     src: Algebra
     dst: Algebra
     m: object
@@ -166,8 +162,7 @@ class EMComparison(Functor):
         return AlgMor(self.obj(f.src), self.obj(f.dst), self.adj.right.mor(f))
 
 
-@dataclass
-class BCSquare:
+class BCSquare(NamedTuple):
     """A square of functors with designated adjunctions on two parallel sides.
 
         A_w --f_a--> A_c
@@ -250,8 +245,7 @@ def chosen_pullback_bc_square(f: FinFunction, g: FinFunction, bound: int = 3) ->
     return pullback_square_bc(f, g, pb.pr1, pb.pr2, bound)
 
 
-@dataclass
-class BRResult:
+class BRResult(NamedTuple):
     report: EquivalenceReport
     functor: Functor             # Desc(p) -> EM(T_p)
     desc: DescCategory

@@ -8,8 +8,6 @@ silent pass would mean a check has gone soft.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .fincat import NatTrans
 from .finset import FinFunction
 from .cosimplicial import BasicFibration
@@ -40,7 +38,7 @@ def invert_theta(fib: BasicFibration) -> BasicFibration:
     Typechecks as d1∘d => d0∘d but breaks the presentation equations (and
     naturality) as soon as some fiber has two elements.
     """
-    return dataclasses.replace(fib, theta=_twisted(fib.theta, "theta (twisted)"))
+    return fib._replace(theta=_twisted(fib.theta, "theta (twisted)"))
 
 
 def swap_face_convention(fib: BasicFibration) -> BasicFibration:
@@ -49,7 +47,7 @@ def swap_face_convention(fib: BasicFibration) -> BasicFibration:
     The constraints were built for the omit-i convention, so their sources
     and targets no longer match the diagram's composites.
     """
-    return dataclasses.replace(fib, d0=fib.d1, d1=fib.d0)
+    return fib._replace(d0=fib.d1, d1=fib.d0)
 
 
 class _WithoutCocycle(DescCategory):

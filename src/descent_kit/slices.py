@@ -6,7 +6,9 @@ domain X is the carrier.  A morphism is a commuting triangle, a
 nothing downstream asks again; every builder goes through it, those
 whose triangles commute by construction included.  It stores its
 hash at construction and compares as ``FinFunction`` does, since the
-memos of functors and transformations hash them on every lookup.  The
+memos of functors and transformations hash them on every lookup; like
+``FinFunction`` it is a plain slotted class whose constructor writes
+its slots, immutable by contract and not enforced at run time.  The
 canonical objects of C/B are listed by fiber-size vector, and
 ``objects_constant_on`` lists only those whose fiber sizes are equal
 over each of given blocks of base points, by the same vector-to-object
@@ -65,33 +67,29 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .finset import (FinFunction, FinSetObj, FinSetError, all_functions,
-                     canonical_set, follow, pullback)
+from .finset import FinFunction, FinSetObj, FinSetError, follow, pullback
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
                      Functor, HomSet, IdentityFunctor, NatTrans, NotCommuting,
                      path_ends)
 
 
-@dataclass(frozen=True, slots=True)
 class SliceMor:
     """A commuting triangle x -> y between objects of C/B, each its map to
     the base: fn runs between their domains.  fn alone does not fix y,
     whose structure map the triangle keeps.  The constructor raises
     ``CategoryError`` unless fn runs between the carriers, and its
     subclass ``NotCommuting`` unless x and y lie over one base and
-    y ∘ fn = x, read off the tables in carrier order."""
+    y ∘ fn = x, read off the tables in carrier order.  Immutable by
+    contract: its slots are written once, by the constructor."""
 
-    src: FinFunction
-    dst: FinFunction
-    fn: FinFunction
+    __slots__ = ("src", "dst", "fn", "_hash")
 
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        src, dst, fn = self.src, self.dst, self.fn
+    def __init__(self, src: FinFunction, dst: FinFunction, fn: FinFunction):
+        self.src = src
+        self.dst = dst
+        self.fn = fn
         if fn.dom != src.dom or fn.cod != dst.dom:
             raise CategoryError(f"{fn!r} does not run between the carriers "
                                 f"of {src!r} and {dst!r}")
@@ -99,7 +97,7 @@ class SliceMor:
             raise NotCommuting(f"{self!r} spans two bases, {src.cod} and {dst.cod}")
         if dst.values(fn.values(fn.dom.elements)) != src.values(src.dom.elements):
             raise NotCommuting(f"{self!r} does not commute over the base")
-        object.__setattr__(self, "_hash", hash((src, dst, fn)))
+        self._hash = hash((src, dst, fn))
 
     def __hash__(self):
         return self._hash
@@ -521,8 +519,7 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     return NatTrans(f, g, component, name=name)
 
 
-@dataclass
-class Adjunction:
+class Adjunction(NamedTuple):
     """A strict adjunction left ⊣ right presented by unit and counit."""
 
     left: Functor
@@ -568,22 +565,3 @@ def sigma_pullback_adjunction(right: ChangeOfBase) -> Adjunction:
     unit = NatTrans(IdentityFunctor(right.dst), left.then(right), unit_at, name="η")
     counit = NatTrans(right.then(left), IdentityFunctor(right.src), counit_at, name="ε")
     return Adjunction(left, right, unit, counit)
-
-
-class FinSetCategory(ComputableCategory):
-    """The category of finite sets, enumerated by canonical sets of size <= bound."""
-
-    def __init__(self, bound: int = 3):
-        super().__init__(bound)
-
-    def _objects(self, bound: int) -> list[FinSetObj]:
-        return [canonical_set(n) for n in range(bound + 1)]
-
-    def _hom(self, x: FinSetObj, y: FinSetObj) -> list[FinFunction]:
-        return list(all_functions(x, y))
-
-    def identity(self, x: FinSetObj) -> FinFunction:
-        return FinFunction.identity(x)
-
-    def compose(self, g: FinFunction, f: FinFunction) -> FinFunction:
-        return f.then(g)

@@ -1,10 +1,82 @@
+"""Shared fixtures and the categories the tests build from: finite sets
+(``FinSetCategory``, ``all_functions``, ``canonical_set``) and small
+table categories (``chain_category``, ``discrete_category``,
+``parallel_pair_category``).  No library code builds these, so they live
+here; a test module imports them by name."""
+
+import itertools
+
 import pytest
 
 from descent_kit.descent import (DescentDatum, DescMor, canonicalize_datum,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.finset import FinSetObj, all_functions
+from descent_kit.fincat import ComputableCategory, FinCategory
+from descent_kit.finset import FinFunction, FinSetObj
 from descent_kit.slices import (IdentityCartFunctor, SliceMor,
                                 sigma_pullback_adjunction, slice_isos)
+
+
+def all_functions(x: FinSetObj, y: FinSetObj):
+    """Every function x -> y, in deterministic (product) order."""
+    if len(x) == 0:
+        yield FinFunction(x, y, ())
+        return
+    for images in itertools.product(y.elements, repeat=len(x)):
+        yield FinFunction(x, y, tuple(zip(x.elements, images)))
+
+
+def canonical_set(n: int, prefix: str = "e") -> FinSetObj:
+    return FinSetObj(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+class FinSetCategory(ComputableCategory):
+    """The category of finite sets, enumerated by canonical sets of size <= bound."""
+
+    def __init__(self, bound: int = 3):
+        super().__init__(bound)
+
+    def _objects(self, bound: int) -> list[FinSetObj]:
+        return [canonical_set(n) for n in range(bound + 1)]
+
+    def _hom(self, x: FinSetObj, y: FinSetObj) -> list[FinFunction]:
+        return list(all_functions(x, y))
+
+    def identity(self, x: FinSetObj) -> FinFunction:
+        return FinFunction.identity(x)
+
+    def compose(self, g: FinFunction, f: FinFunction) -> FinFunction:
+        return f.then(g)
+
+
+def chain_category(n: int) -> FinCategory:
+    """The linear order 0 -> 1 -> ... -> n-1 as a table category."""
+    objs = [str(i) for i in range(n)]
+    mors = []
+    table = {}
+    for i in range(n):
+        for j in range(i, n):
+            mors.append((f"m{i}{j}", str(i), str(j)))
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                table[(f"m{j}{k}", f"m{i}{j}")] = f"m{i}{k}"
+    idents = {str(i): f"m{i}{i}" for i in range(n)}
+    return FinCategory(objs, mors, idents, table)
+
+
+def discrete_category(labels) -> FinCategory:
+    labels = list(labels)
+    return FinCategory(labels, [(f"id_{x}", x, x) for x in labels],
+                       {x: f"id_{x}" for x in labels}, {})
+
+
+def parallel_pair_category() -> FinCategory:
+    """Two objects with two parallel nonidentity arrows."""
+    return FinCategory(
+        ["0", "1"],
+        [("id0", "0", "0"), ("id1", "1", "1"), ("f", "0", "1"), ("g", "0", "1")],
+        {"0": "id0", "1": "id1"},
+        {})
 
 
 def _small_maps(e_labels=("e0", "e1", "e2"), b_labels=("b0", "b1")):

@@ -5,9 +5,9 @@ import pytest
 from descent_kit.bilimits import (PseudoPullbackCategory, PsSquare, WedgeObj,
                                   is_pseudopullback_square)
 from descent_kit.fincat import (FullSubcategory, Functor, IdentityFunctor,
-                                NatTrans, chain_category, validate_category)
-from descent_kit.finset import canonical_set
-from descent_kit.slices import FinSetCategory
+                                NatTrans, validate_category)
+
+from conftest import FinSetCategory, canonical_set, chain_category
 
 
 def constant_functor(src, dst, obj):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 
 import pytest
 
@@ -7,13 +6,15 @@ from descent_kit import fincat
 from descent_kit.cosimplicial import basic_fibration, validate_coherence
 from descent_kit.descent import descend, moves
 from descent_kit.fincat import CategoryError, Functor, NatTrans, NotCommuting
-from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, canonical_set,
-                                all_functions, follow, mediating_map, pullback, quotient)
+from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, follow,
+                                mediating_map, pullback, quotient)
 from descent_kit.monadic import algebra_to_datum, datum_to_algebra, induced_monad
 from descent_kit.mutations import invert_theta, swap_face_convention
 from descent_kit.slices import (ChangeOfBase, ComposedCartFunctor, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor, comparison_iso,
                                 match_by_legs, sigma_pullback_adjunction)
+
+from conftest import all_functions, canonical_set
 
 
 def fn(dom, cod, mapping):
@@ -434,7 +435,7 @@ def test_component_over_the_wrong_base_is_reported_not_raised():
     with pytest.raises(CategoryError, match="spans two bases"):
         cell.at(objs[1])
     assert cell.check_iso(2) == [f"n0: does not commute at {x}" for x in objs]
-    report = validate_coherence(dataclasses.replace(fib, n0=cell), 2)
+    report = validate_coherence(fib._replace(n0=cell), 2)
     assert [(f.equation, f.witness, f.lhs, f.rhs) for f in report.failures] == [
         ("n0: does not commute", x, None, None) for x in objs]
 
@@ -471,7 +472,7 @@ def test_a_cell_indexed_by_the_other_level_is_reported_not_raised(small_maps):
             for other, cell, *_ in types:
                 if other == name:
                     continue
-                report = validate_coherence(dataclasses.replace(fib, **{name: cell}), 2)
+                report = validate_coherence(fib._replace(**{name: cell}), 2)
                 whats = tuple(sorted({f.equation.split(": ", 1)[1] for f in report.failures}))
                 counts[whats] += 1
                 if whats == ("wrong index",):
@@ -526,7 +527,7 @@ def test_gate_reports_non_invertible_cell():
         return SliceMor(c.src, c.dst, FinFunction.of(
             c.src.dom, c.dst.dom, lambda u: first[c.dst(c.fn(u))]))
 
-    broken = dataclasses.replace(fib, n0=NatTrans(good.source, good.target, collapsed))
+    broken = fib._replace(n0=NatTrans(good.source, good.target, collapsed))
     rep = validate_coherence(broken, 2)
     flagged = [f.witness for f in rep.failures if f.equation == "n0: not invertible"]
     assert flagged == [x for x in fib.c1.objects(2) if not x.is_injective()]
@@ -545,7 +546,7 @@ def test_gate_reports_non_commuting_cell():
         return SliceMor(c.src, c.dst, FinFunction.of(
             c.src.dom, c.dst.dom, lambda u: c.dst.dom.elements[0]))
 
-    broken = dataclasses.replace(fib, n0=NatTrans(good.source, good.target, constant))
+    broken = fib._replace(n0=NatTrans(good.source, good.target, constant))
     rep = validate_coherence(broken, 2)
     at = collections.defaultdict(list)
     for f in rep.failures:

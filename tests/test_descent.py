@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import re
 
@@ -14,10 +13,13 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  _index_datum, canonicalize_datum, classify,
                                  comparison, descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, HomSet, find_isomorphism,
-                                is_equivalence, is_full, validate_category)
-from descent_kit.finset import FinFunction, FinSetObj, all_functions
+from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, Functor, HomSet,
+                                find_isomorphism, is_equivalence, is_full,
+                                validate_category)
+from descent_kit.finset import FinFunction, FinSetObj
 from descent_kit.slices import SliceMor, slice_isos
+
+from conftest import all_functions
 
 
 def fn(dom, cod, mapping):
@@ -309,7 +311,7 @@ def test_enumeration_raises_on_a_datum_the_diagram_breaks():
     # two points; the enumeration names that w instead of dropping it
     from descent_kit.mutations import _twisted
     fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
-    broken = dataclasses.replace(fib, n0=_twisted(fib.n0, "n0 (twisted)"))
+    broken = fib._replace(n0=_twisted(fib.n0, "n0 (twisted)"))
     assert len(enumerate_descent_data(broken, 1)) == 2  # invisible on singletons
     two = fib.c1.objects(2)[2]
     with pytest.raises(TheoremViolation,
@@ -451,7 +453,8 @@ def test_comparison_factorization_strict():
     fib = basic_fibration(p, 3)
     desc = DescCategory(fib, 3)
     phi = comparison(desc)
-    u = desc.forgetful()
+    # the forgetful functor Desc(p) -> C/E, (w, rho) |-> w
+    u = Functor(desc, fib.c1, lambda d: d.w, lambda m: m.m, name="U")
     for x in fib.c0.objects(3):
         assert u.obj(phi.obj(x)) == fib.d.obj(x)
     for x in fib.c0.objects(2):

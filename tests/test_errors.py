@@ -14,8 +14,6 @@ Labels that Python cannot order are not bad input: no code of the library
 compares labels, and ``tests/test_descent.py`` and ``tests/test_monadic.py``
 check ``classify`` and ``benabou_roubaud`` on such maps."""
 
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,13 +22,15 @@ from descent_kit.cosimplicial import CoherenceReport, basic_fibration, validate_
 from descent_kit.descent import (DescCategory, DescentDatum, classify, comparison,
                                  descend, is_descent_datum)
 from descent_kit.fincat import (CategoryError, Functor, IdentityFunctor, NatTrans,
-                                TableFunctor, chain_category)
-from descent_kit.finset import FinFunction, FinSetError, FinSetObj, all_functions, quotient
+                                TableFunctor)
+from descent_kit.finset import FinFunction, FinSetError, FinSetObj, quotient
 from descent_kit.monadic import (EMCategory, benabou_roubaud, induced_monad,
                                  pullback_square_bc)
 from descent_kit.mutations import invert_theta
 from descent_kit.slices import (ChangeOfBase, SliceCategory, SliceMor,
                                 sigma_pullback_adjunction, slice_isos)
+
+from conftest import all_functions, chain_category
 
 
 def fn(dom, cod, mapping):
@@ -372,7 +372,7 @@ def test_wrong_contents_raise_or_fail_and_never_answer_wrong(is_triangle, p, q, 
     cell = data.draw(st.sampled_from(
         [getattr(fp, other) for other in CELLS if other != name]
         + [getattr(fq, name), _shifted(good, objs)]))
-    report = validate_coherence(dataclasses.replace(fp, **{name: cell}), 2)
+    report = validate_coherence(fp._replace(**{name: cell}), 2)
     assert isinstance(report, CoherenceReport)
     if report.is_empty():
         assert all(cell.at(x) == good.at(x) for x in objs), (name, p, q)

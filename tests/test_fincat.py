@@ -7,14 +7,14 @@ import pytest
 from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, Category, CategoryError,
                                 ComputableCategory,
                                 FinCategory, FullSubcategory, Functor, HomSet, IdentityFunctor,
-                                NatTrans, TableFunctor, chain_category,
-                                discrete_category, find_isomorphism,
+                                NatTrans, TableFunctor, find_isomorphism,
                                 is_equivalence, is_essentially_surjective,
                                 is_faithful, is_full, iso_failures,
-                                parallel_pair_category,
                                 validate_category)
-from descent_kit.finset import EMPTY, FinSetObj, canonical_set
-from descent_kit.slices import FinSetCategory
+from descent_kit.finset import EMPTY, FinSetObj
+
+from conftest import (FinSetCategory, canonical_set, chain_category, discrete_category,
+                      parallel_pair_category)
 
 
 def brute_force_laws(cat):

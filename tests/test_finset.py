@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
-                                all_functions, canonical_set, coproduct,
+from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, coproduct,
                                 follow, mediating_map, pullback, quotient)
+
+from conftest import all_functions, canonical_set
 
 
 labels = st.text(st.characters(codec="ascii", min_codepoint=33), min_size=1, max_size=6)

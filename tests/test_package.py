@@ -8,8 +8,10 @@ groups a map by its image outside ``FinFunction.fibers``
 code matches leg tables and only the basic fibration builds a mediating
 map (``test_library_lifts_and_never_matches_legs``), no library code
 asks a hom-set whether it holds a morphism
-(``test_library_never_asks_a_hom_set_for_membership``), every public
-name is used or listed, the most numerous value classes stay slotted, a
+(``test_library_never_asks_a_hom_set_for_membership``), no library
+module imports ``dataclasses`` or ``inspect``
+(``test_library_never_imports_dataclasses``), every public name is used
+or listed, the most numerous value classes stay slotted, a
 dropped diagram leaves no cyclic garbage, memo keys store their hash, and
 the benchmark can still drive the library."""
 
@@ -228,9 +230,33 @@ def test_library_never_asks_a_hom_set_for_membership():
     assert found == []
 
 
+def test_library_never_imports_dataclasses():
+    """No library module imports ``dataclasses`` or ``inspect``.  Every
+    call of an entry point (the benchmark's child, the CLI) starts a fresh
+    interpreter, and start-up is the largest end-to-end cost of a small
+    question: ``dataclasses`` pulls in ``inspect``, and with it ``ast``,
+    ``dis`` and ``tokenize``, none of which the interpreter loads by
+    itself, and its decorator then runs once per class.  Value types are
+    plain slotted classes and records are named tuples."""
+    banned = {"dataclasses", "inspect"}
+    found = []
+    for path in sorted((ROOT / "src" / "descent_kit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] in banned]
+    assert found == []
+
+
 # Public names that no other library code names, each with what will
-# connect it: an entry point, a ROADMAP item, or a fixture that tests build
-# categories from.  Anything else that nothing uses is deleted, not listed.
+# connect it: an entry point, a ROADMAP item, or a reference the tests
+# check the library against.  Anything else that nothing uses is deleted, not listed.
 UNUSED_PUBLIC_NAMES = {
     "descent.classify": "entry point (ROADMAP item 8, the CLI)",
     "monadic.benabou_roubaud": "entry point (ROADMAP item 8, the CLI)",
@@ -240,10 +266,6 @@ UNUSED_PUBLIC_NAMES = {
     "fincat.TableFunctor": "ROADMAP item 6",
     "monadic.is_beck_chevalley": "ROADMAP item 7",
     "monadic.chosen_pullback_bc_square": "ROADMAP item 7",
-    "fincat.chain_category": "fixture",
-    "fincat.discrete_category": "fixture",
-    "fincat.parallel_pair_category": "fixture",
-    "slices.FinSetCategory": "fixture",
     "descent.canonicalize_datum": "the tests' reference for the datum Desc(p) keeps",
     "slices.match_by_legs": "the tests' leg-matching reference for the maps the library lifts",
 }

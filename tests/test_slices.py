@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from descent_kit.fincat import (Category, CategoryError, is_faithful,
                                 validate_category)
-from descent_kit.finset import (FinFunction, FinSetError, FinSetObj,
-                                canonical_set, follow, mediating_map, pullback)
+from descent_kit.finset import (FinFunction, FinSetError, FinSetObj, follow,
+                                mediating_map, pullback)
 from descent_kit.slices import (ChangeOfBase, IdentityCartFunctor,
                                 SigmaAlong, SliceCategory, SliceMor,
                                 comparison_iso, match_by_legs,
                                 sigma_pullback_adjunction)
+
+from conftest import canonical_set
 
 
 def slice_over(labels, bound=3):
