@@ -5,7 +5,8 @@ Objects of the pseudopullback of F: C -> E <- D : G are triples
 (c, d, phi) with phi an explicit isomorphism F c -> G d; morphisms are
 pairs (u, v) making the evident square commute.  A square is a
 pseudopullback exactly when its canonical comparison into the constructed
-one is an equivalence (within the bound).
+one is an equivalence (within the bounds of the categories involved: the
+pseudopullback enumerates over the enumerations of its two legs).
 """
 
 from __future__ import annotations
@@ -37,17 +38,17 @@ class WedgeMor(NamedTuple):
 class PseudoPullbackCategory(ComputableCategory):
     """The pseudopullback of a cospan F: C -> E <- D : G."""
 
-    def __init__(self, f: Functor, g: Functor, bound: int = 3):
+    def __init__(self, f: Functor, g: Functor):
         if f.dst != g.dst:
             raise CategoryError("cospan functors must share a codomain")
-        super().__init__(bound)
+        super().__init__()
         self.f = f
         self.g = g
 
-    def _objects(self, bound):
+    def _objects(self):
         e = self.f.dst
-        return [WedgeObj(c, d, phi) for c in self.f.src.objects(bound)
-                for d in self.g.src.objects(bound)
+        return [WedgeObj(c, d, phi) for c in self.f.src.objects()
+                for d in self.g.src.objects()
                 for phi in e.hom(self.f.obj(c), self.g.obj(d)) if e.is_isomorphism(phi)]
 
     def _hom(self, x: WedgeObj, y: WedgeObj):
@@ -101,10 +102,10 @@ class PsSquare(NamedTuple):
     filler: NatTrans
 
 
-def is_pseudopullback_square(square: PsSquare, bound: int = 3) -> tuple[bool, EquivalenceReport]:
+def is_pseudopullback_square(square: PsSquare) -> tuple[bool, EquivalenceReport]:
     """Equivalence of the canonical comparison corner -> the pseudopullback
     of f and g, with the failing check as witness."""
-    malformed = square.filler.check_iso(bound)
+    malformed = square.filler.check_iso()
     if malformed:
         raise CategoryError("malformed square: " + "; ".join(malformed))
 
@@ -115,7 +116,7 @@ def is_pseudopullback_square(square: PsSquare, bound: int = 3) -> tuple[bool, Eq
         return WedgeMor(on_obj(m.src), on_obj(m.dst),
                         square.p1.mor(m), square.p2.mor(m))
 
-    comparison = Functor(square.corner, PseudoPullbackCategory(square.f, square.g, bound),
+    comparison = Functor(square.corner, PseudoPullbackCategory(square.f, square.g),
                          on_obj, on_mor, name="corner comparison")
-    report = is_equivalence(comparison, bound)
+    report = is_equivalence(comparison)
     return report.level == EQUIVALENCE, report

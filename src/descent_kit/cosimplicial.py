@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .finset import FinFunction, FinSetError, mediating_map, pullback
-from .fincat import MISTYPED, CategoryError, NatTrans, iso_failures
+from .fincat import MISTYPED, CategoryError, NatTrans, checked_bound, iso_failures
 from .slices import (ChangeOfBase, IdentityCartFunctor, SliceCategory,
                      comparison_iso)
 
@@ -185,16 +185,24 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     checks the presentation equations: the first that fails is recorded
     per B0, as "presentation identity" or "presentation associativity".
 
-    Slices are infinite, so the verdict is relative to the enumeration bound;
-    the report is a regression harness, the universal-property argument is
-    the global guarantee.
+    Slices are infinite, so the verdict is relative to the bound the
+    diagram's levels were built at (``basic_fibration``); the report is a
+    regression harness, the universal-property argument is the global
+    guarantee.  bound, if given, is checked as one a category is built
+    with (``fincat.checked_bound``) and must be that of the levels, c1's:
+    another raises ``CategoryError``.  It names no fragment of its own; it
+    is kept for callers that still pass the bound they built the diagram
+    with.
     """
+    if bound is not None and checked_bound(bound) != diagram.c1.bound:
+        raise CategoryError(f"the diagram is enumerated at bound {diagram.c1.bound}, "
+                            f"not {bound}")
     report = CoherenceReport()
     for name, cell, src_f, dst_f in diagram.constraint_types():
         if cell.source.src.base != src_f.src.base:
             report.add(f"{name}: wrong index", None, cell.source.src.base, src_f.src.base)
             return report
-        failures = iso_failures(src_f, dst_f, cell.at, bound)
+        failures = iso_failures(src_f, dst_f, cell.at)
         for what, where, found, wanted in failures:
             report.add(f"{name}: {what}", where, found, wanted)
         if any(what in MISTYPED for what, *_ in failures):
@@ -203,7 +211,7 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     if report.failures:
         return report
 
-    for b0 in diagram.c0.objects(bound):
+    for b0 in diagram.c0.objects():
         ok, which = is_descent_datum(diagram, diagram.d.obj(b0), diagram.theta.at(b0))
         if not ok:
             report.add(f"presentation {which}", b0)
@@ -212,10 +220,12 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
 
 
 def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
-    """Build the slice diagram of p with its canonical constraint cells.
+    """Build the slice diagram of p with its canonical constraint cells,
+    its four levels enumerated up to one bound.
 
     Each call builds a fresh diagram, keeping nothing; a p that is no
-    ``FinFunction`` raises ``FinSetError``.
+    ``FinFunction`` raises ``FinSetError``, and a bound that is no
+    natural number ``CategoryError`` (``SliceCategory``).
     """
     if not isinstance(p, FinFunction):
         raise FinSetError(f"p must be a FinFunction, not {p!r}")

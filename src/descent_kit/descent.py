@@ -40,8 +40,9 @@ decided by the category's own check, ``is_descent_morphism``, where a
 morphism is made (``comparison``, ``descend``); no hom-set is asked.
 
 A ``DescCategory`` holds the one input of every descent decision: the
-diagram, the enumeration bound and an optional carrier predicate.
-``comparison`` reads all three from it, and ``classify`` builds it once.
+diagram, the enumeration bound, checked where it is built, and an
+optional carrier predicate.  ``comparison`` reads the diagram and the
+predicate from it, and ``classify`` builds it once.
 ``descend`` glues a datum to an object over B (the constructive inverse
 of the comparison functor), and ``classify`` decides the almost / plain /
 effective descent ladder with auditable witnesses.  Essential
@@ -59,7 +60,7 @@ from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
                      NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
                      EquivalenceReport, FullSubcategory, Functor, HomSet,
-                     is_equivalence)
+                     checked_bound, is_equivalence)
 from .finset import FinFunction, FinSetError, FinSetObj, quotient
 from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
                            validate_coherence)
@@ -148,7 +149,8 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
                            carrier_pred: Optional[Callable[[FinSetObj], bool]] = None
                            ) -> list[DescentDatum]:
     """One descent datum per isomorphism class, with level-1 carrier within
-    bound, in the order of the canonical level-1 objects.
+    bound, the level-1 category's own by default, in the order of the
+    canonical level-1 objects.
 
     A canonical w: W -> E carries a datum exactly when its fiber sizes are
     constant along each fiber of p, and then all data on w are conjugate
@@ -229,23 +231,24 @@ class _MoveTable(NamedTuple):
     out: dict       # v -> the moves (t, v2) out of v, in carrier order
     step: dict      # (v, t) -> v2
     position: dict  # v -> its position in the carrier of w
-    fibers: dict    # w.fibers()
 
 
 class DescCategory(ComputableCategory):
     """The descent data of a basic fibration with level-1 carrier within
-    the bound, and only those whose carrier passes carrier_pred if given.
-    Beside the hom memo it keeps each datum's move table (``_table``)."""
+    the bound, checked here (``fincat.checked_bound``), and only those
+    whose carrier passes carrier_pred if given.  Beside the hom memo it
+    keeps each datum's move table (``_table``)."""
 
     def __init__(self, diagram: BasicFibration, bound: int = 4,
                  carrier_pred: Optional[Callable[[FinSetObj], bool]] = None):
-        super().__init__(bound)
+        super().__init__()
         self.diagram = diagram
+        self.bound = checked_bound(bound)
         self.carrier_pred = carrier_pred
         self._tables: dict = {}
 
-    def _objects(self, bound):
-        return enumerate_descent_data(self.diagram, bound,
+    def _objects(self):
+        return enumerate_descent_data(self.diagram, self.bound,
                                       carrier_pred=self.carrier_pred)
 
     def _table(self, x: DescentDatum) -> _MoveTable:
@@ -264,7 +267,7 @@ class DescCategory(ComputableCategory):
                 out.setdefault(v, []).append((t, v2))
                 step[v, t] = v2
             position = {v: i for i, v in enumerate(x.w.dom.elements)}
-            table = self._tables[x] = _MoveTable(out, step, position, x.w.fibers())
+            table = self._tables[x] = _MoveTable(out, step, position)
         return table
 
     def _hom(self, x, y) -> HomSet:
@@ -279,8 +282,9 @@ class DescCategory(ComputableCategory):
         each element has its diagonal move), so an orbit reached from its
         first element is its whole connected component.  Same answers as
         the brute filter of every equivariant slice morphism.  The moves
-        out of x, the steps of y, x's carrier positions and y's fibers are
-        read off the two move tables, each built once per datum.
+        out of x, the steps of y and x's carrier positions are read off the
+        two move tables, each built once per datum, and y's fibers off
+        ``FinFunction.fibers``, which caches them.
 
         The hom-set is counted, not built: its size is the product of the
         orbits' choice counts.  Membership is decided by the category's
@@ -297,7 +301,7 @@ class DescCategory(ComputableCategory):
         """
         tx, ty = self._table(x), self._table(y)
         out_x, position = tx.out, tx.position
-        step, fiber_y = ty.step, ty.fibers
+        step, fiber_y = ty.step, y.w.fibers()
 
         def follow(first, cand) -> Optional[dict]:
             assign = {first: cand}
@@ -379,8 +383,8 @@ class _Comparison(Functor):
 def comparison(desc: DescCategory) -> Functor:
     """The comparison functor level-0 -> desc: B0 |-> (d(B0), theta_B0).
 
-    Reads everything from desc: the diagram, its default bound (at which
-    the diagram is gated) and its carrier predicate, which restricts the
+    Reads everything from desc: the diagram, gated at the bound its
+    levels were built at, and its carrier predicate, which restricts the
     domain to the full subcategory of level-0 objects whose carriers pass
     it.  The codomain is Desc(p): a predicate not closed under p* may see
     Phi send a passing object to a datum that fails it, and the predicate
@@ -389,7 +393,7 @@ def comparison(desc: DescCategory) -> Functor:
     functor gives back the augmentation on the nose.
     """
     fib, pred = desc.diagram, desc.carrier_pred
-    rep = validate_coherence(fib, desc.default_bound)
+    rep = validate_coherence(fib)
     if not rep.is_empty():
         raise CategoryError(f"incoherent diagram: {rep}")
     dom = fib.c0
@@ -476,7 +480,7 @@ def classify(p: FinFunction, bound: int = 4,
     phi = comparison(desc)
 
     def ess() -> Decision:
-        for datum in desc.objects(bound):
+        for datum in desc.objects():
             try:
                 res = descend(fib, datum)
             except TheoremViolation as exc:
@@ -485,7 +489,7 @@ def classify(p: FinFunction, bound: int = 4,
                 return Decision(False, datum, True)
         return Decision(True, None, True)
 
-    report = is_equivalence(phi, bound, ess_surj=ess)
+    report = is_equivalence(phi, ess_surj=ess)
     verdict = {
         EQUIVALENCE: EFFECTIVE,
         FULLY_FAITHFUL_ONLY: DESCENT,

@@ -2,12 +2,18 @@
 
 Two flavours of category share one protocol: table-backed ``FinCategory``
 (explicit objects, morphisms and composition table) and subclasses of
-``ComputableCategory`` (objects enumerated up to a carrier-size bound,
-hom-sets computed on demand).  A ``ComputableCategory`` subclass writes
-only the enumerations ``_objects(bound)`` and ``_hom(x, y)``; the base
-class memoizes both, once per bound and once per pair.  Objects and
-morphisms are values: they are compared and hashed as themselves,
-component by component.
+``ComputableCategory`` (objects enumerated once, hom-sets computed on
+demand).  A ``ComputableCategory`` subclass writes only the enumerations
+``_objects()`` and ``_hom(x, y)``; the base class memoizes the first once
+and the second once per pair.  Objects and morphisms are values: they
+are compared and hashed as themselves, component by component.
+
+A bound is fixed where a category is built.  A category that truncates
+by carrier size (``slices.SliceCategory``, ``descent.DescCategory``)
+holds its bound, checked there by ``checked_bound``; one built from other
+categories (the Eilenberg-Moore category of a monad, a pseudopullback)
+enumerates over theirs.  Enumerations and decisions take no bound: each
+reads the categories it is handed.
 
 A hom-set is a sequence of morphisms in enumeration order.  A table
 category lists it; a computable category whose hom-sets have a closed-form
@@ -88,7 +94,7 @@ class Category:
 
     bounded = False  # True when objects() is a truncated enumeration
 
-    def objects(self, bound: Optional[int] = None) -> list:
+    def objects(self) -> list:
         raise NotImplementedError
 
     def hom(self, x, y) -> Sequence:
@@ -119,11 +125,11 @@ class Category:
         return any(self.commutes([m, g], id_src) and self.commutes([g, m], id_dst)
                    for g in self.hom(m.dst, m.src))
 
-    def generators(self, bound: Optional[int] = None) -> list:
+    def generators(self) -> list:
         """Morphisms of the enumeration whose composites give every one of
         its morphisms.  By default every enumerated morphism, in x, y, hom
         order; a subclass that knows a smaller generating set returns it."""
-        objs = self.objects(bound)
+        objs = self.objects()
         return [f for x in objs for y in objs for f in self.hom(x, y)]
 
 
@@ -163,7 +169,7 @@ class FinCategory(Category):
             if m.dst in self._identity:
                 self._table.setdefault((self._identity[m.dst], name), name)
 
-    def objects(self, bound=None):
+    def objects(self):
         return list(self._objects)
 
     def morphisms(self):
@@ -236,42 +242,41 @@ class HomSet(Sequence):
         return members
 
 
-class ComputableCategory(Category):
-    """Category whose objects are enumerated up to a size bound.
-
-    ``objects`` memoizes ``_objects(bound)`` and hands out a copy;
-    ``hom`` memoizes ``_hom(x, y)``, a list or a ``HomSet``, and hands out
-    the memoized hom-set.  A bound that is not an integer raises, and so
+def checked_bound(bound) -> int:
+    """bound, checked where a category that truncates by carrier size is
+    built.  A bound that is not an integer raises ``CategoryError``, and so
     does a negative one: every enumeration would be empty, and each answer
-    drawn from it vacuous.
+    drawn from it vacuous."""
+    try:
+        negative = operator.index(bound) < 0
+    except TypeError:
+        raise CategoryError(
+            f"enumeration bound must be an integer, not {bound!r}") from None
+    if negative:
+        raise CategoryError(f"negative enumeration bound {bound}")
+    return bound
+
+
+class ComputableCategory(Category):
+    """Category whose objects are enumerated once.
+
+    ``objects`` memoizes ``_objects()`` and hands out a copy; ``hom``
+    memoizes ``_hom(x, y)``, a list or a ``HomSet``, and hands out the
+    memoized hom-set.  A subclass that truncates by carrier size holds its
+    bound, fixed and checked (``checked_bound``) where it is built.
     """
 
     bounded = True
 
-    def __init__(self, bound: int = 4):
-        self.default_bound = bound
-        self._objects_memo: dict = {}
+    def __init__(self):
+        self._objects_memo: Optional[list] = None
         self._hom_memo: dict = {}
 
-    def objects(self, bound=None):
-        bound = self._bound(bound)
-        out = self._objects_memo.get(bound)
+    def objects(self):
+        out = self._objects_memo
         if out is None:
-            out = self._objects_memo[bound] = self._objects(bound)
+            out = self._objects_memo = self._objects()
         return list(out)
-
-    def _bound(self, bound) -> int:
-        """bound, or the default bound for None, checked: an enumeration
-        reads its bound through here."""
-        bound = self.default_bound if bound is None else bound
-        try:
-            negative = operator.index(bound) < 0
-        except TypeError:
-            raise CategoryError(
-                f"enumeration bound must be an integer, not {bound!r}") from None
-        if negative:
-            raise CategoryError(f"negative enumeration bound {bound}")
-        return bound
 
     def hom(self, x, y):
         key = (x, y)
@@ -280,21 +285,21 @@ class ComputableCategory(Category):
             out = self._hom_memo[key] = self._hom(x, y)
         return out
 
-    def _objects(self, bound: int) -> list:
+    def _objects(self) -> list:
         raise NotImplementedError
 
     def _hom(self, x, y) -> Sequence:
         raise NotImplementedError
 
 
-def validate_category(cat: Category, bound: Optional[int] = None) -> list[str]:
+def validate_category(cat: Category) -> list[str]:
     """Check all category laws on the (enumerated) fragment of cat.
 
     Returns a list of violations; each names the offending pair or triple.
     Violations are data, not errors.
     """
     report: list[str] = []
-    objs = cat.objects(bound)
+    objs = cat.objects()
     mors = []
     for x in objs:
         for y in objs:
@@ -424,10 +429,10 @@ class Functor:
             raise CategoryError("non-composable functors")
         return ComposedFunctor(self, other)
 
-    def check(self, bound: Optional[int] = None) -> list[str]:
+    def check(self) -> list[str]:
         """Functor laws on the enumerated fragment of the source."""
         report = []
-        objs = self.src.objects(bound)
+        objs = self.src.objects()
         for x in objs:
             ix = self.src.identity(x)
             if not self.dst.commutes([self.image(ix)], [self.dst.identity(self.obj(x))]):
@@ -501,8 +506,7 @@ class TableFunctor(Functor):
         return self.dst.mor(name)
 
 
-def naturality_failures(source: Functor, target: Functor, at: Callable,
-                        bound: Optional[int] = None) -> list:
+def naturality_failures(source: Functor, target: Functor, at: Callable) -> list:
     """The generators f: x -> y of the enumerated source category at which
     at(y) ∘ source(f) ≠ target(f) ∘ at(x), in the order of ``generators``.
 
@@ -515,15 +519,14 @@ def naturality_failures(source: Functor, target: Functor, at: Callable,
     change of base follows them pointwise and builds neither.
     """
     cat = source.dst
-    return [f for f in source.src.generators(bound)
+    return [f for f in source.src.generators()
             if not cat.commutes([source.image(f), at(f.dst)], [at(f.src), target.image(f)])]
 
 
 MISTYPED = ("does not commute", "wrong source", "wrong target")
 
 
-def iso_failures(source: Functor, target: Functor, at: Callable,
-                 bound: Optional[int] = None) -> list[tuple]:
+def iso_failures(source: Functor, target: Functor, at: Callable) -> list[tuple]:
     """Why at is no natural isomorphism source => target on the enumerated
     source, as (what, where, found, wanted) tuples.  Each object x gives at
     most one: "does not commute" where at(x) raises ``NotCommuting``, as
@@ -547,7 +550,7 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
     cat = source.dst
     out = []
     by_legs = True
-    for x in source.src.objects(bound):
+    for x in source.src.objects():
         try:
             c = at(x)
         except NotCommuting:
@@ -568,7 +571,7 @@ def iso_failures(source: Functor, target: Functor, at: Callable,
         return out
     if not by_legs:
         out += [("naturality", f, None, None)
-                for f in naturality_failures(source, target, at, bound)]
+                for f in naturality_failures(source, target, at)]
     return out
 
 
@@ -591,14 +594,14 @@ class NatTrans:
             out = self._cache[x] = self._component(x)
             return out
 
-    def check_iso(self, bound: Optional[int] = None) -> list[str]:
+    def check_iso(self) -> list[str]:
         """The failures of ``iso_failures``, one line each; empty exactly
         when the transformation is a natural isomorphism on the enumerated
         source, whose inverse components then form one too."""
         return [f"{self.name}: {what} at {where}"
                 + (f": {found} ≠ {wanted}" if found is not None else "")
                 for what, where, found, wanted in
-                iso_failures(self.source, self.target, self.at, bound)]
+                iso_failures(self.source, self.target, self.at)]
 
 
 class Decision(NamedTuple):
@@ -612,12 +615,13 @@ class Decision(NamedTuple):
         return self.ok
 
 
-def is_faithful(functor: Functor, bound: Optional[int] = None) -> Decision:
+def is_faithful(functor: Functor) -> Decision:
     """Injectivity of the morphism map on every enumerated hom-set."""
     src = functor.src
     truncated = src.bounded
-    for x in src.objects(bound):
-        for y in src.objects(bound):
+    objs = src.objects()
+    for x in objs:
+        for y in objs:
             seen = {}
             for f in src.hom(x, y):
                 img = functor.mor(f)
@@ -627,7 +631,7 @@ def is_faithful(functor: Functor, bound: Optional[int] = None) -> Decision:
     return Decision(True, None, truncated)
 
 
-def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
+def is_full(functor: Functor) -> Decision:
     """Surjectivity of the morphism map onto hom(F x, F y) for enumerated
     x, y.  The witness is (x, y, missed): the first pair, in enumeration
     order, whose target has a member that no image of hom(x, y) hits, and
@@ -636,8 +640,9 @@ def is_full(functor: Functor, bound: Optional[int] = None) -> Decision:
     hit it."""
     src, dst = functor.src, functor.dst
     truncated = src.bounded or dst.bounded
-    for x in src.objects(bound):
-        for y in src.objects(bound):
+    objs = src.objects()
+    for x in objs:
+        for y in objs:
             hit = {functor.mor(f) for f in src.hom(x, y)}
             target = dst.hom(functor.obj(x), functor.obj(y))
             missed = next((g for g in target if g not in hit), None)
@@ -652,11 +657,11 @@ def find_isomorphism(cat: Category, x, y):
     return next((f for f in cat.hom(x, y) if cat.is_isomorphism(f)), None)
 
 
-def is_essentially_surjective(functor: Functor, bound: Optional[int] = None) -> Decision:
+def is_essentially_surjective(functor: Functor) -> Decision:
     src, dst = functor.src, functor.dst
     truncated = src.bounded or dst.bounded
-    images = [functor.obj(x) for x in src.objects(bound)]
-    for y in dst.objects(bound):
+    images = [functor.obj(x) for x in src.objects()]
+    for y in dst.objects():
         if all(find_isomorphism(dst, img, y) is None for img in images):
             return Decision(False, y, truncated)
     return Decision(True, None, truncated)
@@ -681,7 +686,7 @@ class EquivalenceReport(NamedTuple):
                    if d is not None)
 
 
-def is_equivalence(functor: Functor, bound: Optional[int] = None,
+def is_equivalence(functor: Functor, *,
                    ess_surj: Optional[Callable[[], Decision]] = None) -> EquivalenceReport:
     """Classify a functor as equivalence / fully faithful / faithful / none.
 
@@ -689,11 +694,11 @@ def is_equivalence(functor: Functor, bound: Optional[int] = None,
     (used by descent's constructive check).  Essential surjectivity is not
     decided, and reported as None, when the functor is not faithful.
     """
-    faith = is_faithful(functor, bound)
-    full = is_full(functor, bound)
+    faith = is_faithful(functor)
+    full = is_full(functor)
     if not faith:
         return EquivalenceReport(NOT_FAITHFUL, faith, full, None)
-    surj = ess_surj() if ess_surj is not None else is_essentially_surjective(functor, bound)
+    surj = ess_surj() if ess_surj is not None else is_essentially_surjective(functor)
     if full and surj:
         return EquivalenceReport(EQUIVALENCE, faith, full, surj)
     if full:
@@ -710,8 +715,8 @@ class FullSubcategory(Category):
         self.name = name
         self.bounded = ambient.bounded
 
-    def objects(self, bound=None):
-        return [x for x in self.ambient.objects(bound) if self.keep(x)]
+    def objects(self):
+        return [x for x in self.ambient.objects() if self.keep(x)]
 
     def hom(self, x, y):
         return self.ambient.hom(x, y)

@@ -14,7 +14,7 @@ legs (``slices.CartFunctor.lift``), as the universal property gives it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, Category, CategoryError, ComputableCategory,
@@ -39,10 +39,10 @@ class Monad(NamedTuple):
     def base(self) -> Category:
         return self.t.src
 
-    def check(self, bound: Optional[int] = None) -> list[str]:
+    def check(self) -> list[str]:
         report = []
         cat = self.base
-        for x in cat.objects(bound):
+        for x in cat.objects():
             tx = self.t.obj(x)
             mu_x, id_tx = self.mu.at(x), [cat.identity(tx)]
             if not cat.commutes([self.eta.at(tx), mu_x], id_tx):
@@ -54,14 +54,14 @@ class Monad(NamedTuple):
         return report
 
 
-def induced_monad(adj: Adjunction, bound: Optional[int] = None) -> Monad:
+def induced_monad(adj: Adjunction) -> Monad:
     """The monad R∘L of an adjunction; laws verified on enumerated objects."""
     t = adj.left.then(adj.right)
     mu = NatTrans(t.then(t), t,
                   lambda x: adj.right.mor(adj.counit.at(adj.left.obj(x))),
                   name="mu")
     monad = Monad(t, adj.unit, mu)
-    report = monad.check(bound)
+    report = monad.check()
     if report:
         raise TheoremViolation("adjunction does not induce a monad: " + "; ".join(report))
     return monad
@@ -99,16 +99,17 @@ def is_algebra_morphism(monad: Monad, x: Algebra, y: Algebra, h) -> bool:
 
 
 class EMCategory(ComputableCategory):
-    """Algebras for a monad, enumerated by filtering all structure maps."""
+    """Algebras for a monad, enumerated by filtering all structure maps
+    on the enumerated objects of its base."""
 
-    def __init__(self, monad: Monad, bound: int = 4):
-        super().__init__(bound)
+    def __init__(self, monad: Monad):
+        super().__init__()
         self.monad = monad
 
-    def _objects(self, bound):
+    def _objects(self):
         out = []
         cat = self.monad.base
-        for x in cat.objects(bound):
+        for x in cat.objects():
             tx = self.monad.t.obj(x)
             for a in cat.hom(tx, x):
                 if algebra_laws_hold(self.monad, x, a):
@@ -200,12 +201,12 @@ def mate(square: BCSquare) -> NatTrans:
     return NatTrans(square.f_b.then(l_c), l_w.then(square.f_a), component, name="mate")
 
 
-def is_beck_chevalley(square: BCSquare, bound: Optional[int] = None) -> Decision:
+def is_beck_chevalley(square: BCSquare) -> Decision:
     """Componentwise invertibility of the mate on enumerated objects."""
     m = mate(square)
     cat = square.f_a.dst
     truncated = square.f_b.src.bounded
-    for x in square.f_b.src.objects(bound):
+    for x in square.f_b.src.objects():
         comp = m.at(x)
         if not cat.is_isomorphism(comp):
             return Decision(False, (x, comp), truncated)
@@ -339,11 +340,11 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
     fib = basic_fibration(p, bound)
     desc = DescCategory(fib, bound)
     adj = sigma_pullback_adjunction(fib.d)
-    triangle_report = adj.check_triangles(bound)
+    triangle_report = adj.check_triangles()
     if triangle_report:
         raise TheoremViolation("; ".join(triangle_report))
-    monad = induced_monad(adj, bound)
-    em = EMCategory(monad, bound)
+    monad = induced_monad(adj)
+    em = EMCategory(monad)
 
     functor = _DescToEM(desc, em, name="Desc→EM")
 
@@ -351,8 +352,8 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
         # constructive: each algebra's own datum is isomorphic in Desc(p) to
         # the enumerated datum on its carrier; mapping the iso raises unless
         # it is an algebra morphism
-        enumerated = {d.w: d for d in desc.objects(bound)}
-        for alg in em.objects(bound):
+        enumerated = {d.w: d for d in desc.objects()}
+        for alg in em.objects():
             datum = algebra_to_datum(fib, monad, alg)
             if functor.obj(datum) != alg:
                 raise TheoremViolation(
@@ -364,23 +365,23 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
             functor.mor(iso)
         return Decision(True, None, True)
 
-    report = is_equivalence(functor, bound, ess_surj=ess)
+    report = is_equivalence(functor, ess_surj=ess)
 
     phi = comparison(desc)
     kcomp = EMComparison(adj, em)
-    factor_ok = _factorizations_agree(fib, em, functor, phi, kcomp, bound)
+    factor_ok = _factorizations_agree(fib, em, functor, phi, kcomp)
     return BRResult(report, functor, desc, em, monad, factor_ok)
 
 
-def _factorizations_agree(fib, em, functor, phi, kcomp, bound) -> bool:
+def _factorizations_agree(fib, em, functor, phi, kcomp) -> bool:
     """Desc and EM factorizations of p* through C/E match on the nose:
     F∘Phi equals the comparison K on every object, and on morphisms by the
     naturality of the identity components F∘Phi => K, checked on the
     generators of C/B.  That the forgetfuls commute with Phi, K and F holds
     by construction: Phi(x) is a datum on d(x), K's R is ``fib.d`` itself,
     and F sends a datum on w to an algebra on w."""
-    for x in fib.c0.objects(bound):
+    for x in fib.c0.objects():
         if functor.obj(phi.obj(x)) != kcomp.obj(x):
             return False
     return not naturality_failures(phi.then(functor), kcomp,
-                                   lambda x: em.identity(kcomp.obj(x)), bound)
+                                   lambda x: em.identity(kcomp.obj(x)))

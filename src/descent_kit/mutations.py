@@ -51,9 +51,9 @@ def swap_face_convention(fib: BasicFibration) -> BasicFibration:
 
 
 class _WithoutCocycle(DescCategory):
-    def _objects(self, bound):
+    def _objects(self):
         out = []
-        for datum in super()._objects(bound):
+        for datum in super()._objects():
             out.append(datum)
             rho = datum.rho
             over = next((points for (e0, e1), points in rho.src.fibers().items()

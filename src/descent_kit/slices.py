@@ -15,7 +15,9 @@ over each of given blocks of base points, by the same vector-to-object
 rule and in the same order.  Change of base along p: E -> B is pullback
 along p, with the chosen pullbacks of finset; each functor caches its
 values so repeated applications return identical (not merely isomorphic)
-results.  A functor has one rule on the elements of the image of a
+results.  A slice category holds the bound on the carrier sizes of the
+objects it enumerates, fixed and checked where it is built.  A functor
+has one rule on the elements of the image of a
 morphism m, its lift (``CartFunctor._lift``): w goes to the element whose
 top is m(top w), over the base point of w.  ``mor(m)`` tabulates the rule
 (``CartFunctor.lift``) into one checked function, and caches it;
@@ -50,12 +52,12 @@ checks what it returns; every built map ends in a checked constructor.
 That is the one way the library builds a map into a chosen pullback from
 legs: ``CartFunctor.lift`` tabulates the lifted elements with the checked
 constructor, whose codomain check is the check that each exists, for
-F(m) itself, the unit of Σ_u ⊣ u*, gluing (``descent.descend``) and
-``monadic``; the triangle built from it checks that each lies over its
-base point.  Two composites of such functors whose base maps agree are
-pullbacks of one cospan, and ``comparison_iso`` sends each element of
-F(x) to the element of G(x) lifted from its own legs, tabulated in place,
-checking that the component is a bijection
+F(m) itself, the unit of Σ_u ⊣ u*, gluing (``descent.descend``),
+``monadic`` and the comparisons below; the triangle built from it checks
+that each lies over its base point.  Two composites of such functors
+whose base maps agree are pullbacks of one cospan, and ``comparison_iso``
+sends each element of F(x) to the element of G(x) lifted from its own
+legs, checking that the component is a bijection
 (``SliceCategory.is_isomorphism``'s test).  These comparisons are the
 constraint cells of the cosimplicial diagram of a morphism.
 ``match_by_legs`` matches two tables of leg values; no library code
@@ -72,7 +74,7 @@ from typing import NamedTuple, Optional
 from .finset import FinFunction, FinSetObj, FinSetError, follow, pullback
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
                      Functor, HomSet, IdentityFunctor, NatTrans, NotCommuting,
-                     path_ends)
+                     checked_bound, path_ends)
 
 
 class SliceMor:
@@ -148,24 +150,28 @@ class SliceImage:
 
 class SliceCategory(ComputableCategory):
     """C/B for the finite-sets backend: an object is a ``FinFunction`` with
-    codomain base, enumerated up to the size of its domain."""
+    codomain base, enumerated up to bound, the size of its domain, which
+    is checked here (``fincat.checked_bound``)."""
 
     def __init__(self, base: FinSetObj, bound: int = 4):
-        super().__init__(bound)
+        super().__init__()
         self.base = base
+        self.bound = checked_bound(bound)
 
-    def _objects(self, bound: int) -> list[FinFunction]:
+    def _objects(self) -> list[FinFunction]:
         """Canonical objects: one per fiber-size vector with total <= bound,
         the vectors in lexicographic order (``objects_constant_on`` with no
         blocks)."""
-        return list(self.objects_constant_on((), bound))
+        return list(self.objects_constant_on(()))
 
     def objects_constant_on(self, blocks, bound: Optional[int] = None):
-        """The canonical objects within bound whose fiber sizes are equal
-        over the points of each of blocks, disjoint nonempty lists of base
-        points, in the order of ``objects`` and one at a time.  A block
-        that is empty, holds a point outside the base or meets an earlier
-        block raises ``FinSetError``.
+        """The canonical objects within bound, the category's own by
+        default, whose fiber sizes are equal over the points of each of
+        blocks, disjoint nonempty lists of base points, in the order of
+        ``objects`` and one at a time.  A block that is empty, holds a
+        point outside the base or meets an earlier block raises
+        ``FinSetError``; a bound that is given is checked as one the
+        category is built with (``fincat.checked_bound``).
 
         Only those objects are built: a fiber-size vector is chosen entry by
         entry in base order, and the entry of a point that is not the first
@@ -175,7 +181,7 @@ class SliceCategory(ComputableCategory):
         ``objects``, with nothing sorted.  The object with fibers (n_b) has
         carrier labels (b, i), i < n_b.
         """
-        bound = self._bound(bound)
+        bound = self.bound if bound is None else checked_bound(bound)
         base = self.base
         position = {b: i for i, b in enumerate(base.elements)}
         ties = list(range(len(position)))
@@ -196,7 +202,7 @@ class SliceCategory(ComputableCategory):
             labels = tuple([(b, i) for b, n in zip(base.elements, vec) for i in range(n)])
             yield FinFunction(FinSetObj(labels), base, tuple(zip(labels, [b for b, _ in labels])))
 
-    def generators(self, bound: Optional[int] = None) -> list[SliceMor]:
+    def generators(self) -> list[SliceMor]:
         """Three kinds of morphism between the canonical objects, by source
         in object order and, for each source, fiber by fiber:
 
@@ -209,12 +215,12 @@ class SliceCategory(ComputableCategory):
         by fiber, f is a permutation, then merges onto its image, then
         inclusions, then a permutation; doing the merges of every fiber
         before any inclusion, no intermediate object is larger than x or y.
-        Built on each call: no caller asks twice for one bound.
+        Built on each call: no caller asks twice.
         """
-        bound = self._bound(bound)
+        bound = self.bound
         base_elems = self.base.elements
         k = len(base_elems)
-        by_vec = dict(zip(_vectors(bound, range(k), [1] * k), self.objects(bound)))
+        by_vec = dict(zip(_vectors(bound, range(k), [1] * k), self.objects()))
         out = []
         for vec, x in by_vec.items():
             room = sum(vec) < bound
@@ -335,7 +341,7 @@ class CartFunctor(Functor):
         carrier of x, over the given points of the target base, one for
         each pair: here the tops themselves.  No lift checks what it
         returns.  The map the caller builds refuses an element outside
-        obj(x) by its codomain check (``lift``, ``comparison_iso``), and
+        obj(x) by its codomain check (``lift``), and
         the triangle built from it refuses one over another base point, as
         a top here may be, by its commute check (``SliceMor``).  A view
         (``SliceImage``) follows only a triangle that commutes, whose lifts
@@ -496,10 +502,10 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
     The component at x sends each element of F(x) to the element of G(x)
     with the same legs: its top in x (``F.legs``) and its base point, read
     off F(x).  ``G._lift`` computes that element from the legs; nothing is
-    searched.  The map is built with the checked constructor, whose
-    codomain check is the check that G(x) has an element with those legs,
-    and it is a bijection exactly when F(x) and G(x) have as many elements
-    and the images are distinct.  Where base maps disagree, or a check
+    searched.  The map is tabulated by ``G.lift``, whose codomain check is
+    the check that G(x) has an element with those legs, and it is a
+    bijection exactly when F(x) and G(x) have as many elements and the
+    map is injective.  Where base maps disagree, or a check
     fails, building it raises ``FinSetError``, or ``NotCommuting`` from
     the triangle's constructor where F(x) and G(x) lie over two bases or
     an image lies over another base point, as a top does under a G that
@@ -509,10 +515,8 @@ def comparison_iso(f: CartFunctor, g: CartFunctor, name: str = "") -> NatTrans:
 
     def component(x: FinFunction) -> SliceMor:
         fx, gx = f.obj(x), g.obj(x)
-        elements = fx.dom.elements
-        images = g._lift(x, f.legs(x), fx.values(elements))
-        fn = FinFunction(fx.dom, gx.dom, tuple(zip(elements, images)))
-        if len(elements) != len(gx.dom) or len(set(images)) < len(images):
+        fn = g.lift(x, fx.dom, f.legs(x), fx.values(fx.dom.elements))
+        if len(fx.dom) != len(gx.dom) or not fn.is_injective():
             raise FinSetError(f"{name or 'comparison'} at {x!r}: {fn!r} is not a bijection")
         return SliceMor(fx, gx, fn)
 
@@ -527,15 +531,15 @@ class Adjunction(NamedTuple):
     unit: NatTrans    # Id => right∘left, on the source of left
     counit: NatTrans  # left∘right => Id, on the source of right
 
-    def check_triangles(self, bound: Optional[int] = None) -> list[str]:
+    def check_triangles(self) -> list[str]:
         report = []
         a, b = self.left.src, self.right.src
-        for x in a.objects(bound):
+        for x in a.objects():
             lx = self.left.obj(x)
             if not b.commutes([self.left.image(self.unit.at(x)), self.counit.at(lx)],
                               [b.identity(lx)]):
                 report.append(f"triangle (εL)(Lη) fails at {x}")
-        for y in b.objects(bound):
+        for y in b.objects():
             ry = self.right.obj(y)
             if not a.commutes([self.unit.at(ry), self.right.image(self.counit.at(y))],
                               [a.identity(ry)]):

@@ -33,10 +33,11 @@ class FinSetCategory(ComputableCategory):
     """The category of finite sets, enumerated by canonical sets of size <= bound."""
 
     def __init__(self, bound: int = 3):
-        super().__init__(bound)
+        super().__init__()
+        self.bound = bound
 
-    def _objects(self, bound: int) -> list[FinSetObj]:
-        return [canonical_set(n) for n in range(bound + 1)]
+    def _objects(self) -> list[FinSetObj]:
+        return [canonical_set(n) for n in range(self.bound + 1)]
 
     def _hom(self, x: FinSetObj, y: FinSetObj) -> list[FinFunction]:
         return list(all_functions(x, y))
@@ -103,20 +104,20 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("small_map", SMALL_MAPS, ids=repr)
 
 
-def _raw_descent_data(fib, bound):
-    """Every descent datum with level-1 carrier within bound, one per
-    (w, rho): conjugate relabellings are all kept, unlike
+def _raw_descent_data(fib):
+    """Every descent datum with level-1 carrier within fib's bound, one
+    per (w, rho): conjugate relabellings are all kept, unlike
     ``enumerate_descent_data``."""
-    return [DescentDatum(w, rho) for w in fib.c1.objects(bound)
+    return [DescentDatum(w, rho) for w in fib.c1.objects()
             for rho in slice_isos(fib.d1.obj(w), fib.d0.obj(w))
             if is_descent_datum(fib, w, rho)[0]]
 
 
-def _brute_descent_data(fib, bound, carrier_pred=None):
+def _brute_descent_data(fib, carrier_pred=None):
     """The reference for ``enumerate_descent_data``: of every datum
     (``_raw_descent_data``) whose carrier passes carrier_pred, the ones
     that are their own least conjugate (``canonicalize_datum``)."""
-    return [d for d in _raw_descent_data(fib, bound)
+    return [d for d in _raw_descent_data(fib)
             if (carrier_pred is None or carrier_pred(d.w.dom))
             and canonicalize_datum(fib, d)[0] == d]
 
@@ -204,7 +205,7 @@ def cart_functors():
     return _cart_functors
 
 
-def _image_mismatches(fib, bound):
+def _image_mismatches(fib):
     """(functor name, morphism) wherever ``image`` differs from the built
     ``mor`` on a functor of ``_cart_functors``, over every generator and
     every hom member between enumerated objects of its source; and how
@@ -212,8 +213,8 @@ def _image_mismatches(fib, bound):
     bad, compared = [], 0
     for functor in _cart_functors(fib):
         cat = functor.src
-        objs = cat.objects(bound)
-        for m in cat.generators(bound) + [m for x in objs for y in objs
+        objs = cat.objects()
+        for m in cat.generators() + [m for x in objs for y in objs
                                           for m in cat.hom(x, y)]:
             view, built = functor.image(m), functor.mor(m)
             if ((view.src, view.dst) != (built.src, built.dst)

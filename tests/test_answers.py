@@ -52,7 +52,7 @@ def answer_records(maps) -> list[str]:
         for bound in (1, 2, 3):
             fib = basic_fibration(p, bound)
             desc, c1 = DescCategory(fib, bound), fib.c1
-            data, objs = desc.objects(), c1.objects(bound)
+            data, objs = desc.objects(), c1.objects()
             out.append(repr((
                 "desc", repr(p), bound, [repr(d) for d in data],
                 [(len(desc.hom(x, y)), [repr(m) for m in desc.hom(x, y)])
@@ -84,7 +84,7 @@ def gate_records(maps) -> list[str]:
     and the reprs of its witness, lhs and rhs, in report order."""
     return [repr((repr(p), name, bound, [
                 (f.equation, repr(f.witness), repr(f.lhs), repr(f.rhs))
-                for f in validate_coherence(mutate(basic_fibration(p, bound)), bound).failures]))
+                for f in validate_coherence(mutate(basic_fibration(p, bound))).failures]))
             for p in maps for name, mutate in MUTATIONS.items() for bound in (1, 2, 3)]
 
 

@@ -26,7 +26,12 @@ def test_identity_fibration_levels_relabel():
     fib = basic_fibration(p, 2)
     # all projections are bijections, so every level has the same object count
     assert len(fib.c2.base) == 2 and len(fib.c3.base) == 2
+    assert validate_coherence(fib).is_empty()
+    # the bound is fixed where the diagram is built: the gate takes that
+    # one and refuses another
     assert validate_coherence(fib, 2).is_empty()
+    with pytest.raises(CategoryError, match="enumerated at bound 2, not 3"):
+        validate_coherence(fib, 3)
 
 
 def test_two_to_one_fibration_shapes():
@@ -43,7 +48,7 @@ def test_empty_domain_fibration():
     p = fn("", "x", {})
     fib = basic_fibration(p, 2)
     assert len(fib.c2.base) == 0 and len(fib.c3.base) == 0
-    assert validate_coherence(fib, 2).is_empty()
+    assert validate_coherence(fib).is_empty()
 
 
 def test_face_projections_follow_omit_convention():
@@ -69,15 +74,15 @@ def test_basic_fibration_coherence_small_sweep():
         for bsize in range(1, 3):
             e, b = canonical_set(esize, "e"), canonical_set(bsize, "b")
             for p in all_functions(e, b):
-                fib = basic_fibration(p, 3)
-                rep = validate_coherence(fib, 2)
+                fib = basic_fibration(p, 2)
+                rep = validate_coherence(fib)
                 assert rep.is_empty(), (p, str(rep))
 
 
 def test_theta_inverse_is_natural():
     p = fn("ab", "*", lambda _: "*")
     fib = basic_fibration(p, 2)
-    assert fib.theta.check_iso(2) == []
+    assert fib.theta.check_iso() == []
 
 
 def test_tampered_theta_detected():
@@ -86,7 +91,7 @@ def test_tampered_theta_detected():
     fib = basic_fibration(p, 3)
     from descent_kit.mutations import invert_theta
     broken = invert_theta(fib)
-    rep = validate_coherence(broken, 3)
+    rep = validate_coherence(broken)
     assert not rep.is_empty()
     assert any("presentation" in f.equation or "naturality" in f.equation
                for f in rep.failures)
@@ -99,7 +104,7 @@ def test_gate_on_twisted_theta_over_small_maps(small_maps):
     for bound, want in [(1, {}), (2, {"theta: naturality": 25})]:
         seen = collections.Counter(
             f.equation for p in small_maps()
-            for f in validate_coherence(invert_theta(basic_fibration(p, bound)), bound).failures)
+            for f in validate_coherence(invert_theta(basic_fibration(p, bound))).failures)
         assert dict(seen) == want, bound
 
 
@@ -115,14 +120,14 @@ def test_gate_builds_no_composite(monkeypatch, small_maps):
         for p in small_maps():
             fib = basic_fibration(p, 2)
             twisted = invert_theta(fib)
-            for b0 in fib.c0.objects(2):
+            for b0 in fib.c0.objects():
                 twisted.theta.at(b0)  # the mutant's cell is data, built with then
             out += [fib, twisted, swap_face_convention(fib)]
         return out
 
     def outcome(diagram):
         try:
-            return [str(f) for f in validate_coherence(diagram, 2).failures]
+            return [str(f) for f in validate_coherence(diagram).failures]
         except CategoryError as exc:
             return f"raises {exc}"
 
@@ -148,7 +153,7 @@ def test_image_follows_the_built_mor_on_every_functor(image_mismatches, small_ma
     # the built mediating map, on the 19 maps at bound 2
     total = 0
     for p in small_maps():
-        bad, compared = image_mismatches(basic_fibration(p, 2), 2)
+        bad, compared = image_mismatches(basic_fibration(p, 2))
         assert bad == [], p
         total += compared
     assert total > 0
@@ -176,11 +181,11 @@ def test_legs_follow_the_pr1_chain(cart_functors, small_maps):
         for p in small_maps():
             for functor in cart_functors(basic_fibration(p, bound)):
                 cat = functor.src
-                for x in cat.objects(bound):
+                for x in cat.objects():
                     chain = _pr1_chain(functor, x)
                     assert functor.legs(x) == follow(chain, functor.obj(x).dom.elements), (
                         p, functor.name, x)
-                for m in cat.generators(bound):
+                for m in cat.generators():
                     c = functor.mor(m)
                     images = c.values(c.src.dom.elements)
                     legs = functor.legs(m.dst, images)
@@ -207,9 +212,9 @@ def test_lifted_cells_equal_the_leg_matching_reference(small_maps):
     for bound in (1, 2, 3):
         for p in small_maps():
             fib = basic_fibration(p, bound)
-            glued = [fib.d.obj(b0) for b0 in fib.c0.objects(bound)]
+            glued = [fib.d.obj(b0) for b0 in fib.c0.objects()]
             for name, cell, src_f, dst_f in fib.constraint_types():
-                at = src_f.src.objects(bound) + (glued if src_f.src is fib.c1 else [])
+                at = src_f.src.objects() + (glued if src_f.src is fib.c1 else [])
                 for x in at:
                     assert cell.at(x).fn == _matched(src_f, dst_f, x), (p, name, x)
                     checked += 1
@@ -227,17 +232,17 @@ def test_lifted_maps_equal_the_leg_matching_reference(raw_descent_data, small_ma
         for p in small_maps():
             fib = basic_fibration(p, bound)
             adj = sigma_pullback_adjunction(fib.d)
-            for w in fib.c1.objects(bound):
+            for w in fib.c1.objects():
                 pb = pullback(w.then(p), p)
                 assert adj.unit.at(w).fn == mediating_map(
                     pb, FinFunction.identity(w.dom), w), (p, w)
                 checked["unit"] += 1
-            for x in fib.c0.objects(bound):
+            for x in fib.c0.objects():
                 assert adj.counit.at(x).fn == pullback(x, p).pr1, (p, x)
                 checked["counit"] += 1
-            monad = induced_monad(adj, bound)
+            monad = induced_monad(adj)
             t = monad.t
-            for datum in raw_descent_data(fib, bound):
+            for datum in raw_descent_data(fib):
                 w = datum.w
                 _, proj = quotient(w.dom, [(v, v2) for v, _, v2 in moves(datum)])
                 res = descend(fib, datum)
@@ -271,7 +276,7 @@ def test_comparison_between_disagreeing_base_maps_raises(small_maps):
         fib = basic_fibration(p, 2)
         iso = comparison_iso(fib.d0, fib.d1)
         shared = {e for fiber in p.fibers().values() if len(fiber) > 1 for e in fiber}
-        for x in fib.c1.objects(2):
+        for x in fib.c1.objects():
             if shared.isdisjoint(e for _, e in x.mapping):
                 assert iso.at(x).fn.is_bijective(), (p, x)
             else:
@@ -300,7 +305,7 @@ def test_carrier_keeping_end_refuses_tops_off_their_bases():
             with pytest.raises(NotCommuting, match="does not commute over the base"):
                 iso.at(x)
             moved.append(x)
-    assert moved and iso.check_iso(2) == [f"swap: does not commute at {x}" for x in moved]
+    assert moved and iso.check_iso() == [f"swap: does not commute at {x}" for x in moved]
 
 
 def test_faces_and_their_composites_preserve_composition(small_map):
@@ -311,13 +316,13 @@ def test_faces_and_their_composites_preserve_composition(small_map):
                           for f in (src_f, dst_f)]
     assert len(functors) == 13
     for functor in functors:
-        assert functor.check(2) == [], functor.name
+        assert functor.check() == [], functor.name
 
 
-def _every_square(source, target, at, bound=None):
+def _every_square(source, target, at):
     """The naturality loop over every enumerated morphism, as reference."""
     index, cat = source.src, source.dst
-    objs = index.objects(bound)
+    objs = index.objects()
     return [f for x in objs for y in objs for f in index.hom(x, y)
             if cat.compose(at(y), source.mor(f)) != cat.compose(target.mor(f), at(x))]
 
@@ -325,7 +330,7 @@ def _every_square(source, target, at, bound=None):
 def _gate(p, mutate, bound):
     """(equation -> witnesses) of the gate's report, or the exception it raises."""
     try:
-        report = validate_coherence(mutate(basic_fibration(p, bound)), bound)
+        report = validate_coherence(mutate(basic_fibration(p, bound)))
     except Exception as exc:
         return type(exc), str(exc)
     out: dict = {}
@@ -380,13 +385,13 @@ def test_cells_whose_legs_hold_have_no_failing_square(small_maps):
             for bound in (1, 2, 3):
                 fib = mutate(basic_fibration(p, bound))
                 for name, cell, src_f, dst_f in fib.constraint_types():
-                    objs = src_f.src.objects(bound)
+                    objs = src_f.src.objects()
                     if any((cell.at(x).src, cell.at(x).dst) != (src_f.obj(x), dst_f.obj(x))
                            for x in objs):
                         continue
                     if all(_keeps_legs(cell.at(x), src_f, dst_f, x) for x in objs):
                         held += 1
-                        assert fincat.naturality_failures(src_f, dst_f, cell.at, bound) == [], (
+                        assert fincat.naturality_failures(src_f, dst_f, cell.at) == [], (
                             p, name, bound)
                     else:
                         failed += 1
@@ -398,20 +403,20 @@ def test_gate_checks_squares_only_where_legs_fail(monkeypatch, small_maps):
     square checked; with theta twisted, only theta's squares are."""
     real, seen = fincat.naturality_failures, []
 
-    def counted(source, target, at, bound=None):
+    def counted(source, target, at):
         seen.append(at)
-        return real(source, target, at, bound)
+        return real(source, target, at)
 
     monkeypatch.setattr(fincat, "naturality_failures", counted)
     twisted_calls = 0
     for p in small_maps():
         for bound in (1, 2, 3):
             fib = basic_fibration(p, bound)
-            assert validate_coherence(fib, bound).is_empty()
-            assert fib.theta.check_iso(bound) == []
+            assert validate_coherence(fib).is_empty()
+            assert fib.theta.check_iso() == []
             assert seen == [], (p, bound)
             twisted = invert_theta(fib)
-            validate_coherence(twisted, bound)
+            validate_coherence(twisted)
             assert all(at == twisted.theta.at for at in seen), (p, bound)
             twisted_calls += len(seen)
             seen.clear()
@@ -431,11 +436,11 @@ def test_component_over_the_wrong_base_is_reported_not_raised():
         return SliceMor(c.src, FinFunction.of(c.dst.dom, elsewhere, lambda _: "z"), c.fn)
 
     cell = NatTrans(good.source, good.target, moved, name="n0")
-    objs = fib.c1.objects(2)
+    objs = fib.c1.objects()
     with pytest.raises(CategoryError, match="spans two bases"):
         cell.at(objs[1])
-    assert cell.check_iso(2) == [f"n0: does not commute at {x}" for x in objs]
-    report = validate_coherence(fib._replace(n0=cell), 2)
+    assert cell.check_iso() == [f"n0: does not commute at {x}" for x in objs]
+    report = validate_coherence(fib._replace(n0=cell))
     assert [(f.equation, f.witness, f.lhs, f.rhs) for f in report.failures] == [
         ("n0: does not commute", x, None, None) for x in objs]
 
@@ -447,11 +452,15 @@ def test_comparison_between_two_bases_is_refused_as_not_commuting():
     spanning two bases and reported as not commuting; over a point of y,
     G(x) is larger and the component is no bijection."""
     u, wide = fn("0", "xy", {"0": "x"}), fn("01", "xy", {"0": "x", "1": "y"})
-    cb = SliceCategory(u.cod, 2)
-    iso = comparison_iso(ChangeOfBase(u, cb, SliceCategory(u.dom, 2)),
-                         ChangeOfBase(wide, cb, SliceCategory(wide.dom, 2)), "n")
-    assert iso.check_iso(0) == ["n: does not commute at []"]
-    for x in cb.objects(2):
+
+    def comparison(bound):
+        cb = SliceCategory(u.cod, bound)
+        return cb, comparison_iso(ChangeOfBase(u, cb, SliceCategory(u.dom, bound)),
+                                  ChangeOfBase(wide, cb, SliceCategory(wide.dom, bound)), "n")
+
+    assert comparison(0)[1].check_iso() == ["n: does not commute at []"]
+    cb, iso = comparison(2)
+    for x in cb.objects():
         over_y = "y" in x.values(x.dom.elements)
         with pytest.raises(FinSetError if over_y else NotCommuting,
                            match="not a bijection" if over_y else "spans two bases"):
@@ -472,14 +481,14 @@ def test_a_cell_indexed_by_the_other_level_is_reported_not_raised(small_maps):
             for other, cell, *_ in types:
                 if other == name:
                     continue
-                report = validate_coherence(fib._replace(**{name: cell}), 2)
+                report = validate_coherence(fib._replace(**{name: cell}))
                 whats = tuple(sorted({f.equation.split(": ", 1)[1] for f in report.failures}))
                 counts[whats] += 1
                 if whats == ("wrong index",):
                     [failure] = report.failures
                     assert (failure.lhs, failure.rhs) == (cell.source.src.base, src_f.src.base)
                 if not whats:
-                    assert all(cell.at(x) == good.at(x) for x in src_f.src.objects(2))
+                    assert all(cell.at(x) == good.at(x) for x in src_f.src.objects())
     assert counts == {("wrong index",): 190, ("wrong source",): 276, (): 104}
 
 
@@ -491,7 +500,7 @@ def test_the_view_of_sigma_after_a_change_of_base_has_no_base_map():
     adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(p.cod, 2),
                                                  SliceCategory(p.dom, 2)))
     functor = adj.right.then(adj.left)
-    m = next(m for m in adj.right.src.generators(2) if len(m.src.dom))
+    m = next(m for m in adj.right.src.generators() if len(m.src.dom))
     built = functor.mor(m)
     assert (built.src, built.dst) == (functor.obj(m.src), functor.obj(m.dst))
     view = functor.image(m)
@@ -509,7 +518,7 @@ def test_a_component_that_cannot_be_built_raises_its_own_error():
     cob, sig = ChangeOfBase(p, cb, ce), SigmaAlong(p, ce, cb)
     iso = comparison_iso(IdentityCartFunctor(cb), cob.then(sig))
     with pytest.raises(CategoryError, match="has no base map") as raised:
-        iso.check_iso(2)
+        iso.check_iso()
     assert not isinstance(raised.value, NotCommuting)
 
 
@@ -528,9 +537,9 @@ def test_gate_reports_non_invertible_cell():
             c.src.dom, c.dst.dom, lambda u: first[c.dst(c.fn(u))]))
 
     broken = fib._replace(n0=NatTrans(good.source, good.target, collapsed))
-    rep = validate_coherence(broken, 2)
+    rep = validate_coherence(broken)
     flagged = [f.witness for f in rep.failures if f.equation == "n0: not invertible"]
-    assert flagged == [x for x in fib.c1.objects(2) if not x.is_injective()]
+    assert flagged == [x for x in fib.c1.objects() if not x.is_injective()]
     assert flagged
 
 
@@ -547,11 +556,11 @@ def test_gate_reports_non_commuting_cell():
             c.src.dom, c.dst.dom, lambda u: c.dst.dom.elements[0]))
 
     broken = fib._replace(n0=NatTrans(good.source, good.target, constant))
-    rep = validate_coherence(broken, 2)
+    rep = validate_coherence(broken)
     at = collections.defaultdict(list)
     for f in rep.failures:
         at[f.equation].append(f.witness)
-    over = {x: {e for _, e in x.mapping} for x in fib.c1.objects(2)}
+    over = {x: {e for _, e in x.mapping} for x in fib.c1.objects()}
     assert at["n0: does not commute"] == [x for x, es in over.items() if len(es) > 1]
     assert at["n0: not invertible"] == [x for x, es in over.items()
                                         if len(es) == 1 and len(x.dom) > 1]

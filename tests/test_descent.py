@@ -17,7 +17,7 @@ from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, Functor, HomSet,
                                 find_isomorphism, is_equivalence, is_full,
                                 validate_category)
 from descent_kit.finset import FinFunction, FinSetObj
-from descent_kit.slices import SliceMor, slice_isos
+from descent_kit.slices import SliceCategory, SliceMor, slice_isos
 
 from conftest import all_functions
 
@@ -34,7 +34,7 @@ def oracle_data_for_two_to_one(fib, n):
     """Independent enumeration for p: {a,b} -> {*}: W with fibers of size n
     over each point, rho given by four bijections between fibers, equations
     evaluated elementwise with no functor machinery."""
-    w = next(o for o in fib.c1.objects(2 * n)
+    w = next(o for o in fib.c1.objects()
              if sorted(sum(1 for e in o.dom if o(e) == b) for b in "ab")
              == [n, n])
     fibers = {b: [e for e in w.dom if w(e) == b] for b in "ab"}
@@ -72,7 +72,7 @@ def test_datum_counts_match_independent_oracle(raw_descent_data):
     fib = basic_fibration(p, 4)
     for n, expected in [(0, 1), (1, 1), (2, 2)]:
         assert oracle_data_for_two_to_one(fib, n) == expected
-    raw = raw_descent_data(fib, 4)
+    raw = raw_descent_data(fib)
     by_size = {}
     for d in raw:
         by_size[len(d.w.dom)] = by_size.get(len(d.w.dom), 0) + 1
@@ -84,7 +84,7 @@ def test_datum_counts_match_independent_oracle(raw_descent_data):
 def test_theta_gives_descent_data():
     p = two_to_one()
     fib = basic_fibration(p, 3)
-    for b0 in fib.c0.objects(3):
+    for b0 in fib.c0.objects():
         w = fib.d.obj(b0)
         ok, which = is_descent_datum(fib, w, fib.theta.at(b0))
         assert ok, which
@@ -93,12 +93,12 @@ def test_theta_gives_descent_data():
 def test_identity_fibration_only_canonical_rho_passes(raw_descent_data):
     p = FinFunction.identity(FinSetObj(("x",)))
     fib = basic_fibration(p, 3)
-    data = raw_descent_data(fib, 3)
+    data = raw_descent_data(fib)
     # one datum per carrier size: rho is forced up to the equations
     sizes = sorted(len(d.w.dom) for d in data)
     assert sizes == [0, 1, 2, 3]
     # and any twisted alternative fails the identity equation
-    w2 = next(o for o in fib.c1.objects(3) if len(o.dom) == 2)
+    w2 = next(o for o in fib.c1.objects() if len(o.dom) == 2)
     d1w, d0w = fib.d1.obj(w2), fib.d0.obj(w2)
     isos = list(slice_isos(d1w, d0w))
     passing = [r for r in isos if is_descent_datum(fib, w2, r)[0]]
@@ -127,7 +127,7 @@ def test_desc_category_passes_validate_category():
     for p in [two_to_one(), fn("abc", "xy", {"a": "x", "b": "y", "c": "y"})]:
         fib = basic_fibration(p, 3)
         desc = DescCategory(fib, 3)
-        assert validate_category(desc, 3) == []
+        assert validate_category(desc) == []
 
 
 def _vectors_within(fiber_sizes, room):
@@ -166,7 +166,7 @@ def test_enumeration_matches_the_brute_reference_on_small_maps(brute_descent_dat
     for p in small_maps():
         for bound in range(5):
             fib = basic_fibration(p, bound)
-            assert enumerate_descent_data(fib, bound) == brute_descent_data(fib, bound), (p, bound)
+            assert enumerate_descent_data(fib, bound) == brute_descent_data(fib), (p, bound)
 
 
 def test_enumeration_builds_only_the_carriers_that_carry_a_datum(small_maps):
@@ -186,8 +186,8 @@ def test_enumeration_builds_only_the_carriers_that_carry_a_datum(small_maps):
             for pred in (None, even):
                 fib = basic_fibration(p, bound)
                 data = DescCategory(fib, bound, carrier_pred=pred).objects()
-                assert fib.c1._objects_memo == {}, (p, bound)
-                want = [DescentDatum(w, _index_datum(fib, w)) for w in fib.c1.objects(bound)
+                assert fib.c1._objects_memo is None, (p, bound)
+                want = [DescentDatum(w, _index_datum(fib, w)) for w in fib.c1.objects()
                         if (pred is None or pred(w.dom))
                         and all(len({len(w.fibers().get(e, ())) for e in block}) == 1
                                 for block in blocks)]
@@ -293,7 +293,7 @@ def test_enumeration_and_homs_match_the_brute_reference_on_relabelled_maps(
     pred = None if sizes is None else (lambda c: len(c) in sizes)
     fib = basic_fibration(p, bound)
     desc = DescCategory(fib, bound, carrier_pred=pred)
-    assert desc.objects() == brute_descent_data(fib, bound, pred)
+    assert desc.objects() == brute_descent_data(fib, pred)
     for x in desc.objects():
         for y in desc.objects():
             assert list(desc.hom(x, y)) == brute_desc_hom(desc, x, y)
@@ -303,7 +303,7 @@ def test_enumeration_and_homs_match_the_brute_reference_on_relabelled_maps(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(p=relabelled_maps(), bound=st.integers(0, 2))
 def test_image_follows_the_built_mor_on_relabelled_maps(image_mismatches, p, bound):
-    assert image_mismatches(basic_fibration(p, bound), bound)[0] == []
+    assert image_mismatches(basic_fibration(p, bound))[0] == []
 
 
 def test_enumeration_raises_on_a_datum_the_diagram_breaks():
@@ -313,7 +313,7 @@ def test_enumeration_raises_on_a_datum_the_diagram_breaks():
     fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
     broken = fib._replace(n0=_twisted(fib.n0, "n0 (twisted)"))
     assert len(enumerate_descent_data(broken, 1)) == 2  # invisible on singletons
-    two = fib.c1.objects(2)[2]
+    two = fib.c1.objects()[2]
     with pytest.raises(TheoremViolation,
                        match=re.escape(f"datum on {two!r} fails the identity equation")):
         enumerate_descent_data(broken, 2)
@@ -376,7 +376,7 @@ def test_hom_sets_are_counted_listed_and_decided_as_the_brute_references(
         pairs = [("desc", desc, x, y, x.w, y.w)
                  for x in desc.objects() for y in desc.objects()]
         pairs += [("slice", c1, x, y, x, y)
-                  for x in c1.objects(bound) for y in c1.objects(bound)]
+                  for x in c1.objects() for y in c1.objects()]
         for kind, cat, x, y, wx, wy in pairs:
             hom = cat.hom(x, y)
             assert isinstance(hom, HomSet)
@@ -419,9 +419,9 @@ def test_is_full_splits_the_small_maps_and_names_an_unhit_witness(small_maps):
     def even(carrier):
         return len(carrier) % 2 == 0
 
-    def unhit(phi, bound, witness):
+    def unhit(phi, witness):
         x, y, missed = witness
-        objs = phi.src.objects(bound)
+        objs = phi.src.objects()
         return (x in objs and y in objs
                 and missed in phi.dst.hom(phi.obj(x), phi.obj(y))
                 and all(phi.mor(f) != missed for f in phi.src.hom(x, y)))
@@ -431,15 +431,15 @@ def test_is_full_splits_the_small_maps_and_names_an_unhit_witness(small_maps):
         for bound in (1, 2, 3):
             for pred in (None, even):
                 phi = classify(p, bound, carrier_pred=pred).phi
-                got = is_full(phi, bound)
+                got = is_full(phi)
                 assert got.within_bound, (p, bound, pred)
-                assert got.ok or unhit(phi, bound, got.witness), (p, bound, pred)
+                assert got.ok or unhit(phi, got.witness), (p, bound, pred)
                 outcomes[got.ok] += 1
     assert outcomes == {True: 74, False: 40}
     mutant = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2), 2)
     phi = comparison(mutant)
-    got = is_full(phi, 2)
-    assert not got.ok and unhit(phi, 2, got.witness)
+    got = is_full(phi)
+    assert not got.ok and unhit(phi, got.witness)
     # the map that sends the point over a to copy 0 and the point over b to
     # copy 1, which rho does not respect
     _, _, witness = got.witness
@@ -455,10 +455,11 @@ def test_comparison_factorization_strict():
     phi = comparison(desc)
     # the forgetful functor Desc(p) -> C/E, (w, rho) |-> w
     u = Functor(desc, fib.c1, lambda d: d.w, lambda m: m.m, name="U")
-    for x in fib.c0.objects(3):
+    objs = fib.c0.objects()
+    for x in objs:
         assert u.obj(phi.obj(x)) == fib.d.obj(x)
-    for x in fib.c0.objects(2):
-        for y in fib.c0.objects(2):
+    for x in objs:
+        for y in objs:
             for f in fib.c0.hom(x, y):
                 assert u.mor(phi.mor(f)) == fib.d.mor(f)
 
@@ -490,7 +491,7 @@ def test_descend_identity_forgets_rho():
 def test_descend_swap_datum_has_two_orbits(raw_descent_data):
     p = two_to_one()
     fib = basic_fibration(p, 4)
-    swap_data = [d for d in raw_descent_data(fib, 4)
+    swap_data = [d for d in raw_descent_data(fib)
                  if len(d.w.dom) == 4]
     sizes = sorted(len(descend(fib, d).glued.dom) for d in swap_data)
     assert sizes == [2, 2]
@@ -533,7 +534,7 @@ def test_classify_empty_domain_not_almost():
 def test_canonicalize_datum_is_isomorphism_in_desc(raw_descent_data):
     p = two_to_one()
     fib = basic_fibration(p, 4)
-    for datum in raw_descent_data(fib, 4):
+    for datum in raw_descent_data(fib):
         rep, iso = canonicalize_datum(fib, datum)
         assert iso.src == datum and iso.dst == rep
         assert is_descent_morphism(fib, iso.src, iso.dst, iso.m)
@@ -560,12 +561,14 @@ def test_desc_is_isomorphism_agrees_with_the_inverse_search(two_sided_inverse, s
 
 def test_comparison_image_must_be_equivariant():
     # twisting theta is invisible on fibers of size 1, so the gate at bound 1
-    # passes; the comparison still refuses the image of an inclusion 1 -> 2
+    # passes; the comparison still refuses the image of an inclusion 1 -> 2,
+    # taken from C/B at bound 2
     from descent_kit.mutations import invert_theta
-    broken = invert_theta(basic_fibration(two_to_one(), 2))
+    broken = invert_theta(basic_fibration(two_to_one(), 1))
     phi = comparison(DescCategory(broken, 1))
-    one, two = broken.c0.objects(2)[1:]
-    inclusion = broken.c0.hom(one, two)[0]
+    wider = SliceCategory(broken.c0.base, 2)
+    one, two = wider.objects()[1:]
+    inclusion = wider.hom(one, two)[0]
     with pytest.raises(TheoremViolation, match="equivariance"):
         phi.mor(inclusion)
 
@@ -645,7 +648,7 @@ def test_almost_rung_witness_names_its_data():
     # misses; the comparison onto it is caught as faithful only
     from descent_kit.mutations import descent_category_without_hom_condition
     desc = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2), 2)
-    report = is_equivalence(comparison(desc), 2)
+    report = is_equivalence(comparison(desc))
     assert report.level == FAITHFUL_ONLY and not report.full.ok
     _, _, witness = report.full.witness
     assert repr(witness.src) in repr(witness) and repr(witness.dst) in repr(witness)

@@ -82,7 +82,7 @@ def descend_a_carrier_that_is_no_datum():
 def non_composable_algebra_morphisms():
     fib = fibration()
     adj = sigma_pullback_adjunction(fib.d)
-    em = EMCategory(induced_monad(adj, 2), 2)
+    em = EMCategory(induced_monad(adj))
     x, y = em.objects()[:2]
     em.compose(em.identity(x), em.identity(y))
 
@@ -135,7 +135,7 @@ def pseudopullback_square_with_non_invertible_filler():
     zero, one = const("0"), const("1")
     square = PsSquare(corner=pt, p1=zero, p2=one, f=IdentityFunctor(c), g=IdentityFunctor(c),
                       filler=NatTrans(zero, one, lambda _: c.mor("m01")))
-    is_pseudopullback_square(square, 1)
+    is_pseudopullback_square(square)
 
 
 def classify_at_a_negative_bound():
@@ -164,16 +164,18 @@ def classify_at_a_string_bound():
 
 
 def objects_at_a_float_bound_after_its_integer():
-    # 2.0 == 2 and they hash alike: the memo of objects(2) must not answer it
-    cat = SliceCategory(FinSetObj(("x",)), 2)
-    cat.objects(2)
-    cat.objects(2.0)
+    # 2.0 == 2 and they hash alike, but a bound is an integer: a slice
+    # category at 2.0 is refused where it is built, even beside one at 2
+    base = FinSetObj(("x",))
+    SliceCategory(base, 2).objects()
+    SliceCategory(base, 2.0)
 
 
 def generators_at_a_float_bound_after_its_integer():
-    cat = SliceCategory(FinSetObj(("x",)), 2)
-    cat.generators(2)
-    cat.generators(2.0)
+    # likewise a descent category, over a diagram built at 2
+    fib = fibration()
+    DescCategory(fib, 2).generators()
+    DescCategory(fib, 2.0)
 
 
 def set_with_an_unhashable_label():
@@ -367,12 +369,12 @@ def test_wrong_contents_raise_or_fail_and_never_answer_wrong(is_triangle, p, q, 
     # of the one it replaced
     name = data.draw(st.sampled_from(CELLS))
     src_f = next(src for cell, _, src, _ in fp.constraint_types() if cell == name)
-    objs = src_f.src.objects(2)
+    objs = src_f.src.objects()
     good = getattr(fp, name)
     cell = data.draw(st.sampled_from(
         [getattr(fp, other) for other in CELLS if other != name]
         + [getattr(fq, name), _shifted(good, objs)]))
-    report = validate_coherence(fp._replace(**{name: cell}), 2)
+    report = validate_coherence(fp._replace(**{name: cell}))
     assert isinstance(report, CoherenceReport)
     if report.is_empty():
         assert all(cell.at(x) == good.at(x) for x in objs), (name, p, q)

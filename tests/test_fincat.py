@@ -236,7 +236,7 @@ class Arrow:
 class OneArrow(Category):
     """The terminal category, with its one arrow as a plain value."""
 
-    def objects(self, bound=None):
+    def objects(self):
         return ["*"]
 
     def hom(self, x, y):
@@ -255,15 +255,17 @@ def test_identity_on_plain_value_arrows_is_equivalence():
 
 
 class CountedEnumeration(ComputableCategory):
-    """Enumerations that count their calls; every hom-set is empty."""
+    """Enumerations of the given objects that count their calls; every
+    hom-set is empty."""
 
-    def __init__(self, calls):
-        super().__init__(bound=1)
+    def __init__(self, calls, listed):
+        super().__init__()
         self.calls = calls
+        self.listed = listed
 
-    def _objects(self, bound):
-        self.calls["objects", bound] += 1
-        return [] if bound == 0 else ["x", "y"]
+    def _objects(self):
+        self.calls["objects", self.listed] += 1
+        return list(self.listed)
 
     def _hom(self, x, y):
         self.calls["hom", (x, y)] += 1
@@ -286,13 +288,13 @@ def test_each_memo_calls_its_callable_once_per_key_and_returns_the_same_object()
 
     functor = Functor(cat, cat, counted("obj"), counted("mor"))
     iso = NatTrans(IdentityFunctor(cat), IdentityFunctor(cat), counted("at"))
-    computed = CountedEnumeration(calls)
+    computed, empty = CountedEnumeration(calls, ("x", "y")), CountedEnumeration(calls, ())
     for _ in range(3):
         for memo, keys in [(functor.obj, objs), (functor.mor, mors),
                            (iso.at, objs)]:
             for k in keys:
                 assert memo(k) is values[k]
-        assert computed.objects(0) == [] and computed.objects() == ["x", "y"]
+        assert empty.objects() == [] and computed.objects() == ["x", "y"]
         hom = computed.hom("x", "y")
         assert hom == [] and computed.hom("x", "y") is hom
     assert len(calls) == 2 * len(objs) + len(mors) + 3

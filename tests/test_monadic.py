@@ -32,18 +32,18 @@ def adjunction_for(p, bound=3):
 
 def test_identity_adjunction_induces_identity_like_monad():
     p = FinFunction.identity(FinSetObj(("x", "y")))
-    fib, adj = adjunction_for(p)
-    monad = induced_monad(adj, 2)
-    assert monad.check(2) == []
-    for w in fib.c1.objects(2):
+    fib, adj = adjunction_for(p, 2)
+    monad = induced_monad(adj)
+    assert monad.check() == []
+    for w in fib.c1.objects():
         assert len(monad.t.obj(w).dom) == len(w.dom)
 
 
 def test_two_to_one_monad_refibers_product():
     p = two_to_one()
     fib, adj = adjunction_for(p)
-    monad = induced_monad(adj, 3)
-    w = next(o for o in fib.c1.objects(2)
+    monad = induced_monad(adj)
+    w = next(o for o in fib.c1.objects()
              if sorted(o(e) for e in o.dom) == ["a", "b"])
     tw = monad.t.obj(w)
     # fiber over each point of E is all of W
@@ -67,29 +67,29 @@ def oracle_algebras(monad, x):
 def test_em_enumeration_matches_oracle_and_descent_data(raw_descent_data):
     p = two_to_one()
     fib, adj = adjunction_for(p)
-    monad = induced_monad(adj, 3)
-    em = EMCategory(monad, 3)
-    for x in fib.c1.objects(3):
-        got = [alg for alg in em.objects(3) if alg.x == x]
+    monad = induced_monad(adj)
+    em = EMCategory(monad)
+    for x in fib.c1.objects():
+        got = [alg for alg in em.objects() if alg.x == x]
         assert len(got) == len(oracle_algebras(monad, x))
     # bijective correspondence with descent data on each carrier
-    raw = raw_descent_data(fib, 3)
-    assert len(em.objects(3)) == len(raw)
+    raw = raw_descent_data(fib)
+    assert len(em.objects()) == len(raw)
 
 
 def test_em_category_is_a_category():
     p = two_to_one()
-    _, adj = adjunction_for(p)
-    em = EMCategory(induced_monad(adj, 2), 2)
-    assert validate_category(em, 2) == []
+    _, adj = adjunction_for(p, 2)
+    em = EMCategory(induced_monad(adj))
+    assert validate_category(em) == []
 
 
 def test_object_without_algebra_absent():
     p = two_to_one()
     fib, adj = adjunction_for(p)
-    em = EMCategory(induced_monad(adj, 3), 3)
-    lopsided = {alg.x for alg in em.objects(3)}
-    w = next(o for o in fib.c1.objects(3)
+    em = EMCategory(induced_monad(adj))
+    lopsided = {alg.x for alg in em.objects()}
+    w = next(o for o in fib.c1.objects()
              if [o(e) for e in o.dom] == ["a"])
     assert w not in lopsided
 
@@ -97,22 +97,22 @@ def test_object_without_algebra_absent():
 def test_em_comparison_identity_p_equivalence():
     from descent_kit.fincat import is_equivalence
     p = FinFunction.identity(FinSetObj(("x",)))
-    _, adj = adjunction_for(p)
-    k = EMComparison(adj, EMCategory(induced_monad(adj, 2), 2))
-    assert is_equivalence(k, 2).level == "Equivalence"
+    _, adj = adjunction_for(p, 2)
+    k = EMComparison(adj, EMCategory(induced_monad(adj)))
+    assert is_equivalence(k).level == "Equivalence"
 
 
 def test_em_comparison_two_to_one_equivalence_within_bound():
     from descent_kit.fincat import is_faithful, is_full
     p = two_to_one()
     _, adj = adjunction_for(p)
-    monad = induced_monad(adj, 3)
-    em = EMCategory(monad, 3)
+    monad = induced_monad(adj)
+    em = EMCategory(monad)
     k = EMComparison(adj, em)
-    assert is_faithful(k, 3).ok and is_full(k, 3).ok
+    assert is_faithful(k).ok and is_full(k).ok
     # p* is monadic here: every bounded algebra is hit up to iso
-    images = [k.obj(x) for x in adj.right.src.objects(2)]
-    for alg in em.objects(2):
+    images = [k.obj(x) for x in adj.right.src.objects()]
+    for alg in em.objects():
         assert any(find_isomorphism(em, img, alg) is not None for img in images)
 
 
@@ -123,7 +123,7 @@ def test_em_is_isomorphism_agrees_with_the_inverse_search(small_maps):
     compared = isos = 0
     for p in small_maps():
         _, adj = adjunction_for(p, 2)
-        em = EMCategory(induced_monad(adj, 2), 2)
+        em = EMCategory(induced_monad(adj))
         algs = em.objects()
         for f in (f for x in algs for y in algs for f in em.hom(x, y)):
             decided = em.is_isomorphism(f)
@@ -139,12 +139,12 @@ def test_em_equivalence_searches_no_inverse(monkeypatch):
     algebra morphisms."""
     from descent_kit.fincat import is_equivalence
     _, adj = adjunction_for(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 3)
-    em = EMCategory(induced_monad(adj, 3), 3)
+    em = EMCategory(induced_monad(adj))
     calls = []
     commutes = EMCategory.commutes
     monkeypatch.setattr(EMCategory, "commutes",
                         lambda self, lhs, rhs: calls.append(1) or commutes(self, lhs, rhs))
-    assert is_equivalence(EMComparison(adj, em), 3).level == EQUIVALENCE
+    assert is_equivalence(EMComparison(adj, em)).level == EQUIVALENCE
     assert calls == []
 
 
@@ -153,7 +153,7 @@ def test_mate_of_identity_square_is_identity():
     sq = pullback_square_bc(p, p, p, p, bound=2)
     m = mate(sq)
     cat = sq.f_a.dst
-    for x in sq.f_b.src.objects(2):
+    for x in sq.f_b.src.objects():
         comp = m.at(x)
         assert comp.fn.is_bijective()
         # identity square: the mate relabels pairs without moving elements
@@ -169,7 +169,7 @@ def test_beck_chevalley_for_chosen_pullback_squares_spot():
     f = FinFunction.of(x, z, {"x0": "z0", "x1": "z1"})
     g = FinFunction.of(y, z, {"y0": "z0"})
     sq = chosen_pullback_bc_square(f, g, bound=2)
-    assert is_beck_chevalley(sq, 2).ok
+    assert is_beck_chevalley(sq).ok
 
 
 def test_broken_square_mate_not_invertible():
@@ -183,7 +183,7 @@ def test_broken_square_mate_not_invertible():
     q1 = FinFunction(empty, x, ())
     q2 = FinFunction(empty, y, ())
     sq = pullback_square_bc(f, g, q1, q2, bound=2)
-    d = is_beck_chevalley(sq, 2)
+    d = is_beck_chevalley(sq)
     assert not d.ok
     witness_obj, witness_mor = d.witness
     assert not witness_mor.fn.is_bijective()
@@ -192,8 +192,8 @@ def test_broken_square_mate_not_invertible():
 def test_datum_algebra_round_trip(raw_descent_data):
     p = fn("abc", "xy", {"a": "x", "b": "y", "c": "y"})
     fib, adj = adjunction_for(p)
-    monad = induced_monad(adj, 3)
-    for datum in raw_descent_data(fib, 3):
+    monad = induced_monad(adj)
+    for datum in raw_descent_data(fib):
         alg = datum_to_algebra(fib, monad, datum)
         back = algebra_to_datum(fib, monad, alg)
         assert back == datum
@@ -204,7 +204,7 @@ def test_structure_map_that_forgets_the_top_induces_no_datum():
     # (v, e) of T x to the first point over e, so the induced rho sends
     # (v, (e0, e1)) to the first point over e1 whatever v is: not one to one
     fib, adj = adjunction_for(two_to_one(), 2)
-    monad = induced_monad(adj, 2)
+    monad = induced_monad(adj)
     x = fn([(e, i) for e in "ab" for i in range(2)], "ab", lambda v: v[0])
     tx = monad.t.obj(x)
     a = SliceMor(tx, x, FinFunction.of(tx.dom, x.dom, lambda ve: (ve[1], 0)))
@@ -218,7 +218,7 @@ def test_structure_map_off_the_base_is_refused_before_lifting():
     # sends (v, e) over e to v over x(v): no triangle over E, so it is
     # refused where it is built and no algebra of C/E is ever made of it
     fib, adj = adjunction_for(two_to_one(), 2)
-    monad = induced_monad(adj, 2)
+    monad = induced_monad(adj)
     x = fn("ab", "ab", lambda v: v)
     tx = monad.t.obj(x)
     with pytest.raises(CategoryError, match="does not commute"):
@@ -234,7 +234,7 @@ def test_benabou_roubaud_identity():
 def test_benabou_roubaud_two_to_one():
     res = benabou_roubaud(two_to_one(), 3)
     assert res.equivalence and res.factorizations_agree
-    assert len(res.desc.objects(3)) == len(res.em.objects(3)) == 2
+    assert len(res.desc.objects()) == len(res.em.objects()) == 2
 
 
 def test_benabou_roubaud_monad_is_built_on_the_fibrations_own_pullback():
@@ -276,8 +276,8 @@ def test_benabou_roubaud_names_the_algebra_no_enumerated_datum_reaches(monkeypat
     from descent_kit import monadic
 
     class DroppingLast(monadic.DescCategory):
-        def _objects(self, bound):
-            return super()._objects(bound)[:-1]
+        def _objects(self):
+            return super()._objects()[:-1]
 
     monkeypatch.setattr(monadic, "DescCategory", DroppingLast)
     res = benabou_roubaud(two_to_one(), 2)
@@ -292,8 +292,8 @@ def test_broken_mu_detected():
     from descent_kit.mutations import broken_mu
     p = two_to_one()
     _, adj = adjunction_for(p)
-    monad = induced_monad(adj, 3)
-    assert broken_mu(monad).check(3) != []
+    monad = induced_monad(adj)
+    assert broken_mu(monad).check() != []
 
 
 def test_broken_counit_detected():
@@ -301,9 +301,9 @@ def test_broken_counit_detected():
     p = two_to_one()
     _, adj = adjunction_for(p)
     bad = broken_counit(adj)
-    assert bad.check_triangles(3) != []
+    assert bad.check_triangles() != []
     with pytest.raises(TheoremViolation):
-        induced_monad(bad, 3)
+        induced_monad(bad)
 
 
 def test_benabou_roubaud_reports_the_equivalence_ladder():
@@ -315,7 +315,7 @@ def test_benabou_roubaud_reports_the_equivalence_ladder():
 def test_datum_algebra_maps_need_a_top_tracking_monad():
     from descent_kit.descent import enumerate_descent_data
     fib, adj = adjunction_for(two_to_one(), 2)
-    monad = induced_monad(adj, 2)
+    monad = induced_monad(adj)
     datum = enumerate_descent_data(fib, 2)[-1]
     alg = datum_to_algebra(fib, monad, datum)
     plain = Monad(IdentityFunctor(fib.c1), monad.eta, monad.mu)
@@ -335,11 +335,11 @@ def test_benabou_roubaud_sweep_is_equivalence_and_round_trips(raw_descent_data, 
         res = benabou_roubaud(p, 2)
         assert res.verdict == EQUIVALENCE and res.factorizations_agree, p
         fib = res.desc.diagram
-        for datum in raw_descent_data(fib, 2):
+        for datum in raw_descent_data(fib):
             alg = datum_to_algebra(fib, res.monad, datum)
             assert algebra_to_datum(fib, res.monad, alg) == datum, (p, datum)
         base = res.monad.base
-        idem = all(base.is_isomorphism(res.monad.mu.at(x)) for x in base.objects(2))
+        idem = all(base.is_isomorphism(res.monad.mu.at(x)) for x in base.objects())
         assert idem == p.is_injective(), p
         idempotent[idem] += 1
     assert idempotent == {True: 7, False: 12}
@@ -356,7 +356,7 @@ def test_benabou_roubaud_connects_each_algebra_by_the_first_isomorphism(
             res = benabou_roubaud(p, bound)
             desc, fib = res.desc, res.desc.diagram
             enumerated = {d.w: d for d in desc.objects()}
-            for alg in res.em.objects(bound):
+            for alg in res.em.objects():
                 datum = algebra_to_datum(fib, res.monad, alg)
                 rep = enumerated[alg.x]
                 want = next((f for f in desc.hom(rep, datum)
@@ -371,7 +371,7 @@ def test_em_commutes_forwards_to_the_base():
     """Algebra morphisms commute when their endpoints match and their maps
     commute pointwise in the base; a path breaks where ``compose`` breaks."""
     _, adj = adjunction_for(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 2)
-    em = EMCategory(induced_monad(adj, 2), 2)
+    em = EMCategory(induced_monad(adj))
     algs = em.objects()
     mors = [f for x in algs for y in algs for f in em.hom(x, y)]
     outcomes = set()
@@ -396,6 +396,6 @@ def test_em_commutes_forwards_to_the_base():
 def test_algebras_on_one_carrier_print_apart():
     # over 2 -> 1 at bound 4 two of the four algebras share a carrier; each
     # prints its structure map's table, so all four print apart
-    algs = benabou_roubaud(two_to_one(), 4).em.objects(4)
+    algs = benabou_roubaud(two_to_one(), 4).em.objects()
     assert len(algs) == 4 and len({alg.x for alg in algs}) == 3
     assert len({repr(alg) for alg in algs}) == 4

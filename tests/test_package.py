@@ -11,7 +11,9 @@ asks a hom-set whether it holds a morphism
 (``test_library_never_asks_a_hom_set_for_membership``), no library
 module imports ``dataclasses`` or ``inspect``
 (``test_library_never_imports_dataclasses``), every public name is used
-or listed, the most numerous value classes stay slotted, a
+or listed, only builders and enumerators take a ``bound``
+(``test_only_builders_and_enumerators_take_a_bound``), the most numerous
+value classes stay slotted, a
 dropped diagram leaves no cyclic garbage, memo keys store their hash, and
 the benchmark can still drive the library."""
 
@@ -298,6 +300,54 @@ def test_public_names_are_used_or_listed():
     assert sorted(UNUSED_PUBLIC_NAMES.keys() - unused) == [], "listed but now used: unlist"
 
 
+# The library functions and methods that may take a parameter named
+# ``bound``: the builders of bounded categories and of the entry points,
+# the enumerators that walk a fragment other than their category's own,
+# the one check of a bound, and ``validate_coherence``, whose bound must
+# be the diagram's own (ROADMAP item 1 drops it).
+BOUND_TAKERS = {
+    "cosimplicial.basic_fibration", "cosimplicial.validate_coherence",
+    "descent.DescCategory.__init__", "descent.classify",
+    "descent.enumerate_descent_data", "fincat.checked_bound",
+    "monadic.benabou_roubaud", "monadic.chosen_pullback_bc_square",
+    "monadic.pullback_square_bc", "mutations.descent_category_without_cocycle",
+    "mutations.descent_category_without_hom_condition",
+    "slices.SliceCategory.__init__", "slices.SliceCategory.objects_constant_on",
+}
+
+
+def _bound_takers(node, prefix=""):
+    """Qualified names of the functions and methods under node, nested ones
+    included, that have a parameter named ``bound``."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                if "bound" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    out.append(name)
+            out += _bound_takers(child, name + ".")
+        else:
+            out += _bound_takers(child, prefix)
+    return out
+
+
+def test_only_builders_and_enumerators_take_a_bound():
+    """A bound is fixed where a category is built: a category that
+    truncates by carrier size holds it, one built from others enumerates
+    over theirs, and every enumeration and decision reads the categories
+    it is handed.  So only the functions listed above take a ``bound``; a
+    bound on any other would be a second, per-call answer to a question
+    the category already answers."""
+    found = set()
+    for path in sorted((ROOT / "src" / "descent_kit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update(f"{path.stem}.{name}" for name in _bound_takers(tree))
+    assert sorted(found - BOUND_TAKERS) == [], "takes a bound and is not listed"
+    assert sorted(BOUND_TAKERS - found) == [], "listed but takes no bound: unlist"
+
+
 def test_value_classes_have_no_instance_dict():
     """Millions of these values are built; slots keep the hash each stores
     from costing more memory than a per-instance __dict__ saved."""
@@ -322,8 +372,8 @@ def test_dropped_diagram_leaves_no_cyclic_garbage():
         point = FinSetObj(("*",))
         p = FinFunction.of(FinSetObj(("a", "b")), point, lambda _: "*")
         fib = basic_fibration(p, 2)
-        ok = validate_coherence(fib, 2).is_empty()
-        caught = not validate_coherence(invert_theta(fib), 2).is_empty()
+        ok = validate_coherence(fib).is_empty()
+        caught = not validate_coherence(invert_theta(fib)).is_empty()
         desc = DescCategory(fib, 2)
         data = desc.objects()
         n_mors = sum(len(desc.hom(x, y)) for x in data for y in data)
@@ -375,7 +425,14 @@ def test_memo_key_values_store_their_hash():
     assert obj != other and values[3] != DescentDatum(other, values[2])
 
 
-def test_benchmark_still_drives_the_library(monkeypatch):
+@pytest.mark.parametrize("workload", ["ladder", "monadic", "glue", "audit"])
+def test_benchmark_still_drives_the_library(monkeypatch, workload):
+    """Every benchmark workload runs one cold round at bound 2 with every
+    answer correct and no operation failed, so a change to a call shape
+    the benchmark pins (``classify(p, bound, carrier_pred=...)``,
+    ``benabou_roubaud(p, bound)``, ``DescCategory(fib, bound)``,
+    ``validate_coherence(fib, bound)``) fails here rather than only in a
+    benchmark run."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
     run = importlib.import_module("run")
@@ -384,5 +441,5 @@ def test_benchmark_still_drives_the_library(monkeypatch):
         tracer.install()  # resolves every traced name, or raises
     finally:
         tracer.uninstall()
-    res = run.run("glue", seed=1, seconds=0, trace=False, bound=2)
+    res = run.run(workload, seed=1, seconds=0, trace=False, bound=2)
     assert res["correct"] is True and res["failed"] == 0
