@@ -41,6 +41,9 @@ diagonal; every constraint is the canonical comparison of iterated chosen
 pullbacks.  The six cells are stated once, as the list ``_cells`` reads
 off the faces: ``basic_fibration`` builds each cell from it, and
 ``constraint_types`` recomputes it from the current faces for the gate.
+A diagram's bound is the one its levels were built at, c1's: every
+descent question reads it from there, and ``checked_diagram`` is the one
+check of a diagram handed to one.
 """
 
 from __future__ import annotations
@@ -159,6 +162,22 @@ def is_descent_datum(diagram: BasicFibration, w: FinFunction,
     return True, None
 
 
+def checked_diagram(diagram: BasicFibration, bound: Optional[int] = None) -> BasicFibration:
+    """diagram, checked where a descent question reads it: a value that is
+    no ``BasicFibration`` raises ``CategoryError``.  Its bound is the one
+    its levels were built at, c1's.  bound, if given, is checked as one a
+    category is built with (``fincat.checked_bound``) and must be that
+    one: another raises ``CategoryError``.  It names no fragment of its
+    own; it is kept for callers that still pass the bound they built the
+    diagram with."""
+    if not isinstance(diagram, BasicFibration):
+        raise CategoryError(f"expected a BasicFibration, not {diagram!r}")
+    if bound is not None and checked_bound(bound) != diagram.c1.bound:
+        raise CategoryError(f"the diagram is enumerated at bound {diagram.c1.bound}, "
+                            f"not {bound}")
+    return diagram
+
+
 def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> CoherenceReport:
     """Check each constraint cell for a natural isomorphism between the
     composites the current faces give it, then the two presentation
@@ -188,15 +207,10 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     Slices are infinite, so the verdict is relative to the bound the
     diagram's levels were built at (``basic_fibration``); the report is a
     regression harness, the universal-property argument is the global
-    guarantee.  bound, if given, is checked as one a category is built
-    with (``fincat.checked_bound``) and must be that of the levels, c1's:
-    another raises ``CategoryError``.  It names no fragment of its own; it
-    is kept for callers that still pass the bound they built the diagram
-    with.
+    guarantee.  The diagram and a bound, if given, are checked by
+    ``checked_diagram``: the bound must be the levels' own.
     """
-    if bound is not None and checked_bound(bound) != diagram.c1.bound:
-        raise CategoryError(f"the diagram is enumerated at bound {diagram.c1.bound}, "
-                            f"not {bound}")
+    checked_diagram(diagram, bound)
     report = CoherenceReport()
     for name, cell, src_f, dst_f in diagram.constraint_types():
         if cell.source.src.base != src_f.src.base:
@@ -219,7 +233,7 @@ def validate_coherence(diagram: BasicFibration, bound: Optional[int] = None) -> 
     return report
 
 
-def basic_fibration(p: FinFunction, bound: int = 4) -> BasicFibration:
+def basic_fibration(p: FinFunction, bound: int) -> BasicFibration:
     """Build the slice diagram of p with its canonical constraint cells,
     its four levels enumerated up to one bound.
 

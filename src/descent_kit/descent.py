@@ -40,9 +40,12 @@ decided by the category's own check, ``is_descent_morphism``, where a
 morphism is made (``comparison``, ``descend``); no hom-set is asked.
 
 A ``DescCategory`` holds the one input of every descent decision: the
-diagram, the enumeration bound, checked where it is built, and an
-optional carrier predicate.  ``comparison`` reads the diagram and the
-predicate from it, and ``classify`` builds it once.
+diagram, checked where it is built, and an optional carrier predicate.
+It has no bound of its own: Desc(p) is the descent object of the
+truncated diagram, so it is enumerated at the bound the diagram's levels
+were built at (c1's), as are the enumerator and the mutants of
+``mutations``.  ``comparison`` reads the diagram and the predicate from
+it, and ``classify`` builds it once.
 ``descend`` glues a datum to an object over B (the constructive inverse
 of the comparison functor), and ``classify`` decides the almost / plain /
 effective descent ladder with auditable witnesses.  Essential
@@ -60,10 +63,10 @@ from .errors import TheoremViolation
 from .fincat import (EQUIVALENCE, FAITHFUL_ONLY, FULLY_FAITHFUL_ONLY,
                      NOT_FAITHFUL, CategoryError, ComputableCategory, Decision,
                      EquivalenceReport, FullSubcategory, Functor, HomSet,
-                     checked_bound, is_equivalence)
+                     is_equivalence)
 from .finset import FinFunction, FinSetError, FinSetObj, quotient
-from .cosimplicial import (BasicFibration, basic_fibration, is_descent_datum,
-                           validate_coherence)
+from .cosimplicial import (BasicFibration, basic_fibration, checked_diagram,
+                           is_descent_datum, validate_coherence)
 from .slices import SliceMor, slice_isos
 
 
@@ -145,12 +148,13 @@ def moves(datum: DescentDatum) -> list[tuple]:
     return [(v, t, u2[0]) for (v, t), u2 in datum.rho.fn.mapping]
 
 
-def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
+def enumerate_descent_data(diagram: BasicFibration, *,
                            carrier_pred: Optional[Callable[[FinSetObj], bool]] = None
                            ) -> list[DescentDatum]:
     """One descent datum per isomorphism class, with level-1 carrier within
-    bound, the level-1 category's own by default, in the order of the
-    canonical level-1 objects.
+    the bound the level-1 category was built at, in the order of the
+    canonical level-1 objects, and only those whose carrier passes
+    carrier_pred if given.
 
     A canonical w: W -> E carries a datum exactly when its fiber sizes are
     constant along each fiber of p, and then all data on w are conjugate
@@ -168,7 +172,7 @@ def enumerate_descent_data(diagram: BasicFibration, bound: Optional[int] = None,
     """
     out = []
     blocks = diagram.d.u.fibers().values()
-    for w in diagram.c1.objects_constant_on(blocks, bound):
+    for w in diagram.c1.objects_constant_on(blocks):
         if carrier_pred is not None and not carrier_pred(w.dom):
             continue
         rho = _index_datum(diagram, w)
@@ -235,21 +239,25 @@ class _MoveTable(NamedTuple):
 
 class DescCategory(ComputableCategory):
     """The descent data of a basic fibration with level-1 carrier within
-    the bound, checked here (``fincat.checked_bound``), and only those
-    whose carrier passes carrier_pred if given.  Beside the hom memo it
-    keeps each datum's move table (``_table``)."""
+    the bound its levels were built at, and only those whose carrier
+    passes carrier_pred if given.  It holds no bound of its own: the
+    diagram is checked by ``checked_diagram``, and bound, if given, must
+    be the diagram's (another raises ``CategoryError``); it is kept for
+    callers that still pass the bound they built the diagram with.  A
+    carrier_pred that is not callable raises ``CategoryError``.  Beside
+    the hom memo it keeps each datum's move table (``_table``)."""
 
-    def __init__(self, diagram: BasicFibration, bound: int = 4,
+    def __init__(self, diagram: BasicFibration, bound: Optional[int] = None,
                  carrier_pred: Optional[Callable[[FinSetObj], bool]] = None):
         super().__init__()
-        self.diagram = diagram
-        self.bound = checked_bound(bound)
+        self.diagram = checked_diagram(diagram, bound)
+        if carrier_pred is not None and not callable(carrier_pred):
+            raise CategoryError(f"carrier_pred must be callable, not {carrier_pred!r}")
         self.carrier_pred = carrier_pred
         self._tables: dict = {}
 
     def _objects(self):
-        return enumerate_descent_data(self.diagram, self.bound,
-                                      carrier_pred=self.carrier_pred)
+        return enumerate_descent_data(self.diagram, carrier_pred=self.carrier_pred)
 
     def _table(self, x: DescentDatum) -> _MoveTable:
         """x's moves tabulated once, however many hom-sets read them.  A
@@ -392,6 +400,8 @@ def comparison(desc: DescCategory) -> Functor:
     build over an incoherent diagram.  Post-composing with the forgetful
     functor gives back the augmentation on the nose.
     """
+    if not isinstance(desc, DescCategory):
+        raise CategoryError(f"comparison takes a DescCategory, not {desc!r}")
     fib, pred = desc.diagram, desc.carrier_pred
     rep = validate_coherence(fib)
     if not rep.is_empty():
@@ -411,12 +421,14 @@ class DescendResult(NamedTuple):
 def descend(fib: BasicFibration, datum: DescentDatum) -> DescendResult:
     """Glue a descent datum to an object over the base.
 
-    A value that is no ``DescentDatum`` raises ``CategoryError``, as does a
-    datum failing either equation, which is named.  The carrier is the
+    A fib that is no ``BasicFibration`` (``checked_diagram``) or a datum
+    that is no ``DescentDatum`` raises ``CategoryError``, as does a datum
+    failing either equation, which is named.  The carrier is the
     quotient of the datum's total set by the relation rho induces between
     fibers over related points; the returned isomorphism exhibits
     comparison(glued) ≅ datum and is verified before being returned.
     """
+    checked_diagram(fib)
     if not isinstance(datum, DescentDatum):
         raise CategoryError(f"descend takes a DescentDatum, not {datum!r}")
     ok, which = is_descent_datum(fib, datum.w, datum.rho)
@@ -464,7 +476,7 @@ class ClassifyResult(NamedTuple):
         return _EXIT_CODES[self.verdict]
 
 
-def classify(p: FinFunction, bound: int = 4,
+def classify(p: FinFunction, bound: int,
              carrier_pred: Optional[Callable[[FinSetObj], bool]] = None) -> ClassifyResult:
     """Place p on the ladder NotAlmost < Almost < Descent < Effective.
 
@@ -476,7 +488,7 @@ def classify(p: FinFunction, bound: int = 4,
     carrier passes must glue to an object that passes too.
     """
     fib = basic_fibration(p, bound)
-    desc = DescCategory(fib, bound, carrier_pred=carrier_pred)
+    desc = DescCategory(fib, carrier_pred=carrier_pred)
     phi = comparison(desc)
 
     def ess() -> Decision:

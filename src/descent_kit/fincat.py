@@ -9,11 +9,11 @@ and the second once per pair.  Objects and morphisms are values: they
 are compared and hashed as themselves, component by component.
 
 A bound is fixed where a category is built.  A category that truncates
-by carrier size (``slices.SliceCategory``, ``descent.DescCategory``)
-holds its bound, checked there by ``checked_bound``; one built from other
-categories (the Eilenberg-Moore category of a monad, a pseudopullback)
-enumerates over theirs.  Enumerations and decisions take no bound: each
-reads the categories it is handed.
+by carrier size (``slices.SliceCategory``) holds its bound, checked there
+by ``checked_bound``; one built from other categories (the descent
+category of a diagram of slices, the Eilenberg-Moore category of a monad,
+a pseudopullback) enumerates over theirs.  Enumerations and decisions
+take no bound: each reads the categories it is handed.
 
 A hom-set is a sequence of morphisms in enumeration order.  A table
 category lists it; a computable category whose hom-sets have a closed-form

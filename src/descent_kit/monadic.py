@@ -214,7 +214,7 @@ def is_beck_chevalley(square: BCSquare) -> Decision:
 
 
 def pullback_square_bc(p1: FinFunction, p2: FinFunction, q1: FinFunction,
-                       q2: FinFunction, bound: int = 3) -> BCSquare:
+                       q2: FinFunction, bound: int) -> BCSquare:
     """The change-of-base square of a commuting square of finite sets.
 
         P --q2--> Y
@@ -240,7 +240,7 @@ def pullback_square_bc(p1: FinFunction, p2: FinFunction, q1: FinFunction,
                     adj_c=sigma_pullback_adjunction(r_c), phi=phi)
 
 
-def chosen_pullback_bc_square(f: FinFunction, g: FinFunction, bound: int = 3) -> BCSquare:
+def chosen_pullback_bc_square(f: FinFunction, g: FinFunction, bound: int) -> BCSquare:
     """The Beck-Chevalley square of the chosen pullback of a cospan."""
     pb = pullback(f, g)
     return pullback_square_bc(f, g, pb.pr1, pb.pr2, bound)
@@ -326,7 +326,7 @@ class _DescToEM(Functor):
         return am
 
 
-def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
+def benabou_roubaud(p: FinFunction, bound: int) -> BRResult:
     """Grothendieck descent along p against monadicity of p*.
 
     Builds the canonical Desc(p) -> EM(T_p), datum by datum; verifies
@@ -338,7 +338,7 @@ def benabou_roubaud(p: FinFunction, bound: int = 3) -> BRResult:
     algebra with no such morphism fails essential surjectivity.
     """
     fib = basic_fibration(p, bound)
-    desc = DescCategory(fib, bound)
+    desc = DescCategory(fib)
     adj = sigma_pullback_adjunction(fib.d)
     triangle_report = adj.check_triangles()
     if triangle_report:

@@ -66,11 +66,11 @@ class _WithoutCocycle(DescCategory):
         return out
 
 
-def descent_category_without_cocycle(fib: BasicFibration, bound: int) -> DescCategory:
+def descent_category_without_cocycle(fib: BasicFibration) -> DescCategory:
     """Desc(p) with, after each datum, its rho reversed over the first point
     (e0, e1) of E×_B E, e0 != e1, with two or more points above it: the
     identity equation, read over the diagonal, holds; the cocycle fails."""
-    return _WithoutCocycle(fib, bound)
+    return _WithoutCocycle(fib)
 
 
 class _WithoutHomCondition(DescCategory):
@@ -78,9 +78,9 @@ class _WithoutHomCondition(DescCategory):
         return [DescMor(x, y, m) for m in self.diagram.c1.hom(x.w, y.w)]
 
 
-def descent_category_without_hom_condition(fib: BasicFibration, bound: int) -> DescCategory:
+def descent_category_without_hom_condition(fib: BasicFibration) -> DescCategory:
     """Descent category whose morphisms are not required to commute with rho."""
-    return _WithoutHomCondition(fib, bound)
+    return _WithoutHomCondition(fib)
 
 
 def broken_mu(monad: Monad) -> Monad:

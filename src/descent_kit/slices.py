@@ -69,7 +69,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .finset import FinFunction, FinSetObj, FinSetError, follow, pullback
 from .fincat import (CategoryError, ComputableCategory, ComposedFunctor,
@@ -153,7 +153,7 @@ class SliceCategory(ComputableCategory):
     codomain base, enumerated up to bound, the size of its domain, which
     is checked here (``fincat.checked_bound``)."""
 
-    def __init__(self, base: FinSetObj, bound: int = 4):
+    def __init__(self, base: FinSetObj, bound: int):
         super().__init__()
         self.base = base
         self.bound = checked_bound(bound)
@@ -164,14 +164,12 @@ class SliceCategory(ComputableCategory):
         blocks)."""
         return list(self.objects_constant_on(()))
 
-    def objects_constant_on(self, blocks, bound: Optional[int] = None):
-        """The canonical objects within bound, the category's own by
-        default, whose fiber sizes are equal over the points of each of
-        blocks, disjoint nonempty lists of base points, in the order of
-        ``objects`` and one at a time.  A block that is empty, holds a
-        point outside the base or meets an earlier block raises
-        ``FinSetError``; a bound that is given is checked as one the
-        category is built with (``fincat.checked_bound``).
+    def objects_constant_on(self, blocks):
+        """The canonical objects within the category's bound whose fiber
+        sizes are equal over the points of each of blocks, disjoint
+        nonempty lists of base points, in the order of ``objects`` and one
+        at a time.  A block that is empty, holds a point outside the base
+        or meets an earlier block raises ``FinSetError``.
 
         Only those objects are built: a fiber-size vector is chosen entry by
         entry in base order, and the entry of a point that is not the first
@@ -181,7 +179,6 @@ class SliceCategory(ComputableCategory):
         ``objects``, with nothing sorted.  The object with fibers (n_b) has
         carrier labels (b, i), i < n_b.
         """
-        bound = self.bound if bound is None else checked_bound(bound)
         base = self.base
         position = {b: i for i, b in enumerate(base.elements)}
         ties = list(range(len(position)))
@@ -198,7 +195,7 @@ class SliceCategory(ComputableCategory):
             for i in at:
                 ties[i] = first
             costs[first] = len(at)
-        for vec in _vectors(bound, ties, costs):
+        for vec in _vectors(self.bound, ties, costs):
             labels = tuple([(b, i) for b, n in zip(base.elements, vec) for i in range(n)])
             yield FinFunction(FinSetObj(labels), base, tuple(zip(labels, [b for b, _ in labels])))
 

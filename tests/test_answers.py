@@ -51,7 +51,7 @@ def answer_records(maps) -> list[str]:
                              res.factorizations_agree)))
         for bound in (1, 2, 3):
             fib = basic_fibration(p, bound)
-            desc, c1 = DescCategory(fib, bound), fib.c1
+            desc, c1 = DescCategory(fib), fib.c1
             data, objs = desc.objects(), c1.objects()
             out.append(repr((
                 "desc", repr(p), bound, [repr(d) for d in data],

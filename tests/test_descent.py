@@ -13,8 +13,8 @@ from descent_kit.descent import (ALMOST, DESCENT, EFFECTIVE, NOT_ALMOST,
                                  _index_datum, canonicalize_datum, classify,
                                  comparison, descend, enumerate_descent_data,
                                  is_descent_datum, is_descent_morphism)
-from descent_kit.fincat import (FAITHFUL_ONLY, CategoryError, Functor, HomSet,
-                                find_isomorphism, is_equivalence, is_full,
+from descent_kit.fincat import (EQUIVALENCE, FAITHFUL_ONLY, CategoryError, Functor,
+                                HomSet, find_isomorphism, is_equivalence, is_full,
                                 validate_category)
 from descent_kit.finset import FinFunction, FinSetObj
 from descent_kit.slices import SliceCategory, SliceMor, slice_isos
@@ -77,7 +77,7 @@ def test_datum_counts_match_independent_oracle(raw_descent_data):
     for d in raw:
         by_size[len(d.w.dom)] = by_size.get(len(d.w.dom), 0) + 1
     assert by_size == {0: 1, 2: 1, 4: 2}
-    deduped = enumerate_descent_data(fib, 4)
+    deduped = enumerate_descent_data(fib)
     assert len(deduped) == 3  # the two size-4 data are conjugate relabellings
 
 
@@ -108,7 +108,7 @@ def test_identity_fibration_only_canonical_rho_passes(raw_descent_data):
 def test_singleton_fiber_datum_forced():
     p = two_to_one()
     fib = basic_fibration(p, 2)
-    data = [d for d in enumerate_descent_data(fib, 2) if len(d.w.dom) == 2]
+    data = [d for d in enumerate_descent_data(fib) if len(d.w.dom) == 2]
     assert len(data) == 1
     ok, _ = is_descent_datum(fib, data[0].w, data[0].rho)
     assert ok
@@ -117,7 +117,7 @@ def test_singleton_fiber_datum_forced():
 def test_empty_domain_descent_category_is_terminal_like():
     p = fn("", "x", {})
     fib = basic_fibration(p, 3)
-    desc = DescCategory(fib, 3)
+    desc = DescCategory(fib)
     objs = desc.objects()
     assert len(objs) == 1 and len(objs[0].w.dom) == 0
     assert len(desc.hom(objs[0], objs[0])) == 1
@@ -126,7 +126,7 @@ def test_empty_domain_descent_category_is_terminal_like():
 def test_desc_category_passes_validate_category():
     for p in [two_to_one(), fn("abc", "xy", {"a": "x", "b": "y", "c": "y"})]:
         fib = basic_fibration(p, 3)
-        desc = DescCategory(fib, 3)
+        desc = DescCategory(fib)
         assert validate_category(desc) == []
 
 
@@ -145,15 +145,15 @@ def test_descent_data_count_matches_objects_over_the_image(small_maps):
     for p in small_maps():
         fiber_sizes = list(collections.Counter(c for _, c in p.mapping).values())
         for bound in range(1, 5):
-            desc = DescCategory(basic_fibration(p, bound), bound)
+            desc = DescCategory(basic_fibration(p, bound))
             assert len(desc.objects()) == _vectors_within(fiber_sizes, bound), (p, bound)
 
 
 def test_desc_homs_fast_path_agrees_with_generic_filter(small_maps, brute_desc_hom):
     from descent_kit.mutations import descent_category_without_cocycle
-    cases = [DescCategory(basic_fibration(p, 3), 3) for p in small_maps()]
+    cases = [DescCategory(basic_fibration(p, 3)) for p in small_maps()]
     # the cocycle mutant's objects include a 4-point non-datum
-    cases.append(descent_category_without_cocycle(basic_fibration(two_to_one(), 4), 4))
+    cases.append(descent_category_without_cocycle(basic_fibration(two_to_one(), 4)))
     for desc in cases:
         objs = desc.objects()
         for x in objs:
@@ -166,7 +166,7 @@ def test_enumeration_matches_the_brute_reference_on_small_maps(brute_descent_dat
     for p in small_maps():
         for bound in range(5):
             fib = basic_fibration(p, bound)
-            assert enumerate_descent_data(fib, bound) == brute_descent_data(fib), (p, bound)
+            assert enumerate_descent_data(fib) == brute_descent_data(fib), (p, bound)
 
 
 def test_enumeration_builds_only_the_carriers_that_carry_a_datum(small_maps):
@@ -185,7 +185,7 @@ def test_enumeration_builds_only_the_carriers_that_carry_a_datum(small_maps):
         for bound in range(6):
             for pred in (None, even):
                 fib = basic_fibration(p, bound)
-                data = DescCategory(fib, bound, carrier_pred=pred).objects()
+                data = DescCategory(fib, carrier_pred=pred).objects()
                 assert fib.c1._objects_memo is None, (p, bound)
                 want = [DescentDatum(w, _index_datum(fib, w)) for w in fib.c1.objects()
                         if (pred is None or pred(w.dom))
@@ -200,7 +200,7 @@ def test_hom_counts_tabulate_each_datum_once(monkeypatch):
     # glue's 3to2_21 at bound 5: 12 data and 6238 morphisms over 144 pairs,
     # each datum's moves listed once, in the order the pairs first meet it
     from descent_kit import descent
-    desc = DescCategory(basic_fibration(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 5), 5)
+    desc = DescCategory(basic_fibration(fn("abc", "xy", {"a": "x", "b": "x", "c": "y"}), 5))
     data = desc.objects()
     listed = []
     moves = descent.moves
@@ -221,10 +221,10 @@ def test_hom_refuses_a_datum_of_another_fibration():
     p = fn("ab", "x", lambda _: "x")
     q = fn("ab", "xy", {"a": "x", "b": "y"})
     r = fn("ac", "x", lambda _: "x")
-    dp = DescCategory(basic_fibration(p, 2), 2)
+    dp = DescCategory(basic_fibration(p, 2))
     P = dp.objects()
-    Q = DescCategory(basic_fibration(q, 2), 2).objects()
-    R = DescCategory(basic_fibration(r, 2), 2).objects()
+    Q = DescCategory(basic_fibration(q, 2)).objects()
+    R = DescCategory(basic_fibration(r, 2)).objects()
     for call in (lambda: dp.hom(P[1], Q[-1]), lambda: dp.hom(Q[-1], P[1]),
                  lambda: dp.hom(P[1], R[1]), lambda: dp.hom(R[1], P[1]),
                  lambda: find_isomorphism(dp, P[1], R[1])):
@@ -239,7 +239,7 @@ def test_is_isomorphism_refuses_a_morphism_of_another_fibration():
     raises there, as its moves do in ``_table``, and is decided by its
     own category."""
     p, r = fn("ab", "x", lambda _: "x"), fn("ac", "x", lambda _: "x")
-    dp, dr = DescCategory(basic_fibration(p, 2), 2), DescCategory(basic_fibration(r, 2), 2)
+    dp, dr = DescCategory(basic_fibration(p, 2)), DescCategory(basic_fibration(r, 2))
     datum = dr.objects()[1]
     with pytest.raises(CategoryError, match="not over"):
         dp.is_isomorphism(dr.identity(datum))
@@ -292,7 +292,7 @@ def test_enumeration_and_homs_match_the_brute_reference_on_relabelled_maps(
         brute_descent_data, brute_desc_hom, p, bound, sizes):
     pred = None if sizes is None else (lambda c: len(c) in sizes)
     fib = basic_fibration(p, bound)
-    desc = DescCategory(fib, bound, carrier_pred=pred)
+    desc = DescCategory(fib, carrier_pred=pred)
     assert desc.objects() == brute_descent_data(fib, pred)
     for x in desc.objects():
         for y in desc.objects():
@@ -310,15 +310,36 @@ def test_enumeration_raises_on_a_datum_the_diagram_breaks():
     # twisting n0 breaks the identity equation for every w with a fiber of
     # two points; the enumeration names that w instead of dropping it
     from descent_kit.mutations import _twisted
-    fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
-    broken = fib._replace(n0=_twisted(fib.n0, "n0 (twisted)"))
-    assert len(enumerate_descent_data(broken, 1)) == 2  # invisible on singletons
+    def broken(bound):
+        fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), bound)
+        return fib._replace(n0=_twisted(fib.n0, "n0 (twisted)"))
+
+    assert len(enumerate_descent_data(broken(1))) == 2  # invisible on singletons
+    fib = broken(2)
     two = fib.c1.objects()[2]
     with pytest.raises(TheoremViolation,
                        match=re.escape(f"datum on {two!r} fails the identity equation")):
-        enumerate_descent_data(broken, 2)
+        enumerate_descent_data(fib)
     with pytest.raises(TheoremViolation, match="identity equation"):
-        DescCategory(broken, 2).objects()
+        DescCategory(fib).objects()
+
+
+def test_desc_category_reads_its_diagrams_bound():
+    # Desc(p) is enumerated at the bound the diagram's levels were built
+    # at; the bound it still accepts must be that one, another is refused
+    fib = basic_fibration(FinFunction.identity(FinSetObj(("x",))), 2)
+    assert DescCategory(fib, 2).objects() == DescCategory(fib).objects()
+    with pytest.raises(CategoryError, match="enumerated at bound 2, not 3"):
+        DescCategory(fib, 3)
+
+
+def test_identity_descends_effectively_at_its_diagrams_bound():
+    # at the diagram's own bound every datum glues to an object of level
+    # 0; a datum on 3 points, past that bound, would be reached by none
+    p = FinFunction.identity(FinSetObj(("x",)))
+    report = is_equivalence(comparison(DescCategory(basic_fibration(p, 2))))
+    assert report.level == EQUIVALENCE
+    assert classify(p, 2).verdict == EFFECTIVE
 
 
 @pytest.mark.parametrize("labels", [("b", "a"), (1, "a")], ids=["unsorted", "unorderable"])
@@ -330,7 +351,7 @@ def test_desc_homs_follow_the_carrier_order_of_a_hand_made_datum(labels, brute_d
     w = fn(labels, "x", lambda _: "x")
     rho = next(r for r in slice_isos(fib.d1.obj(w), fib.d0.obj(w))
                if is_descent_datum(fib, w, r)[0])
-    desc = DescCategory(fib, 2)
+    desc = DescCategory(fib)
     point = next(d for d in desc.objects() if len(d.w.dom) == 1)
     datum = DescentDatum(w, rho)
     generic = brute_desc_hom(desc, point, datum)
@@ -344,7 +365,7 @@ def test_desc_hom_counts_match_glued_homs(small_maps):
     pairs = 0
     for p in small_maps():
         fib = basic_fibration(p, 3)
-        desc = DescCategory(fib, 3)
+        desc = DescCategory(fib)
         data = desc.objects()
         glued = {d: descend(fib, d).glued for d in data}
         for x in data:
@@ -372,7 +393,7 @@ def test_hom_sets_are_counted_listed_and_decided_as_the_brute_references(
     cases = [(p, bound) for p in small_maps() for bound in (1, 2, 3)]
     for p, bound in cases + [(two_to_one(), 4)]:
         fib = basic_fibration(p, bound)
-        desc, c1 = DescCategory(fib, bound), fib.c1
+        desc, c1 = DescCategory(fib), fib.c1
         pairs = [("desc", desc, x, y, x.w, y.w)
                  for x in desc.objects() for y in desc.objects()]
         pairs += [("slice", c1, x, y, x, y)
@@ -436,7 +457,7 @@ def test_is_full_splits_the_small_maps_and_names_an_unhit_witness(small_maps):
                 assert got.ok or unhit(phi, got.witness), (p, bound, pred)
                 outcomes[got.ok] += 1
     assert outcomes == {True: 74, False: 40}
-    mutant = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2), 2)
+    mutant = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2))
     phi = comparison(mutant)
     got = is_full(phi)
     assert not got.ok and unhit(phi, got.witness)
@@ -451,7 +472,7 @@ def test_is_full_splits_the_small_maps_and_names_an_unhit_witness(small_maps):
 def test_comparison_factorization_strict():
     p = two_to_one()
     fib = basic_fibration(p, 3)
-    desc = DescCategory(fib, 3)
+    desc = DescCategory(fib)
     phi = comparison(desc)
     # the forgetful functor Desc(p) -> C/E, (w, rho) |-> w
     u = Functor(desc, fib.c1, lambda d: d.w, lambda m: m.m, name="U")
@@ -469,13 +490,13 @@ def test_comparison_refuses_incoherent_diagram():
     fib = basic_fibration(two_to_one(), 3)
     broken = invert_theta(fib)
     with pytest.raises(ValueError, match="incoherent"):
-        comparison(DescCategory(broken, 3))
+        comparison(DescCategory(broken))
 
 
 def test_descend_singleton_fibers_glues_to_point():
     p = two_to_one()
     fib = basic_fibration(p, 2)
-    datum = next(d for d in enumerate_descent_data(fib, 2) if len(d.w.dom) == 2)
+    datum = next(d for d in enumerate_descent_data(fib) if len(d.w.dom) == 2)
     res = descend(fib, datum)
     assert len(res.glued.dom) == 1 and not res.partial
 
@@ -483,7 +504,7 @@ def test_descend_singleton_fibers_glues_to_point():
 def test_descend_identity_forgets_rho():
     p = FinFunction.identity(FinSetObj(("x", "y")))
     fib = basic_fibration(p, 3)
-    for datum in enumerate_descent_data(fib, 3):
+    for datum in enumerate_descent_data(fib):
         res = descend(fib, datum)
         assert len(res.glued.dom) == len(datum.w.dom)
 
@@ -500,7 +521,7 @@ def test_descend_swap_datum_has_two_orbits(raw_descent_data):
 def test_descend_round_trip_iso_verified():
     p = fn("abc", "xy", {"a": "x", "b": "x", "c": "y"})
     fib = basic_fibration(p, 4)
-    for datum in enumerate_descent_data(fib, 4):
+    for datum in enumerate_descent_data(fib):
         res = descend(fib, datum)
         assert res.iso.m.fn.is_bijective()
         assert res.iso.dst == datum
@@ -547,7 +568,7 @@ def test_desc_is_isomorphism_agrees_with_the_inverse_search(two_sided_inverse, s
     mismatches, compared, isos = [], 0, 0
     for p in small_maps():
         for bound in (1, 2, 3):
-            desc = DescCategory(basic_fibration(p, bound), bound)
+            desc = DescCategory(basic_fibration(p, bound))
             objs = desc.objects()
             for f in (f for x in objs for y in objs for f in desc.hom(x, y)):
                 decided = desc.is_isomorphism(f)
@@ -565,7 +586,7 @@ def test_comparison_image_must_be_equivariant():
     # taken from C/B at bound 2
     from descent_kit.mutations import invert_theta
     broken = invert_theta(basic_fibration(two_to_one(), 1))
-    phi = comparison(DescCategory(broken, 1))
+    phi = comparison(DescCategory(broken))
     wider = SliceCategory(broken.c0.base, 2)
     one, two = wider.objects()[1:]
     inclusion = wider.hom(one, two)[0]
@@ -621,8 +642,8 @@ def test_classify_even_carriers_over_a_predicate_not_closed_under_pullback():
 def test_descent_category_without_cocycle_admits_a_non_datum():
     from descent_kit.mutations import descent_category_without_cocycle, invert_theta
     fib = basic_fibration(two_to_one(), 4)
-    real = set(DescCategory(fib, 4).objects())
-    corrupt = descent_category_without_cocycle(fib, 4).objects()
+    real = set(DescCategory(fib).objects())
+    corrupt = descent_category_without_cocycle(fib).objects()
     assert len(real) == 3 and len(corrupt) == 4
     (extra,) = [d for d in corrupt if d not in real]
     assert len(extra.w.dom) == 4
@@ -647,7 +668,7 @@ def test_almost_rung_witness_names_its_data():
     # a descent category that drops the hom condition has morphisms Phi
     # misses; the comparison onto it is caught as faithful only
     from descent_kit.mutations import descent_category_without_hom_condition
-    desc = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2), 2)
+    desc = descent_category_without_hom_condition(basic_fibration(two_to_one(), 2))
     report = is_equivalence(comparison(desc))
     assert report.level == FAITHFUL_ONLY and not report.full.ok
     _, _, witness = report.full.witness

@@ -48,13 +48,13 @@ def rho_of_wrong_type():
 
 
 def non_composable_descent_morphisms():
-    desc = DescCategory(fibration(), 2)
+    desc = DescCategory(fibration())
     x, y = desc.objects()[:2]
     desc.compose(desc.identity(x), desc.identity(y))
 
 
 def comparison_over_incoherent_diagram():
-    comparison(DescCategory(invert_theta(fibration()), 2))
+    comparison(DescCategory(invert_theta(fibration())))
 
 
 def descend_invalid_datum():
@@ -151,6 +151,27 @@ def validate_coherence_at_a_negative_bound():
     validate_coherence(fibration(), -1)
 
 
+def classify_with_a_predicate_that_is_no_callable():
+    # refused where Desc(p) is built, before any datum is enumerated
+    classify(fn("ab", "*", lambda _: "*"), 2, carrier_pred="x")
+
+
+def desc_category_of_no_diagram():
+    DescCategory("fib")
+
+
+def validate_coherence_of_no_diagram():
+    validate_coherence("x")
+
+
+def descend_over_no_diagram():
+    descend("fib", DescCategory(fibration()).objects()[1])
+
+
+def comparison_of_no_desc_category():
+    comparison("x")
+
+
 def classify_at_no_bound():
     classify(fn("ab", "*", lambda _: "*"), None)
 
@@ -174,7 +195,7 @@ def objects_at_a_float_bound_after_its_integer():
 def generators_at_a_float_bound_after_its_integer():
     # likewise a descent category, over a diagram built at 2
     fib = fibration()
-    DescCategory(fib, 2).generators()
+    DescCategory(fib).generators()
     DescCategory(fib, 2.0)
 
 
@@ -260,6 +281,12 @@ def overlapping_blocks():
     (classify_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
     (benabou_roubaud_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
     (validate_coherence_at_a_negative_bound, CategoryError, "negative enumeration bound -1"),
+    (classify_with_a_predicate_that_is_no_callable, CategoryError,
+     "carrier_pred must be callable, not 'x'"),
+    (desc_category_of_no_diagram, CategoryError, "expected a BasicFibration, not 'fib'"),
+    (validate_coherence_of_no_diagram, CategoryError, "expected a BasicFibration, not 'x'"),
+    (descend_over_no_diagram, CategoryError, "expected a BasicFibration, not 'fib'"),
+    (comparison_of_no_desc_category, CategoryError, "comparison takes a DescCategory, not 'x'"),
     (classify_at_no_bound, CategoryError, "bound must be an integer, not None"),
     (classify_at_a_fractional_bound, CategoryError, "bound must be an integer, not 2.5"),
     (classify_at_a_string_bound, CategoryError, "bound must be an integer, not '2'"),
@@ -348,9 +375,9 @@ def test_wrong_contents_raise_or_fail_and_never_answer_wrong(is_triangle, p, q, 
 
     # a datum of q handed to the decisions of p: refused, unless p and q
     # share E and its kernel pair, when the answers are q's own
-    dq = DescCategory(fq, 2)
+    dq = DescCategory(fq)
     datum = data.draw(st.sampled_from(dq.objects()))
-    dp = DescCategory(fp, 2)
+    dp = DescCategory(fp)
     shared = fp.c1.base == fq.c1.base and fp.c2.base == fq.c2.base
     ok = _outcome(lambda: is_descent_datum(fp, datum.w, datum.rho))
     glued = _outcome(lambda: descend(fp, datum))

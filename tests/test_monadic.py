@@ -282,7 +282,7 @@ def test_benabou_roubaud_names_the_algebra_no_enumerated_datum_reaches(monkeypat
     monkeypatch.setattr(monadic, "DescCategory", DroppingLast)
     res = benabou_roubaud(two_to_one(), 2)
     assert res.verdict == FULLY_FAITHFUL_ONLY
-    dropped = enumerate_descent_data(res.desc.diagram, 2)[-1]
+    dropped = enumerate_descent_data(res.desc.diagram)[-1]
     ess = res.report.essentially_surjective
     assert not ess.ok and ess.within_bound
     assert ess.witness == res.functor.obj(dropped)
@@ -316,7 +316,7 @@ def test_datum_algebra_maps_need_a_top_tracking_monad():
     from descent_kit.descent import enumerate_descent_data
     fib, adj = adjunction_for(two_to_one(), 2)
     monad = induced_monad(adj)
-    datum = enumerate_descent_data(fib, 2)[-1]
+    datum = enumerate_descent_data(fib)[-1]
     alg = datum_to_algebra(fib, monad, datum)
     plain = Monad(IdentityFunctor(fib.c1), monad.eta, monad.mu)
     with pytest.raises(CategoryError):

@@ -11,7 +11,8 @@ asks a hom-set whether it holds a morphism
 (``test_library_never_asks_a_hom_set_for_membership``), no library
 module imports ``dataclasses`` or ``inspect``
 (``test_library_never_imports_dataclasses``), every public name is used
-or listed, only builders and enumerators take a ``bound``
+or listed, only builders and the readers that check a diagram's bound
+take a ``bound``, and none defaults one but to None
 (``test_only_builders_and_enumerators_take_a_bound``), the most numerous
 value classes stay slotted, a
 dropped diagram leaves no cyclic garbage, memo keys store their hash, and
@@ -301,51 +302,66 @@ def test_public_names_are_used_or_listed():
 
 
 # The library functions and methods that may take a parameter named
-# ``bound``: the builders of bounded categories and of the entry points,
-# the enumerators that walk a fragment other than their category's own,
-# the one check of a bound, and ``validate_coherence``, whose bound must
-# be the diagram's own (ROADMAP item 1 drops it).
+# ``bound``: the builders of the slice categories and of the entry points,
+# which require it, the one check of a bound, and the readers that check a
+# bound handed to them against their diagram's own (ROADMAP item 1 drops
+# it), which alone default it, to None.
 BOUND_TAKERS = {
-    "cosimplicial.basic_fibration", "cosimplicial.validate_coherence",
-    "descent.DescCategory.__init__", "descent.classify",
-    "descent.enumerate_descent_data", "fincat.checked_bound",
-    "monadic.benabou_roubaud", "monadic.chosen_pullback_bc_square",
-    "monadic.pullback_square_bc", "mutations.descent_category_without_cocycle",
-    "mutations.descent_category_without_hom_condition",
-    "slices.SliceCategory.__init__", "slices.SliceCategory.objects_constant_on",
+    "cosimplicial.basic_fibration", "cosimplicial.checked_diagram",
+    "cosimplicial.validate_coherence", "descent.DescCategory.__init__",
+    "descent.classify", "fincat.checked_bound", "monadic.benabou_roubaud",
+    "monadic.chosen_pullback_bc_square", "monadic.pullback_square_bc",
+    "slices.SliceCategory.__init__",
+}
+DIAGRAM_BOUND_READERS = {
+    "cosimplicial.checked_diagram", "cosimplicial.validate_coherence",
+    "descent.DescCategory.__init__",
 }
 
 
 def _bound_takers(node, prefix=""):
-    """Qualified names of the functions and methods under node, nested ones
-    included, that have a parameter named ``bound``."""
-    out = []
+    """The functions and methods under node, nested ones included, that
+    have a parameter named ``bound``, by qualified name, each with the
+    source of its default, or None if it has none."""
+    out = {}
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             name = prefix + child.name
             if isinstance(child, ast.FunctionDef):
                 args = child.args
-                if "bound" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
-                    out.append(name)
-            out += _bound_takers(child, name + ".")
+                positional = args.posonlyargs + args.args
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                for arg, default in zip(positional + args.kwonlyargs,
+                                        defaults + args.kw_defaults):
+                    if arg.arg == "bound":
+                        out[name] = None if default is None else ast.unparse(default)
+            out.update(_bound_takers(child, name + "."))
         else:
-            out += _bound_takers(child, prefix)
+            out.update(_bound_takers(child, prefix))
     return out
 
 
 def test_only_builders_and_enumerators_take_a_bound():
-    """A bound is fixed where a category is built: a category that
-    truncates by carrier size holds it, one built from others enumerates
-    over theirs, and every enumeration and decision reads the categories
-    it is handed.  So only the functions listed above take a ``bound``; a
-    bound on any other would be a second, per-call answer to a question
-    the category already answers."""
-    found = set()
+    """A bound is fixed where a category is built: a slice category holds
+    it, one built from others enumerates over theirs (Desc(p) over its
+    diagram's levels), and every enumeration and decision reads the
+    categories it is handed.  So only the functions listed above take a
+    ``bound``; a bound on any other would be a second, per-call answer to a
+    question the category already answers.  A builder requires its bound,
+    so no default can disagree with what a caller meant, and only a reader
+    that refuses any bound but its diagram's defaults it, to None."""
+    found = {}
     for path in sorted((ROOT / "src" / "descent_kit").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found.update(f"{path.stem}.{name}" for name in _bound_takers(tree))
-    assert sorted(found - BOUND_TAKERS) == [], "takes a bound and is not listed"
-    assert sorted(BOUND_TAKERS - found) == [], "listed but takes no bound: unlist"
+        found.update({f"{path.stem}.{name}": default
+                      for name, default in _bound_takers(tree).items()})
+    assert sorted(found.keys() - BOUND_TAKERS) == [], "takes a bound and is not listed"
+    assert sorted(BOUND_TAKERS - found.keys()) == [], "listed but takes no bound: unlist"
+    assert sorted(name for name, default in found.items()
+                  if default not in (None, "None")) == [], "defaults a bound other than None"
+    assert sorted(name for name, default in found.items()
+                  if default == "None") == sorted(DIAGRAM_BOUND_READERS), (
+        "only the readers that check a bound against their diagram default it")
 
 
 def test_value_classes_have_no_instance_dict():
@@ -353,7 +369,7 @@ def test_value_classes_have_no_instance_dict():
     from costing more memory than a per-instance __dict__ saved."""
     point = FinSetObj(("*",))
     fib = basic_fibration(FinFunction.of(FinSetObj(("a", "b")), point, lambda _: "*"), 2)
-    desc = DescCategory(fib, 2)
+    desc = DescCategory(fib)
     datum = desc.objects()[-1]
     values = [desc.identity(datum), datum, datum.w, datum.rho, datum.rho.fn, point]
     assert [type(v).__name__ for v in values] == [
@@ -374,7 +390,7 @@ def test_dropped_diagram_leaves_no_cyclic_garbage():
         fib = basic_fibration(p, 2)
         ok = validate_coherence(fib).is_empty()
         caught = not validate_coherence(invert_theta(fib)).is_empty()
-        desc = DescCategory(fib, 2)
+        desc = DescCategory(fib)
         data = desc.objects()
         n_mors = sum(len(desc.hom(x, y)) for x in data for y in data)
         return (ok, caught, len(data), n_mors, classify(p, 2).verdict,

@@ -80,7 +80,7 @@ def test_change_of_base_product_case():
 def test_change_of_base_empty_fiber():
     e, b = FinSetObj(("e",)), FinSetObj(("x", "y"))
     p = FinFunction.of(e, b, {"e": "x"})
-    f = ChangeOfBase(p, SliceCategory(b), SliceCategory(e))
+    f = ChangeOfBase(p, SliceCategory(b, 4), SliceCategory(e, 4))
     point_over_y = map_over(b, {"q": "y"})
     assert len(f.obj(point_over_y).dom) == 0
 
@@ -163,7 +163,7 @@ def test_change_of_base_functor_laws():
 def test_sigma_postcomposes():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
-    ce, cb = SliceCategory(e), SliceCategory(b)
+    ce, cb = SliceCategory(e, 4), SliceCategory(b, 4)
     sig = SigmaAlong(p, ce, cb)
     w = map_over(e, {"u": "a", "v": "b"})
     sw = sig.obj(w)
@@ -186,7 +186,7 @@ def test_pullback_functor_not_faithful_over_missed_point():
 def test_adjunction_unit_embeds_fiberwise():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
-    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b), SliceCategory(e)))
+    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b, 4), SliceCategory(e, 4)))
     w = map_over(e, {"u": "a", "v": "b"})
     eta = adj.unit.at(w)
     assert eta.fn("u") == ("u", "a")
@@ -196,7 +196,7 @@ def test_adjunction_unit_embeds_fiberwise():
 def test_adjunction_counit_is_projection():
     e, b = FinSetObj(("a", "b")), FinSetObj(("*",))
     p = FinFunction.of(e, b, lambda _: "*")
-    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b), SliceCategory(e)))
+    adj = sigma_pullback_adjunction(ChangeOfBase(p, SliceCategory(b, 4), SliceCategory(e, 4)))
     x = map_over(b, {"u": "*", "v": "*"})
     eps = adj.counit.at(x)
     for t in eps.src.dom:
